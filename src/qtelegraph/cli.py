@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -28,6 +29,7 @@ from .nosignal import verify_no_signaling
 from .protocol import (
     Detector,
     ModelMode,
+    SymbolHits,
     TransmissionPlan,
     required_sample_size,
     transmit_message,
@@ -107,15 +109,27 @@ def _to_int(key: str, value) -> int:
 
 def _to_float(key: str, value) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    try:
-        return float(str(value).strip())
-    except ValueError:
-        raise ConfigError(f"{key} must be a number (got {value!r})") from None
+        number = float(value)
+    else:
+        try:
+            number = float(str(value).strip())
+        except ValueError:
+            raise ConfigError(f"{key} must be a number (got {value!r})") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite (got {value!r})")
+    return number
 
 
 def _to_str(key: str, value) -> str:
     return str(value).strip()
+
+
+def _to_enum(cls: type[Enum], key: str, value: str) -> Enum:
+    try:
+        return cls(value)
+    except ValueError:
+        choices = " or ".join(repr(member.value) for member in cls)
+        raise ConfigError(f"{key} must be {choices} (got {value!r})") from None
 
 
 _CONVERTERS: dict[str, Callable[[str, object], object]] = {
@@ -199,10 +213,10 @@ def resolve_config(overrides: dict) -> RunConfig:
             relative_phase=values["relative_phase"],
         )
         plan = TransmissionPlan(M=values["M"], T=values["T"], N=values["N"])
-        mode = ModelMode.from_string(values["mode"])
-        detectors = Detector.from_string(values["detectors"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    mode = _to_enum(ModelMode, "mode", values["mode"])
+    detectors = _to_enum(Detector, "detectors", values["detectors"])
 
     alpha = values["alpha"]
     if not 0.0 < alpha < 1.0:
@@ -257,14 +271,19 @@ def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
     path.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_hits_csv(path: Path, cfg: RunConfig, hits) -> None:
+def _write_hits_csv(path: Path, cfg: RunConfig, hits: SymbolHits) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         for line in _config_comment_lines(cfg):
             handle.write(f"# {line}\n")
         writer = csv.writer(handle)
         writer.writerow(["telegraph_id", "time", "x"])
-        for hit in hits:
-            writer.writerow([hit.telegraph_id, repr(hit.time), repr(hit.x)])
+        writer.writerows(
+            zip(
+                hits.telegraph_id.tolist(),
+                map(repr, hits.time.tolist()),
+                map(repr, hits.x.tolist()),
+            )
+        )
 
 
 def _decision_dict(decision) -> dict:
@@ -469,7 +488,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = config_from_args(args)
         return run_command(args.command, cfg)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:
+        # ConfigError is a ValueError; so is a subcommand's rejection of an
+        # input outside the model's domain, which is a usage error too.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

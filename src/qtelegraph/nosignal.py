@@ -27,6 +27,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .device import (
+    PIPES,
     DeviceConfig,
     build_joint_state,
     eraser_conditionals,
@@ -46,6 +47,7 @@ from .quantum import (
     normalize,
     partial_trace,
     trace_distance,
+    which_subsystem_basis,
 )
 
 DEFAULT_DISTANCE_TOLERANCE = 1e-10
@@ -62,20 +64,17 @@ class NoSignalReport:
     mutual_information_bits: float
     distance_tolerance: float
     mi_tolerance: float
-    verdict: str
 
-    def __post_init__(self) -> None:
-        passes = (
+    def passed(self) -> bool:
+        return (
             self.tv_distance < self.distance_tolerance
             and self.trace_distance_reduced < self.distance_tolerance
             and self.mutual_information_bits < self.mi_tolerance
         )
-        expected = "pass" if passes else "fail"
-        if self.verdict != expected:
-            raise ValueError(f"verdict {self.verdict!r} inconsistent with measures")
 
-    def passed(self) -> bool:
-        return self.verdict == "pass"
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed() else "fail"
 
     def to_dict(self) -> dict:
         return {
@@ -114,13 +113,16 @@ def jensen_shannon_bits(p: np.ndarray, q: np.ndarray) -> float:
     return max(0.0, _entropy_bits(mid) - 0.5 * (_entropy_bits(p) + _entropy_bits(q)))
 
 
-def _screen_state_for_pipe(joint: StateVector, pipe: int, bins: int) -> tuple[float, StateVector]:
+def _pipe_amplitudes(joint: StateVector) -> dict[int, np.ndarray]:
+    """Signal amplitudes per idler which-path outcome, in screen-bin order."""
+    masks = which_subsystem_basis(PIPES, 0).outcome_masks(joint)
+    return {pipe: joint.amplitudes[mask] for pipe, mask in masks.items()}
+
+
+def _screen_state_for_pipe(amplitudes: np.ndarray) -> tuple[float, StateVector]:
     """Project the idler on one pipe: (outcome probability, signal state)."""
-    amplitudes = np.array(
-        [joint.amplitudes[joint.index_of((pipe, j))] for j in range(bins)]
-    )
     weight = float(np.linalg.norm(amplitudes) ** 2)
-    signal = normalize(StateVector(tuple(range(bins)), amplitudes))
+    signal = normalize(StateVector(tuple(range(amplitudes.size)), amplitudes))
     return weight, signal
 
 
@@ -132,23 +134,17 @@ def reduced_screen_by_partial_trace(cfg: DeviceConfig) -> DensityMatrix:
 
 def reduced_screen_by_measurement_mixture(cfg: DeviceConfig) -> DensityMatrix:
     """Route (b): which-path-measure the idler, mix the collapsed signal states."""
-    joint = build_joint_state(cfg)
     mixture = np.zeros((cfg.bins, cfg.bins), dtype=complex)
-    for pipe in (1, 2):
-        weight, signal = _screen_state_for_pipe(joint, pipe, cfg.bins)
+    for amplitudes in _pipe_amplitudes(build_joint_state(cfg)).values():
+        weight, signal = _screen_state_for_pipe(amplitudes)
         mixture += weight * density_from_state(signal).matrix
     return DensityMatrix(mixture)
 
 
 def coherent_screen_state(cfg: DeviceConfig) -> DensityMatrix:
     """The pure superposition the collapse story credits to detectors-off."""
-    joint = build_joint_state(cfg)
-    summed = np.array(
-        [
-            joint.amplitudes[joint.index_of((1, j))] + joint.amplitudes[joint.index_of((2, j))]
-            for j in range(cfg.bins)
-        ]
-    )
+    amplitudes = _pipe_amplitudes(build_joint_state(cfg))
+    summed = amplitudes[1] + amplitudes[2]
     return density_from_state(normalize(StateVector(tuple(range(cfg.bins)), summed)))
 
 
@@ -156,22 +152,17 @@ def verify_no_signaling(
     cfg: DeviceConfig,
     mode: ModelMode,
     distance_tolerance: float = DEFAULT_DISTANCE_TOLERANCE,
-    mi_tolerance: float | None = None,
+    mi_tolerance: float = DEFAULT_MI_TOLERANCE,
 ) -> NoSignalReport:
     """Compare the receiving end's statistics across the two detector settings.
 
-    ``mi_tolerance`` defaults to 0.01 bits unless ``distance_tolerance`` was
-    overridden, in which case it follows it (so a vacuous threshold is
-    vacuous for all three measures).
+    ``distance_tolerance`` bounds the total variation and trace distances,
+    ``mi_tolerance`` (bits) the mutual information; each is set on its own.
     """
     if not distance_tolerance > 0:
         raise ValueError(f"distance_tolerance must be > 0 (got {distance_tolerance})")
-    if mi_tolerance is None:
-        mi_tolerance = (
-            DEFAULT_MI_TOLERANCE
-            if distance_tolerance == DEFAULT_DISTANCE_TOLERANCE
-            else distance_tolerance
-        )
+    if not mi_tolerance > 0:
+        raise ValueError(f"mi_tolerance must be > 0 (got {mi_tolerance})")
 
     p_off = screen_marginal(cfg, Detector.OFF, mode)
     p_on = screen_marginal(cfg, Detector.ON, mode)
@@ -185,7 +176,6 @@ def verify_no_signaling(
     reduced_on = reduced_screen_by_measurement_mixture(cfg)
     td = trace_distance(reduced_off, reduced_on)
 
-    passes = tv < distance_tolerance and td < distance_tolerance and mi < mi_tolerance
     return NoSignalReport(
         mode=mode,
         tv_distance=tv,
@@ -193,7 +183,6 @@ def verify_no_signaling(
         mutual_information_bits=mi,
         distance_tolerance=distance_tolerance,
         mi_tolerance=mi_tolerance,
-        verdict="pass" if passes else "fail",
     )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,26 +39,12 @@ class Detector(Enum):
     ON = "on"
     OFF = "off"
 
-    @classmethod
-    def from_string(cls, text: str) -> "Detector":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"detectors must be 'on' or 'off' (got {text!r})")
-
 
 class ModelMode(Enum):
     """Which physics the simulated device obeys."""
 
     NAIVE_COLLAPSE = "NaiveCollapse"
     UNITARY_QM = "UnitaryQM"
-
-    @classmethod
-    def from_string(cls, text: str) -> "ModelMode":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"mode must be 'NaiveCollapse' or 'UnitaryQM' (got {text!r})")
 
 
 @dataclass(frozen=True)
@@ -79,38 +65,37 @@ class TransmissionPlan:
 
 
 @dataclass(frozen=True)
-class HitRecord:
-    """One screen detection: which telegraph, when, where, and (with the
-    detectors on) which pipe the idler was found in."""
+class SymbolHits:
+    """One symbol's screen detections as columns: which telegraph, when,
+    where, and (with the detectors on, else None) which pipe the idler was
+    found in. Row j of every column is the j-th pooled emission."""
 
-    telegraph_id: int
-    time: float
-    x: float
-    idler_outcome: int | None = None
+    telegraph_id: np.ndarray
+    time: np.ndarray
+    x: np.ndarray
+    idler: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.telegraph_id < 0:
-            raise ValueError(f"telegraph_id must be >= 0 (got {self.telegraph_id})")
-        if self.time < 0:
-            raise ValueError(f"time must be >= 0 (got {self.time})")
+        if np.any(self.telegraph_id < 0):
+            raise ValueError(f"telegraph_id must be >= 0 (got {self.telegraph_id.min()})")
+        if np.any(self.time < 0):
+            raise ValueError(f"time must be >= 0 (got {self.time.min()})")
 
 
 @dataclass(frozen=True)
 class DecisionResult:
-    """Receiver verdict for one symbol."""
+    """Receiver verdict for one symbol: interference iff ``log_lr`` > 0."""
 
     log_lr: float
-    decided: str
     fringe_statistic: float
 
     def __post_init__(self) -> None:
-        expected = INTERFERENCE if self.log_lr > 0 else NO_INTERFERENCE
-        if self.decided != expected:
-            raise ValueError(
-                f"decided={self.decided!r} inconsistent with log_lr={self.log_lr}"
-            )
         if not 0.0 <= self.fringe_statistic <= 1.0 + 1e-12:
             raise ValueError(f"fringe_statistic out of [0,1]: {self.fringe_statistic}")
+
+    @property
+    def decided(self) -> str:
+        return INTERFERENCE if self.log_lr > 0 else NO_INTERFERENCE
 
 
 def screen_marginal(cfg: DeviceConfig, detectors: Detector, mode: ModelMode) -> ScreenDistribution:
@@ -134,16 +119,14 @@ def sample_hits(dist: ScreenDistribution, count: int, rng: np.random.Generator) 
     """
     if count < 0:
         raise ValueError(f"count must be >= 0 (got {count})")
-    indices = _sample_bin_indices(dist.probabilities, count, rng)
+    indices = _sample_bin_indices(np.cumsum(dist.probabilities), count, rng)
     return dist.bin_centers[indices]
 
 
-def _sample_bin_indices(
-    probabilities: np.ndarray, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    cdf = np.cumsum(probabilities)
+def _sample_bin_indices(cdf: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF bin draws; ``cdf`` is the cumulative sum of the bin probabilities."""
     u = rng.random(count)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), probabilities.size - 1)
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
 
 
 def floored_log_ratio(p_numerator: np.ndarray, p_denominator: np.ndarray) -> np.ndarray:
@@ -183,11 +166,13 @@ def fringe_statistic(hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> f
     return float(np.abs(np.exp(2j * cfg.kappa * xs).mean()))
 
 
+def _decision(llr: float, hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> DecisionResult:
+    return DecisionResult(log_lr=llr, fringe_statistic=fringe_statistic(hits, cfg))
+
+
 def decide_bit(hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> DecisionResult:
     """LRT verdict: interference iff the log-likelihood ratio is > 0."""
-    llr = log_likelihood_ratio(hits, cfg)
-    decided = INTERFERENCE if llr > 0 else NO_INTERFERENCE
-    return DecisionResult(log_lr=llr, decided=decided, fringe_statistic=fringe_statistic(hits, cfg))
+    return _decision(log_likelihood_ratio(hits, cfg), hits, cfg)
 
 
 @dataclass(frozen=True)
@@ -220,6 +205,7 @@ def _mc_error_rates(
     base, m_key = seed_material
     errors = []
     for which, probs in ((0, p_interference), (1, p_no_interference)):
+        cdf = np.cumsum(probs)
         rng = np.random.default_rng([base, m_key, which])
         wrong = 0
         remaining = trials
@@ -227,7 +213,7 @@ def _mc_error_rates(
         chunk = max(1, min(trials, (1 << 22) // max(m, 1)))
         while remaining > 0:
             batch = min(chunk, remaining)
-            idx = _sample_bin_indices(probs, batch * m, rng).reshape(batch, m)
+            idx = _sample_bin_indices(cdf, batch * m, rng).reshape(batch, m)
             llr = table[idx].sum(axis=1)
             decided_interference = llr > 0
             if which == 0:
@@ -275,7 +261,7 @@ def required_sample_size(
             ),
         )
 
-    table = log_ratio_table(cfg)
+    table = floored_log_ratio(p_c, p_i)
     base = int(child_seeds(rng, 1)[0])
     cache: dict[int, tuple[float, float]] = {}
 
@@ -375,6 +361,22 @@ def ensemble_schedule(n: int, period: float, rng: np.random.Generator) -> Ensemb
     return EnsembleSchedule(offsets=rng.random(n) * period, period=period)
 
 
+def _symbol_windows(
+    schedule: EnsembleSchedule, m: int, symbols: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """The one emission timeline: each symbol pools the next ``m`` emissions.
+
+    Yields (times, telegraph ids, symbol time) per symbol; symbols run back to
+    back, each starting where the previous one's last emission left the clock.
+    """
+    clock = 0.0
+    for _ in range(symbols):
+        times, ids = schedule.emissions_after(clock, m)
+        end = float(times[-1])
+        yield times, ids, end - clock
+        clock = end
+
+
 @dataclass(frozen=True)
 class TransmissionResult:
     """Full transcript of one message transmission."""
@@ -384,7 +386,7 @@ class TransmissionResult:
     symbol_times: tuple[float, ...]
     decisions: tuple[DecisionResult, ...]
     hit_counts: tuple[int, ...]
-    hits: tuple[tuple[HitRecord, ...], ...] | None = None
+    hits: tuple[SymbolHits, ...] | None = None
 
     def symbol_error_rate(self) -> float:
         if not self.sent:
@@ -417,53 +419,40 @@ def transmit_message(
 
     schedule = ensemble_schedule(plan.N, plan.T, rng)
     seeds = child_seeds(rng, len(bits))
-    marginal = {
-        Detector.ON: screen_marginal(cfg, Detector.ON, mode),
-        Detector.OFF: screen_marginal(cfg, Detector.OFF, mode),
-    }
+    # The receiver's model is fixed by cfg: derive it once per message.
+    table = log_ratio_table(cfg)
+    centers = cfg.bin_centers()
+    cdf = {d: np.cumsum(screen_marginal(cfg, d, mode).probabilities) for d in Detector}
 
     received: list[int] = []
     symbol_times: list[float] = []
     decisions: list[DecisionResult] = []
-    hit_counts: list[int] = []
-    all_hits: list[tuple[HitRecord, ...]] = []
-    clock = 0.0
-    for index, bit in enumerate(bits):
+    all_hits: list[SymbolHits] = []
+    windows = _symbol_windows(schedule, plan.M, len(bits))
+    for bit, seed, (times, ids, symbol_time) in zip(bits, seeds, windows):
         detectors = Detector.ON if bit == 1 else Detector.OFF
-        times, ids = schedule.emissions_after(clock, plan.M)
-        symbol_rng = np.random.default_rng(int(seeds[index]))
-        xs = sample_hits(marginal[detectors], plan.M, symbol_rng)
+        symbol_rng = np.random.default_rng(int(seed))
+        idx = _sample_bin_indices(cdf[detectors], plan.M, symbol_rng)
+        xs = centers[idx]
         if detectors is Detector.ON:
             # Both pipes share the envelope, so the screen conditional given
             # the pipe outcome is the same and the idler samples independently.
             idlers = symbol_rng.integers(1, 3, size=plan.M)
         else:
             idlers = None
-        decision = decide_bit(xs, cfg)
+        decision = _decision(float(table[idx].sum()), xs, cfg)
         received.append(0 if decision.decided == INTERFERENCE else 1)
         decisions.append(decision)
-        hit_counts.append(plan.M)
-        symbol_times.append(float(times[-1] - clock))
+        symbol_times.append(symbol_time)
         if keep_hits:
-            all_hits.append(
-                tuple(
-                    HitRecord(
-                        telegraph_id=int(ids[j]),
-                        time=float(times[j]),
-                        x=float(xs[j]),
-                        idler_outcome=None if idlers is None else int(idlers[j]),
-                    )
-                    for j in range(plan.M)
-                )
-            )
-        clock = float(times[-1])
+            all_hits.append(SymbolHits(telegraph_id=ids, time=times, x=xs, idler=idlers))
 
     return TransmissionResult(
         sent=tuple(bits),
         received=tuple(received),
         symbol_times=tuple(symbol_times),
         decisions=tuple(decisions),
-        hit_counts=tuple(hit_counts),
+        hit_counts=(plan.M,) * len(bits),
         hits=tuple(all_hits) if keep_hits else None,
     )
 
@@ -479,10 +468,4 @@ def throughput_check(
     if symbols < 1:
         raise ValueError(f"symbols must be >= 1 (got {symbols})")
     schedule = ensemble_schedule(plan.N, plan.T, rng)
-    clock = 0.0
-    elapsed: list[float] = []
-    for _ in range(symbols):
-        times, _ = schedule.emissions_after(clock, plan.M)
-        elapsed.append(float(times[-1] - clock))
-        clock = float(times[-1])
-    return float(np.mean(elapsed))
+    return float(np.mean([t for _, _, t in _symbol_windows(schedule, plan.M, symbols)]))

@@ -115,15 +115,17 @@ class ParadoxTrace:
     frame_a: float
     frame_b: float
     loop_advance: float
-    closed_loop: bool
 
     def __post_init__(self) -> None:
         if self.b_emission != self.a_reception:
             raise ValueError("B emission must coincide with A reception")
         if abs(self.b_reception.x - self.a_emission.x) > 1e-12:
             raise ValueError("B reception must return to the A emission position")
-        if self.closed_loop != (self.loop_advance > 0):
-            raise ValueError("closed_loop must equal (loop_advance > 0)")
+
+    @property
+    def closed_loop(self) -> bool:
+        """True when the round trip arrives strictly before the emission."""
+        return self.loop_advance > 0
 
     def legs(self) -> tuple[tuple[Event, Event, float], tuple[Event, Event, float]]:
         """(emission, reception, frame velocity) for the A leg and the B leg."""
@@ -184,7 +186,6 @@ def build_paradox(strategy: FrameStrategy, separation: float) -> ParadoxTrace:
         frame_a=frame_a,
         frame_b=frame_b,
         loop_advance=loop_advance,
-        closed_loop=loop_advance > 0,
     )
 
 

@@ -65,12 +65,16 @@ class TestVerifyNoSignaling:
 
     def test_vacuous_tolerance_passes_every_mode(self):
         for mode in ModelMode:
-            report = verify_no_signaling(DeviceConfig(), mode, distance_tolerance=1.0)
+            report = verify_no_signaling(
+                DeviceConfig(), mode, distance_tolerance=1.0, mi_tolerance=1.0
+            )
             assert report.verdict == "pass"
 
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):
             verify_no_signaling(DeviceConfig(), ModelMode.UNITARY_QM, distance_tolerance=0.0)
+        with pytest.raises(ValueError, match="mi_tolerance"):
+            verify_no_signaling(DeviceConfig(), ModelMode.UNITARY_QM, mi_tolerance=0.0)
 
     def test_report_serialization_round_trip(self):
         report = verify_no_signaling(DeviceConfig(), ModelMode.UNITARY_QM)
@@ -80,16 +84,17 @@ class TestVerifyNoSignaling:
         assert report.to_dict()["mode"] == "UnitaryQM"
 
     def test_report_verdict_consistency_enforced(self):
-        with pytest.raises(ValueError, match="verdict"):
-            NoSignalReport(
-                mode=ModelMode.UNITARY_QM,
-                tv_distance=0.5,
-                trace_distance_reduced=0.0,
-                mutual_information_bits=0.0,
-                distance_tolerance=1e-10,
-                mi_tolerance=0.01,
-                verdict="pass",
-            )
+        report = NoSignalReport(
+            mode=ModelMode.UNITARY_QM,
+            tv_distance=0.5,
+            trace_distance_reduced=0.0,
+            mutual_information_bits=0.0,
+            distance_tolerance=1e-10,
+            mi_tolerance=0.01,
+        )
+        assert report.verdict == "fail"
+        assert not report.passed()
+        assert report.to_dict()["verdict"] == "fail"
 
 
 class TestReducedStateRoutes:

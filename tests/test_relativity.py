@@ -166,7 +166,6 @@ class TestBuildParadox:
                 frame_a=0.5,
                 frame_b=-0.5,
                 loop_advance=0.0,
-                closed_loop=False,
             )
 
     def test_event_rows_and_dict(self):
