@@ -268,7 +268,8 @@ def _config_comment_lines(cfg: RunConfig) -> list[str]:
 
 def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
     document = {"config": cfg.resolved(), **payload}
-    path.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_hits_csv(path: Path, cfg: RunConfig, hits: SymbolHits) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -30,6 +31,14 @@ from .quantum import (
 )
 
 PIPES = (1, 2)
+
+
+def _integer_at_least(name: str, value, minimum: int) -> int:
+    """``value`` as a plain int if it is an integer (numpy's too, but not a
+    bool) of at least ``minimum``; otherwise a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum} (got {value})")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -56,8 +65,12 @@ class DeviceConfig:
             raise ValueError(f"envelope_width must be > 0 (got {self.envelope_width})")
         if not self.x_max > 0:
             raise ValueError(f"x_max must be > 0 (got {self.x_max})")
-        if not (isinstance(self.bins, int) and self.bins >= 2):
-            raise ValueError(f"bins must be an integer >= 2 (got {self.bins})")
+        object.__setattr__(self, "bins", _integer_at_least("bins", self.bins, 2))
+        if not 0.0 < self.bin_width < math.inf:
+            raise ValueError(
+                f"x_max * envelope_width = {self.half_width} gives no finite, "
+                f"non-empty screen grid (bin width {self.bin_width})"
+            )
 
     @property
     def half_width(self) -> float:
@@ -121,12 +134,18 @@ def pipe_amplitude(cfg: DeviceConfig, pipe: int, x: np.ndarray | float) -> np.nd
 def _pipe_vectors(cfg: DeviceConfig) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm screen amplitude vectors for both pipes on the bin grid."""
     xs = cfg.bin_centers()
-    psi1 = np.asarray(pipe_amplitude(cfg, 1, xs))
-    psi2 = np.asarray(pipe_amplitude(cfg, 2, xs))
-    # |psi_1| = |psi_2| pointwise, so one norm serves both.
-    norm = np.linalg.norm(psi1)
-    if norm == 0.0:
-        raise QuantumStateError("pipe amplitudes vanish on the whole grid")
+    # An envelope width whose square underflows gives 0/0 or x/0; the
+    # resulting NaN or zero norm is rejected below by name, not warned about.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        psi1 = np.asarray(pipe_amplitude(cfg, 1, xs))
+        psi2 = np.asarray(pipe_amplitude(cfg, 2, xs))
+        # |psi_1| = |psi_2| pointwise, so one norm serves both.
+        norm = np.linalg.norm(psi1)
+    if not 0.0 < norm < math.inf:
+        raise QuantumStateError(
+            f"screen amplitudes vanish or are not finite for envelope_width="
+            f"{cfg.envelope_width}, x_max={cfg.x_max}, kappa={cfg.kappa}"
+        )
     return psi1 / norm, psi2 / norm
 
 

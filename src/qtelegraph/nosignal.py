@@ -119,13 +119,6 @@ def _pipe_amplitudes(joint: StateVector) -> dict[int, np.ndarray]:
     return {pipe: joint.amplitudes[mask] for pipe, mask in masks.items()}
 
 
-def _screen_state_for_pipe(amplitudes: np.ndarray) -> tuple[float, StateVector]:
-    """Project the idler on one pipe: (outcome probability, signal state)."""
-    weight = float(np.linalg.norm(amplitudes) ** 2)
-    signal = normalize(StateVector(tuple(range(amplitudes.size)), amplitudes))
-    return weight, signal
-
-
 def reduced_screen_by_partial_trace(cfg: DeviceConfig) -> DensityMatrix:
     """Route (a): trace the idler out of the untouched joint state."""
     joint = density_from_state(build_joint_state(cfg))
@@ -133,11 +126,13 @@ def reduced_screen_by_partial_trace(cfg: DeviceConfig) -> DensityMatrix:
 
 
 def reduced_screen_by_measurement_mixture(cfg: DeviceConfig) -> DensityMatrix:
-    """Route (b): which-path-measure the idler, mix the collapsed signal states."""
+    """Route (b): which-path-measure the idler, mix the collapsed signal
+    states P_k psi / |P_k psi| with weights |P_k psi|^2; checked once, in full."""
     mixture = np.zeros((cfg.bins, cfg.bins), dtype=complex)
     for amplitudes in _pipe_amplitudes(build_joint_state(cfg)).values():
-        weight, signal = _screen_state_for_pipe(amplitudes)
-        mixture += weight * density_from_state(signal).matrix
+        norm = np.linalg.norm(amplitudes)
+        signal = amplitudes / float(norm)
+        mixture += float(norm**2) * np.outer(signal, signal.conj())
     return DensityMatrix(mixture)
 
 

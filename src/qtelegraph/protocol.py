@@ -25,7 +25,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .device import DeviceConfig, ScreenDistribution, coherent_distribution, incoherent_distribution
+from .device import (
+    DeviceConfig,
+    ScreenDistribution,
+    _integer_at_least,
+    coherent_distribution,
+    incoherent_distribution,
+)
 from .rng import child_seeds
 
 PROBABILITY_FLOOR = 1e-300
@@ -56,12 +62,10 @@ class TransmissionPlan:
     N: int = 1
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.M, int) and self.M >= 1):
-            raise ValueError(f"M must be an integer >= 1 (got {self.M})")
+        object.__setattr__(self, "M", _integer_at_least("M", self.M, 1))
         if not self.T > 0:
             raise ValueError(f"T must be > 0 (got {self.T})")
-        if not (isinstance(self.N, int) and self.N >= 1):
-            raise ValueError(f"N must be an integer >= 1 (got {self.N})")
+        object.__setattr__(self, "N", _integer_at_least("N", self.N, 1))
 
 
 @dataclass(frozen=True)
@@ -341,7 +345,9 @@ class EnsembleSchedule:
             np.floor((start - self.offsets) / self.period).astype(np.int64), 0
         )
         indices = around[:, None] - 1 + np.arange(per)[None, :]
-        times = self.offsets[:, None] + self.period * indices
+        # Times past the float range become inf; the timeline rejects them.
+        with np.errstate(over="ignore"):
+            times = self.offsets[:, None] + self.period * indices
         ids = np.broadcast_to(np.arange(n)[:, None], times.shape)
         # The first pair of a telegraph is index 0; negative indices are not
         # emissions, and candidates at or before `start` were already pooled.
@@ -354,8 +360,7 @@ class EnsembleSchedule:
 
 def ensemble_schedule(n: int, period: float, rng: np.random.Generator) -> EnsembleSchedule:
     """Draw the staggered ensemble: one uniform [0, T) offset per telegraph."""
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"telegraph count must be an integer >= 1 (got {n})")
+    n = _integer_at_least("telegraph count", n, 1)
     if not period > 0:
         raise ValueError(f"period must be > 0 (got {period})")
     return EnsembleSchedule(offsets=rng.random(n) * period, period=period)
@@ -373,6 +378,11 @@ def _symbol_windows(
     for _ in range(symbols):
         times, ids = schedule.emissions_after(clock, m)
         end = float(times[-1])
+        if not math.isfinite(end):
+            raise ValueError(
+                f"emission times overflow the float range; T ({schedule.period}) "
+                f"is too large for this message"
+            )
         yield times, ids, end - clock
         clock = end
 

@@ -4,8 +4,10 @@ States live on an explicit ordered basis of hashable labels; for the
 telegraph the labels are ``(pipe, bin)`` pairs, pipe-major. Everything is
 dense complex double precision. The tolerance ladder is 1e-15 for algebraic
 identities, 1e-12 for composed linear algebra, and 1e-10 for eigenvalue
-checks; construction validates against it so invalid states fail loudly at
-the boundary instead of corrupting downstream statistics.
+checks. ``DensityMatrix(matrix)`` checks a matrix in full against it, so an
+invalid state fails loudly where it enters; what ``density_from_state`` and
+``partial_trace`` derive from checked operands is Hermitian and positive
+semidefinite by construction, so only its trace is re-checked.
 """
 
 from __future__ import annotations
@@ -57,12 +59,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def index_of(self, label: Hashable) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise QuantumStateError(f"label {label!r} not in basis") from None
-
 
 def normalize(state: StateVector) -> StateVector:
     """Scale ``state`` to unit norm; error on the zero vector."""
@@ -77,24 +73,15 @@ class DensityMatrix:
     """Trace-one, Hermitian, positive-semidefinite matrix (up to tolerance)."""
 
     matrix: np.ndarray
-    labels: tuple[Hashable, ...] | None = None
 
     def __post_init__(self) -> None:
         mat = _frozen_complex_array(self.matrix, ndim=2)
-        object.__setattr__(self, "matrix", mat)
         n, m = mat.shape
         if n != m:
             raise QuantumStateError(f"density matrix must be square, got {n}x{m}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != n:
-                raise QuantumStateError("label count does not match dimension")
         if not np.allclose(mat, mat.conj().T, atol=ATOL_LINALG, rtol=0.0):
             raise QuantumStateError("density matrix is not Hermitian within 1e-12")
-        trace = np.trace(mat)
-        if abs(trace - 1.0) > ATOL_LINALG:
-            raise QuantumStateError(f"trace must be 1 within 1e-12, got {trace}")
+        _set_unit_trace_matrix(self, mat)
         smallest = float(np.linalg.eigvalsh(mat)[0])
         if smallest < -ATOL_EIG:
             raise QuantumStateError(
@@ -110,12 +97,29 @@ class DensityMatrix:
         return clamp_probabilities(np.real(np.diag(self.matrix)))
 
 
+def _set_unit_trace_matrix(rho: DensityMatrix, mat: np.ndarray) -> DensityMatrix:
+    trace = np.trace(mat)
+    if abs(trace - 1.0) > ATOL_LINALG:
+        raise QuantumStateError(f"trace must be 1 within 1e-12, got {trace}")
+    object.__setattr__(rho, "matrix", mat)
+    return rho
+
+
+def _derived_density(mat: np.ndarray) -> DensityMatrix:
+    """Freeze a matrix built here from checked operands: it is Hermitian and
+    positive semidefinite by construction, so only its trace is re-checked."""
+    mat.setflags(write=False)
+    return _set_unit_trace_matrix(object.__new__(DensityMatrix), mat)
+
+
 def clamp_probabilities(values: np.ndarray, floor: float = -ATOL_EIG) -> np.ndarray:
     """Zero out numerical-noise negatives and renormalize to unit sum.
 
     Entries below ``floor`` are genuine errors, not noise, and raise.
     """
     arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise QuantumStateError("probabilities must be finite")
     smallest = float(arr.min()) if arr.size else 0.0
     if smallest < floor:
         raise QuantumStateError(f"probability {smallest} below clamp floor {floor}")
@@ -133,7 +137,7 @@ def density_from_state(state: StateVector) -> DensityMatrix:
             f"state must be normalized within 1e-12, norm={state.norm()}"
         )
     amps = state.amplitudes
-    return DensityMatrix(np.outer(amps, amps.conj()), labels=state.labels)
+    return _derived_density(np.outer(amps, amps.conj()))
 
 
 def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: int) -> DensityMatrix:
@@ -154,9 +158,9 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: int) -> Densi
         reduced = np.einsum("ikjk->ij", blocks)
     else:
         reduced = np.einsum("kikj->ij", blocks)
-    # Symmetrize away the einsum's last-bit float asymmetry before validation.
+    # Symmetrized for an exactly Hermitian result; the report bits rely on it.
     reduced = 0.5 * (reduced + reduced.conj().T)
-    return DensityMatrix(reduced)
+    return _derived_density(reduced)
 
 
 @dataclass(frozen=True)

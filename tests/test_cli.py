@@ -6,11 +6,13 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from qtelegraph.cli import (
     ConfigError,
+    _write_json,
     main,
     parse_config,
     resolve_config,
@@ -231,17 +233,37 @@ class TestSubcommands:
             (["transmit", "--kappa", "inf"], "kappa must be finite"),
             (["paradox", "--separation", "inf"], "separation must be finite"),
             (["paradox", "--separation", "1e308", "--v", "0.9"], "must be finite"),
+            # The envelope width squares to 0, so the amplitudes would be 0/0.
+            (["distributions", "--envelope-width", "1e-320", "--bins", "8"], "envelope_width=1e-320"),
+            (["plan", "--envelope-width", "1e-320", "--bins", "8"], "envelope_width=1e-320"),
+            (["nosignal-check", "--envelope-width", "1e-320", "--bins", "8"], "envelope_width=1e-320"),
+            (["distributions", "--envelope-width", "1e-170", "--x-max", "1e10"], "envelope_width=1e-170"),
+            (["transmit", "--x-max", "1e308", "--symbols", "2", "--M", "5"], "x_max * envelope_width = inf"),
+            (["simulate", "--M", "10", "--T", "1e308", "--N", "3"], "T (1e+308) is too large"),
         ],
     )
     def test_out_of_domain_values_exit_2(self, tmp_path, capsys, argv, named):
-        assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--output-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not list(tmp_path.iterdir())
 
-    # SHA-256 of report files recorded before hits became columnar and the
-    # receiver was derived once per message (Python 3.11, numpy 2.4, x86-64).
-    # A change that alters any report byte for a fixed (config, seed) fails here.
+    def test_json_reports_refuse_non_finite_numbers(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _write_json(path, parse_config(""), {"symbol_time": math.inf})
+        assert not path.exists()
+
+    # SHA-256 of report files (Python 3.11, numpy 2.4, x86-64). The transmit
+    # and simulate digests were recorded before hits became columnar and the
+    # receiver was derived once per message; the others before derived
+    # density matrices stopped being re-validated (the nosignal bytes were
+    # the same at 1 and 2 BLAS threads). A change that alters any report
+    # byte for a fixed (config, seed) fails here.
     PINNED_DIGESTS = {
         ("transmit", "--symbols", "12", "--M", "40", "--N", "3", "--seed", "11", "--mode", "NaiveCollapse"): {
             "transcript.json": "7c119f159671e143f2fad137fe5c7cd0cbc36211be8be4fd2c517bfbb1d59018",
@@ -255,6 +277,24 @@ class TestSubcommands:
             "hits.csv": "754fc27136f54a4bc8de6ead00c6d95a23691b65291d6f5f1a0b840cd5eeed09",
             "decision.json": "9d118c77894e2f49934d8edbf2a3f4c41d4178b7e7271204e41a1b64bbe1aee4",
         },
+        ("nosignal-check", "--mode", "UnitaryQM", "--bins", "64", "--relative-phase", "0.7", "--seed", "3"): {
+            "nosignal.json": "838847de3adb436b1a27a0220e7c52f6d6d5d99327fef0686f8b38d028fbdf94",
+            "nosignal.txt": "2ff5895b36bdfd4a4f209cd8677c06ddf46fd506fa886b6ba5edebf433a8c737",
+        },
+        ("nosignal-check", "--mode", "NaiveCollapse", "--bins", "64", "--relative-phase", "0.7", "--seed", "3"): {
+            "nosignal.json": "b1ae29cacf4fa2a137831392c774a659e44a6dde06501c34130d2a39c2a23ac0",
+            "nosignal.txt": "ea4f9b640387aefc4a7225af4ce2b83caddd05a46a2ea14205e0c7bce57d7699",
+        },
+        ("distributions", "--bins", "64"): {
+            "distributions.csv": "842870b7f5305302fed01051d3a650b13c7d78f18db6c3ca7564410e32fdd374",
+        },
+        ("plan", "--alpha", "0.05"): {
+            "plan.json": "a339d2e62bb187aec37b1b82230b1d60911e7bb240e7988e3a903d5573fcb962",
+        },
+        ("paradox", "--v", "0.6", "--separation", "1.5"): {
+            "paradox.json": "3b2446245132e13d963af7dc0300740caece843095277362940f531ebc0c8bbe",
+            "events.csv": "1cb8a7a895a8ff96cc8455e8188be63ab308f42ae09138aeba9262c9c14d740f",
+        },
     }
 
     @pytest.mark.parametrize("argv", list(PINNED_DIGESTS), ids=lambda argv: "-".join(argv[:3]))
@@ -262,7 +302,9 @@ class TestSubcommands:
         # Reports embed output_dir, so a fixed relative directory keeps them
         # independent of where the test runs.
         monkeypatch.chdir(tmp_path)
-        assert main(list(argv) + ["--output-dir", "out"]) == 0
+        # nosignal-check exits 1 on its fail verdict, which NaiveCollapse gets.
+        expected_exit = 1 if argv[:3] == ("nosignal-check", "--mode", "NaiveCollapse") else 0
+        assert main(list(argv) + ["--output-dir", "out"]) == expected_exit
         digests = {
             name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
             for name in self.PINNED_DIGESTS[argv]

@@ -41,6 +41,8 @@ class TestDeviceConfig:
             ({"envelope_width": -1.0}, "envelope_width"),
             ({"x_max": 0.0}, "x_max"),
             ({"bins": 1}, "bins"),
+            ({"x_max": 1e308}, "x_max"),
+            ({"envelope_width": 1e308}, "envelope_width"),
         ],
     )
     def test_invalid_fields_rejected(self, kwargs, field):

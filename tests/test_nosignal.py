@@ -7,6 +7,7 @@ import pytest
 
 from qtelegraph.device import (
     DeviceConfig,
+    build_joint_state,
     coherent_distribution,
     eraser_conditionals,
     incoherent_distribution,
@@ -15,6 +16,7 @@ from qtelegraph.device import (
 from qtelegraph.nosignal import (
     NoSignalReport,
     channel_mutual_information,
+    coherent_screen_state,
     eraser_decomposition_check,
     jensen_shannon_bits,
     mixture_residual,
@@ -25,7 +27,7 @@ from qtelegraph.nosignal import (
     verify_no_signaling,
 )
 from qtelegraph.protocol import Detector, ModelMode, TransmissionPlan, screen_marginal
-from qtelegraph.quantum import trace_distance
+from qtelegraph.quantum import DensityMatrix, density_from_state, trace_distance
 from qtelegraph.rng import stream
 
 from test_protocol import PINNED_M_STAR
@@ -114,6 +116,38 @@ class TestReducedStateRoutes:
         assert np.abs(on - off).max() < 1e-15
         mixture_diagonal = reduced_screen_by_measurement_mixture(cfg).diagonal_probabilities()
         assert np.abs(off - mixture_diagonal).max() < 1e-12
+
+    @pytest.mark.parametrize("mode", list(ModelMode))
+    def test_verify_makes_two_screen_sized_eigen_solves(self, monkeypatch, mode):
+        """Only the mixture's own check and the trace distance diagonalize;
+        the matrices derived from checked operands are not re-proved."""
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        verify_no_signaling(DeviceConfig(bins=64), mode)
+        assert 1 <= len(shapes) <= 2
+        assert all(shape == (64, 64) for shape in shapes)
+
+    @pytest.mark.parametrize("bins", [8, 64, 256])
+    @pytest.mark.parametrize("x_max", [5.0, 8.0])
+    def test_derived_states_pass_the_full_check(self, bins, x_max):
+        """What is no longer checked at runtime still holds: every reduced
+        screen state and the joint projector pass ``DensityMatrix`` in full."""
+        for phase in (0.0, 0.7, 2.5):
+            cfg = DeviceConfig(x_max=x_max, bins=bins, relative_phase=phase)
+            for rho in (
+                reduced_screen_by_partial_trace(cfg),
+                reduced_screen_by_measurement_mixture(cfg),
+                coherent_screen_state(cfg),
+                density_from_state(build_joint_state(cfg)),
+            ):
+                assert not rho.matrix.flags.writeable
+                DensityMatrix(rho.matrix)
 
 
 class TestMixtureIdentities:

@@ -65,6 +65,26 @@ class TestPlanAndRecords:
         with pytest.raises(ValueError, match=r"T must be > 0"):
             TransmissionPlan(T=0.0)
 
+    @pytest.mark.parametrize(
+        "field, read, value",
+        [
+            pytest.param("bins", lambda v: DeviceConfig(bins=v).bins, 64, id="bins"),
+            pytest.param("M", lambda v: TransmissionPlan(M=v).M, 28, id="M"),
+            pytest.param("N", lambda v: TransmissionPlan(N=v).N, 3, id="N"),
+            pytest.param(
+                "telegraph count",
+                lambda v: ensemble_schedule(v, 1.0, stream(0, "t")).telegraphs,
+                3,
+                id="ensemble_schedule",
+            ),
+        ],
+    )
+    def test_integer_fields_accept_numpy_integers_not_bool(self, field, read, value):
+        stored = read(np.int64(value))
+        assert stored == value and type(stored) is int
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= \d \(got True\)"):
+            read(True)
+
     def test_hit_record_validation(self):
         with pytest.raises(ValueError, match="time"):
             SymbolHits(telegraph_id=np.array([0]), time=np.array([-1.0]), x=np.array([0.0]))

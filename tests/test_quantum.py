@@ -10,6 +10,7 @@ from qtelegraph.quantum import (
     StateVector,
     born_measure,
     born_probabilities,
+    clamp_probabilities,
     density_from_state,
     normalize,
     partial_trace,
@@ -105,6 +106,13 @@ class TestDensityMatrixInvariants:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(QuantumStateError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]))
+
+
+class TestClampProbabilities:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(QuantumStateError, match="finite"):
+            clamp_probabilities(np.array([0.5, bad]))
 
 
 class TestPartialTrace:
