@@ -1,11 +1,15 @@
-"""Operator surface: flat key/value configs, subcommands, report files.
+"""Operator surface: one table of config keys, six subcommands, report files.
 
-Config documents are lines of ``key: value``; '#' lines and blank lines are
-ignored, unknown keys are rejected by name, and every key has a documented
-default. CLI flags mirror the config keys and override the file. All
-artifacts embed the fully resolved config (seed included) so a report is
-reproducible from its own header, and nothing time- or host-dependent is
-written, so identical (config, seed) runs are byte-identical.
+Every config key is declared once, in ``CONFIG_KEYS``, with its converter,
+default and help text; the defaults, one ``--flag`` per key and the report
+header derive from that table. Config documents are lines of
+``key: value``; '#' lines and blank lines are ignored and unknown keys are
+rejected by name. A flag takes the same plain string as a config-file line
+and goes through the same converter, so a bad value from either exits 2 with
+``error: <key> ...``; flags override the file. All artifacts embed the fully
+resolved config (seed included) so a report is reproducible from its own
+header, and nothing time- or host-dependent is written, so identical
+(config, seed) runs are byte-identical.
 
 Subcommands: simulate, plan, transmit, nosignal-check, paradox,
 distributions. ``nosignal-check`` exits nonzero on a fail verdict so CI can
@@ -19,17 +23,17 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .device import DeviceConfig, write_distributions_csv
 from .nosignal import verify_no_signaling
 from .protocol import (
     Detector,
     ModelMode,
-    SymbolHits,
     TransmissionPlan,
     required_sample_size,
     transmit_message,
@@ -43,8 +47,6 @@ from .relativity import (
 )
 from .rng import stream
 
-SUBCOMMANDS = ("simulate", "plan", "transmit", "nosignal-check", "paradox", "distributions")
-
 STRATEGY_STATE_DEPENDENT = "state-dependent"
 STRATEGY_PRIVILEGED = "privileged"
 
@@ -55,45 +57,27 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved, validated run configuration."""
+    """Fully resolved, validated run configuration.
 
-    seed: int
+    ``values`` is the flat converted key -> value mapping, and each key also
+    reads as an attribute (``cfg.seed``); ``device``, ``plan``, ``mode`` and
+    ``detectors`` are the objects built from it.
+    """
+
+    values: Mapping[str, object]
     device: DeviceConfig
     plan: TransmissionPlan
     mode: ModelMode
-    alpha: float
     detectors: Detector
-    bits: str
-    symbols: int
-    strategy: str
-    v: float
-    beta0: float
-    separation: float
-    output_dir: str
+
+    def __getattr__(self, key: str):
+        if key in CONFIG_KEYS:
+            return self.values[key]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {key!r}")
 
     def resolved(self) -> dict:
         """The flat key -> value mapping every artifact embeds."""
-        return {
-            "seed": self.seed,
-            "kappa": self.device.kappa,
-            "envelope_width": self.device.envelope_width,
-            "x_max": self.device.x_max,
-            "bins": self.device.bins,
-            "relative_phase": self.device.relative_phase,
-            "M": self.plan.M,
-            "T": self.plan.T,
-            "N": self.plan.N,
-            "alpha": self.alpha,
-            "mode": self.mode.value,
-            "detectors": self.detectors.value,
-            "bits": self.bits,
-            "symbols": self.symbols,
-            "strategy": self.strategy,
-            "v": self.v,
-            "beta0": self.beta0,
-            "separation": self.separation,
-            "output_dir": self.output_dir,
-        }
+        return dict(self.values)
 
 
 def _to_int(key: str, value) -> int:
@@ -132,48 +116,42 @@ def _to_enum(cls: type[Enum], key: str, value: str) -> Enum:
         raise ConfigError(f"{key} must be {choices} (got {value!r})") from None
 
 
-_CONVERTERS: dict[str, Callable[[str, object], object]] = {
-    "seed": _to_int,
-    "kappa": _to_float,
-    "envelope_width": _to_float,
-    "x_max": _to_float,
-    "bins": _to_int,
-    "relative_phase": _to_float,
-    "M": _to_int,
-    "T": _to_float,
-    "N": _to_int,
-    "alpha": _to_float,
-    "mode": _to_str,
-    "detectors": _to_str,
-    "bits": _to_str,
-    "symbols": _to_int,
-    "strategy": _to_str,
-    "v": _to_float,
-    "beta0": _to_float,
-    "separation": _to_float,
-    "output_dir": _to_str,
-}
+class ConfigKey(NamedTuple):
+    """How one config key's value is converted, its default and its help."""
 
-DEFAULTS: dict = {
-    "seed": 0,
-    "kappa": math.pi,
-    "envelope_width": 2.0,
-    "x_max": 5.0,
-    "bins": 256,
-    "relative_phase": 0.0,
-    "M": 1000,
-    "T": 1.0,
-    "N": 1,
-    "alpha": 0.01,
-    "mode": ModelMode.UNITARY_QM.value,
-    "detectors": Detector.OFF.value,
-    "bits": "",
-    "symbols": 16,
-    "strategy": STRATEGY_STATE_DEPENDENT,
-    "v": 0.5,
-    "beta0": 0.3,
-    "separation": 1.0,
-    "output_dir": ".",
+    convert: Callable[[str, object], object]
+    default: object
+    help: str
+
+
+# Every config key, once. Config files, defaults, the ``--flag`` for each key
+# (the name with '_' as '-') and the report header all derive from this table.
+CONFIG_KEYS: dict[str, ConfigKey] = {
+    "seed": ConfigKey(_to_int, 0, "master seed; all randomness derives from named substreams"),
+    "kappa": ConfigKey(_to_float, math.pi, "fringe wavenumber (radians per screen unit)"),
+    "envelope_width": ConfigKey(_to_float, 2.0, "Gaussian envelope width of both pipe amplitudes"),
+    "x_max": ConfigKey(_to_float, 5.0, "screen half-width in envelope widths"),
+    "bins": ConfigKey(_to_int, 256, "screen bins"),
+    "relative_phase": ConfigKey(_to_float, 0.0, "extra phase on pipe 2"),
+    "M": ConfigKey(_to_int, 1000, "photon pairs pooled per symbol"),
+    "T": ConfigKey(_to_float, 1.0, "pair production period per telegraph"),
+    "N": ConfigKey(_to_int, 1, "telegraphs in the staggered ensemble"),
+    "alpha": ConfigKey(_to_float, 0.01, "target per-hypothesis error probability for plan"),
+    "mode": ConfigKey(
+        _to_str, ModelMode.UNITARY_QM.value, "device model: UnitaryQM or NaiveCollapse"
+    ),
+    "detectors": ConfigKey(
+        _to_str, Detector.OFF.value, "detector setting used by simulate: on or off"
+    ),
+    "bits": ConfigKey(_to_str, "", "explicit bit string for transmit"),
+    "symbols": ConfigKey(_to_int, 16, "random bits for transmit when bits is empty"),
+    "strategy": ConfigKey(
+        _to_str, STRATEGY_STATE_DEPENDENT, "paradox frames: state-dependent or privileged"
+    ),
+    "v": ConfigKey(_to_float, 0.5, "state-dependent frame speed"),
+    "beta0": ConfigKey(_to_float, 0.3, "privileged frame velocity"),
+    "separation": ConfigKey(_to_float, 1.0, "telegraph separation X for paradox"),
+    "output_dir": ConfigKey(_to_str, ".", "artifact directory"),
 }
 
 
@@ -188,7 +166,7 @@ def parse_document(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key: value', got {stripped!r}")
         key, _, value = stripped.partition(":")
         key = key.strip()
-        if key not in _CONVERTERS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         if key in raw:
             raise ConfigError(f"duplicate config key {key!r}")
@@ -198,40 +176,30 @@ def parse_document(text: str) -> dict:
 
 def resolve_config(overrides: dict) -> RunConfig:
     """Fill defaults, convert and validate a raw key mapping."""
-    values = dict(DEFAULTS)
+    values = {key: spec.default for key, spec in CONFIG_KEYS.items()}
     for key, value in overrides.items():
-        if key not in _CONVERTERS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _CONVERTERS[key](key, value)
+        values[key] = CONFIG_KEYS[key].convert(key, value)
 
     try:
-        device = DeviceConfig(
-            kappa=values["kappa"],
-            envelope_width=values["envelope_width"],
-            x_max=values["x_max"],
-            bins=values["bins"],
-            relative_phase=values["relative_phase"],
-        )
-        plan = TransmissionPlan(M=values["M"], T=values["T"], N=values["N"])
+        device = DeviceConfig(**{f.name: values[f.name] for f in fields(DeviceConfig)})
+        plan = TransmissionPlan(**{f.name: values[f.name] for f in fields(TransmissionPlan)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     mode = _to_enum(ModelMode, "mode", values["mode"])
     detectors = _to_enum(Detector, "detectors", values["detectors"])
 
-    alpha = values["alpha"]
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1) (got {alpha})")
-    bits = values["bits"]
-    if bits and set(bits) - {"0", "1"}:
-        raise ConfigError(f"bits must contain only '0' and '1' (got {bits!r})")
-    symbols = values["symbols"]
-    if symbols < 0:
-        raise ConfigError(f"symbols must be >= 0 (got {symbols})")
-    strategy = values["strategy"]
-    if strategy not in (STRATEGY_STATE_DEPENDENT, STRATEGY_PRIVILEGED):
+    if not 0.0 < values["alpha"] < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1) (got {values['alpha']})")
+    if values["bits"] and set(values["bits"]) - {"0", "1"}:
+        raise ConfigError(f"bits must contain only '0' and '1' (got {values['bits']!r})")
+    if values["symbols"] < 0:
+        raise ConfigError(f"symbols must be >= 0 (got {values['symbols']})")
+    if values["strategy"] not in (STRATEGY_STATE_DEPENDENT, STRATEGY_PRIVILEGED):
         raise ConfigError(
             f"strategy must be '{STRATEGY_STATE_DEPENDENT}' or "
-            f"'{STRATEGY_PRIVILEGED}' (got {strategy!r})"
+            f"'{STRATEGY_PRIVILEGED}' (got {values['strategy']!r})"
         )
     if not abs(values["v"]) < 1.0:
         raise ConfigError(f"v must satisfy |v| < 1 (got {values['v']})")
@@ -240,21 +208,7 @@ def resolve_config(overrides: dict) -> RunConfig:
     if not values["separation"] > 0:
         raise ConfigError(f"separation must be > 0 (got {values['separation']})")
 
-    return RunConfig(
-        seed=values["seed"],
-        device=device,
-        plan=plan,
-        mode=mode,
-        alpha=alpha,
-        detectors=detectors,
-        bits=bits,
-        symbols=symbols,
-        strategy=strategy,
-        v=values["v"],
-        beta0=values["beta0"],
-        separation=values["separation"],
-        output_dir=values["output_dir"],
-    )
+    return RunConfig(MappingProxyType(values), device, plan, mode, detectors)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -272,19 +226,14 @@ def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _write_hits_csv(path: Path, cfg: RunConfig, hits: SymbolHits) -> None:
+def _write_csv(path: Path, cfg: RunConfig, columns: list[str], rows: Iterable) -> None:
+    """A CSV report: the resolved config as '# key: value' lines, then the
+    column names and ``rows``."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        for line in _config_comment_lines(cfg):
-            handle.write(f"# {line}\n")
+        handle.writelines(f"# {line}\n" for line in _config_comment_lines(cfg))
         writer = csv.writer(handle)
-        writer.writerow(["telegraph_id", "time", "x"])
-        writer.writerows(
-            zip(
-                hits.telegraph_id.tolist(),
-                map(repr, hits.time.tolist()),
-                map(repr, hits.x.tolist()),
-            )
-        )
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _decision_dict(decision) -> dict:
@@ -301,7 +250,13 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
         [bit], cfg.plan, cfg.mode, cfg.device, stream(cfg.seed, "simulate"), keep_hits=True
     )
     assert result.hits is not None
-    _write_hits_csv(out / "hits.csv", cfg, result.hits[0])
+    hits = result.hits[0]
+    _write_csv(
+        out / "hits.csv",
+        cfg,
+        ["telegraph_id", "time", "x"],
+        zip(hits.telegraph_id.tolist(), map(repr, hits.time.tolist()), map(repr, hits.x.tolist())),
+    )
     _write_json(
         out / "decision.json",
         cfg,
@@ -395,13 +350,12 @@ def _cmd_paradox(cfg: RunConfig, out: Path) -> int:
             },
         },
     )
-    with open(out / "events.csv", "w", newline="", encoding="utf-8") as handle:
-        for line in _config_comment_lines(cfg):
-            handle.write(f"# {line}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["label", "t", "x"])
-        for label, t, x in trace.event_rows():
-            writer.writerow([label, repr(t), repr(x)])
+    _write_csv(
+        out / "events.csv",
+        cfg,
+        ["label", "t", "x"],
+        ((label, repr(t), repr(x)) for label, t, x in trace.event_rows()),
+    )
     return 0
 
 
@@ -422,6 +376,9 @@ _COMMANDS: dict[str, Callable[[RunConfig, Path], int]] = {
 }
 
 
+SUBCOMMANDS = tuple(_COMMANDS)
+
+
 def run_command(name: str, cfg: RunConfig) -> int:
     """Dispatch one subcommand; returns the process exit status."""
     if name not in _COMMANDS:
@@ -437,49 +394,29 @@ def run_command(name: str, cfg: RunConfig) -> int:
     return _COMMANDS[name](cfg, out)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="flat key: value config file")
-    parser.add_argument("--seed", type=int, help="random seed (default 0)")
-    parser.add_argument("--kappa", type=float, help="fringe wavenumber (default pi)")
-    parser.add_argument("--envelope-width", type=float, dest="envelope_width", help="Gaussian envelope width (default 2)")
-    parser.add_argument("--x-max", type=float, dest="x_max", help="screen half-width in envelope widths (default 5)")
-    parser.add_argument("--bins", type=int, help="screen bins (default 256)")
-    parser.add_argument("--relative-phase", type=float, dest="relative_phase", help="pipe-2 phase offset (default 0)")
-    parser.add_argument("--M", type=int, help="pairs per symbol (default 1000)")
-    parser.add_argument("--T", type=float, help="pair production period (default 1)")
-    parser.add_argument("--N", type=int, help="telegraph count (default 1)")
-    parser.add_argument("--alpha", type=float, help="target error probability (default 0.01)")
-    parser.add_argument("--mode", choices=[m.value for m in ModelMode], help="device model (default UnitaryQM)")
-    parser.add_argument("--detectors", choices=[d.value for d in Detector], help="detector setting for simulate (default off)")
-    parser.add_argument("--bits", help="explicit bit string to transmit")
-    parser.add_argument("--symbols", type=int, help="random bits to transmit when --bits is empty (default 16)")
-    parser.add_argument("--strategy", choices=[STRATEGY_STATE_DEPENDENT, STRATEGY_PRIVILEGED], help="collapse-frame strategy (default state-dependent)")
-    parser.add_argument("--v", type=float, help="state-dependent frame speed (default 0.5)")
-    parser.add_argument("--beta0", type=float, help="privileged frame velocity (default 0.3)")
-    parser.add_argument("--separation", type=float, help="telegraph separation X (default 1)")
-    parser.add_argument("--output-dir", dest="output_dir", help="artifact directory (default .)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # Flags are plain strings, and a flag not given stays out of the
+    # namespace, so every value reaches its key's converter the way a
+    # config-file line does.
     parser = argparse.ArgumentParser(
         prog="qtelegraph",
         description="Entanglement telegraph simulator and no-signaling verifier.",
+        argument_default=argparse.SUPPRESS,
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
-        sub = subparsers.add_parser(name, help=f"run the {name} experiment")
-        _add_config_flags(sub)
+    parser.add_argument("command", choices=SUBCOMMANDS, help="experiment to run")
+    parser.add_argument("--config", metavar="FILE", help="flat key: value config file")
+    for key, spec in CONFIG_KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=key, help=f"{spec.help} (default {spec.default!r})")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    flags = vars(args)
     overrides: dict = {}
-    if args.config:
-        overrides.update(parse_document(Path(args.config).read_text(encoding="utf-8")))
-    for key in _CONVERTERS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    if "config" in flags:
+        overrides.update(parse_document(Path(flags["config"]).read_text(encoding="utf-8")))
+    overrides.update((key, flags[key]) for key in CONFIG_KEYS if key in flags)
     return resolve_config(overrides)
 
 

@@ -103,9 +103,10 @@ class ScreenDistribution:
         centers = np.array(self.bin_centers, dtype=float)
         if probs.shape != centers.shape or probs.ndim != 1:
             raise ValueError("probabilities and bin_centers must be equal-length 1-d")
-        if probs.size and probs.min() < 0.0:
-            raise ValueError(f"negative probability {probs.min()}")
-        if abs(probs.sum() - 1.0) > ATOL_LINALG:
+        # Negated comparisons, so that a NaN entry is rejected too.
+        if probs.size and not probs.min() >= 0.0:
+            raise ValueError(f"negative or NaN probability {probs.min()}")
+        if not abs(probs.sum() - 1.0) <= ATOL_LINALG:
             raise ValueError(f"probabilities must sum to 1 within 1e-12, got {probs.sum()}")
         probs.setflags(write=False)
         centers.setflags(write=False)

@@ -189,12 +189,15 @@ class SampleSizeResult:
     """
 
     m_star: int | None
-    feasible: bool
     alpha: float
     trials: int
     error_interference: float | None = None
     error_no_interference: float | None = None
     failure_reason: str | None = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.m_star is not None
 
 
 def _mc_error_rates(
@@ -248,7 +251,7 @@ def required_sample_size(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1) (got {alpha})")
     if alpha >= 0.5:
-        return SampleSizeResult(m_star=0, feasible=True, alpha=alpha, trials=trials)
+        return SampleSizeResult(m_star=0, alpha=alpha, trials=trials)
 
     p_c = coherent_distribution(cfg).probabilities
     p_i = incoherent_distribution(cfg).probabilities
@@ -256,7 +259,6 @@ def required_sample_size(
     if tv < 1e-6:
         return SampleSizeResult(
             m_star=None,
-            feasible=False,
             alpha=alpha,
             trials=trials,
             failure_reason=(
@@ -281,7 +283,6 @@ def required_sample_size(
         if hi > m_cap:
             return SampleSizeResult(
                 m_star=None,
-                feasible=False,
                 alpha=alpha,
                 trials=trials,
                 failure_reason=f"no sufficient M found up to cap {m_cap}",
@@ -296,7 +297,6 @@ def required_sample_size(
     err_c, err_i = cache[hi]
     return SampleSizeResult(
         m_star=hi,
-        feasible=True,
         alpha=alpha,
         trials=trials,
         error_interference=err_c,

@@ -4,15 +4,22 @@ import csv
 import hashlib
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import qtelegraph
 from qtelegraph.cli import (
+    CONFIG_KEYS,
     ConfigError,
     _write_json,
+    build_parser,
+    config_from_args,
     main,
     parse_config,
     resolve_config,
@@ -89,6 +96,66 @@ class TestParseConfig:
         assert resolved["seed"] == 3
         assert resolved["mode"] == "UnitaryQM"
         assert set(resolved) >= {"kappa", "M", "T", "N", "alpha", "output_dir"}
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestConfigKeys:
+    # One valid, non-default value per key, as text; a key missing here
+    # fails test_flag_and_config_line_resolve_alike.
+    SAMPLES = {
+        "seed": "7",
+        "kappa": "2.5",
+        "envelope_width": "1.5",
+        "x_max": "6",
+        "bins": "64",
+        "relative_phase": "0.7",
+        "M": "40",
+        "T": "0.5",
+        "N": "3",
+        "alpha": "0.05",
+        "mode": "NaiveCollapse",
+        "detectors": "on",
+        "bits": "0110",
+        "symbols": "5",
+        "strategy": "privileged",
+        "v": "0.25",
+        "beta0": "-0.2",
+        "separation": "2.5",
+        "output_dir": "some/dir",
+    }
+
+    @pytest.mark.parametrize("key", list(CONFIG_KEYS))
+    def test_flag_and_config_line_resolve_alike(self, tmp_path, key):
+        value = self.SAMPLES[key]
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key}: {value}\n")
+        parser = build_parser()
+        from_flag = config_from_args(parser.parse_args(["plan", flag(key), value]))
+        from_file = config_from_args(parser.parse_args(["plan", "--config", str(config)]))
+        assert from_flag.resolved() == from_file.resolved()
+        assert from_flag.resolved()[key] != CONFIG_KEYS[key].default
+
+    @pytest.mark.parametrize("key, value", [("seed", "1.5"), ("bins", "12.5")])
+    def test_bad_flag_value_exits_2_naming_key(self, tmp_path, capsys, key, value):
+        assert main(["transmit", flag(key), value, "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be an integer")
+        assert not list(tmp_path.iterdir())
+
+    def test_help_names_every_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        words = set(capsys.readouterr().out.split())
+        assert {flag(key) for key in CONFIG_KEYS} | {"--config"} <= words
+
+    def test_readme_table_lists_exactly_the_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config keys and defaults", 1)[1].split("\n\n", 2)[1]
+        assert re.findall(r"^\| `([^`]+)` \|", section, re.M) == list(CONFIG_KEYS)
 
 
 class TestRunCommand:
@@ -336,6 +403,10 @@ class TestSubcommands:
         assert set(first) == {"transcript.json", "summary.json"}
 
     def test_console_entry_point(self, tmp_path):
+        # The child imports the package from where this process found it,
+        # installed or not.
+        package_root = str(Path(qtelegraph.__file__).resolve().parents[1])
+        pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
         result = subprocess.run(
             [
                 sys.executable,
@@ -348,6 +419,7 @@ class TestSubcommands:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
         )
         assert result.returncode == 0
         payload = json.loads((tmp_path / "paradox.json").read_text())

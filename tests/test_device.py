@@ -72,6 +72,11 @@ class TestScreenDistribution:
         with pytest.raises(ValueError, match="sum to 1"):
             ScreenDistribution(np.array([0.5, 0.4]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("probs", [[np.nan] * 3, [0.5, np.nan, 0.5]])
+    def test_rejects_nan(self, probs):
+        with pytest.raises(ValueError, match="NaN"):
+            ScreenDistribution(np.array(probs), np.arange(3.0))
+
 
 class TestPipeAmplitude:
     def test_shared_envelope_modulus(self):
