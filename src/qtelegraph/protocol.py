@@ -13,13 +13,16 @@ is kept as a secondary diagnostic. Two device models are available:
 
 A sample-size planner searches for the smallest M meeting a target error
 probability by Monte Carlo, and the staggered N-telegraph ensemble schedule
-realizes the M*T/N symbol time of the many-telegraph construction.
+realizes the M*T/N symbol time of the many-telegraph construction. The
+ensemble's pooled emission stream repeats every period, so it is addressed by
+index: symbol s pools emissions s*M to (s+1)*M - 1, at O(M) cost per symbol
+whatever N is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -37,6 +40,22 @@ from .rng import child_seeds
 PROBABILITY_FLOOR = 1e-300
 INTERFERENCE = "interference"
 NO_INTERFERENCE = "no-interference"
+# A schedule holds an offset and a slot of its pooled order per telegraph,
+# 16 bytes each, so this caps it at 160 MB.
+MAX_TELEGRAPHS = 10**7
+
+
+def _check_period(name: str, value: float) -> None:
+    # Negated, so NaN fails too.
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be > 0 and finite (got {value})")
+
+
+def _telegraph_count(name: str, value) -> int:
+    count = _integer_at_least(name, value, 1)
+    if count > MAX_TELEGRAPHS:
+        raise ValueError(f"N must be <= {MAX_TELEGRAPHS} (got {count})")
+    return count
 
 
 class Detector(Enum):
@@ -63,9 +82,8 @@ class TransmissionPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "M", _integer_at_least("M", self.M, 1))
-        if not self.T > 0:
-            raise ValueError(f"T must be > 0 (got {self.T})")
-        object.__setattr__(self, "N", _integer_at_least("N", self.N, 1))
+        _check_period("T", self.T)
+        object.__setattr__(self, "N", _telegraph_count("N", self.N))
 
 
 @dataclass(frozen=True)
@@ -250,6 +268,8 @@ def required_sample_size(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1) (got {alpha})")
+    trials = _integer_at_least("trials", trials, 1)
+    m_cap = _integer_at_least("m_cap", m_cap, 1)
     if alpha >= 0.5:
         return SampleSizeResult(m_star=0, alpha=alpha, trials=trials)
 
@@ -306,83 +326,72 @@ def required_sample_size(
 
 @dataclass(frozen=True)
 class EnsembleSchedule:
-    """N telegraphs firing at offset + j*T, offsets i.i.d. uniform on [0, T)."""
+    """N telegraphs, telegraph i firing at offsets[i] + period*j for j >= 0.
+
+    The pooled stream is periodic: cycle c fires every telegraph once, in
+    offset order with ties broken by id, so pooled emission k is telegraph
+    ``order[k % N]`` at its offset + period*(k // N). ``order`` is derived
+    once per schedule, and a run of pooled emissions costs O(its length),
+    whatever N is.
+    """
 
     offsets: np.ndarray
     period: float
+    order: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         offsets = np.array(self.offsets, dtype=float)
         if offsets.ndim != 1 or offsets.size < 1:
             raise ValueError("offsets must be a non-empty 1-d array")
-        if not self.period > 0:
-            raise ValueError(f"period must be > 0 (got {self.period})")
-        if offsets.min() < 0.0 or offsets.max() >= self.period:
+        _check_period("period", self.period)
+        if not (offsets.min() >= 0.0 and offsets.max() < self.period):
             raise ValueError("offsets must lie in [0, period)")
+        order = np.argsort(offsets, kind="stable")
         offsets.setflags(write=False)
+        order.setflags(write=False)
         object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "order", order)
 
     @property
     def telegraphs(self) -> int:
         return self.offsets.size
 
-    def emission_times(self, telegraph_id: int, count: int) -> np.ndarray:
-        """First ``count`` emission times of one telegraph."""
-        return self.offsets[telegraph_id] + self.period * np.arange(count)
-
-    def emissions_after(self, start: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """First ``count`` pooled emissions strictly after ``start``.
-
-        Returns (times, telegraph ids), time-ordered with ties broken by id
-        so the pooled stream is totally ordered and reproducible. Every
-        timestamp is the canonical offset + period*index rounding, so a time
-        handed back in as ``start`` excludes exactly its own emission and
-        symbol boundaries never double-count the boundary pair.
-        """
-        n = self.telegraphs
-        per = math.ceil(count / n) + 4
-        around = np.maximum(
-            np.floor((start - self.offsets) / self.period).astype(np.int64), 0
-        )
-        indices = around[:, None] - 1 + np.arange(per)[None, :]
-        # Times past the float range become inf; the timeline rejects them.
-        with np.errstate(over="ignore"):
-            times = self.offsets[:, None] + self.period * indices
-        ids = np.broadcast_to(np.arange(n)[:, None], times.shape)
-        # The first pair of a telegraph is index 0; negative indices are not
-        # emissions, and candidates at or before `start` were already pooled.
-        keep = ((times > start) & (indices >= 0)).ravel()
-        flat_times = times.ravel()[keep]
-        flat_ids = ids.ravel()[keep]
-        order = np.lexsort((flat_ids, flat_times))[:count]
-        return flat_times[order], flat_ids[order]
+    def emissions_after(self, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``count`` pooled emissions after the first ``first``, as
+        (times, telegraph ids) in pooled order."""
+        cycle, slot = np.divmod(np.arange(first, first + count), self.telegraphs)
+        ids = self.order[slot]
+        return self.offsets[ids] + self.period * cycle, ids
 
 
 def ensemble_schedule(n: int, period: float, rng: np.random.Generator) -> EnsembleSchedule:
     """Draw the staggered ensemble: one uniform [0, T) offset per telegraph."""
-    n = _integer_at_least("telegraph count", n, 1)
-    if not period > 0:
-        raise ValueError(f"period must be > 0 (got {period})")
+    n = _telegraph_count("telegraph count", n)
+    _check_period("period", period)
     return EnsembleSchedule(offsets=rng.random(n) * period, period=period)
 
 
 def _symbol_windows(
     schedule: EnsembleSchedule, m: int, symbols: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
-    """The one emission timeline: each symbol pools the next ``m`` emissions.
+    """The one emission timeline: symbol s pools emissions [s*m, (s+1)*m).
 
-    Yields (times, telegraph ids, symbol time) per symbol; symbols run back to
-    back, each starting where the previous one's last emission left the clock.
+    Yields (times, telegraph ids, symbol time) per symbol; a symbol's time
+    runs from the previous symbol's last emission (from 0 for the first).
     """
+    cycle, slot = divmod(symbols * m - 1, schedule.telegraphs)
+    # The message's last emission is its latest; Python floats overflow to
+    # inf without numpy's warning.
+    last = float(schedule.offsets[schedule.order[slot]]) + schedule.period * cycle
+    if not math.isfinite(last):
+        raise ValueError(
+            f"emission times overflow the float range; T ({schedule.period}) "
+            f"is too large for this message"
+        )
     clock = 0.0
-    for _ in range(symbols):
-        times, ids = schedule.emissions_after(clock, m)
+    for first in range(0, symbols * m, m):
+        times, ids = schedule.emissions_after(first, m)
         end = float(times[-1])
-        if not math.isfinite(end):
-            raise ValueError(
-                f"emission times overflow the float range; T ({schedule.period}) "
-                f"is too large for this message"
-            )
         yield times, ids, end - clock
         clock = end
 
@@ -475,7 +484,6 @@ def throughput_check(
     Timing only; no screen sampling. The contract is agreement with M*T/N
     within 15% for M >= 1000.
     """
-    if symbols < 1:
-        raise ValueError(f"symbols must be >= 1 (got {symbols})")
+    symbols = _integer_at_least("symbols", symbols, 1)
     schedule = ensemble_schedule(plan.N, plan.T, rng)
     return float(np.mean([t for _, _, t in _symbol_windows(schedule, plan.M, symbols)]))

@@ -307,6 +307,8 @@ class TestSubcommands:
             (["distributions", "--envelope-width", "1e-170", "--x-max", "1e10"], "envelope_width=1e-170"),
             (["transmit", "--x-max", "1e308", "--symbols", "2", "--M", "5"], "x_max * envelope_width = inf"),
             (["simulate", "--M", "10", "--T", "1e308", "--N", "3"], "T (1e+308) is too large"),
+            # Every command builds the plan, so the telegraph bound holds for all.
+            (["paradox", "--N", "10000001"], "N must be <= 10000000"),
         ],
     )
     def test_out_of_domain_values_exit_2(self, tmp_path, capsys, argv, named):
@@ -343,6 +345,21 @@ class TestSubcommands:
         ("simulate", "--detectors", "off", "--M", "50", "--N", "3", "--seed", "5", "--mode", "NaiveCollapse"): {
             "hits.csv": "754fc27136f54a4bc8de6ead00c6d95a23691b65291d6f5f1a0b840cd5eeed09",
             "decision.json": "9d118c77894e2f49934d8edbf2a3f4c41d4178b7e7271204e41a1b64bbe1aee4",
+        },
+        # N >> M: each symbol pools pairs from a small slice of the ensemble.
+        ("transmit", "--symbols", "200", "--M", "28", "--N", "1000", "--seed", "5"): {
+            "transcript.json": "fa0dccfc599f4640eec860b6bd392944195d349b303f261b735d03ba1eab3118",
+            "summary.json": "6bfc06610e39ece0510fb8c9bb478acf860b72d758b1bf4d2cb6740734818c2c",
+        },
+        # T = 0.1 is not a binary fraction, so offset + T*cycle rounds.
+        ("transmit", "--symbols", "300", "--M", "17", "--N", "5", "--T", "0.1", "--seed", "21"): {
+            "transcript.json": "0a5443848e3256d6cfc11621c42cd92d443b2f5dfdeffb690b656dd4cda1d28b",
+            "summary.json": "23e533e3f5d0a8be812bd6bed94c7bc0b960355e40b9fbcc6512631aed05cf58",
+        },
+        # hits.csv carries every pooled telegraph id and emission time.
+        ("simulate", "--M", "2000", "--N", "37", "--T", "0.3", "--detectors", "on", "--seed", "8"): {
+            "hits.csv": "13ed63b8d284475acf3b2c82c15c5117498b748404bdafba585da4ab4bdfdca8",
+            "decision.json": "77ed6b1ca8a1449f3245f9573c49cdc97cd81273af89cf576b80efa81e80a500",
         },
         ("nosignal-check", "--mode", "UnitaryQM", "--bins", "64", "--relative-phase", "0.7", "--seed", "3"): {
             "nosignal.json": "838847de3adb436b1a27a0220e7c52f6d6d5d99327fef0686f8b38d028fbdf94",

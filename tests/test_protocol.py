@@ -1,5 +1,8 @@
 """Tests for the telegraph protocol: receiver, planner, ensemble, throughput."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,9 @@ from qtelegraph.cli import ConfigError, resolve_config
 from qtelegraph.protocol import (
     Detector,
     DecisionResult,
+    EnsembleSchedule,
     INTERFERENCE,
+    MAX_TELEGRAPHS,
     ModelMode,
     NO_INTERFERENCE,
     SymbolHits,
@@ -29,6 +34,7 @@ from qtelegraph.protocol import (
     screen_marginal,
     throughput_check,
     transmit_message,
+    _symbol_windows,
 )
 from qtelegraph.rng import stream
 
@@ -64,6 +70,18 @@ class TestPlanAndRecords:
             TransmissionPlan(M=0)
         with pytest.raises(ValueError, match=r"T must be > 0"):
             TransmissionPlan(T=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_plan_rejects_non_finite_period(self, value):
+        with pytest.raises(ValueError, match=r"^T must be > 0 and finite"):
+            TransmissionPlan(T=value)
+
+    def test_telegraph_count_bounded_before_allocation(self):
+        assert TransmissionPlan(N=MAX_TELEGRAPHS).N == MAX_TELEGRAPHS
+        with pytest.raises(ValueError, match=rf"^N must be <= {MAX_TELEGRAPHS} "):
+            TransmissionPlan(N=MAX_TELEGRAPHS + 1)
+        with pytest.raises(ValueError, match=rf"^N must be <= {MAX_TELEGRAPHS} "):
+            ensemble_schedule(MAX_TELEGRAPHS + 1, 1.0, stream(0, "t"))
 
     @pytest.mark.parametrize(
         "field, read, value",
@@ -227,6 +245,11 @@ class TestRequiredSampleSize:
         with pytest.raises(ValueError, match="alpha"):
             required_sample_size(DeviceConfig(), 0.0, stream(0, "plan"))
 
+    @pytest.mark.parametrize("trials", [0, True, 2.5])
+    def test_trials_must_be_a_positive_integer(self, trials):
+        with pytest.raises(ValueError, match=r"^trials must be an integer >= 1"):
+            required_sample_size(DeviceConfig(), 0.05, stream(0, "plan"), trials=trials)
+
     def test_indistinguishable_patterns_fail_explicitly(self):
         # One fringe spanning far beyond the grid: verify first that the
         # hypotheses are numerically identical, then expect the failure.
@@ -271,10 +294,21 @@ class TestRequiredSampleSize:
         assert err_i <= band
 
 
+def merged_emissions(schedule, count):
+    """The first ``count`` pooled emissions by brute force: every telegraph's
+    first ceil(count/N) + 1 emissions, merged by time with ties broken by id."""
+    per = math.ceil(count / schedule.telegraphs) + 1
+    times = (schedule.offsets[:, None] + schedule.period * np.arange(per)[None, :]).ravel()
+    ids = np.repeat(np.arange(schedule.telegraphs), per)
+    order = np.lexsort((ids, times))[:count]
+    return times[order], ids[order]
+
+
 class TestEnsembleSchedule:
     def test_single_telegraph_is_arithmetic_progression(self):
         schedule = ensemble_schedule(1, 2.5, stream(6, "sched"))
-        times = schedule.emission_times(0, 50)
+        times, ids = schedule.emissions_after(0, 50)
+        assert np.all(ids == 0)
         assert np.allclose(np.diff(times), 2.5, atol=1e-12, rtol=0)
 
     def test_offsets_in_range(self):
@@ -284,29 +318,70 @@ class TestEnsembleSchedule:
 
     def test_emissions_after_is_sorted_and_strict(self):
         schedule = ensemble_schedule(7, 1.0, stream(9, "sched"))
-        start = float(schedule.offsets[0])  # boundary: equality excluded
-        times, ids = schedule.emissions_after(start, 40)
+        head, _ = schedule.emissions_after(0, 13)
+        times, ids = schedule.emissions_after(13, 40)
         assert times.size == 40 and ids.size == 40
-        assert np.all(times > start)
+        assert np.all(times > head[-1])  # distinct offsets: no tie at the boundary
         assert np.all(np.diff(times) >= 0)
 
     def test_consecutive_pooling_never_double_counts(self):
         """Walking emissions_after symbol by symbol must consume each
-        emission exactly once, even across float-awkward periods (T=0.1)
-        where the boundary handoff is rounding-sensitive."""
+        emission exactly once, even across float-awkward periods (T=0.1)."""
         schedule = ensemble_schedule(5, 0.1, stream(21, "sched"))
-        clock = 0.0
+        last = 0.0
         seen = []
-        for _ in range(200):
-            times, ids = schedule.emissions_after(clock, 17)
-            assert np.all(times > clock)
+        for symbol in range(200):
+            times, ids = schedule.emissions_after(symbol * 17, 17)
+            assert np.all(times >= last) and np.all(np.diff(times) >= 0)
             seen.extend(zip(ids.tolist(), times.tolist()))
-            clock = float(times[-1])
+            last = float(times[-1])
         assert len(seen) == len(set(seen))
         for telegraph in range(5):
             mine = np.array(sorted(t for i, t in seen if i == telegraph))
             indices = np.rint((mine - schedule.offsets[telegraph]) / 0.1).astype(int)
-            assert np.array_equal(indices, np.arange(indices[0], indices[0] + mine.size))
+            assert np.array_equal(indices, np.arange(mine.size))
+
+    @pytest.mark.parametrize("period", [0.1, 1.0, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 1000])
+    def test_pooled_stream_matches_brute_force_merge(self, n, period):
+        schedule = ensemble_schedule(n, period, stream(31, "oracle", n, str(period)))
+        count = 3000
+        times, ids = schedule.emissions_after(0, count)
+        want_times, want_ids = merged_emissions(schedule, count)
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(times, want_times)
+        # Any later stretch is the same slice of the stream.
+        tail_times, tail_ids = schedule.emissions_after(1234, 500)
+        assert np.array_equal(tail_ids, want_ids[1234:1734])
+        assert np.array_equal(tail_times, want_times[1234:1734])
+
+    def test_tied_offsets_emit_every_telegraph(self):
+        """Two telegraphs firing together both count: at M=1 the symbols
+        alternate between them and the mean symbol time is T/N."""
+        schedule = EnsembleSchedule(offsets=[0.5, 0.5], period=1.0)
+        windows = list(_symbol_windows(schedule, 1, 100))
+        ids = np.concatenate([w[1] for w in windows])
+        times = np.concatenate([w[0] for w in windows])
+        assert ids.tolist() == [0, 1] * 50
+        assert np.array_equal(times, 0.5 + np.arange(100) // 2)
+        # The mean telescopes to the last emission time over the symbol count.
+        mean_time = np.mean([w[2] for w in windows])
+        assert mean_time == pytest.approx(0.5, abs=1.0 / 100)
+
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            pytest.param(lambda: EnsembleSchedule(offsets=[np.nan, 0.2], period=1.0), "offsets", id="nan-offset"),
+            pytest.param(lambda: EnsembleSchedule(offsets=[0.2], period=math.inf), "period", id="inf-period"),
+            pytest.param(lambda: EnsembleSchedule(offsets=[0.2], period=math.nan), "period", id="nan-period"),
+            pytest.param(lambda: ensemble_schedule(3, math.inf, stream(0, "t")), "period", id="drawn-inf-period"),
+        ],
+    )
+    def test_non_finite_schedule_inputs_rejected(self, build, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{named} must"):
+                build()
 
     def test_mean_emission_count_in_window(self):
         """A window of length M*T/N holds M emissions on average: empirical
@@ -368,6 +443,24 @@ class TestTransmitMessage:
         assert off_symbol.idler is None
         assert all((symbol.time >= 0).all() for symbol in (on_symbol, off_symbol))
 
+    def test_pooled_order_sorted_once_per_message(self, monkeypatch):
+        calls = []
+        for name in ("argsort", "lexsort"):
+            original = getattr(np, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        plan = TransmissionPlan(M=20, T=0.3, N=7)
+        counts = []
+        for symbols in (2, 40):
+            calls.clear()
+            transmit_message([0, 1] * (symbols // 2), plan, ModelMode.NAIVE_COLLAPSE, DeviceConfig(), stream(5, "tx"))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_symbol_times_accumulate_along_one_timeline(self):
         plan = TransmissionPlan(M=30, T=1.0, N=2)
         result = transmit_message(
@@ -379,6 +472,11 @@ class TestTransmitMessage:
 
 
 class TestThroughput:
+    @pytest.mark.parametrize("symbols", [0, True, 2.5])
+    def test_symbols_must_be_a_positive_integer(self, symbols):
+        with pytest.raises(ValueError, match=r"^symbols must be an integer >= 1"):
+            throughput_check(TransmissionPlan(M=10), stream(0, "tp"), symbols=symbols)
+
     def test_single_telegraph_near_mt(self):
         plan = TransmissionPlan(M=100, T=1.0, N=1)
         mean_time = throughput_check(plan, stream(1, "tp"))
