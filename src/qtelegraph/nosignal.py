@@ -29,6 +29,7 @@ import numpy as np
 from .device import (
     PIPES,
     DeviceConfig,
+    _integer_at_least,
     build_joint_state,
     eraser_conditionals,
     incoherent_distribution,
@@ -236,8 +237,7 @@ def channel_mutual_information(
     information of the (sent, decoded) empirical joint. A single symbol gives
     0 exactly (the one-sample plug-in estimate is degenerate).
     """
-    if symbols < 1:
-        raise ValueError(f"symbols must be >= 1 (got {symbols})")
+    symbols = _integer_at_least("symbols", symbols, 1)
     bits = rng.integers(0, 2, size=symbols)
     result = transmit_message(list(bits), plan, mode, cfg, rng)
     return plugin_mutual_information(result.sent, result.received)

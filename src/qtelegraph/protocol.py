@@ -17,6 +17,13 @@ realizes the M*T/N symbol time of the many-telegraph construction. The
 ensemble's pooled emission stream repeats every period, so it is addressed by
 index: symbol s pools emissions s*M to (s+1)*M - 1, at O(M) cost per symbol
 whatever N is.
+
+Screen hits are drawn by inverse CDF through a guide table built once per
+distribution (``_BinSampler``), which gives exactly the bins a binary search
+of the CDF would. The receiver decodes a block of symbols (about 2^16 hits)
+at a time: only each symbol's own generator and its draws stay per symbol,
+and the bins, log-likelihood ratios and fringe statistics of the whole block
+are array operations.
 """
 
 from __future__ import annotations
@@ -43,6 +50,12 @@ NO_INTERFERENCE = "no-interference"
 # A schedule holds an offset and a slot of its pooled order per telegraph,
 # 16 bytes each, so this caps it at 160 MB.
 MAX_TELEGRAPHS = 10**7
+# Draws handled at once: the receiver's symbol blocks and the planner's trial
+# batches hold about this many hits, the sampler's chunks a quarter of it.
+_BLOCK_HITS = 1 << 16
+_SAMPLER_CHUNK = 1 << 14
+_BUCKETS_PER_BIN = 64
+_MAX_BUCKETS = 1 << 16
 
 
 def _check_period(name: str, value: float) -> None:
@@ -134,21 +147,56 @@ def screen_marginal(cfg: DeviceConfig, detectors: Detector, mode: ModelMode) -> 
     return incoherent_distribution(cfg)
 
 
+class _BinSampler:
+    """Inverse-CDF bin sampling through a guide table (Chen & Asau, AIIE
+    Trans. 6, 163 (1974)), built once per distribution.
+
+    A uniform u draws bin min(searchsorted(cdf, u, 'right'), bins - 1), exactly.
+    The unit interval is cut into K buckets, K a power of two (about 64 per
+    bin, at most 2^16), so u*K and the edges b/K are exact and bucket
+    b = floor(u*K) bounds the search to the CDF values in (b/K, (b+1)/K]. A
+    bucket holding at most one of them settles a draw with one comparison;
+    only draws in the few crowded buckets are searched.
+    """
+
+    def __init__(self, probabilities: np.ndarray) -> None:
+        cdf = np.cumsum(probabilities)
+        buckets = min(_MAX_BUCKETS, 1 << (_BUCKETS_PER_BIN * cdf.size - 1).bit_length())
+        guide = np.searchsorted(cdf, np.arange(buckets + 1) / buckets, side="right")
+        self._cdf = cdf
+        self._buckets = buckets
+        # Per bucket: the CDF values <= its left edge, the next CDF value, and
+        # whether more than one CDF value falls inside it.
+        self._below = guide[:-1]
+        self._next = cdf[np.minimum(guide[:-1], cdf.size - 1)]
+        self._crowded = np.diff(guide) > 1
+
+    def indices(self, u: np.ndarray) -> np.ndarray:
+        """Bin index per uniform in [0, 1), in the shape of ``u``."""
+        flat = np.ravel(u)
+        out = np.empty(flat.size, dtype=np.intp)
+        last = self._cdf.size - 1
+        for start in range(0, flat.size, _SAMPLER_CHUNK):
+            part = flat[start : start + _SAMPLER_CHUNK]
+            bucket = (part * self._buckets).astype(np.intp)
+            idx = self._below[bucket] + (self._next[bucket] <= part)
+            crowded = self._crowded[bucket]
+            if crowded.any():
+                idx[crowded] = np.searchsorted(self._cdf, part[crowded], side="right")
+            np.minimum(idx, last, out=out[start : start + _SAMPLER_CHUNK])
+        return out.reshape(np.shape(u))
+
+    def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return self.indices(rng.random(count))
+
+
 def sample_hits(dist: ScreenDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` i.i.d. screen positions by inverse CDF over the bins.
 
     Positions are reported at bin centers.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0 (got {count})")
-    indices = _sample_bin_indices(np.cumsum(dist.probabilities), count, rng)
-    return dist.bin_centers[indices]
-
-
-def _sample_bin_indices(cdf: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF bin draws; ``cdf`` is the cumulative sum of the bin probabilities."""
-    u = rng.random(count)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+    count = _integer_at_least("count", count, 0)
+    return dist.bin_centers[_BinSampler(dist.probabilities).draw(count, rng)]
 
 
 def floored_log_ratio(p_numerator: np.ndarray, p_denominator: np.ndarray) -> np.ndarray:
@@ -188,13 +236,11 @@ def fringe_statistic(hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> f
     return float(np.abs(np.exp(2j * cfg.kappa * xs).mean()))
 
 
-def _decision(llr: float, hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> DecisionResult:
-    return DecisionResult(log_lr=llr, fringe_statistic=fringe_statistic(hits, cfg))
-
-
 def decide_bit(hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> DecisionResult:
     """LRT verdict: interference iff the log-likelihood ratio is > 0."""
-    return _decision(log_likelihood_ratio(hits, cfg), hits, cfg)
+    return DecisionResult(
+        log_lr=log_likelihood_ratio(hits, cfg), fringe_statistic=fringe_statistic(hits, cfg)
+    )
 
 
 @dataclass(frozen=True)
@@ -220,25 +266,25 @@ class SampleSizeResult:
 
 def _mc_error_rates(
     table: np.ndarray,
-    p_interference: np.ndarray,
-    p_no_interference: np.ndarray,
+    samplers: tuple[_BinSampler, _BinSampler],
     m: int,
     trials: int,
     seed_material: tuple[int, int],
 ) -> tuple[float, float]:
-    """Monte Carlo error-rate pair for an M-sample LRT, fixed probe stream."""
+    """Monte Carlo error-rate pair for an M-sample LRT, fixed probe stream;
+    ``samplers`` draw coherent-pattern then incoherent-pattern data."""
     base, m_key = seed_material
     errors = []
-    for which, probs in ((0, p_interference), (1, p_no_interference)):
-        cdf = np.cumsum(probs)
+    for which, sampler in enumerate(samplers):
         rng = np.random.default_rng([base, m_key, which])
         wrong = 0
         remaining = trials
-        # Chunked so trials*m never allocates more than ~2^22 doubles.
-        chunk = max(1, min(trials, (1 << 22) // max(m, 1)))
+        # Batches of about _BLOCK_HITS draws; the uniform stream is the same
+        # however it is cut.
+        chunk = max(1, min(trials, _BLOCK_HITS // m))
         while remaining > 0:
             batch = min(chunk, remaining)
-            idx = _sample_bin_indices(cdf, batch * m, rng).reshape(batch, m)
+            idx = sampler.draw(batch * m, rng).reshape(batch, m)
             llr = table[idx].sum(axis=1)
             decided_interference = llr > 0
             if which == 0:
@@ -288,12 +334,13 @@ def required_sample_size(
         )
 
     table = floored_log_ratio(p_c, p_i)
+    samplers = (_BinSampler(p_c), _BinSampler(p_i))
     base = int(child_seeds(rng, 1)[0])
     cache: dict[int, tuple[float, float]] = {}
 
     def feasible_at(m: int) -> bool:
         if m not in cache:
-            cache[m] = _mc_error_rates(table, p_c, p_i, m, trials, (base, m))
+            cache[m] = _mc_error_rates(table, samplers, m, trials, (base, m))
         err_c, err_i = cache[m]
         return err_c <= alpha and err_i <= alpha
 
@@ -373,11 +420,13 @@ def ensemble_schedule(n: int, period: float, rng: np.random.Generator) -> Ensemb
 
 def _symbol_windows(
     schedule: EnsembleSchedule, m: int, symbols: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The one emission timeline: symbol s pools emissions [s*m, (s+1)*m).
 
-    Yields (times, telegraph ids, symbol time) per symbol; a symbol's time
-    runs from the previous symbol's last emission (from 0 for the first).
+    Yields blocks of consecutive symbols, about _BLOCK_HITS emissions each (at
+    least one symbol): (times, telegraph ids) as (symbols, m) arrays, one row
+    per symbol, and each symbol's time, which runs from the previous symbol's
+    last emission (from 0 for the first).
     """
     cycle, slot = divmod(symbols * m - 1, schedule.telegraphs)
     # The message's last emission is its latest; Python floats overflow to
@@ -388,12 +437,15 @@ def _symbol_windows(
             f"emission times overflow the float range; T ({schedule.period}) "
             f"is too large for this message"
         )
+    per_block = max(1, _BLOCK_HITS // m)
     clock = 0.0
-    for first in range(0, symbols * m, m):
-        times, ids = schedule.emissions_after(first, m)
-        end = float(times[-1])
-        yield times, ids, end - clock
-        clock = end
+    for first in range(0, symbols, per_block):
+        count = min(per_block, symbols - first)
+        times, ids = schedule.emissions_after(first * m, count * m)
+        times = times.reshape(count, m)
+        ends = times[:, -1]
+        yield times, ids.reshape(count, m), np.diff(ends, prepend=clock)
+        clock = float(ends[-1])
 
 
 @dataclass(frozen=True)
@@ -437,40 +489,53 @@ def transmit_message(
         return TransmissionResult((), (), (), (), (), () if keep_hits else None)
 
     schedule = ensemble_schedule(plan.N, plan.T, rng)
-    seeds = child_seeds(rng, len(bits))
+    seeds = child_seeds(rng, len(bits)).tolist()
     # The receiver's model is fixed by cfg: derive it once per message.
     table = log_ratio_table(cfg)
     centers = cfg.bin_centers()
-    cdf = {d: np.cumsum(screen_marginal(cfg, d, mode).probabilities) for d in Detector}
+    phasors = np.exp(2j * cfg.kappa * centers)
+    samplers = {d: _BinSampler(screen_marginal(cfg, d, mode).probabilities) for d in Detector}
+    detectors_on = np.array(bits, dtype=bool)
 
-    received: list[int] = []
+    log_lrs: list[float] = []
+    fringes: list[float] = []
     symbol_times: list[float] = []
-    decisions: list[DecisionResult] = []
     all_hits: list[SymbolHits] = []
-    windows = _symbol_windows(schedule, plan.M, len(bits))
-    for bit, seed, (times, ids, symbol_time) in zip(bits, seeds, windows):
-        detectors = Detector.ON if bit == 1 else Detector.OFF
-        symbol_rng = np.random.default_rng(int(seed))
-        idx = _sample_bin_indices(cdf[detectors], plan.M, symbol_rng)
-        xs = centers[idx]
-        if detectors is Detector.ON:
-            # Both pipes share the envelope, so the screen conditional given
-            # the pipe outcome is the same and the idler samples independently.
-            idlers = symbol_rng.integers(1, 3, size=plan.M)
-        else:
-            idlers = None
-        decision = _decision(float(table[idx].sum()), xs, cfg)
-        received.append(0 if decision.decided == INTERFERENCE else 1)
-        decisions.append(decision)
-        symbol_times.append(symbol_time)
+    start = 0
+    for times, ids, block_times in _symbol_windows(schedule, plan.M, len(bits)):
+        stop = start + block_times.size
+        on = detectors_on[start:stop]
+        u = np.empty(times.shape)
+        idlers = np.zeros(times.shape, dtype=np.int64) if keep_hits else None
+        for row, seed in enumerate(seeds[start:stop]):
+            symbol_rng = np.random.default_rng(seed)
+            symbol_rng.random(out=u[row])
+            if keep_hits and on[row]:
+                # Both pipes share the envelope, so the screen conditional given
+                # the pipe outcome is the same and the idler samples
+                # independently, after the screen draws.
+                idlers[row] = symbol_rng.integers(1, 3, size=plan.M)
+        idx = np.empty(times.shape, dtype=np.intp)
+        for detectors, sampler in samplers.items():
+            rows = on == (detectors is Detector.ON)
+            idx[rows] = sampler.indices(u[rows])
+        log_lrs.extend(table[idx].sum(axis=1).tolist())
+        fringes.extend(np.abs(phasors[idx].mean(axis=1)).tolist())
+        symbol_times.extend(block_times.tolist())
         if keep_hits:
-            all_hits.append(SymbolHits(telegraph_id=ids, time=times, x=xs, idler=idlers))
+            xs = centers[idx]
+            all_hits.extend(
+                SymbolHits(ids[row], times[row], xs[row], idlers[row] if on[row] else None)
+                for row in range(stop - start)
+            )
+        start = stop
 
+    decisions = tuple(map(DecisionResult, log_lrs, fringes))
     return TransmissionResult(
         sent=tuple(bits),
-        received=tuple(received),
+        received=tuple(0 if d.decided == INTERFERENCE else 1 for d in decisions),
         symbol_times=tuple(symbol_times),
-        decisions=tuple(decisions),
+        decisions=decisions,
         hit_counts=(plan.M,) * len(bits),
         hits=tuple(all_hits) if keep_hits else None,
     )
@@ -486,4 +551,5 @@ def throughput_check(
     """
     symbols = _integer_at_least("symbols", symbols, 1)
     schedule = ensemble_schedule(plan.N, plan.T, rng)
-    return float(np.mean([t for _, _, t in _symbol_windows(schedule, plan.M, symbols)]))
+    windows = _symbol_windows(schedule, plan.M, symbols)
+    return float(np.mean(np.concatenate([t for _, _, t in windows])))

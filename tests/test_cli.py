@@ -331,58 +331,134 @@ class TestSubcommands:
     # and simulate digests were recorded before hits became columnar and the
     # receiver was derived once per message; the others before derived
     # density matrices stopped being re-validated (the nosignal bytes were
-    # the same at 1 and 2 BLAS threads). A change that alters any report
-    # byte for a fixed (config, seed) fails here.
-    PINNED_DIGESTS = {
-        ("transmit", "--symbols", "12", "--M", "40", "--N", "3", "--seed", "11", "--mode", "NaiveCollapse"): {
-            "transcript.json": "7c119f159671e143f2fad137fe5c7cd0cbc36211be8be4fd2c517bfbb1d59018",
-            "summary.json": "620608e92a573a730816024fb2d0c06d3e76abaaea8291354243ced537d11ac6",
-        },
-        ("simulate", "--detectors", "on", "--M", "50", "--N", "3", "--seed", "5", "--mode", "NaiveCollapse"): {
-            "hits.csv": "e3e74c9ee15221362e73445996cb1e8a944795cef768fe1fa2b621c3c8cf24b0",
-            "decision.json": "4a890eb2b8f5b0044be6011cf7a13b56c140194f0ca1c0dde8b5e74cf251aab0",
-        },
-        ("simulate", "--detectors", "off", "--M", "50", "--N", "3", "--seed", "5", "--mode", "NaiveCollapse"): {
-            "hits.csv": "754fc27136f54a4bc8de6ead00c6d95a23691b65291d6f5f1a0b840cd5eeed09",
-            "decision.json": "9d118c77894e2f49934d8edbf2a3f4c41d4178b7e7271204e41a1b64bbe1aee4",
-        },
+    # the same at 1 and 2 BLAS threads); the last three before bins were
+    # drawn through a guide table and symbols decoded in blocks. A change
+    # that alters any report byte for a fixed (config, seed) fails here.
+    # Each case is (test id, argv, digests); the ids of the earlier cases
+    # keep the form they had when derived from the first three argv words.
+    PINNED_DIGESTS = (
+        (
+            "transmit---symbols-12",
+            ("transmit", "--symbols", "12", "--M", "40", "--N", "3", "--seed", "11", "--mode", "NaiveCollapse"),
+            {
+                "transcript.json": "7c119f159671e143f2fad137fe5c7cd0cbc36211be8be4fd2c517bfbb1d59018",
+                "summary.json": "620608e92a573a730816024fb2d0c06d3e76abaaea8291354243ced537d11ac6",
+            },
+        ),
+        (
+            "simulate---detectors-on",
+            ("simulate", "--detectors", "on", "--M", "50", "--N", "3", "--seed", "5", "--mode", "NaiveCollapse"),
+            {
+                "hits.csv": "e3e74c9ee15221362e73445996cb1e8a944795cef768fe1fa2b621c3c8cf24b0",
+                "decision.json": "4a890eb2b8f5b0044be6011cf7a13b56c140194f0ca1c0dde8b5e74cf251aab0",
+            },
+        ),
+        (
+            "simulate---detectors-off",
+            ("simulate", "--detectors", "off", "--M", "50", "--N", "3", "--seed", "5", "--mode", "NaiveCollapse"),
+            {
+                "hits.csv": "754fc27136f54a4bc8de6ead00c6d95a23691b65291d6f5f1a0b840cd5eeed09",
+                "decision.json": "9d118c77894e2f49934d8edbf2a3f4c41d4178b7e7271204e41a1b64bbe1aee4",
+            },
+        ),
         # N >> M: each symbol pools pairs from a small slice of the ensemble.
-        ("transmit", "--symbols", "200", "--M", "28", "--N", "1000", "--seed", "5"): {
-            "transcript.json": "fa0dccfc599f4640eec860b6bd392944195d349b303f261b735d03ba1eab3118",
-            "summary.json": "6bfc06610e39ece0510fb8c9bb478acf860b72d758b1bf4d2cb6740734818c2c",
-        },
+        (
+            "transmit---symbols-200",
+            ("transmit", "--symbols", "200", "--M", "28", "--N", "1000", "--seed", "5"),
+            {
+                "transcript.json": "fa0dccfc599f4640eec860b6bd392944195d349b303f261b735d03ba1eab3118",
+                "summary.json": "6bfc06610e39ece0510fb8c9bb478acf860b72d758b1bf4d2cb6740734818c2c",
+            },
+        ),
         # T = 0.1 is not a binary fraction, so offset + T*cycle rounds.
-        ("transmit", "--symbols", "300", "--M", "17", "--N", "5", "--T", "0.1", "--seed", "21"): {
-            "transcript.json": "0a5443848e3256d6cfc11621c42cd92d443b2f5dfdeffb690b656dd4cda1d28b",
-            "summary.json": "23e533e3f5d0a8be812bd6bed94c7bc0b960355e40b9fbcc6512631aed05cf58",
-        },
+        (
+            "transmit---symbols-300",
+            ("transmit", "--symbols", "300", "--M", "17", "--N", "5", "--T", "0.1", "--seed", "21"),
+            {
+                "transcript.json": "0a5443848e3256d6cfc11621c42cd92d443b2f5dfdeffb690b656dd4cda1d28b",
+                "summary.json": "23e533e3f5d0a8be812bd6bed94c7bc0b960355e40b9fbcc6512631aed05cf58",
+            },
+        ),
         # hits.csv carries every pooled telegraph id and emission time.
-        ("simulate", "--M", "2000", "--N", "37", "--T", "0.3", "--detectors", "on", "--seed", "8"): {
-            "hits.csv": "13ed63b8d284475acf3b2c82c15c5117498b748404bdafba585da4ab4bdfdca8",
-            "decision.json": "77ed6b1ca8a1449f3245f9573c49cdc97cd81273af89cf576b80efa81e80a500",
-        },
-        ("nosignal-check", "--mode", "UnitaryQM", "--bins", "64", "--relative-phase", "0.7", "--seed", "3"): {
-            "nosignal.json": "838847de3adb436b1a27a0220e7c52f6d6d5d99327fef0686f8b38d028fbdf94",
-            "nosignal.txt": "2ff5895b36bdfd4a4f209cd8677c06ddf46fd506fa886b6ba5edebf433a8c737",
-        },
-        ("nosignal-check", "--mode", "NaiveCollapse", "--bins", "64", "--relative-phase", "0.7", "--seed", "3"): {
-            "nosignal.json": "b1ae29cacf4fa2a137831392c774a659e44a6dde06501c34130d2a39c2a23ac0",
-            "nosignal.txt": "ea4f9b640387aefc4a7225af4ce2b83caddd05a46a2ea14205e0c7bce57d7699",
-        },
-        ("distributions", "--bins", "64"): {
-            "distributions.csv": "842870b7f5305302fed01051d3a650b13c7d78f18db6c3ca7564410e32fdd374",
-        },
-        ("plan", "--alpha", "0.05"): {
-            "plan.json": "a339d2e62bb187aec37b1b82230b1d60911e7bb240e7988e3a903d5573fcb962",
-        },
-        ("paradox", "--v", "0.6", "--separation", "1.5"): {
-            "paradox.json": "3b2446245132e13d963af7dc0300740caece843095277362940f531ebc0c8bbe",
-            "events.csv": "1cb8a7a895a8ff96cc8455e8188be63ab308f42ae09138aeba9262c9c14d740f",
-        },
-    }
+        (
+            "simulate---M-2000",
+            ("simulate", "--M", "2000", "--N", "37", "--T", "0.3", "--detectors", "on", "--seed", "8"),
+            {
+                "hits.csv": "13ed63b8d284475acf3b2c82c15c5117498b748404bdafba585da4ab4bdfdca8",
+                "decision.json": "77ed6b1ca8a1449f3245f9573c49cdc97cd81273af89cf576b80efa81e80a500",
+            },
+        ),
+        (
+            "nosignal-check---mode-UnitaryQM",
+            ("nosignal-check", "--mode", "UnitaryQM", "--bins", "64", "--relative-phase", "0.7", "--seed", "3"),
+            {
+                "nosignal.json": "838847de3adb436b1a27a0220e7c52f6d6d5d99327fef0686f8b38d028fbdf94",
+                "nosignal.txt": "2ff5895b36bdfd4a4f209cd8677c06ddf46fd506fa886b6ba5edebf433a8c737",
+            },
+        ),
+        (
+            "nosignal-check---mode-NaiveCollapse",
+            ("nosignal-check", "--mode", "NaiveCollapse", "--bins", "64", "--relative-phase", "0.7", "--seed", "3"),
+            {
+                "nosignal.json": "b1ae29cacf4fa2a137831392c774a659e44a6dde06501c34130d2a39c2a23ac0",
+                "nosignal.txt": "ea4f9b640387aefc4a7225af4ce2b83caddd05a46a2ea14205e0c7bce57d7699",
+            },
+        ),
+        (
+            "distributions---bins-64",
+            ("distributions", "--bins", "64"),
+            {
+                "distributions.csv": "842870b7f5305302fed01051d3a650b13c7d78f18db6c3ca7564410e32fdd374",
+            },
+        ),
+        (
+            "plan---alpha-0.05",
+            ("plan", "--alpha", "0.05"),
+            {
+                "plan.json": "a339d2e62bb187aec37b1b82230b1d60911e7bb240e7988e3a903d5573fcb962",
+            },
+        ),
+        (
+            "paradox---v-0.6",
+            ("paradox", "--v", "0.6", "--separation", "1.5"),
+            {
+                "paradox.json": "3b2446245132e13d963af7dc0300740caece843095277362940f531ebc0c8bbe",
+                "events.csv": "1cb8a7a895a8ff96cc8455e8188be63ab308f42ae09138aeba9262c9c14d740f",
+            },
+        ),
+        # The telegraph workload's own planner.
+        (
+            "plan---alpha-0.01",
+            ("plan", "--alpha", "0.01", "--seed", "7"),
+            {
+                "plan.json": "cb5e448c9eed88d4517a00583c4f63d111410e6a7853e5bd919499302715567c",
+            },
+        ),
+        # Several receiver blocks of symbols, both detector settings mixed.
+        (
+            "transmit---symbols-3000",
+            ("transmit", "--symbols", "3000", "--M", "7", "--N", "3", "--T", "0.3", "--bins", "64", "--seed", "11"),
+            {
+                "transcript.json": "4f47bf1c65e9b3a3cc1d76e6a209a8f00f199275d540717453b8627594c51b45",
+                "summary.json": "ffcc7aa27326e6fe7f60ce6e2558dfc7e28998b0a7ebc046641cf78fe55ddcca",
+            },
+        ),
+        # The coherent pattern's near-empty tail bins crowd the sampler's
+        # guide buckets, so some draws take its search fallback.
+        (
+            "simulate---mode-NaiveCollapse",
+            ("simulate", "--mode", "NaiveCollapse", "--detectors", "off", "--M", "70000", "--x-max", "8", "--seed", "2"),
+            {
+                "hits.csv": "66c0784e123f8f09bb276c6a6eb4c2bd33949bf07504fc7c51bfe92f66e284b9",
+                "decision.json": "28d124207960e26cff5996d0f0e03502fdda6f96ac2b3950994375842e997ee1",
+            },
+        ),
+    )
 
-    @pytest.mark.parametrize("argv", list(PINNED_DIGESTS), ids=lambda argv: "-".join(argv[:3]))
-    def test_report_bytes_pinned(self, tmp_path, monkeypatch, argv):
+    @pytest.mark.parametrize(
+        "argv, pinned", [pytest.param(argv, pinned, id=case) for case, argv, pinned in PINNED_DIGESTS]
+    )
+    def test_report_bytes_pinned(self, tmp_path, monkeypatch, argv, pinned):
         # Reports embed output_dir, so a fixed relative directory keeps them
         # independent of where the test runs.
         monkeypatch.chdir(tmp_path)
@@ -391,9 +467,14 @@ class TestSubcommands:
         assert main(list(argv) + ["--output-dir", "out"]) == expected_exit
         digests = {
             name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-            for name in self.PINNED_DIGESTS[argv]
+            for name in pinned
         }
-        assert digests == self.PINNED_DIGESTS[argv]
+        assert digests == pinned
+
+    def test_pinned_cases_have_unique_ids(self):
+        # pytest would quietly suffix a repeated id, renaming a pinned case.
+        cases = [case for case, _, _ in self.PINNED_DIGESTS]
+        assert len(set(cases)) == len(cases)
 
     def test_unknown_subcommand_exits_via_argparse(self):
         with pytest.raises(SystemExit) as exc:

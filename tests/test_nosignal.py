@@ -227,6 +227,19 @@ class TestChannelMutualInformation:
                 ModelMode.UNITARY_QM, TransmissionPlan(), 0, DeviceConfig(), stream(0, "mi")
             )
 
+    @pytest.mark.parametrize("symbols", [2.5, True, -1])
+    def test_symbols_must_be_a_positive_integer(self, symbols):
+        with pytest.raises(ValueError, match=r"^symbols must be an integer >= 1"):
+            channel_mutual_information(
+                ModelMode.UNITARY_QM, TransmissionPlan(M=5), symbols, DeviceConfig(), stream(0, "mi")
+            )
+
+    def test_numpy_integer_symbols_accepted(self):
+        mi = channel_mutual_information(
+            ModelMode.NAIVE_COLLAPSE, TransmissionPlan(M=5), np.int64(3), DeviceConfig(), stream(0, "mi")
+        )
+        assert mi >= 0.0
+
     def test_single_symbol_is_exactly_zero(self):
         mi = channel_mutual_information(
             ModelMode.UNITARY_QM,

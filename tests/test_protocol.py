@@ -5,7 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qtelegraph import protocol as protocol_module
 from qtelegraph.device import (
     DeviceConfig,
     ScreenDistribution,
@@ -34,9 +36,11 @@ from qtelegraph.protocol import (
     screen_marginal,
     throughput_check,
     transmit_message,
+    _BLOCK_HITS,
+    _BinSampler,
     _symbol_windows,
 )
-from qtelegraph.rng import stream
+from qtelegraph.rng import child_seeds, stream
 
 # Planner regression: run once at defaults (alpha=0.01, 10^4 trials per
 # probe) with the seeded stream below and frozen here with its seed.
@@ -60,6 +64,13 @@ def mc_error_rates(cfg, m, trials, rng):
         wrong = (~decided_interference if want_interference else decided_interference).sum()
         errors.append(wrong / trials)
     return tuple(errors)
+
+
+def clipped_search(probabilities, u):
+    """The sampler's definition: a binary search of the CDF, clipped to the
+    last bin."""
+    cdf = np.cumsum(probabilities)
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
 
 
 class TestPlanAndRecords:
@@ -169,6 +180,99 @@ class TestSampleHits:
         cfg = DeviceConfig()
         xs = sample_hits(incoherent_distribution(cfg), 500, stream(5, "centers"))
         assert set(np.unique(xs)) <= set(cfg.bin_centers())
+
+    @pytest.mark.parametrize("count", [2.5, True, -1])
+    def test_count_must_be_a_non_negative_integer(self, count):
+        dist = incoherent_distribution(DeviceConfig())
+        with pytest.raises(ValueError, match=r"^count must be an integer >= 0"):
+            sample_hits(dist, count, stream(0, "count"))
+
+    def test_numpy_integer_count_accepted(self):
+        dist = incoherent_distribution(DeviceConfig())
+        assert sample_hits(dist, np.int64(7), stream(0, "count")).shape == (7,)
+
+
+class TestBinSampler:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        bins=st.integers(1, 4096),
+        zero_fraction=st.sampled_from([0.0, 0.3, 0.9]),
+        skew=st.floats(0.0, 60.0),
+        total_error=st.sampled_from([-1e-13, 0.0, 1e-13]),
+        seed=st.integers(0, 2**32 - 1),
+        extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
+    )
+    def test_matches_clipped_binary_search(self, bins, zero_fraction, skew, total_error, seed, extra):
+        """Exact for any probability vector (empty bins, tiny bins, a total
+        off 1 by 1e-13) and any uniform, including 0, every CDF value, every
+        bucket edge and the floats either side of each."""
+        rng = np.random.default_rng(seed)
+        weights = rng.random(bins) ** skew
+        weights[rng.random(bins) < zero_fraction] = 0.0
+        weights[rng.integers(bins)] += 1.0
+        probabilities = weights / weights.sum() * (1.0 + total_error)
+        sampler = _BinSampler(probabilities)
+        edges = np.arange(sampler._buckets + 1) / sampler._buckets
+        points = np.concatenate([[0.0], np.cumsum(probabilities), edges, extra])
+        u = np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert np.array_equal(sampler.indices(u), clipped_search(probabilities, u))
+
+    def test_draw_takes_one_uniform_per_hit_in_any_shape(self):
+        probabilities = coherent_distribution(DeviceConfig()).probabilities
+        sampler = _BinSampler(probabilities)
+        u = stream(3, "draw").random(50_000)
+        assert np.array_equal(sampler.draw(50_000, stream(3, "draw")), clipped_search(probabilities, u))
+        block = u.reshape(500, 100)
+        assert np.array_equal(sampler.indices(block), clipped_search(probabilities, block))
+        assert sampler.indices(np.empty((0, 5))).shape == (0, 5)
+
+    def test_one_guide_search_per_distribution(self, monkeypatch):
+        """Each sampler searches the CDF once, for its guide; after that only
+        draws in crowded buckets are searched. Neither the symbol count nor
+        the planner's probe count adds a search over the draws."""
+        cfg = DeviceConfig()
+        guide_size = _BinSampler(coherent_distribution(cfg).probabilities)._buckets + 1
+        searched, drawn, probes = [], [], []
+        original_search = np.searchsorted
+        original_indices = _BinSampler.indices
+        original_probe = protocol_module._mc_error_rates
+
+        def counted_search(a, v, *args, **kwargs):
+            searched.append(np.size(v))
+            return original_search(a, v, *args, **kwargs)
+
+        def counted_indices(self, u):
+            drawn.append(np.size(u))
+            return original_indices(self, u)
+
+        def counted_probe(*args):
+            probes.append(args[2])
+            return original_probe(*args)
+
+        monkeypatch.setattr(np, "searchsorted", counted_search)
+        monkeypatch.setattr(_BinSampler, "indices", counted_indices)
+        monkeypatch.setattr(protocol_module, "_mc_error_rates", counted_probe)
+
+        def searches(action):
+            searched.clear()
+            drawn.clear()
+            action()
+            builds = searched.count(guide_size)
+            fallback = sum(searched) - builds * guide_size
+            assert fallback <= 1 + sum(drawn) // 100
+            return builds
+
+        plan = TransmissionPlan(M=28, T=1.0, N=3)
+        for symbols in (2, 40):
+            bits = [0, 1] * (symbols // 2)
+            assert searches(lambda: transmit_message(bits, plan, ModelMode.NAIVE_COLLAPSE, cfg, stream(5, "tx"))) == 2
+        probe_counts = []
+        for alpha in (0.2, 0.01):
+            probes.clear()
+            assert searches(lambda: required_sample_size(cfg, alpha, stream(6, "plan"), trials=2000)) == 2
+            probe_counts.append(len(probes))
+        assert probe_counts[0] < probe_counts[1]
 
 
 class TestLogLikelihoodRatio:
@@ -360,13 +464,27 @@ class TestEnsembleSchedule:
         alternate between them and the mean symbol time is T/N."""
         schedule = EnsembleSchedule(offsets=[0.5, 0.5], period=1.0)
         windows = list(_symbol_windows(schedule, 1, 100))
-        ids = np.concatenate([w[1] for w in windows])
-        times = np.concatenate([w[0] for w in windows])
+        ids = np.concatenate([w[1].ravel() for w in windows])
+        times = np.concatenate([w[0].ravel() for w in windows])
         assert ids.tolist() == [0, 1] * 50
         assert np.array_equal(times, 0.5 + np.arange(100) // 2)
         # The mean telescopes to the last emission time over the symbol count.
-        mean_time = np.mean([w[2] for w in windows])
+        mean_time = np.mean(np.concatenate([w[2] for w in windows]))
         assert mean_time == pytest.approx(0.5, abs=1.0 / 100)
+
+    @pytest.mark.parametrize("m, symbols", [(1, 70_000), (28, 5000), (70_000, 3)])
+    def test_symbol_blocks_are_bounded_slices_of_one_timeline(self, m, symbols):
+        schedule = ensemble_schedule(7, 0.3, stream(32, "blocks"))
+        blocks = list(_symbol_windows(schedule, m, symbols))
+        assert len(blocks) > 1
+        assert all(times.size <= max(m, _BLOCK_HITS) for times, _, _ in blocks)
+        times = np.concatenate([block[0] for block in blocks])
+        ids = np.concatenate([block[1] for block in blocks])
+        want_times, want_ids = schedule.emissions_after(0, symbols * m)
+        assert np.array_equal(times.ravel(), want_times)
+        assert np.array_equal(ids.ravel(), want_ids)
+        symbol_times = np.concatenate([block[2] for block in blocks])
+        assert np.array_equal(symbol_times, np.diff(times[:, -1], prepend=0.0))
 
     @pytest.mark.parametrize(
         "build, named",
@@ -460,6 +578,44 @@ class TestTransmitMessage:
             transmit_message([0, 1] * (symbols // 2), plan, ModelMode.NAIVE_COLLAPSE, DeviceConfig(), stream(5, "tx"))
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("mode", list(ModelMode))
+    @pytest.mark.parametrize("symbols, m", [(200, 28), (150, 1000)])
+    def test_block_decoder_matches_symbol_by_symbol_reference(self, mode, symbols, m):
+        """In one block and across several, every symbol equals the
+        one-symbol-at-a-time decode: its own generator's uniforms through a
+        binary search of its marginal's CDF, the idler draws after them, and
+        decide_bit on its hits, bit for bit."""
+        cfg = DeviceConfig()
+        plan = TransmissionPlan(M=m, T=0.3, N=3)
+        bits = [int(b) for b in stream(60, "bits", m).integers(0, 2, size=symbols)]
+        result = transmit_message(bits, plan, mode, cfg, stream(60, "tx"), keep_hits=True)
+        rng = stream(60, "tx")
+        ensemble_schedule(plan.N, plan.T, rng)
+        seeds = child_seeds(rng, symbols)
+        centers = cfg.bin_centers()
+        clock = 0.0
+        for bit, seed, hits, decision, symbol_time in zip(
+            bits, seeds, result.hits, result.decisions, result.symbol_times, strict=True
+        ):
+            detectors = Detector.ON if bit == 1 else Detector.OFF
+            symbol_rng = np.random.default_rng(int(seed))
+            probabilities = screen_marginal(cfg, detectors, mode).probabilities
+            assert np.array_equal(hits.x, centers[clipped_search(probabilities, symbol_rng.random(m))])
+            if bit == 1:
+                assert np.array_equal(hits.idler, symbol_rng.integers(1, 3, size=m))
+            else:
+                assert hits.idler is None
+            reference = decide_bit(hits.x, cfg)
+            assert decision.log_lr == reference.log_lr
+            assert decision.fringe_statistic == reference.fringe_statistic
+            assert symbol_time == float(hits.time[-1]) - clock
+            clock = float(hits.time[-1])
+        assert result.received == tuple(0 if d.log_lr > 0 else 1 for d in result.decisions)
+        # Without hits kept, the idlers are not drawn and nothing else moves.
+        bare = transmit_message(bits, plan, mode, cfg, stream(60, "tx"))
+        assert bare.decisions == result.decisions
+        assert bare.symbol_times == result.symbol_times
 
     def test_symbol_times_accumulate_along_one_timeline(self):
         plan = TransmissionPlan(M=30, T=1.0, N=2)
