@@ -27,13 +27,14 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .device import DeviceConfig, write_distributions_csv
 from .nosignal import verify_no_signaling
 from .protocol import (
     Detector,
     ModelMode,
+    SymbolHits,
     TransmissionPlan,
     required_sample_size,
     transmit_message,
@@ -49,6 +50,8 @@ from .rng import stream
 
 STRATEGY_STATE_DEPENDENT = "state-dependent"
 STRATEGY_PRIVILEGED = "privileged"
+# hits.csv rows are converted this many hits at a time.
+_ROWS_PER_CHUNK = 1 << 14
 
 
 class ConfigError(ValueError):
@@ -127,7 +130,9 @@ class ConfigKey(NamedTuple):
 # Every config key, once. Config files, defaults, the ``--flag`` for each key
 # (the name with '_' as '-') and the report header all derive from this table.
 CONFIG_KEYS: dict[str, ConfigKey] = {
-    "seed": ConfigKey(_to_int, 0, "master seed; all randomness derives from named substreams"),
+    "seed": ConfigKey(
+        _to_int, 0, "master seed in [0, 2**64); all randomness derives from named substreams"
+    ),
     "kappa": ConfigKey(_to_float, math.pi, "fringe wavenumber (radians per screen unit)"),
     "envelope_width": ConfigKey(_to_float, 2.0, "Gaussian envelope width of both pipe amplitudes"),
     "x_max": ConfigKey(_to_float, 5.0, "screen half-width in envelope widths"),
@@ -190,6 +195,8 @@ def resolve_config(overrides: dict) -> RunConfig:
     mode = _to_enum(ModelMode, "mode", values["mode"])
     detectors = _to_enum(Detector, "detectors", values["detectors"])
 
+    if not 0 <= values["seed"] < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64) (got {values['seed']})")
     if not 0.0 < values["alpha"] < 1.0:
         raise ConfigError(f"alpha must be in (0, 1) (got {values['alpha']})")
     if values["bits"] and set(values["bits"]) - {"0", "1"}:
@@ -244,19 +251,33 @@ def _decision_dict(decision) -> dict:
     }
 
 
+def _hit_rows(hits: SymbolHits, device: DeviceConfig) -> Iterator[tuple]:
+    """The rows of hits.csv, converted a chunk of hits at a time.
+
+    Every x is a bin center, so each hit bin's center is formatted once,
+    keyed by the bin (keying by value would merge -0.0 with 0.0).
+    """
+    centers = device.bin_centers()
+    x_texts: dict[int, str] = {}
+    for first in range(0, hits.x.size, _ROWS_PER_CHUNK):
+        part = slice(first, first + _ROWS_PER_CHUNK)
+        bins = device.bin_index(hits.x[part]).tolist()
+        x_texts.update((b, repr(float(centers[b]))) for b in set(bins) - x_texts.keys())
+        yield from zip(
+            hits.telegraph_id[part].tolist(),
+            map(repr, hits.time[part].tolist()),
+            map(x_texts.__getitem__, bins),
+        )
+
+
 def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
     bit = 1 if cfg.detectors is Detector.ON else 0
     result = transmit_message(
         [bit], cfg.plan, cfg.mode, cfg.device, stream(cfg.seed, "simulate"), keep_hits=True
     )
     assert result.hits is not None
-    hits = result.hits[0]
-    _write_csv(
-        out / "hits.csv",
-        cfg,
-        ["telegraph_id", "time", "x"],
-        zip(hits.telegraph_id.tolist(), map(repr, hits.time.tolist()), map(repr, hits.x.tolist())),
-    )
+    rows = _hit_rows(result.hits[0], cfg.device)
+    _write_csv(out / "hits.csv", cfg, ["telegraph_id", "time", "x"], rows)
     _write_json(
         out / "decision.json",
         cfg,

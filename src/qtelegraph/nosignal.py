@@ -20,7 +20,6 @@ of the decoded-symbol channel's mutual information is provided separately.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -91,9 +90,6 @@ class NoSignalReport:
     def to_text(self) -> str:
         lines = [f"{key}: {value}" for key, value in self.to_dict().items()]
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

@@ -21,9 +21,11 @@ whatever N is.
 Screen hits are drawn by inverse CDF through a guide table built once per
 distribution (``_BinSampler``), which gives exactly the bins a binary search
 of the CDF would. The receiver decodes a block of symbols (about 2^16 hits)
-at a time: only each symbol's own generator and its draws stay per symbol,
-and the bins, log-likelihood ratios and fringe statistics of the whole block
-are array operations.
+at a time: only setting each symbol's generator state and its draws stay per
+symbol, and the bins, log-likelihood ratios and fringe statistics of the
+whole block are array operations. Each symbol draws the stream of
+``np.random.default_rng(child seed)``; the starting states of all symbols are
+derived in one vectorised pass (``rng.reseedable``) and set on one generator.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .device import (
     coherent_distribution,
     incoherent_distribution,
 )
-from .rng import child_seeds
+from .rng import child_seeds, reseedable
 
 PROBABILITY_FLOOR = 1e-300
 INTERFERENCE = "interference"
@@ -489,7 +491,10 @@ def transmit_message(
         return TransmissionResult((), (), (), (), (), () if keep_hits else None)
 
     schedule = ensemble_schedule(plan.N, plan.T, rng)
-    seeds = child_seeds(rng, len(bits)).tolist()
+    # Each symbol draws from default_rng(its child seed); one generator,
+    # reset to each symbol's starting state, serves them all.
+    generator, starts = reseedable(child_seeds(rng, len(bits)))
+    bitgen = generator.bit_generator
     # The receiver's model is fixed by cfg: derive it once per message.
     table = log_ratio_table(cfg)
     centers = cfg.bin_centers()
@@ -507,14 +512,14 @@ def transmit_message(
         on = detectors_on[start:stop]
         u = np.empty(times.shape)
         idlers = np.zeros(times.shape, dtype=np.int64) if keep_hits else None
-        for row, seed in enumerate(seeds[start:stop]):
-            symbol_rng = np.random.default_rng(seed)
-            symbol_rng.random(out=u[row])
+        for row, state in enumerate(starts[start:stop]):
+            bitgen.state = state
+            generator.random(out=u[row])
             if keep_hits and on[row]:
                 # Both pipes share the envelope, so the screen conditional given
                 # the pipe outcome is the same and the idler samples
                 # independently, after the screen draws.
-                idlers[row] = symbol_rng.integers(1, 3, size=plan.M)
+                idlers[row] = generator.integers(1, 3, size=plan.M)
         idx = np.empty(times.shape, dtype=np.intp)
         for detectors, sampler in samplers.items():
             rows = on == (detectors is Detector.ON)

@@ -5,6 +5,14 @@ Top-level entry points derive that generator from an explicit integer seed
 plus a stream path (e.g. the subcommand name, a telegraph index, a trial
 index), so serial and parallel executions of the same experiment consume
 identical random numbers stream by stream.
+
+Indexed sub-simulations (one per symbol) each draw from
+``np.random.default_rng(child_seed)``. Building that generator hashes the
+seed through a ``SeedSequence`` (tens of microseconds), so ``reseedable``
+derives the PCG64 starting states of a whole run of child seeds in one
+vectorised pass and serves them all from one generator whose state is set
+per seed. The derivation reproduces numpy's seeding exactly and is checked
+against it once per call.
 """
 
 from __future__ import annotations
@@ -13,12 +21,32 @@ import hashlib
 
 import numpy as np
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+# numpy's SeedSequence hash (pool size 4) and PCG64's 128-bit LCG multiplier.
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint64(what: str, value: int) -> int:
+    # Masking to 64 bits would make -1 and 2**64 - 1 one stream.
+    if not 0 <= int(value) <= _MASK64:
+        raise ValueError(f"{what} must be in [0, 2**64) (got {value})")
+    return int(value)
 
 
 def _stream_word(part: int | str) -> int:
     if isinstance(part, (int, np.integer)):
-        return int(part) & _MASK64
+        return _uint64("stream path integers", part)
     if isinstance(part, str):
         digest = hashlib.sha256(part.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "little")
@@ -30,10 +58,11 @@ def stream(seed: int, *path: int | str) -> np.random.Generator:
 
     The same (seed, path) pair always yields the same stream, and distinct
     paths yield statistically independent streams, so per-telegraph or
-    per-trial streams agree between serial and parallel runs.
+    per-trial streams agree between serial and parallel runs. ``seed`` and
+    integer path parts must lie in [0, 2^64).
     """
     words = tuple(_stream_word(p) for p in path)
-    seq = np.random.SeedSequence(int(seed) & _MASK64, spawn_key=words)
+    seq = np.random.SeedSequence(_uint64("seed", seed), spawn_key=words)
     return np.random.default_rng(seq)
 
 
@@ -45,3 +74,90 @@ def child_seeds(rng: np.random.Generator, count: int) -> np.ndarray:
     symbol, one per trial) deterministic however they are scheduled.
     """
     return rng.integers(0, 2**63, size=count, dtype=np.int64)
+
+
+def _seed_sequence_words(seeds: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for every seed, as four
+    uint64 arrays w0..w3, computed lane-wise in uint32 arithmetic.
+
+    A seed below 2^64 is at most two 32-bit entropy words; the pool hash runs
+    on to four words with zeros, which is what numpy does for a short entropy.
+    The hash constants do not depend on the data, so they stay scalars.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    entropy = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
+    entropy += [zero] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+
+    hash_const = _INIT_B
+    halves = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        halves.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # Consecutive uint32 words pair up little-endian into uint64 words.
+    return [halves[2 * k] | (halves[2 * k + 1] << np.uint64(32)) for k in range(_POOL_SIZE)]
+
+
+def default_rng_states(seeds) -> list[dict]:
+    """The PCG64 ``state`` that ``np.random.default_rng(s)`` starts from, for
+    each seed s (non-negative integers below 2^64).
+
+    PCG64 seeds itself from the words w0..w3 as inc = ((w2:w3) << 1) | 1 and
+    state = ((inc + (w0:w1)) * multiplier + inc) mod 2^128.
+    """
+    seeds = np.asarray(seeds)
+    if seeds.dtype.kind not in "iu" or (seeds.size and seeds.min() < 0):
+        raise ValueError("seeds must be non-negative integers below 2**64")
+    words = _seed_sequence_words(seeds.astype(np.uint64).ravel())
+    states = []
+    for w0, w1, w2, w3 in zip(*(w.tolist() for w in words)):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
+    return states
+
+
+def reseedable(seeds) -> tuple[np.random.Generator, list[dict]]:
+    """One generator for a run of seeds, and the state that starts each seed.
+
+    After ``generator.bit_generator.state = states[i]`` the generator draws
+    exactly what ``np.random.default_rng(seeds[i])`` would. The generator is
+    built from the first seed by numpy itself, which checks the vectorised
+    derivation once per call.
+    """
+    seeds = np.asarray(seeds)
+    states = default_rng_states(seeds)
+    if not states:
+        raise ValueError("reseedable needs at least one seed")
+    bitgen = np.random.PCG64(int(seeds.flat[0]))
+    if bitgen.state != states[0]:
+        raise RuntimeError(
+            "derived PCG64 seeding disagrees with numpy's; numpy's seeding has changed"
+        )
+    return np.random.Generator(bitgen), states

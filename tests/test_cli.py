@@ -97,6 +97,10 @@ class TestParseConfig:
         assert resolved["mode"] == "UnitaryQM"
         assert set(resolved) >= {"kappa", "M", "T", "N", "alpha", "output_dir"}
 
+    def test_seed_spans_64_bits(self):
+        # Outside [0, 2**64) is rejected in test_out_of_domain_values_exit_2.
+        assert parse_config(f"seed: {2**64 - 1}").seed == 2**64 - 1
+
 
 def flag(key):
     return "--" + key.replace("_", "-")
@@ -309,6 +313,10 @@ class TestSubcommands:
             (["simulate", "--M", "10", "--T", "1e308", "--N", "3"], "T (1e+308) is too large"),
             # Every command builds the plan, so the telegraph bound holds for all.
             (["paradox", "--N", "10000001"], "N must be <= 10000000"),
+            # Seeds were masked to 64 bits, so -1 ran the stream of 2**64 - 1.
+            (["simulate", "--M", "10", "--seed", "-1"], "seed must be in [0, 2**64)"),
+            (["transmit", "--seed", str(2**64)], "seed must be in [0, 2**64)"),
+            (["paradox", "--seed", "-1"], "seed must be in [0, 2**64)"),
         ],
     )
     def test_out_of_domain_values_exit_2(self, tmp_path, capsys, argv, named):

@@ -579,6 +579,27 @@ class TestTransmitMessage:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    def test_generators_seeded_once_per_message(self, monkeypatch):
+        calls = []
+        for name in ("default_rng", "SeedSequence", "PCG64"):
+            original = getattr(np.random, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, counted)
+        plan = TransmissionPlan(M=28, T=1.0, N=3)
+        counts = []
+        for symbols in (2, 2000):
+            rng = stream(5, "tx")
+            calls.clear()
+            bits = [0, 1] * (symbols // 2)
+            result = transmit_message(bits, plan, ModelMode.NAIVE_COLLAPSE, DeviceConfig(), rng, keep_hits=True)
+            assert len(result.hits) == symbols
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1] == ["PCG64"]
+
     @pytest.mark.parametrize("mode", list(ModelMode))
     @pytest.mark.parametrize("symbols, m", [(200, 28), (150, 1000)])
     def test_block_decoder_matches_symbol_by_symbol_reference(self, mode, symbols, m):
