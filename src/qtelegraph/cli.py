@@ -9,7 +9,9 @@ and goes through the same converter, so a bad value from either exits 2 with
 ``error: <key> ...``; flags override the file. All artifacts embed the fully
 resolved config (seed included) so a report is reproducible from its own
 header, and nothing time- or host-dependent is written, so identical
-(config, seed) runs are byte-identical.
+(config, seed) runs are byte-identical. A string value must be a single line,
+since each CSV and text report repeats it on a ``# key: value`` line. The
+reports are written by :mod:`qtelegraph.report`.
 
 Subcommands: simulate, plan, transmit, nosignal-check, paradox,
 distributions. ``nosignal-check`` exits nonzero on a fail verdict so CI can
@@ -19,15 +21,13 @@ assert the no-signaling property with a single command.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .device import DeviceConfig, write_distributions_csv
 from .nosignal import verify_no_signaling
@@ -46,12 +46,11 @@ from .relativity import (
     automaton_fixed_points,
     build_paradox,
 )
+from .report import chunked, comment_lines_text, float_texts, json_text, write_csv
 from .rng import stream
 
 STRATEGY_STATE_DEPENDENT = "state-dependent"
 STRATEGY_PRIVILEGED = "privileged"
-# hits.csv rows are converted this many hits at a time.
-_ROWS_PER_CHUNK = 1 << 14
 
 
 class ConfigError(ValueError):
@@ -108,7 +107,11 @@ def _to_float(key: str, value) -> float:
 
 
 def _to_str(key: str, value) -> str:
-    return str(value).strip()
+    text = str(value).strip()
+    # Every report repeats the value on one '# key: value' header line.
+    if len(text.splitlines()) > 1:
+        raise ConfigError(f"{key} must be a single line (got {text!r})")
+    return text
 
 
 def _to_enum(cls: type[Enum], key: str, value: str) -> Enum:
@@ -228,19 +231,8 @@ def _config_comment_lines(cfg: RunConfig) -> list[str]:
 
 
 def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
-    document = {"config": cfg.resolved(), **payload}
-    text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False)
+    text = json_text({"config": cfg.resolved(), **payload})
     path.write_text(text + "\n", encoding="utf-8")
-
-
-def _write_csv(path: Path, cfg: RunConfig, columns: list[str], rows: Iterable) -> None:
-    """A CSV report: the resolved config as '# key: value' lines, then the
-    column names and ``rows``."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.writelines(f"# {line}\n" for line in _config_comment_lines(cfg))
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(rows)
 
 
 def _decision_dict(decision) -> dict:
@@ -251,23 +243,35 @@ def _decision_dict(decision) -> dict:
     }
 
 
-def _hit_rows(hits: SymbolHits, device: DeviceConfig) -> Iterator[tuple]:
-    """The rows of hits.csv, converted a chunk of hits at a time.
+class _FormatOnce(dict):
+    """key -> format(key), each key formatted on its first lookup."""
 
-    Every x is a bin center, so each hit bin's center is formatted once,
-    keyed by the bin (keying by value would merge -0.0 with 0.0).
+    def __init__(self, format: Callable[[int], str]) -> None:
+        super().__init__()
+        self.format = format
+
+    def __missing__(self, key: int) -> str:
+        text = self[key] = self.format(key)
+        return text
+
+
+def _write_hits_csv(path: Path, cfg: RunConfig, hits: SymbolHits) -> None:
+    """hits.csv: one row per hit, columns telegraph_id, time and x.
+
+    Ids and x repeat, so each distinct id and each bin hit is formatted
+    once. Every x is a bin center, keyed by its bin (keying by value would
+    merge -0.0 with 0.0).
     """
+    device = cfg.device
     centers = device.bin_centers()
-    x_texts: dict[int, str] = {}
-    for first in range(0, hits.x.size, _ROWS_PER_CHUNK):
-        part = slice(first, first + _ROWS_PER_CHUNK)
-        bins = device.bin_index(hits.x[part]).tolist()
-        x_texts.update((b, repr(float(centers[b]))) for b in set(bins) - x_texts.keys())
-        yield from zip(
-            hits.telegraph_id[part].tolist(),
-            map(repr, hits.time[part].tolist()),
-            map(x_texts.__getitem__, bins),
-        )
+    id_texts = _FormatOnce(int.__repr__)
+    x_texts = _FormatOnce(lambda b: float.__repr__(float(centers[b])))
+    columns = (
+        chunked(hits.telegraph_id, lambda ids: map(id_texts.__getitem__, ids.tolist())),
+        chunked(hits.time, float_texts),
+        chunked(hits.x, lambda xs: map(x_texts.__getitem__, device.bin_index(xs).tolist())),
+    )
+    write_csv(path, _config_comment_lines(cfg), ("telegraph_id", "time", "x"), columns)
 
 
 def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
@@ -276,8 +280,7 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
         [bit], cfg.plan, cfg.mode, cfg.device, stream(cfg.seed, "simulate"), keep_hits=True
     )
     assert result.hits is not None
-    rows = _hit_rows(result.hits[0], cfg.device)
-    _write_csv(out / "hits.csv", cfg, ["telegraph_id", "time", "x"], rows)
+    _write_hits_csv(out / "hits.csv", cfg, result.hits[0])
     _write_json(
         out / "decision.json",
         cfg,
@@ -344,7 +347,7 @@ def _cmd_transmit(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_nosignal_check(cfg: RunConfig, out: Path) -> int:
     report = verify_no_signaling(cfg.device, cfg.mode)
-    provenance = "".join(f"# {line}\n" for line in _config_comment_lines(cfg))
+    provenance = comment_lines_text(_config_comment_lines(cfg))
     (out / "nosignal.txt").write_text(provenance + report.to_text(), encoding="utf-8")
     _write_json(out / "nosignal.json", cfg, {"report": report.to_dict()})
     return 0 if report.passed() else 1
@@ -371,11 +374,12 @@ def _cmd_paradox(cfg: RunConfig, out: Path) -> int:
             },
         },
     )
-    _write_csv(
+    labels, times, places = zip(*trace.event_rows())
+    write_csv(
         out / "events.csv",
-        cfg,
-        ["label", "t", "x"],
-        ((label, repr(t), repr(x)) for label, t, x in trace.event_rows()),
+        _config_comment_lines(cfg),
+        ("label", "t", "x"),
+        (labels, map(repr, times), map(repr, places)),
     )
     return 0
 

@@ -14,7 +14,6 @@ statistics) is an exact finite-dimensional computation on that grid.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from .quantum import (
     StateVector,
     clamp_probabilities,
 )
+from .report import chunked, float_texts, write_csv
 
 PIPES = (1, 2)
 
@@ -221,18 +221,16 @@ def write_distributions_csv(
     coherent = coherent_distribution(cfg)
     incoherent = incoherent_distribution(cfg)
     eraser = eraser_conditionals(cfg)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        for line in header_comments:
-            handle.write(f"# {line}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["x", "p_coherent", "p_incoherent", "p_plus", "p_minus"])
-        for j, x in enumerate(cfg.bin_centers()):
-            writer.writerow(
-                [
-                    repr(float(x)),
-                    repr(float(coherent.probabilities[j])),
-                    repr(float(incoherent.probabilities[j])),
-                    repr(float(eraser.p_plus.probabilities[j])),
-                    repr(float(eraser.p_minus.probabilities[j])),
-                ]
-            )
+    values = (
+        cfg.bin_centers(),
+        coherent.probabilities,
+        incoherent.probabilities,
+        eraser.p_plus.probabilities,
+        eraser.p_minus.probabilities,
+    )
+    write_csv(
+        path,
+        header_comments,
+        ("x", "p_coherent", "p_incoherent", "p_plus", "p_minus"),
+        [chunked(column, float_texts) for column in values],
+    )

@@ -317,12 +317,18 @@ class TestSubcommands:
             (["simulate", "--M", "10", "--seed", "-1"], "seed must be in [0, 2**64)"),
             (["transmit", "--seed", str(2**64)], "seed must be in [0, 2**64)"),
             (["paradox", "--seed", "-1"], "seed must be in [0, 2**64)"),
+            # A line break would end the report's '# output_dir: ...' line.
+            (["simulate", "--M", "3", "--output-dir", "nl\ndir"], "output_dir must be a single line"),
+            (["simulate", "--M", "3", "--output-dir", "cr\rdir"], "output_dir must be a single line"),
         ],
     )
-    def test_out_of_domain_values_exit_2(self, tmp_path, capsys, argv, named):
+    def test_out_of_domain_values_exit_2(self, tmp_path, monkeypatch, capsys, argv, named):
+        # The output directory goes first, so a case may name its own; a
+        # relative one lands in tmp_path.
+        monkeypatch.chdir(tmp_path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+            assert main(["--output-dir", str(tmp_path)] + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err
