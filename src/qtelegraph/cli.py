@@ -258,18 +258,17 @@ class _FormatOnce(dict):
 def _write_hits_csv(path: Path, cfg: RunConfig, hits: SymbolHits) -> None:
     """hits.csv: one row per hit, columns telegraph_id, time and x.
 
-    Ids and x repeat, so each distinct id and each bin hit is formatted
-    once. Every x is a bin center, keyed by its bin (keying by value would
-    merge -0.0 with 0.0).
+    Ids and bins repeat, so each distinct id and each bin hit is formatted
+    once. Every x is the center of the hit's bin, keyed by the bin (keying
+    by value would merge -0.0 with 0.0).
     """
-    device = cfg.device
-    centers = device.bin_centers()
+    centers = cfg.device.bin_centers()
     id_texts = _FormatOnce(int.__repr__)
     x_texts = _FormatOnce(lambda b: float.__repr__(float(centers[b])))
     columns = (
         chunked(hits.telegraph_id, lambda ids: map(id_texts.__getitem__, ids.tolist())),
         chunked(hits.time, float_texts),
-        chunked(hits.x, lambda xs: map(x_texts.__getitem__, device.bin_index(xs).tolist())),
+        chunked(hits.bin, lambda bins: map(x_texts.__getitem__, bins.tolist())),
     )
     write_csv(path, _config_comment_lines(cfg), ("telegraph_id", "time", "x"), columns)
 

@@ -150,6 +150,24 @@ def _pipe_vectors(cfg: DeviceConfig) -> tuple[np.ndarray, np.ndarray]:
     return psi1 / norm, psi2 / norm
 
 
+def _pipe_sum(cfg: DeviceConfig, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
+    """psi_1 + psi_2, the amplitude of the interfering pipes.
+
+    Where 2 * kappa * bin_width is a multiple of 2 pi, psi_2 is psi_1 times
+    one phase on every bin, and at the phase that makes it -psi_1 the sum is
+    rounding noise. Normalizing that noise would give a confident but
+    meaningless coherent pattern, so it is refused by name.
+    """
+    summed = psi1 + psi2
+    weight = float((np.abs(summed) ** 2).sum())
+    if not weight > ATOL_LINALG:
+        raise QuantumStateError(
+            f"psi_1 + psi_2 cancels on the screen grid (squared norm {weight:.3g}) "
+            f"for kappa={cfg.kappa}, relative_phase={cfg.relative_phase}, bins={cfg.bins}"
+        )
+    return summed
+
+
 def joint_labels(cfg: DeviceConfig) -> tuple[tuple[int, int], ...]:
     """Pipe-major (pipe, bin) product basis of the two-photon state."""
     return tuple((pipe, j) for pipe in PIPES for j in range(cfg.bins))
@@ -168,8 +186,7 @@ def _distribution_from_weights(cfg: DeviceConfig, weights: np.ndarray) -> Screen
 
 def coherent_distribution(cfg: DeviceConfig) -> ScreenDistribution:
     """Screen statistics with the pipes interfering: p proportional to |psi_1 + psi_2|^2."""
-    psi1, psi2 = _pipe_vectors(cfg)
-    return _distribution_from_weights(cfg, np.abs(psi1 + psi2) ** 2)
+    return _distribution_from_weights(cfg, np.abs(_pipe_sum(cfg, *_pipe_vectors(cfg))) ** 2)
 
 
 def incoherent_distribution(cfg: DeviceConfig) -> ScreenDistribution:
@@ -198,7 +215,7 @@ def eraser_conditionals(cfg: DeviceConfig) -> EraserConditionals:
     amplitude (psi_1 ± psi_2)/2; the outcome probability is its squared norm.
     """
     psi1, psi2 = _pipe_vectors(cfg)
-    plus = 0.5 * (psi1 + psi2)
+    plus = 0.5 * _pipe_sum(cfg, psi1, psi2)
     minus = 0.5 * (psi1 - psi2)
     w_plus = float(np.linalg.norm(plus) ** 2)
     w_minus = float(np.linalg.norm(minus) ** 2)

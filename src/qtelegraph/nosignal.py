@@ -13,6 +13,16 @@ Three measures are reported for a given device model:
   channel under a uniform setting (the Jensen-Shannon divergence, in bits,
   of the two marginals).
 
+The joint state is the 2 x bins amplitude matrix A = [psi_1; psi_2] / sqrt(2):
+row k is the signal amplitude left by idler which-path outcome k. Every
+screen state here lies in the span of those two rows, so it is held as a
+2 x 2 matrix in the coordinates of an orthonormal basis Q of that span, from
+one QR factorization A^T = Q R (``screen_span``). Route (a) is then R R^H,
+route (b) the mixture of the normalized Q^H a_k weighted by |a_k|^2, and a
+trace distance is a 2 x 2 eigenproblem. Because Q is an isometry, each is
+exactly the bins x bins quantity of the dense ``quantum`` algebra, which the
+tests use as the reference; no bins-sized matrix is built here.
+
 Under unitary quantum mechanics all three vanish to float precision; under
 the naive collapse model all three are macroscopic. A Monte Carlo estimator
 of the decoded-symbol channel's mutual information is provided separately.
@@ -20,16 +30,17 @@ of the decoded-symbol channel's mutual information is provided separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 
 from .device import (
-    PIPES,
     DeviceConfig,
     _integer_at_least,
-    build_joint_state,
+    _pipe_sum,
+    _pipe_vectors,
     eraser_conditionals,
     incoherent_distribution,
 )
@@ -41,13 +52,11 @@ from .protocol import (
     transmit_message,
 )
 from .quantum import (
+    ATOL_LINALG,
     DensityMatrix,
-    StateVector,
-    density_from_state,
-    normalize,
-    partial_trace,
+    QuantumStateError,
+    _derived_density,
     trace_distance,
-    which_subsystem_basis,
 )
 
 DEFAULT_DISTANCE_TOLERANCE = 1e-10
@@ -110,34 +119,55 @@ def jensen_shannon_bits(p: np.ndarray, q: np.ndarray) -> float:
     return max(0.0, _entropy_bits(mid) - 0.5 * (_entropy_bits(p) + _entropy_bits(q)))
 
 
-def _pipe_amplitudes(joint: StateVector) -> dict[int, np.ndarray]:
-    """Signal amplitudes per idler which-path outcome, in screen-bin order."""
-    masks = which_subsystem_basis(PIPES, 0).outcome_masks(joint)
-    return {pipe: joint.amplitudes[mask] for pipe, mask in masks.items()}
+def screen_span(cfg: DeviceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The joint amplitude matrix A and the QR factors of its transpose.
+
+    Returns ``(A, Q, R)`` with A = [psi_1; psi_2] / sqrt(2) (2 x bins),
+    A^T = Q R, Q (bins x 2) an orthonormal basis of the span of the pipe
+    amplitudes and R upper triangular (2 x 2). A screen state held as the
+    2 x 2 matrix rho is the bins x bins matrix Q rho Q^H.
+    """
+    psi1, psi2 = _pipe_vectors(cfg)
+    amplitudes = np.stack([psi1, psi2]) / math.sqrt(2.0)
+    basis, triangle = np.linalg.qr(amplitudes.T)
+    # Orthonormality makes every 2 x 2 check and distance here equal to its
+    # bins x bins counterpart; it is proved once, not assumed.
+    residual = float(np.linalg.norm(basis.conj().T @ basis - np.eye(2)))
+    if not residual <= ATOL_LINALG:
+        raise QuantumStateError(f"span basis is not orthonormal within 1e-12 ({residual})")
+    return amplitudes, basis, triangle
 
 
 def reduced_screen_by_partial_trace(cfg: DeviceConfig) -> DensityMatrix:
-    """Route (a): trace the idler out of the untouched joint state."""
-    joint = density_from_state(build_joint_state(cfg))
-    return partial_trace(joint, dims=(2, cfg.bins), keep=1)
+    """Route (a): trace the idler out of the untouched joint state.
+
+    The reduced state A^T A* is Q (R R^H) Q^H, so in span coordinates it is
+    R R^H; Hermitian and positive semidefinite by construction.
+    """
+    _, _, triangle = screen_span(cfg)
+    reduced = triangle @ triangle.conj().T
+    # Symmetrized for an exactly Hermitian result; the report bits rely on it.
+    return _derived_density(0.5 * (reduced + reduced.conj().T))
 
 
 def reduced_screen_by_measurement_mixture(cfg: DeviceConfig) -> DensityMatrix:
     """Route (b): which-path-measure the idler, mix the collapsed signal
-    states P_k psi / |P_k psi| with weights |P_k psi|^2; checked once, in full."""
-    mixture = np.zeros((cfg.bins, cfg.bins), dtype=complex)
-    for amplitudes in _pipe_amplitudes(build_joint_state(cfg)).values():
-        norm = np.linalg.norm(amplitudes)
-        signal = amplitudes / float(norm)
-        mixture += float(norm**2) * np.outer(signal, signal.conj())
+    states s_k = Q^H a_k / |a_k| with weights |a_k|^2; checked once, in full."""
+    amplitudes, basis, _ = screen_span(cfg)
+    mixture = np.zeros((2, 2), dtype=complex)
+    for amplitude in amplitudes:
+        norm = float(np.linalg.norm(amplitude))
+        signal = basis.conj().T @ amplitude / norm
+        mixture += norm**2 * np.outer(signal, signal.conj())
     return DensityMatrix(mixture)
 
 
 def coherent_screen_state(cfg: DeviceConfig) -> DensityMatrix:
     """The pure superposition the collapse story credits to detectors-off."""
-    amplitudes = _pipe_amplitudes(build_joint_state(cfg))
-    summed = amplitudes[1] + amplitudes[2]
-    return density_from_state(normalize(StateVector(tuple(range(cfg.bins)), summed)))
+    _, basis, _ = screen_span(cfg)
+    summed = basis.conj().T @ _pipe_sum(cfg, *_pipe_vectors(cfg))
+    summed /= np.linalg.norm(summed)
+    return _derived_density(np.outer(summed, summed.conj()))
 
 
 def verify_no_signaling(

@@ -104,12 +104,13 @@ class TransmissionPlan:
 @dataclass(frozen=True)
 class SymbolHits:
     """One symbol's screen detections as columns: which telegraph, when,
-    where, and (with the detectors on, else None) which pipe the idler was
-    found in. Row j of every column is the j-th pooled emission."""
+    which screen bin (the hit's position is that bin's center), and (with
+    the detectors on, else None) which pipe the idler was found in. Row j of
+    every column is the j-th pooled emission."""
 
     telegraph_id: np.ndarray
     time: np.ndarray
-    x: np.ndarray
+    bin: np.ndarray
     idler: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -497,8 +498,7 @@ def transmit_message(
     bitgen = generator.bit_generator
     # The receiver's model is fixed by cfg: derive it once per message.
     table = log_ratio_table(cfg)
-    centers = cfg.bin_centers()
-    phasors = np.exp(2j * cfg.kappa * centers)
+    phasors = np.exp(2j * cfg.kappa * cfg.bin_centers())
     samplers = {d: _BinSampler(screen_marginal(cfg, d, mode).probabilities) for d in Detector}
     detectors_on = np.array(bits, dtype=bool)
 
@@ -528,9 +528,8 @@ def transmit_message(
         fringes.extend(np.abs(phasors[idx].mean(axis=1)).tolist())
         symbol_times.extend(block_times.tolist())
         if keep_hits:
-            xs = centers[idx]
             all_hits.extend(
-                SymbolHits(ids[row], times[row], xs[row], idlers[row] if on[row] else None)
+                SymbolHits(ids[row], times[row], idx[row], idlers[row] if on[row] else None)
                 for row in range(stop - start)
             )
         start = stop

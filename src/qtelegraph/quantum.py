@@ -2,7 +2,11 @@
 
 States live on an explicit ordered basis of hashable labels; for the
 telegraph the labels are ``(pipe, bin)`` pairs, pipe-major. Everything is
-dense complex double precision. The tolerance ladder is 1e-15 for algebraic
+dense complex double precision. The no-signaling verifier holds its screen
+states as 2 x 2 matrices on the span of the two pipe amplitudes and uses
+only ``DensityMatrix`` and ``trace_distance`` from here; the dense joint
+state, partial trace and labeled measurements are the bins x bins reference
+its tests compare against. The tolerance ladder is 1e-15 for algebraic
 identities, 1e-12 for composed linear algebra, and 1e-10 for eigenvalue
 checks. ``DensityMatrix(matrix)`` checks a matrix in full against it, so an
 invalid state fails loudly where it enters; what ``density_from_state`` and

@@ -258,6 +258,13 @@ class TestSubcommands:
         report = json.loads((tmp_path / "nosignal.json").read_text())
         assert report["report"]["verdict"] == "fail"
 
+    @pytest.mark.parametrize("mode, code", [("UnitaryQM", 0), ("NaiveCollapse", 1)])
+    def test_nosignal_check_at_the_stress_size(self, tmp_path, mode, code):
+        # 4096 bins: a dense joint matrix would be 8192^2 complex values.
+        assert main(["nosignal-check", "--mode", mode, "--bins", "4096", "--output-dir", str(tmp_path)]) == code
+        distance = json.loads((tmp_path / "nosignal.json").read_text())["report"]["trace_distance_reduced"]
+        assert distance < 1e-12 if code == 0 else distance > 0.3
+
     def test_paradox(self, tmp_path):
         code = main(
             [
@@ -320,6 +327,14 @@ class TestSubcommands:
             # A line break would end the report's '# output_dir: ...' line.
             (["simulate", "--M", "3", "--output-dir", "nl\ndir"], "output_dir must be a single line"),
             (["simulate", "--M", "3", "--output-dir", "cr\rdir"], "output_dir must be a single line"),
+            # 2 * kappa * bin_width = 2 pi at phase 0 makes psi_1 + psi_2 cancel,
+            # so the coherent pattern would be normalized rounding noise.
+            (
+                ["nosignal-check", "--mode", "NaiveCollapse", "--kappa", "40.21238596594935"],
+                "kappa=40.21238596594935, relative_phase=0.0, bins=256",
+            ),
+            (["distributions", "--kappa", "40.21238596594935"], "kappa=40.21238596594935"),
+            (["plan", "--kappa", "40.21238596594935"], "kappa=40.21238596594935"),
         ],
     )
     def test_out_of_domain_values_exit_2(self, tmp_path, monkeypatch, capsys, argv, named):
@@ -346,7 +361,10 @@ class TestSubcommands:
     # receiver was derived once per message; the others before derived
     # density matrices stopped being re-validated (the nosignal bytes were
     # the same at 1 and 2 BLAS threads); the last three before bins were
-    # drawn through a guide table and symbols decoded in blocks. A change
+    # drawn through a guide table and symbols decoded in blocks. The two
+    # nosignal digests were re-pinned when screen states moved to the 2 x 2
+    # span of the pipe amplitudes, which changes the last digits of
+    # trace_distance_reduced and nothing else. A change
     # that alters any report byte for a fixed (config, seed) fails here.
     # Each case is (test id, argv, digests); the ids of the earlier cases
     # keep the form they had when derived from the first three argv words.
@@ -406,16 +424,16 @@ class TestSubcommands:
             "nosignal-check---mode-UnitaryQM",
             ("nosignal-check", "--mode", "UnitaryQM", "--bins", "64", "--relative-phase", "0.7", "--seed", "3"),
             {
-                "nosignal.json": "838847de3adb436b1a27a0220e7c52f6d6d5d99327fef0686f8b38d028fbdf94",
-                "nosignal.txt": "2ff5895b36bdfd4a4f209cd8677c06ddf46fd506fa886b6ba5edebf433a8c737",
+                "nosignal.json": "aba81b6450551e5a18b604212ea4ad305434e9d47f85353367e59dd37b74a147",
+                "nosignal.txt": "93f6eaafe8ed0725b2c35826823b76a9851e9e85ffd7e2541e3dea3b949b5bbd",
             },
         ),
         (
             "nosignal-check---mode-NaiveCollapse",
             ("nosignal-check", "--mode", "NaiveCollapse", "--bins", "64", "--relative-phase", "0.7", "--seed", "3"),
             {
-                "nosignal.json": "b1ae29cacf4fa2a137831392c774a659e44a6dde06501c34130d2a39c2a23ac0",
-                "nosignal.txt": "ea4f9b640387aefc4a7225af4ce2b83caddd05a46a2ea14205e0c7bce57d7699",
+                "nosignal.json": "947c533d2503558a048cff509d165bab65fdb591677178a2c6ae94157f6f729f",
+                "nosignal.txt": "896a82b7be3a7a48de9ecaa504895b1c400cd9ab15c98347502c7cb5250f77ba",
             },
         ),
         (

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qtelegraph.device import (
+    PIPES,
     DeviceConfig,
     build_joint_state,
     coherent_distribution,
@@ -23,16 +24,54 @@ from qtelegraph.nosignal import (
     plugin_mutual_information,
     reduced_screen_by_measurement_mixture,
     reduced_screen_by_partial_trace,
+    screen_span,
     total_variation,
     verify_no_signaling,
 )
 from qtelegraph.protocol import Detector, ModelMode, TransmissionPlan, screen_marginal
-from qtelegraph.quantum import DensityMatrix, density_from_state, trace_distance
+from qtelegraph.quantum import (
+    DensityMatrix,
+    QuantumStateError,
+    StateVector,
+    clamp_probabilities,
+    density_from_state,
+    normalize,
+    partial_trace,
+    trace_distance,
+    which_subsystem_basis,
+)
 from qtelegraph.rng import stream
 
 from test_protocol import PINNED_M_STAR
 
 ENVELOPE_COMPLETE = DeviceConfig(x_max=8.0, bins=256)
+# 2 * kappa * bin_width = 2 pi: psi_2 is psi_1 times one phase on every bin.
+ALIASED_KAPPA = math.pi * 256 / 20
+
+
+def lifted(cfg, rho):
+    """A span-coordinate screen state as the bins x bins matrix Q rho Q^H."""
+    _, basis, _ = screen_span(cfg)
+    return basis @ rho.matrix @ basis.conj().T
+
+
+def dense_screen_states(cfg):
+    """The bins x bins reference: partial trace of the joint projector, the
+    which-path mixture of the joint state's masked amplitudes, and the
+    coherent projector (None where the pipe sum cancels to rounding noise),
+    all on the labeled (pipe, bin) basis."""
+    joint = build_joint_state(cfg)
+    partial = partial_trace(density_from_state(joint), dims=(2, cfg.bins), keep=1)
+    masks = which_subsystem_basis(PIPES, 0).outcome_masks(joint)
+    pipes = [joint.amplitudes[masks[pipe]] for pipe in PIPES]
+    mixture = np.zeros((cfg.bins, cfg.bins), dtype=complex)
+    for amplitudes in pipes:
+        norm = float(np.linalg.norm(amplitudes))
+        signal = amplitudes / norm
+        mixture += norm**2 * np.outer(signal, signal.conj())
+    summed = StateVector(tuple(range(cfg.bins)), pipes[0] + pipes[1])
+    coherent = density_from_state(normalize(summed)) if summed.norm() ** 2 > 1e-12 else None
+    return partial, DensityMatrix(mixture), coherent
 
 
 class TestDistanceHelpers:
@@ -114,13 +153,16 @@ class TestReducedStateRoutes:
         off = screen_marginal(cfg, Detector.OFF, ModelMode.UNITARY_QM).probabilities
         on = screen_marginal(cfg, Detector.ON, ModelMode.UNITARY_QM).probabilities
         assert np.abs(on - off).max() < 1e-15
-        mixture_diagonal = reduced_screen_by_measurement_mixture(cfg).diagonal_probabilities()
+        mixture = reduced_screen_by_measurement_mixture(cfg)
+        mixture_diagonal = DensityMatrix(lifted(cfg, mixture)).diagonal_probabilities()
         assert np.abs(off - mixture_diagonal).max() < 1e-12
 
     @pytest.mark.parametrize("mode", list(ModelMode))
     def test_verify_makes_two_screen_sized_eigen_solves(self, monkeypatch, mode):
         """Only the mixture's own check and the trace distance diagonalize;
-        the matrices derived from checked operands are not re-proved."""
+        the matrices derived from checked operands are not re-proved. Screen
+        states live in the 2 x 2 span coordinates, so no solve grows with the
+        grid, up to the 4096-bin stress size the dense algebra cannot hold."""
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -129,9 +171,11 @@ class TestReducedStateRoutes:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        verify_no_signaling(DeviceConfig(bins=64), mode)
-        assert 1 <= len(shapes) <= 2
-        assert all(shape == (64, 64) for shape in shapes)
+        for bins in (64, 4096):
+            shapes.clear()
+            verify_no_signaling(DeviceConfig(bins=bins), mode)
+            assert 1 <= len(shapes) <= 2
+            assert all(shape == (2, 2) for shape in shapes)
 
     @pytest.mark.parametrize("bins", [8, 64, 256])
     @pytest.mark.parametrize("x_max", [5.0, 8.0])
@@ -144,10 +188,61 @@ class TestReducedStateRoutes:
                 reduced_screen_by_partial_trace(cfg),
                 reduced_screen_by_measurement_mixture(cfg),
                 coherent_screen_state(cfg),
-                density_from_state(build_joint_state(cfg)),
             ):
                 assert not rho.matrix.flags.writeable
                 DensityMatrix(rho.matrix)
+                DensityMatrix(lifted(cfg, rho))
+            joint = density_from_state(build_joint_state(cfg))
+            assert not joint.matrix.flags.writeable
+            DensityMatrix(joint.matrix)
+
+
+class TestSpanAgainstDenseOracle:
+    """The 2 x 2 span route reproduces the dense bins x bins algebra."""
+
+    def test_span_basis_factors_the_amplitudes(self):
+        cfg = DeviceConfig(relative_phase=0.7)
+        amplitudes, basis, triangle = screen_span(cfg)
+        assert amplitudes.shape == (2, cfg.bins) and basis.shape == (cfg.bins, 2)
+        assert np.abs(basis.conj().T @ basis - np.eye(2)).max() < 1e-12
+        assert np.abs(basis @ triangle - amplitudes.T).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            DeviceConfig(bins=bins, x_max=x_max, relative_phase=phase)
+            for bins in (2, 3, 8, 32, 64, 256, 512)
+            for x_max in (5.0, 8.0)
+            for phase in (0.0, 0.7, 2.5)
+        ]
+        # Rank-1 grids, where psi_2 is psi_1 times one phase on every bin:
+        # bins=2 at phase 0 above (psi_2 = psi_1) and the aliased kappa.
+        + [DeviceConfig(kappa=ALIASED_KAPPA, relative_phase=0.7)],
+        ids=lambda cfg: f"bins{cfg.bins}-xmax{cfg.x_max}-phase{cfg.relative_phase}-kappa{cfg.kappa:.4g}",
+    )
+    def test_distances_and_diagonals_match_dense(self, cfg):
+        partial, mixture, coherent = dense_screen_states(cfg)
+        pairs = [
+            (reduced_screen_by_partial_trace(cfg), partial),
+            (reduced_screen_by_measurement_mixture(cfg), mixture),
+        ]
+        dense_distance = {ModelMode.UNITARY_QM: trace_distance(partial, mixture)}
+        if coherent is None:
+            # A bin width of pi / kappa puts every center on a zero of
+            # cos(kappa x): the coherent pattern does not exist on this grid.
+            with pytest.raises(QuantumStateError, match="cancels"):
+                verify_no_signaling(cfg, ModelMode.NAIVE_COLLAPSE)
+            with pytest.raises(QuantumStateError, match="cancels"):
+                coherent_screen_state(cfg)
+        else:
+            pairs.append((coherent_screen_state(cfg), coherent))
+            dense_distance[ModelMode.NAIVE_COLLAPSE] = trace_distance(coherent, mixture)
+        for mode, expected in dense_distance.items():
+            report = verify_no_signaling(cfg, mode)
+            assert abs(report.trace_distance_reduced - expected) <= 1e-12
+        for span_state, dense_state in pairs:
+            diagonal = clamp_probabilities(np.real(np.diag(lifted(cfg, span_state))))
+            assert np.abs(diagonal - dense_state.diagonal_probabilities()).max() <= 1e-12
 
 
 class TestMixtureIdentities:

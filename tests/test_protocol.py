@@ -116,7 +116,7 @@ class TestPlanAndRecords:
 
     def test_hit_record_validation(self):
         with pytest.raises(ValueError, match="time"):
-            SymbolHits(telegraph_id=np.array([0]), time=np.array([-1.0]), x=np.array([0.0]))
+            SymbolHits(telegraph_id=np.array([0]), time=np.array([-1.0]), bin=np.array([0]))
 
     def test_decision_result_consistency_enforced(self):
         assert DecisionResult(log_lr=1.0, fringe_statistic=0.0).decided == INTERFERENCE
@@ -622,12 +622,12 @@ class TestTransmitMessage:
             detectors = Detector.ON if bit == 1 else Detector.OFF
             symbol_rng = np.random.default_rng(int(seed))
             probabilities = screen_marginal(cfg, detectors, mode).probabilities
-            assert np.array_equal(hits.x, centers[clipped_search(probabilities, symbol_rng.random(m))])
+            assert np.array_equal(centers[hits.bin], centers[clipped_search(probabilities, symbol_rng.random(m))])
             if bit == 1:
                 assert np.array_equal(hits.idler, symbol_rng.integers(1, 3, size=m))
             else:
                 assert hits.idler is None
-            reference = decide_bit(hits.x, cfg)
+            reference = decide_bit(centers[hits.bin], cfg)
             assert decision.log_lr == reference.log_lr
             assert decision.fringe_statistic == reference.fringe_statistic
             assert symbol_time == float(hits.time[-1]) - clock

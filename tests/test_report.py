@@ -201,7 +201,7 @@ def reference_hits_csv(cfg) -> bytes:
     hits = result.hits[0]
     rows = [["telegraph_id", "time", "x"]] + [
         [int(i), repr(float(t)), repr(float(x))]
-        for i, t, x in zip(hits.telegraph_id, hits.time, hits.x)
+        for i, t, x in zip(hits.telegraph_id, hits.time, cfg.device.bin_centers()[hits.bin])
     ]
     comments = [f"{key}: {value}" for key, value in sorted(cfg.resolved().items())]
     return reference_csv(comments, rows)
