@@ -21,7 +21,6 @@ from .device import (
 )
 from .nosignal import (
     NoSignalReport,
-    channel_mutual_information,
     eraser_decomposition_check,
     jensen_shannon_bits,
     plugin_mutual_information,
@@ -45,7 +44,6 @@ from .protocol import (
     required_sample_size,
     sample_hits,
     screen_marginal,
-    throughput_check,
     transmit_message,
 )
 from .quantum import (
@@ -53,19 +51,15 @@ from .quantum import (
     MeasurementBasis,
     QuantumStateError,
     StateVector,
-    born_measure,
     born_probabilities,
     density_from_state,
     normalize,
     partial_trace,
     trace_distance,
-    which_subsystem_basis,
 )
 from .relativity import (
     AutomatonRule,
     Event,
-    FrameVelocity,
-    IDENTITY_RULE,
     NEGATION_RULE,
     ParadoxTrace,
     PrivilegedFrame,
@@ -89,8 +83,6 @@ __all__ = [
     "EnsembleSchedule",
     "EraserConditionals",
     "Event",
-    "FrameVelocity",
-    "IDENTITY_RULE",
     "INTERFERENCE",
     "MeasurementBasis",
     "ModelMode",
@@ -109,11 +101,9 @@ __all__ = [
     "TransmissionResult",
     "automaton_fixed_points",
     "boost",
-    "born_measure",
     "born_probabilities",
     "build_joint_state",
     "build_paradox",
-    "channel_mutual_information",
     "coherent_distribution",
     "decide_bit",
     "density_from_state",
@@ -133,11 +123,9 @@ __all__ = [
     "screen_marginal",
     "signal_reception",
     "stream",
-    "throughput_check",
     "total_variation",
     "trace_distance",
     "transmit_message",
     "verify_no_signaling",
-    "which_subsystem_basis",
     "write_distributions_csv",
 ]

@@ -113,10 +113,6 @@ class ScreenDistribution:
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "bin_centers", centers)
 
-    @property
-    def bins(self) -> int:
-        return self.probabilities.size
-
 
 def pipe_amplitude(cfg: DeviceConfig, pipe: int, x: np.ndarray | float) -> np.ndarray | complex:
     """Unnormalized screen amplitude psi_k(x) for pipe k in {1, 2}."""
@@ -125,7 +121,10 @@ def pipe_amplitude(cfg: DeviceConfig, pipe: int, x: np.ndarray | float) -> np.nd
     sign = 1.0 if pipe == 1 else -1.0
     delta = 0.0 if pipe == 1 else cfg.relative_phase
     xs = np.asarray(x, dtype=float)
-    envelope = np.exp(-(xs**2) / (4.0 * cfg.envelope_width**2))
+    # Squared as a numpy float it overflows to inf, which _pipe_vectors
+    # rejects by name, instead of raising; it rounds as float ** 2 does.
+    width_squared = np.float64(cfg.envelope_width) ** 2
+    envelope = np.exp(-(xs**2) / (4.0 * width_squared))
     value = envelope * np.exp(1j * (sign * cfg.kappa * xs + delta))
     if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
         return complex(value)
@@ -168,16 +167,13 @@ def _pipe_sum(cfg: DeviceConfig, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarr
     return summed
 
 
-def joint_labels(cfg: DeviceConfig) -> tuple[tuple[int, int], ...]:
-    """Pipe-major (pipe, bin) product basis of the two-photon state."""
-    return tuple((pipe, j) for pipe in PIPES for j in range(cfg.bins))
-
-
 def build_joint_state(cfg: DeviceConfig) -> StateVector:
-    """Entangled pair state (|1>|psi_1> + |2>|psi_2>) / sqrt(2) on the grid."""
+    """Entangled pair state (|1>|psi_1> + |2>|psi_2>) / sqrt(2) on the grid,
+    over the pipe-major (pipe, bin) product basis."""
     psi1, psi2 = _pipe_vectors(cfg)
     amplitudes = np.concatenate([psi1, psi2]) / math.sqrt(2.0)
-    return StateVector(joint_labels(cfg), amplitudes)
+    labels = tuple((pipe, j) for pipe in PIPES for j in range(cfg.bins))
+    return StateVector(labels, amplitudes)
 
 
 def _distribution_from_weights(cfg: DeviceConfig, weights: np.ndarray) -> ScreenDistribution:

@@ -24,8 +24,7 @@ exactly the bins x bins quantity of the dense ``quantum`` algebra, which the
 tests use as the reference; no bins-sized matrix is built here.
 
 Under unitary quantum mechanics all three vanish to float precision; under
-the naive collapse model all three are macroscopic. A Monte Carlo estimator
-of the decoded-symbol channel's mutual information is provided separately.
+the naive collapse model all three are macroscopic.
 """
 
 from __future__ import annotations
@@ -38,19 +37,12 @@ import numpy as np
 
 from .device import (
     DeviceConfig,
-    _integer_at_least,
     _pipe_sum,
     _pipe_vectors,
     eraser_conditionals,
     incoherent_distribution,
 )
-from .protocol import (
-    Detector,
-    ModelMode,
-    TransmissionPlan,
-    screen_marginal,
-    transmit_message,
-)
+from .protocol import Detector, ModelMode, screen_marginal
 from .quantum import (
     ATOL_LINALG,
     DensityMatrix,
@@ -59,26 +51,26 @@ from .quantum import (
     trace_distance,
 )
 
-DEFAULT_DISTANCE_TOLERANCE = 1e-10
-DEFAULT_MI_TOLERANCE = 0.01
+# The total variation and trace distances must be below DISTANCE_TOLERANCE,
+# the mutual information below MI_TOLERANCE bits.
+DISTANCE_TOLERANCE = 1e-10
+MI_TOLERANCE = 0.01
 
 
 @dataclass(frozen=True)
 class NoSignalReport:
-    """Verdict plus the three measures and the thresholds they were held to."""
+    """Verdict plus the three measures; the report states the thresholds."""
 
     mode: ModelMode
     tv_distance: float
     trace_distance_reduced: float
     mutual_information_bits: float
-    distance_tolerance: float
-    mi_tolerance: float
 
     def passed(self) -> bool:
         return (
-            self.tv_distance < self.distance_tolerance
-            and self.trace_distance_reduced < self.distance_tolerance
-            and self.mutual_information_bits < self.mi_tolerance
+            self.tv_distance < DISTANCE_TOLERANCE
+            and self.trace_distance_reduced < DISTANCE_TOLERANCE
+            and self.mutual_information_bits < MI_TOLERANCE
         )
 
     @property
@@ -91,8 +83,8 @@ class NoSignalReport:
             "tv_distance": self.tv_distance,
             "trace_distance_reduced": self.trace_distance_reduced,
             "mutual_information_bits": self.mutual_information_bits,
-            "distance_tolerance": self.distance_tolerance,
-            "mi_tolerance": self.mi_tolerance,
+            "distance_tolerance": DISTANCE_TOLERANCE,
+            "mi_tolerance": MI_TOLERANCE,
             "verdict": self.verdict,
         }
 
@@ -170,22 +162,8 @@ def coherent_screen_state(cfg: DeviceConfig) -> DensityMatrix:
     return _derived_density(np.outer(summed, summed.conj()))
 
 
-def verify_no_signaling(
-    cfg: DeviceConfig,
-    mode: ModelMode,
-    distance_tolerance: float = DEFAULT_DISTANCE_TOLERANCE,
-    mi_tolerance: float = DEFAULT_MI_TOLERANCE,
-) -> NoSignalReport:
-    """Compare the receiving end's statistics across the two detector settings.
-
-    ``distance_tolerance`` bounds the total variation and trace distances,
-    ``mi_tolerance`` (bits) the mutual information; each is set on its own.
-    """
-    if not distance_tolerance > 0:
-        raise ValueError(f"distance_tolerance must be > 0 (got {distance_tolerance})")
-    if not mi_tolerance > 0:
-        raise ValueError(f"mi_tolerance must be > 0 (got {mi_tolerance})")
-
+def verify_no_signaling(cfg: DeviceConfig, mode: ModelMode) -> NoSignalReport:
+    """Compare the receiving end's statistics across the two detector settings."""
     p_off = screen_marginal(cfg, Detector.OFF, mode)
     p_on = screen_marginal(cfg, Detector.ON, mode)
     tv = total_variation(p_on.probabilities, p_off.probabilities)
@@ -203,8 +181,6 @@ def verify_no_signaling(
         tv_distance=tv,
         trace_distance_reduced=td,
         mutual_information_bits=mi,
-        distance_tolerance=distance_tolerance,
-        mi_tolerance=mi_tolerance,
     )
 
 
@@ -249,21 +225,3 @@ def plugin_mutual_information(
         info += p_xy * np.log2(p_xy * total * total / (left[x] * right[y]))
     return max(0.0, float(info))
 
-
-def channel_mutual_information(
-    mode: ModelMode,
-    plan: TransmissionPlan,
-    symbols: int,
-    cfg: DeviceConfig,
-    rng: np.random.Generator,
-) -> float:
-    """Bits per symbol carried by the telegraph, estimated by simulation.
-
-    Transmits ``symbols`` uniform random bits and returns the plug-in mutual
-    information of the (sent, decoded) empirical joint. A single symbol gives
-    0 exactly (the one-sample plug-in estimate is degenerate).
-    """
-    symbols = _integer_at_least("symbols", symbols, 1)
-    bits = rng.integers(0, 2, size=symbols)
-    result = transmit_message(list(bits), plan, mode, cfg, rng)
-    return plugin_mutual_information(result.sent, result.received)

@@ -544,16 +544,3 @@ def transmit_message(
         hits=tuple(all_hits) if keep_hits else None,
     )
 
-
-def throughput_check(
-    plan: TransmissionPlan, rng: np.random.Generator, symbols: int = 32
-) -> float:
-    """Mean time to pool M hits across the staggered ensemble.
-
-    Timing only; no screen sampling. The contract is agreement with M*T/N
-    within 15% for M >= 1000.
-    """
-    symbols = _integer_at_least("symbols", symbols, 1)
-    schedule = ensemble_schedule(plan.N, plan.T, rng)
-    windows = _symbol_windows(schedule, plan.M, symbols)
-    return float(np.mean(np.concatenate([t for _, _, t in windows])))

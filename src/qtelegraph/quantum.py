@@ -5,23 +5,22 @@ telegraph the labels are ``(pipe, bin)`` pairs, pipe-major. Everything is
 dense complex double precision. The no-signaling verifier holds its screen
 states as 2 x 2 matrices on the span of the two pipe amplitudes and uses
 only ``DensityMatrix`` and ``trace_distance`` from here; the dense joint
-state, partial trace and labeled measurements are the bins x bins reference
-its tests compare against. The tolerance ladder is 1e-15 for algebraic
-identities, 1e-12 for composed linear algebra, and 1e-10 for eigenvalue
-checks. ``DensityMatrix(matrix)`` checks a matrix in full against it, so an
-invalid state fails loudly where it enters; what ``density_from_state`` and
-``partial_trace`` derive from checked operands is Hermitian and positive
-semidefinite by construction, so only its trace is re-checked.
+state, partial trace and Born probabilities are the bins x bins reference
+its tests compare against. The tolerance ladder is 1e-12 for composed linear
+algebra and 1e-10 for eigenvalue checks. ``DensityMatrix(matrix)`` checks a
+matrix in full against it, so an invalid state fails loudly where it enters;
+what ``density_from_state`` and ``partial_trace`` derive from checked
+operands is Hermitian and positive semidefinite by construction, so only its
+trace is re-checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable
 
 import numpy as np
 
-ATOL_ALGEBRA = 1e-15
 ATOL_LINALG = 1e-12
 ATOL_EIG = 1e-10
 
@@ -116,17 +115,17 @@ def _derived_density(mat: np.ndarray) -> DensityMatrix:
     return _set_unit_trace_matrix(object.__new__(DensityMatrix), mat)
 
 
-def clamp_probabilities(values: np.ndarray, floor: float = -ATOL_EIG) -> np.ndarray:
+def clamp_probabilities(values: np.ndarray) -> np.ndarray:
     """Zero out numerical-noise negatives and renormalize to unit sum.
 
-    Entries below ``floor`` are genuine errors, not noise, and raise.
+    Entries below -1e-10 are genuine errors, not noise, and raise.
     """
     arr = np.asarray(values, dtype=float)
     if not np.isfinite(arr).all():
         raise QuantumStateError("probabilities must be finite")
     smallest = float(arr.min()) if arr.size else 0.0
-    if smallest < floor:
-        raise QuantumStateError(f"probability {smallest} below clamp floor {floor}")
+    if smallest < -ATOL_EIG:
+        raise QuantumStateError(f"probability {smallest} below clamp floor {-ATOL_EIG}")
     clipped = np.clip(arr, 0.0, None)
     total = clipped.sum()
     if total <= 0.0:
@@ -218,13 +217,6 @@ class MeasurementBasis:
         return masks
 
 
-def which_subsystem_basis(values: Sequence[Hashable], subsystem: int) -> MeasurementBasis:
-    """One projector per distinct subsystem value (a 'which path' readout)."""
-    return MeasurementBasis(
-        outcomes=tuple((v, frozenset([v])) for v in values), subsystem=subsystem
-    )
-
-
 def born_probabilities(state: StateVector, basis: MeasurementBasis) -> dict[Hashable, float]:
     """Outcome probabilities |P_k psi|^2 for a normalized state."""
     if abs(state.norm() - 1.0) > ATOL_LINALG:
@@ -234,24 +226,6 @@ def born_probabilities(state: StateVector, basis: MeasurementBasis) -> dict[Hash
         name: float(weights[mask].sum())
         for name, mask in basis.outcome_masks(state).items()
     }
-
-
-def born_measure(
-    state: StateVector, basis: MeasurementBasis, rng: np.random.Generator
-) -> tuple[Hashable, StateVector]:
-    """Sample one outcome with Born probabilities and collapse the state.
-
-    Probability-zero outcomes are never sampled; the collapsed state is the
-    renormalized projection onto the sampled outcome's subspace.
-    """
-    masks = basis.outcome_masks(state)
-    names = list(masks.keys())
-    probs = born_probabilities(state, basis)
-    p = clamp_probabilities(np.array([probs[n] for n in names]))
-    outcome = names[int(rng.choice(len(names), p=p))]
-    projected = np.where(masks[outcome], state.amplitudes, 0.0)
-    collapsed = normalize(StateVector(state.labels, projected))
-    return outcome, collapsed
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -33,19 +33,9 @@ class Event:
             raise ValueError(f"event coordinates must be finite (got t={self.t}, x={self.x})")
 
 
-@dataclass(frozen=True)
-class FrameVelocity:
-    """Inertial frame velocity beta with |beta| < 1 strictly."""
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not abs(self.beta) < 1.0:
-            raise ValueError(f"|beta| must be < 1 (got {self.beta})")
-
-
-def _as_beta(frame: FrameVelocity | float) -> float:
-    beta = frame.beta if isinstance(frame, FrameVelocity) else float(frame)
+def _as_beta(frame: float) -> float:
+    """An inertial frame velocity beta, which must satisfy |beta| < 1 strictly."""
+    beta = float(frame)
     if not abs(beta) < 1.0:
         raise ValueError(f"|beta| must be < 1 (got {beta})")
     return beta
@@ -74,7 +64,7 @@ class StateDependentFrames:
 FrameStrategy = PrivilegedFrame | StateDependentFrames
 
 
-def boost(event: Event, frame: FrameVelocity | float) -> Event:
+def boost(event: Event, frame: float) -> Event:
     """Lorentz boost: t' = gamma (t - beta x), x' = gamma (x - beta t)."""
     beta = _as_beta(frame)
     gamma = 1.0 / math.sqrt(1.0 - beta * beta)
@@ -91,7 +81,7 @@ def interval(e1: Event, e2: Event) -> float:
     return dt * dt - dx * dx
 
 
-def signal_reception(emission: Event, x_rec: float, frame: FrameVelocity | float) -> Event:
+def signal_reception(emission: Event, x_rec: float, frame: float) -> Event:
     """Reception event of an instantaneous signal, simultaneous in ``frame``.
 
     Simultaneity in a frame of velocity beta means dt = beta * dx in the lab.
@@ -209,7 +199,6 @@ class AutomatonRule:
 
 
 NEGATION_RULE = AutomatonRule({M1: M2, M2: M1})
-IDENTITY_RULE = AutomatonRule({M1: M1, M2: M2})
 
 
 def automaton_fixed_points(rule: AutomatonRule) -> set:

@@ -1,17 +1,23 @@
 """Tests for config parsing and the CLI subcommands."""
 
+import contextlib
 import csv
+import functools
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qtelegraph
 from qtelegraph.cli import (
@@ -25,7 +31,8 @@ from qtelegraph.cli import (
     resolve_config,
     run_command,
 )
-from qtelegraph.protocol import Detector, ModelMode
+from qtelegraph import cli
+from qtelegraph.protocol import Detector, ModelMode, required_sample_size
 
 
 def read_csv_body(path):
@@ -335,6 +342,8 @@ class TestSubcommands:
             ),
             (["distributions", "--kappa", "40.21238596594935"], "kappa=40.21238596594935"),
             (["plan", "--kappa", "40.21238596594935"], "kappa=40.21238596594935"),
+            # The envelope width's square overflows: inf, not an OverflowError.
+            (["distributions", "--envelope-width", "1e160"], "envelope_width=1e+160"),
         ],
     )
     def test_out_of_domain_values_exit_2(self, tmp_path, monkeypatch, capsys, argv, named):
@@ -349,6 +358,39 @@ class TestSubcommands:
         assert "Traceback" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not list(tmp_path.iterdir())
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        command=st.sampled_from(["distributions", "nosignal-check", "plan"]),
+        geometry=st.fixed_dictionaries(
+            {
+                key: st.floats(allow_nan=False, allow_infinity=False)
+                for key in ("kappa", "envelope_width", "x_max", "relative_phase")
+            }
+        ),
+    )
+    @example(
+        command="distributions",
+        geometry={"kappa": math.pi, "envelope_width": 1e160, "x_max": 5.0, "relative_phase": 0.0},
+    )
+    def test_any_finite_geometry_exits_cleanly(self, command, geometry):
+        """Every finite device geometry gives a verdict or a named error:
+        exit 0, 1 or 2, no traceback, and no non-finite number in a report.
+        The planner's Monte Carlo budget is cut: nearly equal patterns, as at
+        kappa = x_max = envelope_width = 0.5, need M = 16303 and about 100 s."""
+        # A negative number in exponent form needs the '--key=value' spelling.
+        argv = [command, "--bins", "64"] + [f"{flag(k)}={v!r}" for k, v in geometry.items()]
+        planner = functools.partial(required_sample_size, trials=200, m_cap=64)
+        with tempfile.TemporaryDirectory() as out, mock.patch.object(
+            cli, "required_sample_size", planner
+        ):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv + ["--output-dir", out])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            for report in Path(out).iterdir():
+                text = report.read_text()
+                assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), report.name
 
     def test_json_reports_refuse_non_finite_numbers(self, tmp_path):
         path = tmp_path / "report.json"
@@ -554,3 +596,10 @@ class TestSubcommands:
         assert result.returncode == 0
         payload = json.loads((tmp_path / "paradox.json").read_text())
         assert payload["trace"]["loop_advance"] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_public_names_resolve_once_in_sorted_order():
+    names = qtelegraph.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(qtelegraph, name)] == []

@@ -1,4 +1,4 @@
-"""Tests for the no-signaling verifier and the channel-information estimator."""
+"""Tests for the no-signaling verifier and the channel-information estimate."""
 
 import math
 
@@ -15,8 +15,9 @@ from qtelegraph.device import (
     pipe_amplitude,
 )
 from qtelegraph.nosignal import (
+    DISTANCE_TOLERANCE,
+    MI_TOLERANCE,
     NoSignalReport,
-    channel_mutual_information,
     coherent_screen_state,
     eraser_decomposition_check,
     jensen_shannon_bits,
@@ -28,9 +29,16 @@ from qtelegraph.nosignal import (
     total_variation,
     verify_no_signaling,
 )
-from qtelegraph.protocol import Detector, ModelMode, TransmissionPlan, screen_marginal
+from qtelegraph.protocol import (
+    Detector,
+    ModelMode,
+    TransmissionPlan,
+    screen_marginal,
+    transmit_message,
+)
 from qtelegraph.quantum import (
     DensityMatrix,
+    MeasurementBasis,
     QuantumStateError,
     StateVector,
     clamp_probabilities,
@@ -38,7 +46,6 @@ from qtelegraph.quantum import (
     normalize,
     partial_trace,
     trace_distance,
-    which_subsystem_basis,
 )
 from qtelegraph.rng import stream
 
@@ -62,7 +69,8 @@ def dense_screen_states(cfg):
     all on the labeled (pipe, bin) basis."""
     joint = build_joint_state(cfg)
     partial = partial_trace(density_from_state(joint), dims=(2, cfg.bins), keep=1)
-    masks = which_subsystem_basis(PIPES, 0).outcome_masks(joint)
+    which_path = MeasurementBasis(tuple((pipe, {pipe}) for pipe in PIPES), subsystem=0)
+    masks = which_path.outcome_masks(joint)
     pipes = [joint.amplitudes[masks[pipe]] for pipe in PIPES]
     mixture = np.zeros((cfg.bins, cfg.bins), dtype=complex)
     for amplitudes in pipes:
@@ -104,25 +112,14 @@ class TestVerifyNoSignaling:
         assert report.mutual_information_bits > 0.01
         assert report.verdict == "fail"
 
-    def test_vacuous_tolerance_passes_every_mode(self):
-        for mode in ModelMode:
-            report = verify_no_signaling(
-                DeviceConfig(), mode, distance_tolerance=1.0, mi_tolerance=1.0
-            )
-            assert report.verdict == "pass"
-
-    def test_invalid_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            verify_no_signaling(DeviceConfig(), ModelMode.UNITARY_QM, distance_tolerance=0.0)
-        with pytest.raises(ValueError, match="mi_tolerance"):
-            verify_no_signaling(DeviceConfig(), ModelMode.UNITARY_QM, mi_tolerance=0.0)
-
     def test_report_serialization_round_trip(self):
         report = verify_no_signaling(DeviceConfig(), ModelMode.UNITARY_QM)
         text = report.to_text()
         assert "verdict: pass" in text
         assert "tv_distance" in text
         assert report.to_dict()["mode"] == "UnitaryQM"
+        assert report.to_dict()["distance_tolerance"] == DISTANCE_TOLERANCE == 1e-10
+        assert report.to_dict()["mi_tolerance"] == MI_TOLERANCE == 0.01
 
     def test_report_verdict_consistency_enforced(self):
         report = NoSignalReport(
@@ -130,12 +127,32 @@ class TestVerifyNoSignaling:
             tv_distance=0.5,
             trace_distance_reduced=0.0,
             mutual_information_bits=0.0,
-            distance_tolerance=1e-10,
-            mi_tolerance=0.01,
         )
         assert report.verdict == "fail"
         assert not report.passed()
         assert report.to_dict()["verdict"] == "fail"
+
+    @pytest.mark.parametrize(
+        "measure, tolerance",
+        [
+            ("tv_distance", DISTANCE_TOLERANCE),
+            ("trace_distance_reduced", DISTANCE_TOLERANCE),
+            ("mutual_information_bits", MI_TOLERANCE),
+        ],
+    )
+    def test_measure_at_its_tolerance_fails(self, measure, tolerance):
+        values = dict(tv_distance=0.0, trace_distance_reduced=0.0, mutual_information_bits=0.0)
+        values[measure] = tolerance
+        assert NoSignalReport(mode=ModelMode.UNITARY_QM, **values).verdict == "fail"
+
+    def test_measures_just_under_their_tolerances_pass(self):
+        report = NoSignalReport(
+            mode=ModelMode.UNITARY_QM,
+            tv_distance=math.nextafter(DISTANCE_TOLERANCE, 0.0),
+            trace_distance_reduced=math.nextafter(DISTANCE_TOLERANCE, 0.0),
+            mutual_information_bits=math.nextafter(MI_TOLERANCE, 0.0),
+        )
+        assert report.verdict == "pass"
 
 
 class TestReducedStateRoutes:
@@ -314,50 +331,59 @@ class TestPluginMutualInformation:
         with pytest.raises(ValueError, match="length"):
             plugin_mutual_information([0, 1], [0])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            plugin_mutual_information([], [])
+
+    def test_symmetric_in_its_arguments(self):
+        rng = np.random.default_rng(8)
+        xs = rng.integers(0, 3, size=200).tolist()
+        ys = [(x + int(flip)) % 3 for x, flip in zip(xs, rng.random(200) < 0.3)]
+        assert plugin_mutual_information(xs, ys) == pytest.approx(
+            plugin_mutual_information(ys, xs), abs=1e-12
+        )
+
+    def test_numpy_labels_match_python_labels(self):
+        xs = [0, 1, 1, 0, 1, 0, 0]
+        ys = [0, 1, 0, 0, 1, 1, 0]
+        assert plugin_mutual_information(np.array(xs), np.array(ys)) == (
+            plugin_mutual_information(xs, ys)
+        )
+
 
 class TestChannelMutualInformation:
-    def test_zero_symbols_rejected(self):
-        with pytest.raises(ValueError, match="symbols"):
-            channel_mutual_information(
-                ModelMode.UNITARY_QM, TransmissionPlan(), 0, DeviceConfig(), stream(0, "mi")
-            )
+    """Bits per symbol the telegraph carries: the plug-in mutual information
+    of the (sent, decoded) pairs of a message of uniform random bits."""
 
-    @pytest.mark.parametrize("symbols", [2.5, True, -1])
-    def test_symbols_must_be_a_positive_integer(self, symbols):
-        with pytest.raises(ValueError, match=r"^symbols must be an integer >= 1"):
-            channel_mutual_information(
-                ModelMode.UNITARY_QM, TransmissionPlan(M=5), symbols, DeviceConfig(), stream(0, "mi")
-            )
+    @staticmethod
+    def channel_bits(mode, plan, symbols, rng):
+        bits = rng.integers(0, 2, size=symbols)
+        result = transmit_message(list(bits), plan, mode, DeviceConfig(), rng)
+        return plugin_mutual_information(result.sent, result.received)
+
+    def test_zero_symbols_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            self.channel_bits(ModelMode.UNITARY_QM, TransmissionPlan(), 0, stream(0, "mi"))
 
     def test_numpy_integer_symbols_accepted(self):
-        mi = channel_mutual_information(
-            ModelMode.NAIVE_COLLAPSE, TransmissionPlan(M=5), np.int64(3), DeviceConfig(), stream(0, "mi")
+        mi = self.channel_bits(
+            ModelMode.NAIVE_COLLAPSE, TransmissionPlan(M=5), np.int64(3), stream(0, "mi")
         )
         assert mi >= 0.0
 
     def test_single_symbol_is_exactly_zero(self):
-        mi = channel_mutual_information(
-            ModelMode.UNITARY_QM,
-            TransmissionPlan(M=5),
-            1,
-            DeviceConfig(),
-            stream(1, "mi"),
-        )
+        mi = self.channel_bits(ModelMode.UNITARY_QM, TransmissionPlan(M=5), 1, stream(1, "mi"))
         assert mi == 0.0
 
     def test_naive_collapse_carries_most_of_a_bit(self):
         # Binary channel with crossover <= 0.02 has capacity >= 0.857 bits.
         plan = TransmissionPlan(M=PINNED_M_STAR, T=1.0, N=4)
-        mi = channel_mutual_information(
-            ModelMode.NAIVE_COLLAPSE, plan, 10_000, DeviceConfig(), stream(2, "mi")
-        )
+        mi = self.channel_bits(ModelMode.NAIVE_COLLAPSE, plan, 10_000, stream(2, "mi"))
         assert mi >= 0.85
 
     def test_unitary_channel_carries_nothing(self):
         plan = TransmissionPlan(M=PINNED_M_STAR, T=1.0, N=4)
-        mi = channel_mutual_information(
-            ModelMode.UNITARY_QM, plan, 600, DeviceConfig(), stream(3, "mi")
-        )
+        mi = self.channel_bits(ModelMode.UNITARY_QM, plan, 600, stream(3, "mi"))
         assert mi <= 0.05
 
     def test_naive_information_non_decreasing_in_m(self):
@@ -367,9 +393,7 @@ class TestChannelMutualInformation:
         for index, m in enumerate((1, 10, PINNED_M_STAR)):
             plan = TransmissionPlan(M=m, T=1.0, N=2)
             mis.append(
-                channel_mutual_information(
-                    ModelMode.NAIVE_COLLAPSE, plan, 2500, DeviceConfig(), stream(4, "mi", index)
-                )
+                self.channel_bits(ModelMode.NAIVE_COLLAPSE, plan, 2500, stream(4, "mi", index))
             )
         slack = 0.05
         assert mis[0] <= mis[1] + slack

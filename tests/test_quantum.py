@@ -8,14 +8,12 @@ from qtelegraph.quantum import (
     MeasurementBasis,
     QuantumStateError,
     StateVector,
-    born_measure,
     born_probabilities,
     clamp_probabilities,
     density_from_state,
     normalize,
     partial_trace,
     trace_distance,
-    which_subsystem_basis,
 )
 
 
@@ -172,13 +170,37 @@ class TestMeasurement:
         with pytest.raises(QuantumStateError, match="disjoint"):
             MeasurementBasis(outcomes=(("a", frozenset([0])), ("b", frozenset([0, 1]))))
 
+    def test_empty_basis_rejected(self):
+        with pytest.raises(QuantumStateError, match="at least one outcome"):
+            MeasurementBasis(outcomes=())
+
+    def test_duplicate_outcome_names_rejected(self):
+        with pytest.raises(QuantumStateError, match="unique"):
+            MeasurementBasis(outcomes=(("a", frozenset([0])), ("a", frozenset([1]))))
+
+    def test_unnormalized_state_rejected(self):
+        basis = MeasurementBasis(outcomes=((0, frozenset([0])), (1, frozenset([1]))))
+        with pytest.raises(QuantumStateError, match="normalized"):
+            born_probabilities(plain_state(1.0, 1.0), basis)
+
+    def test_grouped_outcome_sums_its_weights(self):
+        rng = np.random.default_rng(9)
+        state = random_state(rng, 4)
+        basis = MeasurementBasis(
+            outcomes=(("a", frozenset([0, 1])), ("b", frozenset([2, 3])))
+        )
+        weights = np.abs(state.amplitudes) ** 2
+        probs = born_probabilities(state, basis)
+        assert probs["a"] == pytest.approx(weights[:2].sum(), abs=1e-15)
+        assert probs["b"] == pytest.approx(weights[2:].sum(), abs=1e-15)
+
     def test_non_covering_basis_errors_at_use(self):
         basis = MeasurementBasis(outcomes=(("only", frozenset([0])),))
         with pytest.raises(QuantumStateError, match="cover"):
             born_probabilities(plain_state(1.0, 0.0), basis)
 
     def test_own_basis_state_is_certain(self):
-        basis = which_subsystem_basis([0, 1], subsystem=None)
+        basis = MeasurementBasis(outcomes=((0, frozenset([0])), (1, frozenset([1]))))
         probs = born_probabilities(plain_state(1.0, 0.0), basis)
         assert probs[0] == pytest.approx(1.0, abs=1e-15)
         assert probs[1] == pytest.approx(0.0, abs=1e-15)
@@ -192,41 +214,12 @@ class TestMeasurement:
             probs = born_probabilities(random_state(rng, 5), basis)
             assert abs(sum(probs.values()) - 1.0) < 1e-12
 
-    def test_sampled_frequency_matches_born_rule(self):
-        """10^4 draws from (e0+e1)/sqrt(2): outcome-0 frequency in 0.5 +- 0.015
-        (three binomial sigmas)."""
-        rng = np.random.default_rng(2024)
-        state = plain_state(1 / np.sqrt(2), 1 / np.sqrt(2))
-        basis = which_subsystem_basis([0, 1], subsystem=None)
-        draws = 10_000
-        zeros = sum(1 for _ in range(draws) if born_measure(state, basis, rng)[0] == 0)
-        assert abs(zeros / draws - 0.5) < 0.015
-
-    def test_zero_probability_outcome_never_sampled(self):
-        rng = np.random.default_rng(3)
-        state = plain_state(1.0, 0.0)
-        basis = which_subsystem_basis([0, 1], subsystem=None)
-        for _ in range(500):
-            outcome, collapsed = born_measure(state, basis, rng)
-            assert outcome == 0
-            assert abs(collapsed.norm() - 1.0) < 1e-12
-
-    def test_collapse_restricts_to_outcome_subspace(self):
-        rng = np.random.default_rng(9)
-        state = random_state(rng, 4)
-        basis = MeasurementBasis(
-            outcomes=(("a", frozenset([0, 1])), ("b", frozenset([2, 3])))
-        )
-        outcome, collapsed = born_measure(state, basis, rng)
-        keep = {"a": (0, 1), "b": (2, 3)}[outcome]
-        for i in range(4):
-            if i not in keep:
-                assert collapsed.amplitudes[i] == 0
-
     def test_subsystem_measurement_on_product_labels(self):
         labels = ((1, 0), (1, 1), (2, 0), (2, 1))
         state = StateVector(labels, np.array([0.5, 0.5, 0.5, 0.5]))
-        basis = which_subsystem_basis([1, 2], subsystem=0)
+        basis = MeasurementBasis(
+            outcomes=((1, frozenset([1])), (2, frozenset([2]))), subsystem=0
+        )
         probs = born_probabilities(state, basis)
         assert probs[1] == pytest.approx(0.5, abs=1e-12)
         assert probs[2] == pytest.approx(0.5, abs=1e-12)

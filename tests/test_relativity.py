@@ -8,8 +8,6 @@ import pytest
 from qtelegraph.relativity import (
     AutomatonRule,
     Event,
-    FrameVelocity,
-    IDENTITY_RULE,
     M1,
     M2,
     NEGATION_RULE,
@@ -31,7 +29,16 @@ class TestEventAndFrame:
 
     def test_luminal_frame_rejected(self):
         with pytest.raises(ValueError, match="beta"):
-            FrameVelocity(1.0)
+            boost(Event(0.0, 0.0), 1.0)
+
+    def test_nan_velocity_rejected(self):
+        with pytest.raises(ValueError, match="beta"):
+            signal_reception(Event(0.0, 0.0), 1.0, float("nan"))
+
+    @pytest.mark.parametrize("strategy", [PrivilegedFrame, StateDependentFrames])
+    def test_frame_strategies_reject_luminal_velocity(self, strategy):
+        with pytest.raises(ValueError, match="beta"):
+            strategy(-1.0)
 
 
 class TestBoost:
@@ -187,7 +194,7 @@ class TestAutomaton:
         assert automaton_fixed_points(NEGATION_RULE) == set()
 
     def test_identity_rule_fixes_everything(self):
-        assert automaton_fixed_points(IDENTITY_RULE) == {M1, M2}
+        assert automaton_fixed_points(AutomatonRule({M1: M1, M2: M2})) == {M1, M2}
 
     def test_constant_rule(self):
         rule = AutomatonRule({M1: M1, M2: M1})
