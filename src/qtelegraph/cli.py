@@ -294,7 +294,7 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_plan(cfg: RunConfig, out: Path) -> int:
-    result = required_sample_size(cfg.device, cfg.alpha, stream(cfg.seed, "plan"))
+    result = required_sample_size(cfg.device, cfg.alpha)
     _write_json(
         out / "plan.json",
         cfg,
@@ -302,7 +302,6 @@ def _cmd_plan(cfg: RunConfig, out: Path) -> int:
             "m_star": result.m_star,
             "feasible": result.feasible,
             "alpha": result.alpha,
-            "trials": result.trials,
             "error_interference": result.error_interference,
             "error_no_interference": result.error_no_interference,
             "failure_reason": result.failure_reason,

@@ -12,8 +12,11 @@ is kept as a secondary diagnostic. Two device models are available:
   the detectors do, so the telegraph carries nothing.
 
 A sample-size planner searches for the smallest M meeting a target error
-probability by Monte Carlo, and the staggered N-telegraph ensemble schedule
-realizes the M*T/N symbol time of the many-telegraph construction. The
+probability. It brackets both exact error probabilities of the M-sample
+receiver from the M-fold convolution power of the LLR table's law, taken on
+a lattice by FFT, so it draws nothing and needs no seed. The staggered
+N-telegraph ensemble schedule realizes the M*T/N symbol time of the
+many-telegraph construction. The
 ensemble's pooled emission stream repeats every period, so it is addressed by
 index: symbol s pools emissions s*M to (s+1)*M - 1, at O(M) cost per symbol
 whatever N is.
@@ -52,12 +55,21 @@ NO_INTERFERENCE = "no-interference"
 # A schedule holds an offset and a slot of its pooled order per telegraph,
 # 16 bytes each, so this caps it at 160 MB.
 MAX_TELEGRAPHS = 10**7
-# Draws handled at once: the receiver's symbol blocks and the planner's trial
-# batches hold about this many hits, the sampler's chunks a quarter of it.
+# Draws handled at once: the receiver's symbol blocks hold about this many
+# hits, the sampler's chunks a quarter of it.
 _BLOCK_HITS = 1 << 16
 _SAMPLER_CHUNK = 1 << 14
 _BUCKETS_PER_BIN = 64
 _MAX_BUCKETS = 1 << 16
+# The planner's lattices: the first step (nats), halved while a bracket
+# straddles alpha, and the most points one FFT may take, which bounds a
+# probe's cost whatever the geometry (two real FFTs of 8 MiB each).
+_COARSE_STEP = 1e-2
+_LATTICE_BUDGET = 1 << 20
+# Below this alpha the rounding allowance of the lattices it needs (1.9e-10
+# at M = 170, the M* for alpha = 1e-9 at the defaults) is a sizeable share of
+# alpha, and no bracket could settle M*.
+MIN_ALPHA = 1e-9
 
 
 def _check_period(name: str, value: float) -> None:
@@ -248,18 +260,23 @@ def decide_bit(hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> Decisio
 
 @dataclass(frozen=True)
 class SampleSizeResult:
-    """Planner outcome: the smallest sufficient M, or an explicit failure.
+    """Planner outcome: the smallest M the error brackets certify, or an
+    explicit failure.
 
-    ``error_interference`` is the Monte Carlo estimate of deciding
-    "no-interference" on coherent-pattern data at m_star;
-    ``error_no_interference`` the converse error on incoherent-pattern data.
+    ``error_interference`` is a [lo, hi] bracket on the exact probability that
+    the M-sample LRT decides "no-interference" on coherent-pattern data at
+    m_star; ``error_no_interference`` brackets the converse error on
+    incoherent-pattern data. M* is always sufficient: both upper ends are
+    <= alpha. It is the exact minimum unless the lattice budget left the
+    bracket at M* - 1 straddling alpha, which counts as infeasible.
+    Infeasible (m_star None) means the patterns are indistinguishable, or no
+    M up to the cap has both upper ends <= alpha within the lattice budget.
     """
 
     m_star: int | None
     alpha: float
-    trials: int
-    error_interference: float | None = None
-    error_no_interference: float | None = None
+    error_interference: tuple[float, float] | None = None
+    error_no_interference: tuple[float, float] | None = None
     failure_reason: str | None = None
 
     @property
@@ -267,60 +284,113 @@ class SampleSizeResult:
         return self.m_star is not None
 
 
-def _mc_error_rates(
-    table: np.ndarray,
-    samplers: tuple[_BinSampler, _BinSampler],
-    m: int,
-    trials: int,
-    seed_material: tuple[int, int],
-) -> tuple[float, float]:
-    """Monte Carlo error-rate pair for an M-sample LRT, fixed probe stream;
-    ``samplers`` draw coherent-pattern then incoherent-pattern data."""
-    base, m_key = seed_material
-    errors = []
-    for which, sampler in enumerate(samplers):
-        rng = np.random.default_rng([base, m_key, which])
-        wrong = 0
-        remaining = trials
-        # Batches of about _BLOCK_HITS draws; the uniform stream is the same
-        # however it is cut.
-        chunk = max(1, min(trials, _BLOCK_HITS // m))
-        while remaining > 0:
-            batch = min(chunk, remaining)
-            idx = sampler.draw(batch * m, rng).reshape(batch, m)
-            llr = table[idx].sum(axis=1)
-            decided_interference = llr > 0
-            if which == 0:
-                wrong += int((~decided_interference).sum())
-            else:
-                wrong += int(decided_interference.sum())
-            remaining -= batch
-        errors.append(wrong / trials)
-    return errors[0], errors[1]
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length pocketfft transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            best = min(best, f35 << (-(-n // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
 
 
-def required_sample_size(
-    cfg: DeviceConfig,
-    alpha: float,
-    rng: np.random.Generator,
-    trials: int = 10_000,
-    m_cap: int = 1 << 16,
-) -> SampleSizeResult:
-    """Smallest M whose Monte-Carlo-estimated error rates are both <= alpha.
+def _on_lattice(table: np.ndarray, m: int, step: float) -> tuple[np.ndarray, int]:
+    """Each table entry as its nearest multiple k*step: (k - least k, least k).
 
-    Searches by doubling then bisection, with ``trials`` simulated receptions
-    per probed M and per hypothesis; each probe uses a fixed stream keyed by
-    its M, so re-probing an M inside the bisection is consistent and the whole
-    search is reproducible. When the two patterns are (numerically)
-    indistinguishable no finite M exists and an explicit failure is returned.
-    alpha >= 1/2 needs no data at all: a fair coin achieves it, so M = 0.
+    Entries below -(m-1)*max(table) are raised to it first. One such draw
+    makes the sum of m draws <= 0 whatever the others are, so the raise
+    changes no decision, and it keeps the floored null bins (about -690) from
+    widening the lattice.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1) (got {alpha})")
-    trials = _integer_at_least("trials", trials, 1)
+    points = np.rint(np.maximum(table, -(m - 1) * table.max()) / step).astype(np.int64)
+    least = int(points.min())
+    return points - least, least
+
+
+def _lattice_law(
+    probabilities: np.ndarray, offsets: np.ndarray, m: int
+) -> tuple[np.ndarray, float]:
+    """Law of the sum of m i.i.d. lattice offsets (entry j is P(sum = j)),
+    from one rfft/irfft pair, and its rounding allowance: a bound on the
+    error of any sum of its entries over a run of consecutive j.
+
+    An FFT of length L computes each output within g * sum|input|, with
+    g = 8 log2(L) eps (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., sec. 24.1, gives about 3.5 log2(L) eps in norm).
+    One draw's spectrum Q has sum|q| = 1, so each |dQ_k| <= g, and the power
+    (|Q_k| <= 1) makes that at most 2 m g, rounding of the power included. A
+    run of consecutive outputs weighs frequency k by at most
+    1 / (2 min(k, L - k)), so the power's error moves a run's sum by at most
+    2 m g (ln L + 2); the inverse transform adds g * sum|P_k| over the full
+    spectrum, and the summation g more.
+    """
+    size = m * int(offsets.max()) + 1
+    length = _fft_length(size)
+    one_draw = np.bincount(offsets, weights=probabilities)
+    spectrum = np.fft.rfft(one_draw, length) ** m
+    g = 8.0 * math.log2(length) * float(np.finfo(float).eps)
+    allowance = g * (2.0 * m * (math.log(length) + 2.0) + 2.0 * float(np.abs(spectrum).sum()) + 1.0)
+    return np.fft.irfft(spectrum, length)[:size], allowance
+
+
+def _error_brackets(
+    laws: tuple[np.ndarray, np.ndarray], table: np.ndarray, m: int, step: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """[lo, hi] on each error probability of the m-sample LRT, with the
+    table on a lattice of ``step``.
+
+    The lattice sum step*K is within m*step/2 of the true sum S, so with
+    h = m // 2, S <= 0 implies K <= h and K <= -h - 1 implies S < 0:
+    P_c(K <= -h-1) <= P_c(S <= 0) <= P_c(K <= h) on coherent-pattern data
+    and P_i(K >= h+1) <= P_i(S > 0) <= P_i(K >= -h) on incoherent-pattern
+    data. Each end is widened by the law's rounding allowance.
+    """
+    offsets, least = _on_lattice(table, m, step)
+    h = m // 2
+
+    def upto(k: int) -> int:
+        # Lattice sums <= k: offset sums below k - m*least + 1 (the law's
+        # length caps the slice).
+        return max(0, k - m * least + 1)
+
+    brackets = []
+    for which, probabilities in enumerate(laws):
+        law, allowance = _lattice_law(probabilities, offsets, m)
+        if which == 0:
+            lo, hi = law[: upto(-h - 1)].sum(), law[: upto(h)].sum()
+        else:
+            lo, hi = law[upto(h) :].sum(), law[upto(-h - 1) :].sum()
+        brackets.append((max(0.0, float(lo) - allowance), min(1.0, float(hi) + allowance)))
+    return brackets[0], brackets[1]
+
+
+def required_sample_size(cfg: DeviceConfig, alpha: float, m_cap: int = 1 << 16) -> SampleSizeResult:
+    """Smallest M whose exact error brackets are both <= alpha.
+
+    The receiver's statistic is a sum of M i.i.d. draws from the LLR table,
+    so each error is a tail of the table law's M-fold convolution power
+    (Cover & Thomas, *Elements of Information Theory*, ch. 11), bracketed on
+    a lattice (``_error_brackets``). Searches by doubling then bisection.
+    Each probed M starts on a lattice of step _COARSE_STEP (coarser if the
+    lattice budget demands) and halves the step while a bracket straddles
+    alpha and the halved lattice fits _LATTICE_BUDGET points; M is feasible
+    only if both upper ends are <= alpha, so the result is always
+    sufficient. Nothing is random. When the two patterns are (numerically)
+    indistinguishable no finite M exists and an explicit failure is
+    returned. alpha >= 1/2 needs no data at all: a fair coin achieves it, so
+    M = 0. alpha below MIN_ALPHA is refused.
+    """
+    if not MIN_ALPHA <= alpha < 1.0:
+        raise ValueError(
+            f"alpha must be in [{MIN_ALPHA:g}, 1); smaller targets are below the "
+            f"planner's rounding allowance (got {alpha})"
+        )
     m_cap = _integer_at_least("m_cap", m_cap, 1)
     if alpha >= 0.5:
-        return SampleSizeResult(m_star=0, alpha=alpha, trials=trials)
+        return SampleSizeResult(m_star=0, alpha=alpha)
 
     p_c = coherent_distribution(cfg).probabilities
     p_i = incoherent_distribution(cfg).probabilities
@@ -329,7 +399,6 @@ def required_sample_size(
         return SampleSizeResult(
             m_star=None,
             alpha=alpha,
-            trials=trials,
             failure_reason=(
                 f"coherent and incoherent patterns are indistinguishable "
                 f"(total variation {tv:.3e}); no finite M suffices"
@@ -337,15 +406,26 @@ def required_sample_size(
         )
 
     table = floored_log_ratio(p_c, p_i)
-    samplers = (_BinSampler(p_c), _BinSampler(p_i))
-    base = int(child_seeds(rng, 1)[0])
-    cache: dict[int, tuple[float, float]] = {}
+    cache: dict[int, tuple[tuple[float, float], tuple[float, float]]] = {}
+
+    def fits(m: int, step: float) -> bool:
+        return m * int(_on_lattice(table, m, step)[0].max()) + 1 <= _LATTICE_BUDGET
 
     def feasible_at(m: int) -> bool:
         if m not in cache:
-            cache[m] = _mc_error_rates(table, samplers, m, trials, (base, m))
-        err_c, err_i = cache[m]
-        return err_c <= alpha and err_i <= alpha
+            step = _COARSE_STEP
+            while not fits(m, step):
+                step *= 2.0
+            while True:
+                brackets = _error_brackets((p_c, p_i), table, m, step)
+                settled = all(hi <= alpha for _, hi in brackets) or any(
+                    lo > alpha for lo, _ in brackets
+                )
+                if settled or not fits(m, step / 2.0):
+                    break
+                step /= 2.0
+            cache[m] = brackets
+        return all(hi <= alpha for _, hi in cache[m])
 
     hi = 1
     while not feasible_at(hi):
@@ -354,7 +434,6 @@ def required_sample_size(
             return SampleSizeResult(
                 m_star=None,
                 alpha=alpha,
-                trials=trials,
                 failure_reason=f"no sufficient M found up to cap {m_cap}",
             )
     lo = hi // 2  # hi == 1 gives lo == 0, the known-infeasible floor
@@ -366,11 +445,7 @@ def required_sample_size(
             lo = mid
     err_c, err_i = cache[hi]
     return SampleSizeResult(
-        m_star=hi,
-        alpha=alpha,
-        trials=trials,
-        error_interference=err_c,
-        error_no_interference=err_i,
+        m_star=hi, alpha=alpha, error_interference=err_c, error_no_interference=err_i
     )
 
 

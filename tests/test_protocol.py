@@ -41,10 +41,10 @@ from qtelegraph.protocol import (
 )
 from qtelegraph.rng import child_seeds, stream
 
-# Planner regression: run once at defaults (alpha=0.01, 10^4 trials per
-# probe) with the seeded stream below and frozen here with its seed.
-PLANNER_SEED = 20260808
-PINNED_M_STAR = 28
+# The planner's M* at the defaults (alpha = 0.01), certified by its error
+# brackets: at M = 26 the incoherent-data error is at least 0.0108, at 27
+# both are at most 0.0097.
+PINNED_M_STAR = 27
 
 NULL_ALIGNED = DeviceConfig(x_max=5.125, bins=41)
 
@@ -228,14 +228,14 @@ class TestBinSampler:
 
     def test_one_guide_search_per_distribution(self, monkeypatch):
         """Each sampler searches the CDF once, for its guide; after that only
-        draws in crowded buckets are searched. Neither the symbol count nor
-        the planner's probe count adds a search over the draws."""
+        draws in crowded buckets are searched. The symbol count adds no search
+        over the draws, and the planner builds no sampler and draws nothing."""
         cfg = DeviceConfig()
         guide_size = _BinSampler(coherent_distribution(cfg).probabilities)._buckets + 1
-        searched, drawn, probes = [], [], []
+        searched, drawn, samplers = [], [], []
         original_search = np.searchsorted
         original_indices = _BinSampler.indices
-        original_probe = protocol_module._mc_error_rates
+        original_init = _BinSampler.__init__
 
         def counted_search(a, v, *args, **kwargs):
             searched.append(np.size(v))
@@ -245,13 +245,13 @@ class TestBinSampler:
             drawn.append(np.size(u))
             return original_indices(self, u)
 
-        def counted_probe(*args):
-            probes.append(args[2])
-            return original_probe(*args)
+        def counted_init(self, probabilities):
+            samplers.append(probabilities.size)
+            original_init(self, probabilities)
 
         monkeypatch.setattr(np, "searchsorted", counted_search)
         monkeypatch.setattr(_BinSampler, "indices", counted_indices)
-        monkeypatch.setattr(protocol_module, "_mc_error_rates", counted_probe)
+        monkeypatch.setattr(_BinSampler, "__init__", counted_init)
 
         def searches(action):
             searched.clear()
@@ -266,12 +266,18 @@ class TestBinSampler:
         for symbols in (2, 40):
             bits = [0, 1] * (symbols // 2)
             assert searches(lambda: transmit_message(bits, plan, ModelMode.NAIVE_COLLAPSE, cfg, stream(5, "tx"))) == 2
-        probe_counts = []
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("the planner made a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        legacy_state = np.random.get_state()
         for alpha in (0.2, 0.01):
-            probes.clear()
-            assert searches(lambda: required_sample_size(cfg, alpha, stream(6, "plan"), trials=2000)) == 2
-            probe_counts.append(len(probes))
-        assert probe_counts[0] < probe_counts[1]
+            samplers.clear()
+            assert searches(lambda: required_sample_size(cfg, alpha)) == 0
+            assert samplers == [] and drawn == []
+        after = np.random.get_state()
+        assert legacy_state[0] == after[0] and np.array_equal(legacy_state[1], after[1])
 
 
 class TestLogLikelihoodRatio:
@@ -339,19 +345,47 @@ class TestDecideBit:
         assert decide_bit(incoherent_hits, cfg).decided == NO_INTERFERENCE
 
 
+def recorded_probes(monkeypatch):
+    """Every bracket the planner computes, as (m, step, brackets)."""
+    probes = []
+    original = protocol_module._error_brackets
+
+    def recording(laws, table, m, step):
+        brackets = original(laws, table, m, step)
+        probes.append((m, step, brackets))
+        return brackets
+
+    monkeypatch.setattr(protocol_module, "_error_brackets", recording)
+    return probes
+
+
+def direct_power(law, m):
+    """The m-fold convolution power of a nonnegative law by direct
+    convolutions: every entry a sum of nonnegative terms, so it is accurate
+    to a few ulps relative, the reference for the FFT route."""
+    result, base = np.array([1.0]), law
+    while m:
+        if m & 1:
+            result = np.convolve(result, base)
+        m >>= 1
+        if m:
+            base = np.convolve(base, base)
+    return result
+
+
 class TestRequiredSampleSize:
     def test_alpha_at_least_half_needs_no_data(self):
-        result = required_sample_size(DeviceConfig(), 0.5, stream(0, "plan"))
+        result = required_sample_size(DeviceConfig(), 0.5)
         assert result.feasible and result.m_star == 0
 
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
-            required_sample_size(DeviceConfig(), 0.0, stream(0, "plan"))
+            required_sample_size(DeviceConfig(), 0.0)
 
-    @pytest.mark.parametrize("trials", [0, True, 2.5])
-    def test_trials_must_be_a_positive_integer(self, trials):
-        with pytest.raises(ValueError, match=r"^trials must be an integer >= 1"):
-            required_sample_size(DeviceConfig(), 0.05, stream(0, "plan"), trials=trials)
+    @pytest.mark.parametrize("alpha", [1e-10, protocol_module.MIN_ALPHA * 0.999])
+    def test_alpha_below_the_rounding_allowance_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must be in \[1e-09, 1\)"):
+            required_sample_size(DeviceConfig(), alpha)
 
     def test_indistinguishable_patterns_fail_explicitly(self):
         # One fringe spanning far beyond the grid: verify first that the
@@ -360,28 +394,40 @@ class TestRequiredSampleSize:
         p_c = coherent_distribution(cfg).probabilities
         p_i = incoherent_distribution(cfg).probabilities
         assert 0.5 * np.abs(p_c - p_i).sum() < 1e-6
-        result = required_sample_size(cfg, 0.01, stream(0, "plan"))
+        result = required_sample_size(cfg, 0.01)
         assert not result.feasible
         assert result.m_star is None
         assert "indistinguishable" in result.failure_reason
 
     def test_pinned_regression_value_at_defaults(self):
-        result = required_sample_size(DeviceConfig(), 0.01, stream(PLANNER_SEED, "plan"))
+        result = required_sample_size(DeviceConfig(), 0.01)
         assert result.feasible
         assert result.m_star == PINNED_M_STAR
-        assert result.error_interference <= 0.01
-        assert result.error_no_interference <= 0.01
+        assert result.error_interference[1] <= 0.01
+        assert result.error_no_interference[1] <= 0.01
+
+    @pytest.mark.parametrize("alpha, m_star", [(0.01, 27), (1e-6, 106)])
+    def test_m_star_is_certified_minimal(self, monkeypatch, alpha, m_star):
+        """Both upper ends at M* are <= alpha, and at M* - 1 a lower end is
+        > alpha, so M* is the exact minimum. At 1e-6, 10^4 Monte Carlo
+        trials could not tell these apart."""
+        probes = recorded_probes(monkeypatch)
+        result = required_sample_size(DeviceConfig(), alpha)
+        assert result.m_star == m_star
+        assert max(result.error_interference[1], result.error_no_interference[1]) <= alpha
+        below = [brackets for m, _, brackets in probes if m == m_star - 1]
+        assert any(lo > alpha for lo, _ in below[-1])
+        for lo, hi in (result.error_interference, result.error_no_interference):
+            assert 0.0 <= lo <= hi <= 1.0
 
     def test_search_is_reproducible(self):
-        first = required_sample_size(DeviceConfig(), 0.05, stream(3, "plan"))
-        second = required_sample_size(DeviceConfig(), 0.05, stream(3, "plan"))
+        first = required_sample_size(DeviceConfig(), 0.05)
+        second = required_sample_size(DeviceConfig(), 0.05)
         assert first == second
 
     def test_search_cap_reports_failure(self):
         # Weak fringes (kappa=0.1) need far more than 64 samples per symbol.
-        result = required_sample_size(
-            DeviceConfig(kappa=0.1), 0.01, stream(4, "plan"), m_cap=64
-        )
+        result = required_sample_size(DeviceConfig(kappa=0.1), 0.01, m_cap=64)
         assert not result.feasible
         assert result.m_star is None
         assert "cap" in result.failure_reason
@@ -395,6 +441,65 @@ class TestRequiredSampleSize:
         err_c, err_i = mc_error_rates(cfg, PINNED_M_STAR, trials, stream(77, "consistency"))
         assert err_c <= band
         assert err_i <= band
+
+    def test_monte_carlo_within_three_sigma_of_every_probe(self, monkeypatch):
+        """At every M the search at alpha = 0.01 probes, 10^4 simulated
+        receptions per hypothesis land within 3 sigma of the exact bracket."""
+        cfg = DeviceConfig()
+        trials = 10_000
+        probes = recorded_probes(monkeypatch)
+        required_sample_size(cfg, 0.01)
+        assert len({m for m, _, _ in probes}) >= 8
+        estimates = {}
+        for m, _, brackets in probes:
+            if m not in estimates:
+                estimates[m] = mc_error_rates(cfg, m, trials, stream(78, "probe", m))
+            for estimate, (lo, hi) in zip(estimates[m], brackets):
+                assert lo - 3.0 * math.sqrt(lo * (1 - lo) / trials) <= estimate, (m, lo, estimate)
+                assert estimate <= hi + 3.0 * math.sqrt(hi * (1 - hi) / trials), (m, hi, estimate)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("step", [0.5, 0.1, 1e-2])
+    def test_brackets_hold_the_exhaustive_error_rates(self, m, step):
+        """On a 24-bin grid every one of the 24^m hit tuples is enumerated:
+        the exact error rates of the receiver's sum lie inside the brackets,
+        at every lattice step."""
+        cfg = DeviceConfig(bins=24)
+        p_c = coherent_distribution(cfg).probabilities
+        p_i = incoherent_distribution(cfg).probabilities
+        table = floored_log_ratio(p_c, p_i)
+        grids = np.ix_(*[np.arange(table.size)] * m)
+        llr = sum(table[grid] for grid in grids)
+        weight_c = math.prod(p_c[grid] for grid in grids)
+        weight_i = math.prod(p_i[grid] for grid in grids)
+        err_c = weight_c[llr <= 0].sum()
+        err_i = weight_i[llr > 0].sum()
+        (lo_c, hi_c), (lo_i, hi_i) = protocol_module._error_brackets((p_c, p_i), table, m, step)
+        assert lo_c <= err_c <= hi_c
+        assert lo_i <= err_i <= hi_i
+
+    @pytest.mark.parametrize(
+        "cfg, m, step",
+        [
+            (DeviceConfig(), 27, 1e-2),
+            (DeviceConfig(), 9, 1e-3),
+            (DeviceConfig(bins=64, kappa=2.0), 60, 2e-2),
+            (DeviceConfig(relative_phase=0.7, x_max=8.0), 27, 1e-2),
+        ],
+    )
+    def test_fft_law_within_its_rounding_allowance(self, cfg, m, step):
+        """Every run sum of the FFT law (each tail the brackets read) matches
+        the direct-convolution power within the stated allowance."""
+        p_c = coherent_distribution(cfg).probabilities
+        p_i = incoherent_distribution(cfg).probabilities
+        offsets, _ = protocol_module._on_lattice(floored_log_ratio(p_c, p_i), m, step)
+        for probabilities in (p_c, p_i):
+            law, allowance = protocol_module._lattice_law(probabilities, offsets, m)
+            reference = direct_power(np.bincount(offsets, weights=probabilities), m)
+            assert law.shape == reference.shape
+            assert np.abs(np.cumsum(law) - np.cumsum(reference)).max() <= allowance
+            assert np.abs(np.cumsum(law[::-1]) - np.cumsum(reference[::-1])).max() <= allowance
+            assert allowance < 1e-10
 
 
 def merged_emissions(schedule, count):
