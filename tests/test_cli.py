@@ -559,6 +559,30 @@ class TestSubcommands:
                 "decision.json": "28d124207960e26cff5996d0f0e03502fdda6f96ac2b3950994375842e997ee1",
             },
         ),
+        # The bulk and nosignal workloads' own commands at full size.
+        (
+            "distributions---bins-4096",
+            ("distributions", "--bins", "4096", "--relative-phase", "2.5"),
+            {
+                "distributions.csv": "1d01c172ba4d21cc4529527d27a5a8df02e549801a851fdfe50c4d9c34494569",
+            },
+        ),
+        (
+            "nosignal-check---mode-UnitaryQM-512",
+            ("nosignal-check", "--mode", "UnitaryQM", "--bins", "512", "--relative-phase", "2.5"),
+            {
+                "nosignal.json": "d884e8c05aa0227158807a17dc28bde0fe3fc32aa74a02c427edaf3f66025cbf",
+                "nosignal.txt": "c1f2d152b127951e8de30a0f0c55ea049ce0d5e11b1dad23f4e756e4ad7bfbc9",
+            },
+        ),
+        (
+            "nosignal-check---mode-NaiveCollapse-512",
+            ("nosignal-check", "--mode", "NaiveCollapse", "--bins", "512", "--relative-phase", "2.5"),
+            {
+                "nosignal.json": "cabcbd902cb247a607bd797abfebef4ba0f03ae7a0512886c0575d3c572e39af",
+                "nosignal.txt": "ce5f85c3cff9305a4847718c43b7cb555e1f7a5e367fb2290b2f3ba2e79f49c7",
+            },
+        ),
     )
 
     @pytest.mark.parametrize(
