@@ -16,7 +16,6 @@ from .device import (
     coherent_distribution,
     eraser_conditionals,
     incoherent_distribution,
-    pipe_amplitude,
     write_distributions_csv,
 )
 from .nosignal import (
@@ -40,7 +39,6 @@ from .protocol import (
     TransmissionResult,
     decide_bit,
     ensemble_schedule,
-    log_likelihood_ratio,
     required_sample_size,
     sample_hits,
     screen_marginal,
@@ -113,10 +111,8 @@ __all__ = [
     "incoherent_distribution",
     "interval",
     "jensen_shannon_bits",
-    "log_likelihood_ratio",
     "normalize",
     "partial_trace",
-    "pipe_amplitude",
     "plugin_mutual_information",
     "required_sample_size",
     "sample_hits",

@@ -7,13 +7,17 @@ amplitude with a shared Gaussian envelope,
 
 with s_1 = +1, s_2 = -1, delta_1 = 0 and delta_2 = relative_phase. The screen
 is a finite grid of ``bins`` cells spanning [-x_max*w, +x_max*w]; amplitudes
-are sampled at bin centers and renormalized. Everything downstream (the
-entangled joint state, the coherent/incoherent/eraser-conditioned screen
-statistics) is an exact finite-dimensional computation on that grid.
+are sampled at bin centers and renormalized, once per config, into the
+read-only 2 x bins array ``DeviceConfig.amplitudes``. Everything downstream
+(the entangled joint state, the coherent/incoherent/eraser-conditioned screen
+statistics, the no-signaling span) is an exact finite-dimensional computation
+from those two rows. Every superposed amplitude psi_1 ± psi_2 comes from
+``superposition``, which refuses one that cancels to rounding noise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -90,6 +94,32 @@ class DeviceConfig:
         idx = np.floor((np.asarray(x, dtype=float) + self.half_width) / self.bin_width)
         return np.clip(idx.astype(int), 0, self.bins - 1)
 
+    @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The read-only 2 x bins array [psi_1; psi_2] of unit-norm pipe
+        amplitudes on the bin grid, evaluated once per config."""
+        xs = self.bin_centers()
+        signs = np.array([[1.0], [-1.0]])
+        deltas = np.array([[0.0], [self.relative_phase]])
+        # Squared as a numpy float, the envelope width overflows to inf instead
+        # of raising (it rounds as float ** 2 does); a square that underflows
+        # gives 0/0 or x/0. The NaN or zero norm either leaves is rejected
+        # below by name, not warned about.
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            width_squared = np.float64(self.envelope_width) ** 2
+            envelope = np.exp(-(xs**2) / (4.0 * width_squared))
+            rows = envelope * np.exp(1j * (signs * self.kappa * xs + deltas))
+            # |psi_1| = |psi_2| pointwise, so one norm serves both.
+            norm = np.linalg.norm(rows[0])
+        if not 0.0 < norm < math.inf:
+            raise QuantumStateError(
+                f"screen amplitudes vanish or are not finite for envelope_width="
+                f"{self.envelope_width}, x_max={self.x_max}, kappa={self.kappa}"
+            )
+        rows /= norm
+        rows.setflags(write=False)
+        return rows
+
 
 @dataclass(frozen=True)
 class ScreenDistribution:
@@ -114,55 +144,24 @@ class ScreenDistribution:
         object.__setattr__(self, "bin_centers", centers)
 
 
-def pipe_amplitude(cfg: DeviceConfig, pipe: int, x: np.ndarray | float) -> np.ndarray | complex:
-    """Unnormalized screen amplitude psi_k(x) for pipe k in {1, 2}."""
-    if pipe not in PIPES:
-        raise ValueError(f"pipe must be 1 or 2 (got {pipe})")
-    sign = 1.0 if pipe == 1 else -1.0
-    delta = 0.0 if pipe == 1 else cfg.relative_phase
-    xs = np.asarray(x, dtype=float)
-    # Squared as a numpy float it overflows to inf, which _pipe_vectors
-    # rejects by name, instead of raising; it rounds as float ** 2 does.
-    width_squared = np.float64(cfg.envelope_width) ** 2
-    envelope = np.exp(-(xs**2) / (4.0 * width_squared))
-    value = envelope * np.exp(1j * (sign * cfg.kappa * xs + delta))
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        return complex(value)
-    return value
-
-
-def _pipe_vectors(cfg: DeviceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm screen amplitude vectors for both pipes on the bin grid."""
-    xs = cfg.bin_centers()
-    # An envelope width whose square underflows gives 0/0 or x/0; the
-    # resulting NaN or zero norm is rejected below by name, not warned about.
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        psi1 = np.asarray(pipe_amplitude(cfg, 1, xs))
-        psi2 = np.asarray(pipe_amplitude(cfg, 2, xs))
-        # |psi_1| = |psi_2| pointwise, so one norm serves both.
-        norm = np.linalg.norm(psi1)
-    if not 0.0 < norm < math.inf:
-        raise QuantumStateError(
-            f"screen amplitudes vanish or are not finite for envelope_width="
-            f"{cfg.envelope_width}, x_max={cfg.x_max}, kappa={cfg.kappa}"
-        )
-    return psi1 / norm, psi2 / norm
-
-
-def _pipe_sum(cfg: DeviceConfig, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
-    """psi_1 + psi_2, the amplitude of the interfering pipes.
+def superposition(cfg: DeviceConfig, sign: int) -> np.ndarray:
+    """psi_1 + sign * psi_2 for sign +1 or -1: the screen amplitude of the
+    interfering pipes, and twice what the idler outcome (|1> ± |2>)/sqrt(2)
+    leaves on the screen.
 
     Where 2 * kappa * bin_width is a multiple of 2 pi, psi_2 is psi_1 times
-    one phase on every bin, and at the phase that makes it -psi_1 the sum is
-    rounding noise. Normalizing that noise would give a confident but
-    meaningless coherent pattern, so it is refused by name.
+    one phase on every bin, and at the phases that make it -psi_1 or +psi_1
+    the sum or the difference is rounding noise. Normalizing that noise would
+    give a confident but meaningless pattern, so it is refused by name.
     """
-    summed = psi1 + psi2
+    psi1, psi2 = cfg.amplitudes
+    summed = psi1 + sign * psi2
     weight = float((np.abs(summed) ** 2).sum())
     if not weight > ATOL_LINALG:
         raise QuantumStateError(
-            f"psi_1 + psi_2 cancels on the screen grid (squared norm {weight:.3g}) "
-            f"for kappa={cfg.kappa}, relative_phase={cfg.relative_phase}, bins={cfg.bins}"
+            f"psi_1 {'+' if sign > 0 else '-'} psi_2 cancels on the screen grid "
+            f"(squared norm {weight:.3g}) for kappa={cfg.kappa}, "
+            f"relative_phase={cfg.relative_phase}, bins={cfg.bins}"
         )
     return summed
 
@@ -170,8 +169,7 @@ def _pipe_sum(cfg: DeviceConfig, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarr
 def build_joint_state(cfg: DeviceConfig) -> StateVector:
     """Entangled pair state (|1>|psi_1> + |2>|psi_2>) / sqrt(2) on the grid,
     over the pipe-major (pipe, bin) product basis."""
-    psi1, psi2 = _pipe_vectors(cfg)
-    amplitudes = np.concatenate([psi1, psi2]) / math.sqrt(2.0)
+    amplitudes = cfg.amplitudes.ravel() / math.sqrt(2.0)
     labels = tuple((pipe, j) for pipe in PIPES for j in range(cfg.bins))
     return StateVector(labels, amplitudes)
 
@@ -182,7 +180,7 @@ def _distribution_from_weights(cfg: DeviceConfig, weights: np.ndarray) -> Screen
 
 def coherent_distribution(cfg: DeviceConfig) -> ScreenDistribution:
     """Screen statistics with the pipes interfering: p proportional to |psi_1 + psi_2|^2."""
-    return _distribution_from_weights(cfg, np.abs(_pipe_sum(cfg, *_pipe_vectors(cfg))) ** 2)
+    return _distribution_from_weights(cfg, np.abs(superposition(cfg, 1)) ** 2)
 
 
 def incoherent_distribution(cfg: DeviceConfig) -> ScreenDistribution:
@@ -190,7 +188,7 @@ def incoherent_distribution(cfg: DeviceConfig) -> ScreenDistribution:
 
     Equals the diagonal of the reduced screen density matrix of the joint state.
     """
-    psi1, psi2 = _pipe_vectors(cfg)
+    psi1, psi2 = cfg.amplitudes
     return _distribution_from_weights(cfg, 0.5 * (np.abs(psi1) ** 2 + np.abs(psi2) ** 2))
 
 
@@ -210,9 +208,8 @@ def eraser_conditionals(cfg: DeviceConfig) -> EraserConditionals:
     Projecting the idler on (|1> ± |2>)/sqrt(2) leaves the unnormalized signal
     amplitude (psi_1 ± psi_2)/2; the outcome probability is its squared norm.
     """
-    psi1, psi2 = _pipe_vectors(cfg)
-    plus = 0.5 * _pipe_sum(cfg, psi1, psi2)
-    minus = 0.5 * (psi1 - psi2)
+    plus = 0.5 * superposition(cfg, 1)
+    minus = 0.5 * superposition(cfg, -1)
     w_plus = float(np.linalg.norm(plus) ** 2)
     w_minus = float(np.linalg.norm(minus) ** 2)
     return EraserConditionals(

@@ -13,12 +13,14 @@ Three measures are reported for a given device model:
   channel under a uniform setting (the Jensen-Shannon divergence, in bits,
   of the two marginals).
 
-The joint state is the 2 x bins amplitude matrix A = [psi_1; psi_2] / sqrt(2):
-row k is the signal amplitude left by idler which-path outcome k. Every
-screen state here lies in the span of those two rows, so it is held as a
-2 x 2 matrix in the coordinates of an orthonormal basis Q of that span, from
-one QR factorization A^T = Q R (``screen_span``). Route (a) is then R R^H,
-route (b) the mixture of the normalized Q^H a_k weighted by |a_k|^2, and a
+The joint state is the 2 x bins amplitude matrix A = [psi_1; psi_2] / sqrt(2)
+(the config's ``amplitudes``, scaled): row k is the signal amplitude left by
+idler which-path outcome k. Every screen state here lies in the span of those
+two rows, so it is held as a 2 x 2 matrix in the coordinates of an
+orthonormal basis Q of that span, from one QR factorization A^T = Q R
+(``screen_span``). Route (a) is then R R^H, route (b) the mixture of the
+normalized Q^H a_k weighted by |a_k|^2, the collapse story's coherent state
+the normalized Q^H (psi_1 + psi_2) from ``device.superposition``, and a
 trace distance is a 2 x 2 eigenproblem. Because Q is an isometry, each is
 exactly the bins x bins quantity of the dense ``quantum`` algebra, which the
 tests use as the reference; no bins-sized matrix is built here.
@@ -37,10 +39,9 @@ import numpy as np
 
 from .device import (
     DeviceConfig,
-    _pipe_sum,
-    _pipe_vectors,
     eraser_conditionals,
     incoherent_distribution,
+    superposition,
 )
 from .protocol import Detector, ModelMode, screen_marginal
 from .quantum import (
@@ -114,13 +115,12 @@ def jensen_shannon_bits(p: np.ndarray, q: np.ndarray) -> float:
 def screen_span(cfg: DeviceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The joint amplitude matrix A and the QR factors of its transpose.
 
-    Returns ``(A, Q, R)`` with A = [psi_1; psi_2] / sqrt(2) (2 x bins),
+    Returns ``(A, Q, R)`` with A = cfg.amplitudes / sqrt(2) (2 x bins),
     A^T = Q R, Q (bins x 2) an orthonormal basis of the span of the pipe
     amplitudes and R upper triangular (2 x 2). A screen state held as the
     2 x 2 matrix rho is the bins x bins matrix Q rho Q^H.
     """
-    psi1, psi2 = _pipe_vectors(cfg)
-    amplitudes = np.stack([psi1, psi2]) / math.sqrt(2.0)
+    amplitudes = cfg.amplitudes / math.sqrt(2.0)
     basis, triangle = np.linalg.qr(amplitudes.T)
     # Orthonormality makes every 2 x 2 check and distance here equal to its
     # bins x bins counterpart; it is proved once, not assumed.
@@ -157,7 +157,7 @@ def reduced_screen_by_measurement_mixture(cfg: DeviceConfig) -> DensityMatrix:
 def coherent_screen_state(cfg: DeviceConfig) -> DensityMatrix:
     """The pure superposition the collapse story credits to detectors-off."""
     _, basis, _ = screen_span(cfg)
-    summed = basis.conj().T @ _pipe_sum(cfg, *_pipe_vectors(cfg))
+    summed = basis.conj().T @ superposition(cfg, 1)
     summed /= np.linalg.norm(summed)
     return _derived_density(np.outer(summed, summed.conj()))
 

@@ -70,6 +70,8 @@ _LATTICE_BUDGET = 1 << 20
 # at M = 170, the M* for alpha = 1e-9 at the defaults) is a sizeable share of
 # alpha, and no bracket could settle M*.
 MIN_ALPHA = 1e-9
+# The planner's search gives up past this M.
+M_CAP = 1 << 16
 
 
 def _check_period(name: str, value: float) -> None:
@@ -233,28 +235,19 @@ def log_ratio_table(cfg: DeviceConfig) -> np.ndarray:
     )
 
 
-def log_likelihood_ratio(hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> float:
-    """Sum of per-hit log(p_coherent / p_incoherent) at the hit's bin."""
+def decide_bit(hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> DecisionResult:
+    """LRT verdict on one symbol: interference iff the sum of per-hit
+    log(p_coherent / p_incoherent) at the hits' bins is > 0. The fringe
+    statistic |mean over hits of exp(2i * kappa * x)| rides along; both are
+    0.0 for no hits."""
     xs = np.asarray(hits, dtype=float)
     if xs.size == 0:
-        return 0.0
+        return DecisionResult(log_lr=0.0, fringe_statistic=0.0)
     if xs.min() < -cfg.half_width or xs.max() > cfg.half_width:
         raise ValueError("hits must lie within the screen grid")
-    return float(log_ratio_table(cfg)[cfg.bin_index(xs)].sum())
-
-
-def fringe_statistic(hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> float:
-    """|mean over hits of exp(2i * kappa * x)|; 0.0 for no hits."""
-    xs = np.asarray(hits, dtype=float)
-    if xs.size == 0:
-        return 0.0
-    return float(np.abs(np.exp(2j * cfg.kappa * xs).mean()))
-
-
-def decide_bit(hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> DecisionResult:
-    """LRT verdict: interference iff the log-likelihood ratio is > 0."""
     return DecisionResult(
-        log_lr=log_likelihood_ratio(hits, cfg), fringe_statistic=fringe_statistic(hits, cfg)
+        log_lr=float(log_ratio_table(cfg)[cfg.bin_index(xs)].sum()),
+        fringe_statistic=float(np.abs(np.exp(2j * cfg.kappa * xs).mean())),
     )
 
 
@@ -367,28 +360,27 @@ def _error_brackets(
     return brackets[0], brackets[1]
 
 
-def required_sample_size(cfg: DeviceConfig, alpha: float, m_cap: int = 1 << 16) -> SampleSizeResult:
+def required_sample_size(cfg: DeviceConfig, alpha: float) -> SampleSizeResult:
     """Smallest M whose exact error brackets are both <= alpha.
 
     The receiver's statistic is a sum of M i.i.d. draws from the LLR table,
     so each error is a tail of the table law's M-fold convolution power
     (Cover & Thomas, *Elements of Information Theory*, ch. 11), bracketed on
-    a lattice (``_error_brackets``). Searches by doubling then bisection.
-    Each probed M starts on a lattice of step _COARSE_STEP (coarser if the
-    lattice budget demands) and halves the step while a bracket straddles
-    alpha and the halved lattice fits _LATTICE_BUDGET points; M is feasible
-    only if both upper ends are <= alpha, so the result is always
-    sufficient. Nothing is random. When the two patterns are (numerically)
-    indistinguishable no finite M exists and an explicit failure is
-    returned. alpha >= 1/2 needs no data at all: a fair coin achieves it, so
-    M = 0. alpha below MIN_ALPHA is refused.
+    a lattice (``_error_brackets``). Searches by doubling, up to M_CAP, then
+    by bisection. Each probed M starts on a lattice of step _COARSE_STEP
+    (coarser if the lattice budget demands) and halves the step while a
+    bracket straddles alpha and the halved lattice fits _LATTICE_BUDGET
+    points; M is feasible only if both upper ends are <= alpha, so the
+    result is always sufficient. Nothing is random. When the two patterns
+    are (numerically) indistinguishable no finite M exists and an explicit
+    failure is returned. alpha >= 1/2 needs no data at all: a fair coin
+    achieves it, so M = 0. alpha below MIN_ALPHA is refused.
     """
     if not MIN_ALPHA <= alpha < 1.0:
         raise ValueError(
             f"alpha must be in [{MIN_ALPHA:g}, 1); smaller targets are below the "
             f"planner's rounding allowance (got {alpha})"
         )
-    m_cap = _integer_at_least("m_cap", m_cap, 1)
     if alpha >= 0.5:
         return SampleSizeResult(m_star=0, alpha=alpha)
 
@@ -430,11 +422,11 @@ def required_sample_size(cfg: DeviceConfig, alpha: float, m_cap: int = 1 << 16) 
     hi = 1
     while not feasible_at(hi):
         hi *= 2
-        if hi > m_cap:
+        if hi > M_CAP:
             return SampleSizeResult(
                 m_star=None,
                 alpha=alpha,
-                failure_reason=f"no sufficient M found up to cap {m_cap}",
+                failure_reason=f"no sufficient M found up to cap {M_CAP}",
             )
     lo = hi // 2  # hi == 1 gives lo == 0, the known-infeasible floor
     while hi - lo > 1:

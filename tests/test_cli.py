@@ -350,6 +350,13 @@ class TestSubcommands:
             (["distributions", "--envelope-width", "1e160"], "envelope_width=1e+160"),
             # Below the planner's rounding allowance no bracket could settle M*.
             (["plan", "--alpha", "1e-10"], "alpha must be in [1e-09, 1)"),
+            # psi_2 = psi_1 on every bin, so the eraser's minus outcome has
+            # probability about 1e-30 and its pattern would be rounding noise.
+            (["distributions", "--bins", "2"], "kappa=3.141592653589793, relative_phase=0.0, bins=2"),
+            (
+                ["distributions", "--bins", "64", "--kappa=10.053096491487338", "--relative-phase=3.141592653589793"],
+                "kappa=10.053096491487338, relative_phase=3.141592653589793, bins=64",
+            ),
         ],
     )
     def test_out_of_domain_values_exit_2(self, tmp_path, monkeypatch, capsys, argv, named):
@@ -380,6 +387,11 @@ class TestSubcommands:
         geometry={"kappa": math.pi, "envelope_width": 1e160, "x_max": 5.0, "relative_phase": 0.0},
     )
     @example(command="plan", geometry=NEARLY_EQUAL_PATTERNS)
+    # psi_1 - psi_2 cancels on this grid.
+    @example(
+        command="distributions",
+        geometry={"kappa": 10.053096491487338, "envelope_width": 2.0, "x_max": 5.0, "relative_phase": math.pi},
+    )
     def test_any_finite_geometry_exits_cleanly(self, command, geometry):
         """Every finite device geometry gives a verdict or a named error:
         exit 0, 1 or 2, no traceback, and no non-finite number in a report."""

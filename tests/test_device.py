@@ -13,10 +13,11 @@ from qtelegraph.device import (
     coherent_distribution,
     eraser_conditionals,
     incoherent_distribution,
-    pipe_amplitude,
     write_distributions_csv,
 )
-from qtelegraph.quantum import density_from_state, partial_trace
+from qtelegraph.nosignal import verify_no_signaling
+from qtelegraph.protocol import ModelMode, TransmissionPlan, transmit_message
+from qtelegraph.quantum import QuantumStateError, density_from_state, partial_trace
 
 # Grid whose bin centers land exactly on the integers and half-integers, so
 # the kappa=pi fringe nulls (x = n + 1/2) and antifringe nulls (x = n) are
@@ -80,28 +81,63 @@ class TestScreenDistribution:
 
 class TestPipeAmplitude:
     def test_shared_envelope_modulus(self):
-        cfg = DeviceConfig()
-        xs = cfg.bin_centers()
-        a1 = np.abs(pipe_amplitude(cfg, 1, xs))
-        a2 = np.abs(pipe_amplitude(cfg, 2, xs))
+        a1, a2 = np.abs(DeviceConfig().amplitudes)
         assert np.allclose(a1, a2, atol=1e-15, rtol=0)
 
     def test_equal_at_origin_without_phase(self):
-        cfg = DeviceConfig()
-        assert pipe_amplitude(cfg, 1, 0.0) == pytest.approx(pipe_amplitude(cfg, 2, 0.0))
+        origin = NULL_ALIGNED.bins // 2
+        assert NULL_ALIGNED.bin_centers()[origin] == 0.0
+        psi1, psi2 = NULL_ALIGNED.amplitudes
+        assert psi1[origin] == pytest.approx(psi2[origin])
 
     def test_phase_difference_is_twice_kappa_x(self):
         cfg = DeviceConfig()
-        xs = cfg.bin_centers()
-        a1 = np.asarray(pipe_amplitude(cfg, 1, xs))
-        a2 = np.asarray(pipe_amplitude(cfg, 2, xs))
+        a1, a2 = cfg.amplitudes
         # arg(a1) - arg(a2) = 2 kappa x (mod 2 pi), checked wrap-free.
         phase = a1 * a2.conj() / (np.abs(a1) * np.abs(a2))
-        assert np.abs(phase - np.exp(2j * cfg.kappa * xs)).max() < 1e-12
+        assert np.abs(phase - np.exp(2j * cfg.kappa * cfg.bin_centers())).max() < 1e-12
 
-    def test_invalid_pipe_rejected(self):
-        with pytest.raises(ValueError, match="pipe"):
-            pipe_amplitude(DeviceConfig(), 3, 0.0)
+    def test_rows_are_unit_and_read_only(self):
+        amplitudes = DeviceConfig().amplitudes
+        assert amplitudes.shape == (2, 256)
+        assert np.abs(np.linalg.norm(amplitudes, axis=1) - 1.0).max() < 1e-12
+        assert not amplitudes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            amplitudes[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "pipeline",
+        [
+            pytest.param(lambda cfg: verify_no_signaling(cfg, ModelMode.NAIVE_COLLAPSE), id="nosignal-naive"),
+            pytest.param(lambda cfg: verify_no_signaling(cfg, ModelMode.UNITARY_QM), id="nosignal-unitary"),
+            pytest.param(
+                lambda cfg: transmit_message(
+                    [0, 1, 1], TransmissionPlan(M=5, N=2), ModelMode.NAIVE_COLLAPSE, cfg, np.random.default_rng(0)
+                ),
+                id="transmit-naive",
+            ),
+            pytest.param(
+                lambda cfg: transmit_message(
+                    [0, 1, 1], TransmissionPlan(M=5, N=2), ModelMode.UNITARY_QM, cfg, np.random.default_rng(0)
+                ),
+                id="transmit-unitary",
+            ),
+            pytest.param(lambda cfg: write_distributions_csv(cfg, "d.csv"), id="distributions"),
+        ],
+    )
+    def test_evaluated_once_per_config(self, monkeypatch, tmp_path, pipeline):
+        evaluations = []
+        evaluate = DeviceConfig.amplitudes.func
+
+        def counted(cfg):
+            evaluations.append(cfg)
+            return evaluate(cfg)
+
+        monkeypatch.setattr(DeviceConfig.amplitudes, "func", counted)
+        monkeypatch.chdir(tmp_path)
+        cfg = DeviceConfig(bins=64)
+        pipeline(cfg)
+        assert len(evaluations) == 1 and evaluations[0] is cfg
 
 
 class TestJointState:
@@ -223,6 +259,20 @@ class TestEraserConditionals:
         defaults = eraser_conditionals(DeviceConfig())
         assert defaults.prob_plus == pytest.approx(0.5, abs=1e-6)
         assert defaults.prob_plus + defaults.prob_minus == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # Centers at +-5 with kappa = pi: psi_2 = psi_1 on both bins.
+            DeviceConfig(bins=2),
+            # 2 kappa bin_width = 2 pi, and phase pi turns psi_2 into psi_1.
+            DeviceConfig(bins=64, kappa=10.053096491487338, relative_phase=math.pi),
+        ],
+    )
+    def test_cancelled_minus_outcome_refused(self, cfg):
+        with pytest.raises(QuantumStateError, match=f"psi_1 - psi_2 cancels .* bins={cfg.bins}"):
+            eraser_conditionals(cfg)
+        assert abs(coherent_distribution(cfg).probabilities.sum() - 1.0) < 1e-12
 
     def test_completeness_phase_independent(self):
         cfg = DeviceConfig(x_max=8.0, relative_phase=math.pi / 2)

@@ -12,7 +12,6 @@ from qtelegraph.device import (
     coherent_distribution,
     eraser_conditionals,
     incoherent_distribution,
-    pipe_amplitude,
 )
 from qtelegraph.nosignal import (
     DISTANCE_TOLERANCE,
@@ -54,6 +53,13 @@ from test_protocol import PINNED_M_STAR
 ENVELOPE_COMPLETE = DeviceConfig(x_max=8.0, bins=256)
 # 2 * kappa * bin_width = 2 pi: psi_2 is psi_1 times one phase on every bin.
 ALIASED_KAPPA = math.pi * 256 / 20
+
+
+def pipe_formula(cfg, pipe, xs):
+    """Unnormalized psi_k(x) for pipe k, straight from the amplitude formula."""
+    sign, delta = (1.0, 0.0) if pipe == 1 else (-1.0, cfg.relative_phase)
+    envelope = np.exp(-(xs**2) / (4.0 * cfg.envelope_width**2))
+    return envelope * np.exp(1j * (sign * cfg.kappa * xs + delta))
 
 
 def lifted(cfg, rho):
@@ -270,7 +276,7 @@ class TestMixtureIdentities:
         xs = cfg.bin_centers()
         mixture = np.zeros(cfg.bins)
         for pipe in (1, 2):
-            conditional = np.abs(np.asarray(pipe_amplitude(cfg, pipe, xs))) ** 2
+            conditional = np.abs(pipe_formula(cfg, pipe, xs)) ** 2
             mixture += 0.5 * conditional / conditional.sum()
         p_i = incoherent_distribution(cfg).probabilities
         assert np.abs(mixture - p_i).max() < 1e-12

@@ -28,8 +28,6 @@ from qtelegraph.protocol import (
     decide_bit,
     ensemble_schedule,
     floored_log_ratio,
-    fringe_statistic,
-    log_likelihood_ratio,
     log_ratio_table,
     required_sample_size,
     sample_hits,
@@ -282,13 +280,13 @@ class TestBinSampler:
 
 class TestLogLikelihoodRatio:
     def test_empty_hits_zero(self):
-        assert log_likelihood_ratio([], DeviceConfig()) == 0.0
+        assert decide_bit([], DeviceConfig()).log_lr == 0.0
 
     def test_hit_at_fringe_null_is_strongly_negative(self):
         # In double precision the null-bin coherent probability is ~1e-33
         # (cos(pi/2) rounds to 6e-17), so the single-hit ratio is about -74;
         # the idealized exact-zero case is exercised through the floor below.
-        assert log_likelihood_ratio([0.5], NULL_ALIGNED) <= -60.0
+        assert decide_bit([0.5], NULL_ALIGNED).log_lr <= -60.0
 
     def test_floor_handles_exact_zero_bins(self):
         table = floored_log_ratio(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
@@ -308,7 +306,7 @@ class TestLogLikelihoodRatio:
 
     def test_out_of_grid_hit_rejected(self):
         with pytest.raises(ValueError, match="grid"):
-            log_likelihood_ratio([1000.0], DeviceConfig())
+            decide_bit([1000.0], DeviceConfig())
 
 
 class TestDecideBit:
@@ -330,12 +328,12 @@ class TestDecideBit:
         oracle = abs((p_c.probabilities * np.exp(2j * cfg.kappa * p_c.bin_centers)).sum())
         assert oracle == pytest.approx(0.5, abs=1e-6)
         xs = sample_hits(p_c, 10_000, stream(13, "fringe-c"))
-        assert abs(fringe_statistic(xs, cfg) - 0.5) <= 0.03
+        assert abs(decide_bit(xs, cfg).fringe_statistic - 0.5) <= 0.03
 
     def test_fringe_statistic_on_incoherent_hits(self):
         cfg = DeviceConfig()
         xs = sample_hits(incoherent_distribution(cfg), 10_000, stream(14, "fringe-i"))
-        assert fringe_statistic(xs, cfg) <= 0.05
+        assert decide_bit(xs, cfg).fringe_statistic <= 0.05
 
     def test_decisions_recover_pattern(self):
         cfg = DeviceConfig()
@@ -425,9 +423,10 @@ class TestRequiredSampleSize:
         second = required_sample_size(DeviceConfig(), 0.05)
         assert first == second
 
-    def test_search_cap_reports_failure(self):
+    def test_search_cap_reports_failure(self, monkeypatch):
         # Weak fringes (kappa=0.1) need far more than 64 samples per symbol.
-        result = required_sample_size(DeviceConfig(kappa=0.1), 0.01, m_cap=64)
+        monkeypatch.setattr(protocol_module, "M_CAP", 64)
+        result = required_sample_size(DeviceConfig(kappa=0.1), 0.01)
         assert not result.feasible
         assert result.m_star is None
         assert "cap" in result.failure_reason

@@ -150,12 +150,13 @@ class TestPartialTrace:
     def test_telegraph_joint_state_reduces_to_pipe_mixture(self):
         """Oracle: assemble (|psi1><psi1| + |psi2><psi2|)/2 by hand from the
         amplitude formula and compare against the partial-trace route."""
-        from qtelegraph.device import DeviceConfig, build_joint_state, pipe_amplitude
+        from qtelegraph.device import DeviceConfig, build_joint_state
 
         cfg = DeviceConfig(bins=64)
         xs = cfg.bin_centers()
-        psi1 = np.asarray(pipe_amplitude(cfg, 1, xs))
-        psi2 = np.asarray(pipe_amplitude(cfg, 2, xs))
+        envelope = np.exp(-(xs**2) / (4.0 * cfg.envelope_width**2))
+        psi1 = envelope * np.exp(1j * cfg.kappa * xs)
+        psi2 = envelope * np.exp(-1j * cfg.kappa * xs)
         psi1 = psi1 / np.linalg.norm(psi1)
         psi2 = psi2 / np.linalg.norm(psi2)
         expected = 0.5 * (np.outer(psi1, psi1.conj()) + np.outer(psi2, psi2.conj()))
