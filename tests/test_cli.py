@@ -595,6 +595,24 @@ class TestSubcommands:
                 "nosignal.txt": "ce5f85c3cff9305a4847718c43b7cb555e1f7a5e367fb2290b2f3ba2e79f49c7",
             },
         ),
+        # A privileged frame: the two legs cancel, so the loop stays open.
+        (
+            "paradox---strategy-privileged",
+            ("paradox", "--strategy", "privileged", "--beta0", "-0.6", "--separation", "3.3"),
+            {
+                "paradox.json": "63b88b9d0312258a527c4b9102b31525e1c003934356ea91a7a0144d64980bbf",
+                "events.csv": "ba268ac721f57050f00203c604fce30289845d2d4fd941507ae5238d7ffe15a5",
+            },
+        ),
+        # An advance of 7.4e299: still finite, near the top of the float range.
+        (
+            "paradox---v-0.37",
+            ("paradox", "--v", "0.37", "--separation", "1e300"),
+            {
+                "paradox.json": "4807d47cc4bcb45bdd3a1d68339cd2095f7289bd9043388f56245ce6f83c28a3",
+                "events.csv": "9d911882643dfdcfd75f587254a58a870d5a3fba202d1ebaf4a4903be0d09aae",
+            },
+        ),
     )
 
     @pytest.mark.parametrize(
