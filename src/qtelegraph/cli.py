@@ -32,6 +32,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .device import DeviceConfig, write_distributions_csv
 from .nosignal import verify_no_signaling
 from .protocol import (
+    MIN_ALPHA,
     Detector,
     ModelMode,
     SymbolHits,
@@ -200,8 +201,8 @@ def resolve_config(overrides: dict) -> RunConfig:
 
     if not 0 <= values["seed"] < 2**64:
         raise ConfigError(f"seed must be in [0, 2**64) (got {values['seed']})")
-    if not 0.0 < values["alpha"] < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1) (got {values['alpha']})")
+    if not MIN_ALPHA <= values["alpha"] < 1.0:
+        raise ConfigError(f"alpha must be in [{MIN_ALPHA:g}, 1) (got {values['alpha']})")
     if values["bits"] and set(values["bits"]) - {"0", "1"}:
         raise ConfigError(f"bits must contain only '0' and '1' (got {values['bits']!r})")
     if values["symbols"] < 0:
@@ -366,7 +367,7 @@ def _cmd_paradox(cfg: RunConfig, out: Path) -> int:
         {
             "trace": trace.to_dict(),
             "automaton": {
-                "rule": {message: NEGATION_RULE(message) for message in sorted(NEGATION_RULE.mapping)},
+                "rule": dict(NEGATION_RULE),
                 "fixed_points": fixed_points,
                 "inconsistent": trace.closed_loop and not fixed_points,
             },

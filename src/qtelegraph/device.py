@@ -10,9 +10,11 @@ is a finite grid of ``bins`` cells spanning [-x_max*w, +x_max*w]; amplitudes
 are sampled at bin centers and renormalized, once per config, into the
 read-only 2 x bins array ``DeviceConfig.amplitudes``. Everything downstream
 (the entangled joint state, the coherent/incoherent/eraser-conditioned screen
-statistics, the no-signaling span) is an exact finite-dimensional computation
-from those two rows. Every superposed amplitude psi_1 ± psi_2 comes from
-``superposition``, which refuses one that cancels to rounding noise.
+statistics, and ``DeviceConfig.span``, the QR basis of the two rows that the
+no-signaling checks work in, also factored once per config) is an exact
+finite-dimensional computation from those two rows. Every superposed
+amplitude psi_1 ± psi_2 comes from ``superposition``, which refuses one that
+cancels to rounding noise.
 """
 
 from __future__ import annotations
@@ -119,6 +121,25 @@ class DeviceConfig:
         rows /= norm
         rows.setflags(write=False)
         return rows
+
+    @functools.cached_property
+    def span(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only QR factors (Q, R) of A^T, factored once per config.
+
+        A = amplitudes / sqrt(2) is the 2 x bins joint amplitude matrix and
+        A^T = Q R, with Q (bins x 2) an orthonormal basis of the span of the
+        pipe amplitudes and R upper triangular (2 x 2). A screen state held
+        as the 2 x 2 matrix rho is the bins x bins matrix Q rho Q^H.
+        """
+        basis, triangle = np.linalg.qr((self.amplitudes / math.sqrt(2.0)).T)
+        # Orthonormality makes every 2 x 2 check and distance on the span
+        # equal to its bins x bins counterpart; it is proved once, not assumed.
+        residual = float(np.linalg.norm(basis.conj().T @ basis - np.eye(2)))
+        if not residual <= ATOL_LINALG:
+            raise QuantumStateError(f"span basis is not orthonormal within 1e-12 ({residual})")
+        basis.setflags(write=False)
+        triangle.setflags(write=False)
+        return basis, triangle
 
 
 @dataclass(frozen=True)

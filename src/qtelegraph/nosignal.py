@@ -17,13 +17,14 @@ The joint state is the 2 x bins amplitude matrix A = [psi_1; psi_2] / sqrt(2)
 (the config's ``amplitudes``, scaled): row k is the signal amplitude left by
 idler which-path outcome k. Every screen state here lies in the span of those
 two rows, so it is held as a 2 x 2 matrix in the coordinates of an
-orthonormal basis Q of that span, from one QR factorization A^T = Q R
-(``screen_span``). Route (a) is then R R^H, route (b) the mixture of the
-normalized Q^H a_k weighted by |a_k|^2, the collapse story's coherent state
-the normalized Q^H (psi_1 + psi_2) from ``device.superposition``, and a
-trace distance is a 2 x 2 eigenproblem. Because Q is an isometry, each is
-exactly the bins x bins quantity of the dense ``quantum`` algebra, which the
-tests use as the reference; no bins-sized matrix is built here.
+orthonormal basis Q of that span, from the config's one QR factorization
+A^T = Q R (``DeviceConfig.span``). Route (a) is then R R^H, route (b) the
+mixture of the normalized Q^H a_k weighted by |a_k|^2, the collapse story's
+coherent state the normalized Q^H (psi_1 + psi_2) from
+``device.superposition``, and a trace distance is a 2 x 2 eigenproblem.
+Because Q is an isometry, each is exactly the bins x bins quantity of the
+dense ``quantum`` algebra, which the tests use as the reference; no
+bins-sized matrix is built here.
 
 Under unitary quantum mechanics all three vanish to float precision; under
 the naive collapse model all three are macroscopic.
@@ -44,13 +45,7 @@ from .device import (
     superposition,
 )
 from .protocol import Detector, ModelMode, screen_marginal
-from .quantum import (
-    ATOL_LINALG,
-    DensityMatrix,
-    QuantumStateError,
-    _derived_density,
-    trace_distance,
-)
+from .quantum import DensityMatrix, _derived_density, trace_distance
 
 # The total variation and trace distances must be below DISTANCE_TOLERANCE,
 # the mutual information below MI_TOLERANCE bits.
@@ -112,31 +107,13 @@ def jensen_shannon_bits(p: np.ndarray, q: np.ndarray) -> float:
     return max(0.0, _entropy_bits(mid) - 0.5 * (_entropy_bits(p) + _entropy_bits(q)))
 
 
-def screen_span(cfg: DeviceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The joint amplitude matrix A and the QR factors of its transpose.
-
-    Returns ``(A, Q, R)`` with A = cfg.amplitudes / sqrt(2) (2 x bins),
-    A^T = Q R, Q (bins x 2) an orthonormal basis of the span of the pipe
-    amplitudes and R upper triangular (2 x 2). A screen state held as the
-    2 x 2 matrix rho is the bins x bins matrix Q rho Q^H.
-    """
-    amplitudes = cfg.amplitudes / math.sqrt(2.0)
-    basis, triangle = np.linalg.qr(amplitudes.T)
-    # Orthonormality makes every 2 x 2 check and distance here equal to its
-    # bins x bins counterpart; it is proved once, not assumed.
-    residual = float(np.linalg.norm(basis.conj().T @ basis - np.eye(2)))
-    if not residual <= ATOL_LINALG:
-        raise QuantumStateError(f"span basis is not orthonormal within 1e-12 ({residual})")
-    return amplitudes, basis, triangle
-
-
 def reduced_screen_by_partial_trace(cfg: DeviceConfig) -> DensityMatrix:
     """Route (a): trace the idler out of the untouched joint state.
 
     The reduced state A^T A* is Q (R R^H) Q^H, so in span coordinates it is
     R R^H; Hermitian and positive semidefinite by construction.
     """
-    _, _, triangle = screen_span(cfg)
+    _, triangle = cfg.span
     reduced = triangle @ triangle.conj().T
     # Symmetrized for an exactly Hermitian result; the report bits rely on it.
     return _derived_density(0.5 * (reduced + reduced.conj().T))
@@ -145,9 +122,9 @@ def reduced_screen_by_partial_trace(cfg: DeviceConfig) -> DensityMatrix:
 def reduced_screen_by_measurement_mixture(cfg: DeviceConfig) -> DensityMatrix:
     """Route (b): which-path-measure the idler, mix the collapsed signal
     states s_k = Q^H a_k / |a_k| with weights |a_k|^2; checked once, in full."""
-    amplitudes, basis, _ = screen_span(cfg)
+    basis, _ = cfg.span
     mixture = np.zeros((2, 2), dtype=complex)
-    for amplitude in amplitudes:
+    for amplitude in cfg.amplitudes / math.sqrt(2.0):
         norm = float(np.linalg.norm(amplitude))
         signal = basis.conj().T @ amplitude / norm
         mixture += norm**2 * np.outer(signal, signal.conj())
@@ -156,7 +133,7 @@ def reduced_screen_by_measurement_mixture(cfg: DeviceConfig) -> DensityMatrix:
 
 def coherent_screen_state(cfg: DeviceConfig) -> DensityMatrix:
     """The pure superposition the collapse story credits to detectors-off."""
-    _, basis, _ = screen_span(cfg)
+    basis, _ = cfg.span
     summed = basis.conj().T @ superposition(cfg, 1)
     summed /= np.linalg.norm(summed)
     return _derived_density(np.outer(summed, summed.conj()))

@@ -55,6 +55,9 @@ NO_INTERFERENCE = "no-interference"
 # A schedule holds an offset and a slot of its pooled order per telegraph,
 # 16 bytes each, so this caps it at 160 MB.
 MAX_TELEGRAPHS = 10**7
+# Each decoded block holds at least one whole symbol, and a hit costs about
+# 60 B of peak memory, so a symbol of this many pairs takes about 0.6 GB.
+MAX_PAIRS = 10**7
 # Draws handled at once: the receiver's symbol blocks hold about this many
 # hits, the sampler's chunks a quarter of it.
 _BLOCK_HITS = 1 << 16
@@ -111,6 +114,8 @@ class TransmissionPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "M", _integer_at_least("M", self.M, 1))
+        if self.M > MAX_PAIRS:
+            raise ValueError(f"M must be <= {MAX_PAIRS} (got {self.M})")
         _check_period("T", self.T)
         object.__setattr__(self, "N", _telegraph_count("N", self.N))
 

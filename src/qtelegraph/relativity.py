@@ -9,12 +9,20 @@ into the emitter's own past; giving both legs one shared (privileged) frame
 closes the loop back to zero advance. An automaton that retransmits the
 negation of what it receives then has no consistent message assignment,
 which is the loop's contradiction.
+
+A ``ParadoxTrace`` stores the three events the two legs determine (A's
+emission and reception, B's reception) and the two frame velocities. B
+retransmits at A's reception, so B's emission is that event, and the loop
+advance is the time between A's emission and B's reception: both are derived
+on read. An automaton is a plain received -> transmitted mapping;
+``NEGATION_RULE`` is the read-only negation of m1 and m2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Hashable, Mapping
 
 M1 = "m1"
@@ -92,25 +100,24 @@ def signal_reception(emission: Event, x_rec: float, frame: float) -> Event:
 
 @dataclass(frozen=True)
 class ParadoxTrace:
-    """The four-event A/B loop: emission and reception for each telegraph.
-
-    ``loop_advance`` is t(A emission) - t(B reception); positive means the
-    round trip delivered the message strictly before it was sent.
-    """
+    """The A/B loop: A's emission and reception, then B's reception."""
 
     a_emission: Event
     a_reception: Event
-    b_emission: Event
     b_reception: Event
     frame_a: float
     frame_b: float
-    loop_advance: float
 
-    def __post_init__(self) -> None:
-        if self.b_emission != self.a_reception:
-            raise ValueError("B emission must coincide with A reception")
-        if abs(self.b_reception.x - self.a_emission.x) > 1e-12:
-            raise ValueError("B reception must return to the A emission position")
+    @property
+    def b_emission(self) -> Event:
+        """B retransmits at once where and when A's signal arrives."""
+        return self.a_reception
+
+    @property
+    def loop_advance(self) -> float:
+        """t(A emission) - t(B reception); positive means the round trip
+        delivered the message strictly before it was sent."""
+        return self.a_emission.t - self.b_reception.t
 
     @property
     def closed_loop(self) -> bool:
@@ -135,10 +142,7 @@ class ParadoxTrace:
 
     def to_dict(self) -> dict:
         return {
-            "a_emission": {"t": self.a_emission.t, "x": self.a_emission.x},
-            "a_reception": {"t": self.a_reception.t, "x": self.a_reception.x},
-            "b_emission": {"t": self.b_emission.t, "x": self.b_emission.x},
-            "b_reception": {"t": self.b_reception.t, "x": self.b_reception.x},
+            **{label: {"t": t, "x": x} for label, t, x in self.event_rows()},
             "frame_a": self.frame_a,
             "frame_b": self.frame_b,
             "loop_advance": self.loop_advance,
@@ -165,45 +169,22 @@ def build_paradox(strategy: FrameStrategy, separation: float) -> ParadoxTrace:
 
     a_emission = Event(t=0.0, x=float(separation))
     a_reception = signal_reception(a_emission, 0.0, frame_a)
-    b_emission = a_reception
-    b_reception = signal_reception(b_emission, float(separation), frame_b)
-    loop_advance = a_emission.t - b_reception.t
     return ParadoxTrace(
         a_emission=a_emission,
         a_reception=a_reception,
-        b_emission=b_emission,
-        b_reception=b_reception,
+        b_reception=signal_reception(a_reception, float(separation), frame_b),
         frame_a=frame_a,
         frame_b=frame_b,
-        loop_advance=loop_advance,
     )
 
 
-@dataclass(frozen=True)
-class AutomatonRule:
-    """Total map from received message to transmitted message on {m1, m2}."""
-
-    mapping: Mapping[Hashable, Hashable]
-
-    def __post_init__(self) -> None:
-        mapping = dict(self.mapping)
-        object.__setattr__(self, "mapping", mapping)
-        domain = set(mapping)
-        if not domain:
-            raise ValueError("automaton rule must not be empty")
-        if not set(mapping.values()) <= domain:
-            raise ValueError("automaton rule must map messages into its own alphabet")
-
-    def __call__(self, message: Hashable) -> Hashable:
-        return self.mapping[message]
+NEGATION_RULE: Mapping[str, str] = MappingProxyType({M1: M2, M2: M1})
 
 
-NEGATION_RULE = AutomatonRule({M1: M2, M2: M1})
-
-
-def automaton_fixed_points(rule: AutomatonRule) -> set:
-    """Messages the closed loop can consistently feed the automaton.
+def automaton_fixed_points(rule: Mapping[Hashable, Hashable]) -> set:
+    """Messages the closed loop can consistently feed the automaton whose
+    received -> transmitted map is ``rule``.
 
     Empty means no self-consistent assignment exists: the contradiction.
     """
-    return {message for message in rule.mapping if rule(message) == message}
+    return {message for message, sent in rule.items() if sent == message}

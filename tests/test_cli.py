@@ -357,6 +357,13 @@ class TestSubcommands:
                 ["distributions", "--bins", "64", "--kappa=10.053096491487338", "--relative-phase=3.141592653589793"],
                 "kappa=10.053096491487338, relative_phase=3.141592653589793, bins=64",
             ),
+            # A decoded block holds a whole symbol: M is refused before any
+            # allocation, not by numpy's reshape or size checks.
+            (["transmit", "--symbols", "2", "--M", "10000001"], "M must be <= 10000000 (got 10000001)"),
+            (["transmit", "--symbols", "2", "--M", "9223372036854775807"], "M must be <= 10000000"),
+            (["transmit", "--symbols", "2", "--M", "100000000000000000000"], "M must be <= 10000000"),
+            # Every command shares the planner's alpha domain.
+            (["transmit", "--alpha", "1e-12"], "alpha must be in [1e-09, 1)"),
         ],
     )
     def test_out_of_domain_values_exit_2(self, tmp_path, monkeypatch, capsys, argv, named):
@@ -682,10 +689,3 @@ class TestSubcommands:
         assert result.returncode == 0
         payload = json.loads((tmp_path / "paradox.json").read_text())
         assert payload["trace"]["loop_advance"] == pytest.approx(2.0, abs=1e-12)
-
-
-def test_public_names_resolve_once_in_sorted_order():
-    names = qtelegraph.__all__
-    assert names == sorted(names)
-    assert len(set(names)) == len(names)
-    assert [name for name in names if not hasattr(qtelegraph, name)] == []

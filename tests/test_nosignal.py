@@ -24,7 +24,6 @@ from qtelegraph.nosignal import (
     plugin_mutual_information,
     reduced_screen_by_measurement_mixture,
     reduced_screen_by_partial_trace,
-    screen_span,
     total_variation,
     verify_no_signaling,
 )
@@ -64,7 +63,7 @@ def pipe_formula(cfg, pipe, xs):
 
 def lifted(cfg, rho):
     """A span-coordinate screen state as the bins x bins matrix Q rho Q^H."""
-    _, basis, _ = screen_span(cfg)
+    basis, _ = cfg.span
     return basis @ rho.matrix @ basis.conj().T
 
 
@@ -225,10 +224,29 @@ class TestSpanAgainstDenseOracle:
 
     def test_span_basis_factors_the_amplitudes(self):
         cfg = DeviceConfig(relative_phase=0.7)
-        amplitudes, basis, triangle = screen_span(cfg)
+        amplitudes = cfg.amplitudes / math.sqrt(2.0)
+        basis, triangle = cfg.span
         assert amplitudes.shape == (2, cfg.bins) and basis.shape == (cfg.bins, 2)
         assert np.abs(basis.conj().T @ basis - np.eye(2)).max() < 1e-12
         assert np.abs(basis @ triangle - amplitudes.T).max() < 1e-12
+
+    @pytest.mark.parametrize("mode", list(ModelMode), ids=lambda mode: mode.value)
+    def test_factored_once_per_verify(self, monkeypatch, mode):
+        factorizations = []
+        qr = np.linalg.qr
+
+        def counted(matrix):
+            factorizations.append(matrix.shape)
+            return qr(matrix)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        cfg = DeviceConfig(bins=64)
+        verify_no_signaling(cfg, mode)
+        assert factorizations == [(64, 2)]
+        for factor in cfg.span:
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0, 0] = 0.0
 
     @pytest.mark.parametrize(
         "cfg",

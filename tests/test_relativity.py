@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from qtelegraph.relativity import (
-    AutomatonRule,
     Event,
     M1,
     M2,
     NEGATION_RULE,
-    ParadoxTrace,
     PrivilegedFrame,
     StateDependentFrames,
     automaton_fixed_points,
@@ -162,19 +160,6 @@ class TestBuildParadox:
         for emission, reception, _ in trace.legs():
             assert interval(emission, reception) < 0.0
 
-    def test_trace_validation(self):
-        e = Event(0.0, 0.0)
-        with pytest.raises(ValueError, match="coincide"):
-            ParadoxTrace(
-                a_emission=Event(0.0, 1.0),
-                a_reception=e,
-                b_emission=Event(0.5, 0.0),
-                b_reception=Event(0.0, 1.0),
-                frame_a=0.5,
-                frame_b=-0.5,
-                loop_advance=0.0,
-            )
-
     def test_event_rows_and_dict(self):
         trace = build_paradox(StateDependentFrames(0.5), 1.0)
         rows = trace.event_rows()
@@ -193,16 +178,16 @@ class TestAutomaton:
     def test_negation_rule_has_no_fixed_point(self):
         assert automaton_fixed_points(NEGATION_RULE) == set()
 
+    def test_negation_rule_is_read_only(self):
+        assert dict(NEGATION_RULE) == {M1: M2, M2: M1}
+        with pytest.raises(TypeError):
+            NEGATION_RULE[M1] = M1
+
     def test_identity_rule_fixes_everything(self):
-        assert automaton_fixed_points(AutomatonRule({M1: M1, M2: M2})) == {M1, M2}
+        assert automaton_fixed_points({M1: M1, M2: M2}) == {M1, M2}
 
     def test_constant_rule(self):
-        rule = AutomatonRule({M1: M1, M2: M1})
-        assert automaton_fixed_points(rule) == {M1}
-
-    def test_rule_must_stay_in_alphabet(self):
-        with pytest.raises(ValueError, match="alphabet"):
-            AutomatonRule({M1: "m3"})
+        assert automaton_fixed_points({M1: M1, M2: M1}) == {M1}
 
     def test_closed_loop_plus_negation_flags_contradiction(self):
         trace = build_paradox(StateDependentFrames(0.5), 1.0)
