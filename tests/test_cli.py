@@ -620,6 +620,33 @@ class TestSubcommands:
                 "events.csv": "9d911882643dfdcfd75f587254a58a870d5a3fba202d1ebaf4a4903be0d09aae",
             },
         ),
+        # The bulk workload's simulate geometry (N=1, T=1): its hit times
+        # repeat a few (fraction, binade) pairs.
+        (
+            "simulate---detectors-on-M-100000",
+            ("simulate", "--detectors", "on", "--M", "100000", "--seed", "7"),
+            {
+                "hits.csv": "b4c88f6f7168a08182c0bb26aed2cba16c668f0d322898442402c18a9743451e",
+                "decision.json": "7dfbce9f9213a3409b7dac203ea4303a24d74eb88fe911b06aeace72ef06d268",
+            },
+        ),
+        (
+            "simulate---detectors-off-M-100000",
+            ("simulate", "--detectors", "off", "--M", "100000", "--seed", "7"),
+            {
+                "hits.csv": "e667e71bf5f67278ac660863eab56b03d9479bac8ed7e720145e9f650e496ca0",
+                "decision.json": "f038a25d4f3e8f3aa2091194c0d4b19715b0cfce1726d3ea341a46267acbd273",
+            },
+        ),
+        # Hit times cross 2**53 and end past 1e16, in exponent notation.
+        (
+            "simulate---detectors-on-T-1.5e11",
+            ("simulate", "--detectors", "on", "--M", "100000", "--T", "1.5e11", "--seed", "7"),
+            {
+                "hits.csv": "5b9c208c0fb5372df5b38a2051182b1b0f174b288fce13ec299af60c36681206",
+                "decision.json": "fd60e2126f74d1dc5a47ce2b953a7bb6333cb4e9120d4d40263d158dcfb658d1",
+            },
+        ),
     )
 
     @pytest.mark.parametrize(
