@@ -29,6 +29,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .device import DeviceConfig, write_distributions_csv
 from .nosignal import verify_no_signaling
 from .protocol import (
@@ -47,7 +49,7 @@ from .relativity import (
     automaton_fixed_points,
     build_paradox,
 )
-from .report import chunked, comment_lines_text, float_texts, json_text, write_csv
+from .report import Coded, comment_lines_text, json_text, write_csv
 from .rng import stream
 
 STRATEGY_STATE_DEPENDENT = "state-dependent"
@@ -244,32 +246,17 @@ def _decision_dict(decision) -> dict:
     }
 
 
-class _FormatOnce(dict):
-    """key -> format(key), each key formatted on its first lookup."""
-
-    def __init__(self, format: Callable[[int], str]) -> None:
-        super().__init__()
-        self.format = format
-
-    def __missing__(self, key: int) -> str:
-        text = self[key] = self.format(key)
-        return text
-
-
 def _write_hits_csv(path: Path, cfg: RunConfig, hits: SymbolHits) -> None:
     """hits.csv: one row per hit, columns telegraph_id, time and x.
 
-    Ids and bins repeat, so each distinct id and each bin hit is formatted
-    once. Every x is the center of the hit's bin, keyed by the bin (keying
-    by value would merge -0.0 with 0.0).
+    Every x is the center of the hit's bin, so x is written from the bin
+    (keying by value would merge -0.0 with 0.0).
     """
     centers = cfg.device.bin_centers()
-    id_texts = _FormatOnce(int.__repr__)
-    x_texts = _FormatOnce(lambda b: float.__repr__(float(centers[b])))
     columns = (
-        chunked(hits.telegraph_id, lambda ids: map(id_texts.__getitem__, ids.tolist())),
-        chunked(hits.time, float_texts),
-        chunked(hits.bin, lambda bins: map(x_texts.__getitem__, bins.tolist())),
+        Coded(hits.telegraph_id, int.__repr__),
+        hits.time,
+        Coded(hits.bin, lambda b: float.__repr__(float(centers[b]))),
     )
     write_csv(path, _config_comment_lines(cfg), ("telegraph_id", "time", "x"), columns)
 
@@ -378,7 +365,7 @@ def _cmd_paradox(cfg: RunConfig, out: Path) -> int:
         out / "events.csv",
         _config_comment_lines(cfg),
         ("label", "t", "x"),
-        (labels, map(repr, times), map(repr, places)),
+        (labels, np.array(times), np.array(places)),
     )
     return 0
 

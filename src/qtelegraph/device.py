@@ -34,7 +34,7 @@ from .quantum import (
     StateVector,
     clamp_probabilities,
 )
-from .report import chunked, float_texts, write_csv
+from .report import write_csv
 
 PIPES = (1, 2)
 
@@ -263,5 +263,5 @@ def write_distributions_csv(
         path,
         header_comments,
         ("x", "p_coherent", "p_incoherent", "p_plus", "p_minus"),
-        [chunked(column, float_texts) for column in values],
+        values,
     )

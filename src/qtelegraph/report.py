@@ -4,31 +4,66 @@ Both writers reproduce the bytes of the standard library's own writers
 exactly, at a fraction of their per-row cost:
 
 * :func:`write_csv` writes what ``csv.writer`` (excel dialect) writes for
-  the same rows. Fields arrive as already formatted strings, one iterable per
-  column (:func:`chunked` builds one from an array a chunk at a time), and
-  each chunk of rows is joined in one pass and written with one call. No
-  field may need csv quoting; a chunk's delimiter, quote and line break
-  counts prove it, so there is no quoting path.
+  the same rows. Each column of a chunk of ``_ROWS_PER_CHUNK`` rows is a
+  table of distinct field texts plus an integer code per row, and a float
+  column adds a decimal integer before its table entry. The chunk is laid
+  out as a ``uint8`` matrix, one row per CSV row, compacted by the entries'
+  explicit byte lengths and written with one call. No field may need csv
+  quoting: each table entry is checked once for a comma, a double quote and
+  a line break, so there is no quoting path.
 * :func:`json_text` returns ``json.dumps(document, sort_keys=True, indent=2,
   allow_nan=False)``. With ``indent`` set, ``json`` formats every value in
   Python; here a list of numbers, or a list of flat records with the same
   keys, is formatted a column at a time.
 
-The module does no physics and uses only the standard library.
+A float column is written as ``float.__repr__``, Gay's shortest round-trip
+digits (D. M. Gay, "Correctly Rounded Binary-Decimal and Decimal-Binary
+Conversions", AT&T Numerical Analysis Manuscript 90-10, 1990), through this
+identity: for a double ``1e-4 <= x < 1e16``, ``repr(x) == repr(int(x)) + s``,
+where the suffix ``s`` (from the ".") depends only on the fraction
+``x - floor(x)`` and the binade ``[2**(e-1), 2**e)`` of x. Proof: with u the
+binade's spacing, the shortest digits are chosen among the decimals that
+round to x, the interval ``[x - u/2, x + u/2]``, its ends included when x's
+significand is even, and among the shortest the one nearest x. If u >= 1,
+x is an integer; so is x if its fraction is 0, and the integer is the one
+shortest candidate, since the interval is narrower than 1 and every other
+candidate needs a fractional digit: ``s`` is ".0". Otherwise u <= 1/2 and
+the interval lies strictly between ``floor(x)`` and ``floor(x) + 1``, so
+every candidate writes ``int(x)`` and then fractional digits, and the
+shortest is the one with the fewest of those. Adding an integer k that keeps
+x in its binade moves the interval by k, keeps its width u, and keeps the
+significand's parity, which is that of ``(x - floor(x)) / u`` because
+``k / u`` is even; the candidates' fractional digits and their distances
+from x are unchanged. Inside ``[1e-4, 1e16)`` repr uses no exponent. So each
+chunk formats one repr per distinct (fraction, binade), the repr of the
+least double of the binade with that fraction, and writes ``int(x)`` in
+numpy; values outside that range (exponent notation, negative, -0.0, inf,
+nan) take their whole repr as the table entry.
+
+The module does no physics; besides the standard library it uses numpy.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import islice, zip_longest
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-# CSV rows are formatted and written this many at a time.
-_ROWS_PER_CHUNK = 1 << 14
+import numpy as np
+
+# CSV rows are formatted and written this many at a time. Every array a
+# chunk needs is a few times this many rows, so a report of any length adds
+# little to the resident memory.
+_ROWS_PER_CHUNK = 1 << 12
 _INDENT = "  "
 _CONTAINERS = (dict, list, tuple)
+_COMMA = np.frombuffer(b",", np.uint8)
+_ROW_END = np.frombuffer(b"\r\n", np.uint8)
+_ZERO = np.uint8(ord("0"))
+# 0, 10, ..., 10**15: an integer below 1e16 has as many digits as it reaches.
+_DIGIT_THRESHOLDS = np.append(0, 10 ** np.arange(1, 16, dtype=np.int64))
 
 
 def comment_lines_text(lines: Iterable[str]) -> str:
@@ -36,65 +71,166 @@ def comment_lines_text(lines: Iterable[str]) -> str:
     return "".join(f"# {line}\n" for line in lines)
 
 
-def chunked(values: Sequence, texts: Callable[[Sequence], Iterable[str]]) -> Iterator[str]:
-    """A CSV column from a large array: ``texts(part)`` for each slice of
-    ``values`` one ``write_csv`` chunk long, end to end, so that no more than
-    a chunk of the array is converted to Python objects at a time."""
-    return chain.from_iterable(
-        texts(values[first : first + _ROWS_PER_CHUNK])
-        for first in range(0, len(values), _ROWS_PER_CHUNK)
-    )
+class Coded(NamedTuple):
+    """A CSV column as an integer code per row and the text of a code.
+
+    Each distinct code is formatted once, on the first chunk it occurs in.
+    """
+
+    codes: np.ndarray
+    text: Callable[[int], str]
 
 
-def float_texts(part) -> Iterator[str]:
-    """The repr of each float of a numpy array, as ``csv.writer`` writes it."""
-    return map(float.__repr__, part.tolist())
+class _Part(NamedTuple):
+    """One column of a chunk. Row j is ``integers[j]`` in decimal, then
+    ``table[codes[j]]`` without its first ``skip[codes[j]]`` characters.
+    Without ``integers`` or ``skip`` a row is its table entry alone; a row
+    whose integer is -1 has no digits."""
+
+    table: list[str]
+    codes: np.ndarray
+    integers: np.ndarray | None = None
+    skip: np.ndarray | None = None
 
 
-def _csv_rows_text(chunk: list[list[str]], rows: int) -> str:
-    """``rows`` CSV rows from equal-length column lists, checked unquoted."""
-    text = "\r\n".join(map(",".join, zip(*chunk))) + "\r\n"
-    # Every comma, '\r' and '\n' must be a delimiter or a row end, and no
-    # field may hold a quote: then csv.writer would quote nothing either.
-    if (
-        text.count(",") != rows * (len(chunk) - 1)
-        or text.count("\n") != rows
-        or text.count("\r") != rows
-        or '"' in text
-    ):
+def _text_parts(column: Iterable[str]) -> Iterator[_Part]:
+    texts = iter(column)
+    while chunk := list(islice(texts, _ROWS_PER_CHUNK)):
+        yield _Part(chunk, np.arange(len(chunk)))
+
+
+def _coded_parts(column: Coded) -> Iterator[_Part]:
+    formatted: dict[int, str] = {}
+    for first in range(0, len(column.codes), _ROWS_PER_CHUNK):
+        present, codes = np.unique(
+            column.codes[first : first + _ROWS_PER_CHUNK], return_inverse=True
+        )
+        present = present.tolist()
+        formatted.update((code, column.text(code)) for code in present if code not in formatted)
+        yield _Part([formatted[code] for code in present], codes)
+
+
+def _integer_parts(values: np.ndarray) -> np.ndarray:
+    """int(value) where repr writes no exponent and no sign, [1e-4, 1e16);
+    -1 elsewhere (exponent notation, a sign, 0.0, inf and nan)."""
+    fixed = (values >= 1e-4) & (values < 1e16)
+    return np.where(fixed, np.floor(values), -1).astype(np.int64)
+
+
+def _float_parts(column: np.ndarray) -> Iterator[_Part]:
+    for first in range(0, len(column), _ROWS_PER_CHUNK):
+        values = column[first : first + _ROWS_PER_CHUNK]
+        integers = _integer_parts(values)
+        # A value of at least 1 is keyed by the least double of its binade
+        # with its fraction, whose repr ends in the value's suffix; any
+        # other value by itself.
+        whole = integers >= 1
+        plain = np.where(whole, values, 0.0)
+        binade_floor = np.ldexp(1.0, np.frexp(plain)[1] - 1)
+        keys = np.where(whole, binade_floor + (plain - integers), values)
+        distinct, codes = np.unique(keys.view(np.int64), return_inverse=True)
+        representatives = distinct.view(np.float64)
+        table = list(map(float.__repr__, representatives.tolist()))
+        skip = _digit_count(_integer_parts(representatives))
+        yield _Part(table, codes, integers, skip)
+
+
+def _parts(column) -> Iterator[_Part]:
+    if isinstance(column, Coded):
+        return _coded_parts(column)
+    if isinstance(column, np.ndarray):
+        return _float_parts(np.ascontiguousarray(column, dtype=np.float64))
+    return _text_parts(column)
+
+
+def _table_bytes(table: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries' UTF-8 bytes end to end, and where each starts and how
+    many bytes it has, after checking that csv.writer quotes no entry.
+
+    The entries are joined by commas, so the commas of the encoded text, one
+    fewer than the entries unless an entry holds one, mark where each ends.
+    The lengths are explicit, so an entry may end in NUL bytes.
+    """
+    joined = ",".join(table)
+    data = np.frombuffer(joined.encode("utf-8"), np.uint8)
+    ends = np.flatnonzero(data == _COMMA)
+    if len(ends) != len(table) - 1 or '"' in joined or "\r" in joined or "\n" in joined:
         raise ValueError("a CSV field holds a comma, a double quote or a line break")
-    return text
+    ends = np.append(ends, len(data))
+    starts = np.append(0, ends[:-1] + 1)
+    return data, starts, ends - starts
+
+
+def _digit_count(integers: np.ndarray) -> np.ndarray:
+    """Decimal digits of each integer below 1e16 (0 has one, -1 none)."""
+    return np.searchsorted(_DIGIT_THRESHOLDS, integers, side="right")
+
+
+def _rows_bytes(parts: Sequence[_Part]) -> bytes:
+    """The CSV rows of one chunk, as the bytes csv.writer writes for them.
+
+    Each field is laid out down a column of a uint8 matrix whose columns are
+    the rows, beside a mask of the bytes written; the masked bytes of the
+    transposed matrix are the rows end to end.
+    """
+    rows = len(parts[0].codes)
+    blocks: list[np.ndarray] = []
+    masks: list[np.ndarray] = []
+    for j, part in enumerate(parts):
+        if part.integers is not None:
+            # Right-aligned digits, by division by a scalar, which numpy
+            # does without a hardware divide.
+            counts = _digit_count(part.integers)
+            width = int(counts.max())
+            digits = np.empty((width, rows), dtype=np.uint8)
+            integers = part.integers
+            for place in range(width - 1, -1, -1):
+                quotient = integers // 10
+                digits[place] = integers - quotient * 10
+                integers = quotient
+            blocks.append(digits + _ZERO)
+            masks.append(np.arange(width)[:, None] >= width - counts)
+        data, starts, lengths = _table_bytes(part.table)
+        first, length = starts[part.codes], lengths[part.codes]
+        if part.skip is not None:
+            skip = part.skip[part.codes]
+            first, length = first + skip, length - skip
+        places = np.arange(length.max())[:, None]
+        blocks.append(np.take(data, first + places, mode="clip"))
+        masks.append(places < length)
+        end = _ROW_END if j == len(parts) - 1 else _COMMA
+        blocks.append(np.broadcast_to(end[:, None], (len(end), rows)))
+        masks.append(np.ones((len(end), rows), dtype=bool))
+    return np.concatenate(blocks).T[np.concatenate(masks).T].tobytes()
 
 
 def write_csv(
     path: str | Path,
     comment_lines: Iterable[str],
     header: Sequence[str],
-    columns: Sequence[Iterable[str]],
+    columns: Sequence,
 ) -> None:
     """Write a CSV report: '# ' comment lines, the header, then the rows.
 
-    ``columns`` holds one iterable of formatted fields per header name, all
-    of the same length; they are consumed ``_ROWS_PER_CHUNK`` rows at a time.
-    The bytes equal those of ``csv.writer`` writing the same rows. A field
-    that ``csv.writer`` would quote (one holding a comma, a double quote or a
-    line break) raises ValueError instead, as do columns of unequal length.
+    ``columns`` holds one column per header name, all of the same length,
+    each one of: an iterable of formatted field texts; a :class:`Coded`
+    column; or a float64 numpy array, written as each float's ``repr``. They
+    are consumed ``_ROWS_PER_CHUNK`` rows at a time. The bytes equal those of
+    ``csv.writer`` writing the same rows. A field that ``csv.writer`` would
+    quote (one holding a comma, a double quote or a line break) raises
+    ValueError instead, as do columns of unequal length.
     """
     if len(header) < 2 or len(columns) != len(header):
         # A lone empty field is the one unquoted case csv.writer quotes.
         raise ValueError(f"a CSV report needs one column per header name, at least two ({header})")
-    fields = [iter(column) for column in columns]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(comment_lines_text(comment_lines))
-        handle.write(_csv_rows_text([[name] for name in header], 1))
-        while True:
-            chunk = [list(islice(column, _ROWS_PER_CHUNK)) for column in fields]
-            rows = len(chunk[0])
-            if any(len(part) != rows for part in chunk):
+    names = [_Part([name], np.zeros(1, dtype=np.intp)) for name in header]
+    with open(path, "wb") as handle:
+        handle.write(comment_lines_text(comment_lines).encode("utf-8"))
+        handle.write(_rows_bytes(names))
+        for parts in zip_longest(*map(_parts, columns)):
+            if None in parts or len({len(part.codes) for part in parts}) != 1:
                 raise ValueError(f"CSV columns of {header} differ in length")
-            if not rows:
-                return
-            handle.write(_csv_rows_text(chunk, rows))
+            handle.write(_rows_bytes(parts))
 
 
 def json_text(document) -> str:

@@ -31,6 +31,7 @@ from qtelegraph.cli import (
     run_command,
 )
 from qtelegraph.protocol import Detector, ModelMode
+from test_report import reference_hits_csv
 
 
 def read_csv_body(path):
@@ -113,6 +114,36 @@ NEARLY_EQUAL_PATTERNS = {"kappa": 0.5, "envelope_width": 0.5, "x_max": 0.5, "rel
 
 def flag(key):
     return "--" + key.replace("_", "-")
+
+
+# simulate's keys: values inside each key's domain, and values outside it.
+SIMULATE_VALID = {
+    "M": st.integers(1, 2000),
+    "N": st.integers(1, 100) | st.integers(1, 10**5),
+    "T": st.floats(1e-9, 1e13),
+    "seed": st.integers(0, 2**64 - 1),
+    "detectors": st.sampled_from(["on", "off"]),
+    "mode": st.sampled_from(["UnitaryQM", "NaiveCollapse"]),
+}
+SIMULATE_INVALID = {
+    "M": st.integers(-3, 0),
+    "N": st.sampled_from([-1, 0, 10**7 + 1]),
+    "T": st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+    "seed": st.sampled_from([-1, 2**64]),
+    "detectors": st.sampled_from(["", "auto", "ON"]),
+    "mode": st.sampled_from(["Copenhagen", "unitaryqm"]),
+}
+
+
+@st.composite
+def simulate_inputs(draw):
+    """(the key drawn outside its domain or None, simulate's inputs)."""
+    broken = draw(st.sampled_from([None, None, None, *SIMULATE_VALID]))
+    inputs = {
+        key: draw(SIMULATE_INVALID[key] if key == broken else valid)
+        for key, valid in SIMULATE_VALID.items()
+    }
+    return broken, inputs
 
 
 class TestConfigKeys:
@@ -412,6 +443,34 @@ class TestSubcommands:
             for report in Path(out).iterdir():
                 text = report.read_text()
                 assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), report.name
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(case=simulate_inputs())
+    # Times that cross 2**53 and 1e16.
+    @example(case=(None, {"M": 2000, "N": 1, "T": 6e12, "seed": 7, "detectors": "on", "mode": "UnitaryQM"}))
+    # Subnormal times, written in exponent notation.
+    @example(case=(None, {"M": 50, "N": 3, "T": 1e-320, "seed": 1, "detectors": "off", "mode": "UnitaryQM"}))
+    def test_any_simulate_input_writes_reference_hits_or_exits_2(self, case):
+        """simulate over M, N, T, seed, detectors and mode: exit 0 with the
+        csv.writer reference hits.csv, or exit 2 naming a key (the broken
+        one, if a value was drawn outside its domain); no traceback."""
+        broken, inputs = case
+        argv = ["simulate"] + [
+            f"{flag(key)}={value if isinstance(value, str) else repr(value)}"
+            for key, value in inputs.items()
+        ]
+        with tempfile.TemporaryDirectory() as out:
+            with contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(argv + ["--output-dir", out])
+            assert "Traceback" not in err.getvalue()
+            if code == 0 and broken is None:
+                cfg = resolve_config({**inputs, "output_dir": out})
+                assert (Path(out) / "hits.csv").read_bytes() == reference_hits_csv(cfg)
+            else:
+                assert code == 2
+                named = broken or "|".join(inputs)
+                assert re.match(rf"error: .*\b({named})\b", err.getvalue())
 
     def test_plan_cost_is_bounded_for_nearly_equal_patterns(self, tmp_path):
         """Patterns a total variation of 0.016 apart need M in the tens of

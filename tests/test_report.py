@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from qtelegraph.device import (
     incoherent_distribution,
     write_distributions_csv,
 )
-from qtelegraph.protocol import transmit_message
-from qtelegraph.report import json_text, write_csv
+from qtelegraph.protocol import EnsembleSchedule, transmit_message
+from qtelegraph.report import Coded, json_text, write_csv
 from qtelegraph.rng import stream
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# The float column properties write a file per example; fewer keep them fast.
+FLOAT_PROPERTY = settings(PROPERTY, max_examples=50)
 
 
 def reference_json(document) -> str:
@@ -193,6 +196,98 @@ class TestWriteCsv:
         assert not (tmp_path / "r.csv").exists()
 
 
+# -- float and coded columns --------------------------------------------------
+
+
+def neighbours(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# Where repr switches notation, where binades and their spacing change, and
+# the ends of the float range.
+EDGE_FLOATS = sorted(
+    {0.0, 5e-324, 1.0 - 2**-53, 2.0**52, 2.0**53 - 2, 2.0**53 + 2, sys.float_info.max}
+    | set(neighbours(1e-4) + neighbours(1e16))
+    | {y for k in range(-16, 60) for y in neighbours(2.0**k)}
+)
+OTHER_FLOATS = [-0.0, -1.5, -5e-324, -1e300, math.inf, -math.inf, math.nan]
+
+
+def float_column_csv(path, values) -> bytes:
+    """A float column written beside a text column."""
+    column = np.array(values, dtype=np.float64)
+    write_csv(path, ["floats"], ("v", "w"), (column, ["w"] * len(column)))
+    return path.read_bytes()
+
+
+def expected_float_csv(values) -> bytes:
+    return reference_csv(["floats"], [["v", "w"]] + [[repr(float(v)), "w"] for v in values])
+
+
+class TestFloatColumn:
+    def test_edge_values_equal_repr(self, tmp_path):
+        values = EDGE_FLOATS + OTHER_FLOATS
+        assert float_column_csv(tmp_path / "r.csv", values) == expected_float_csv(values)
+
+    @FLOAT_PROPERTY
+    @given(
+        bases=st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=1, max_size=8),
+        shifts=st.lists(st.integers(0, 2**60), min_size=1, max_size=6),
+    )
+    def test_non_negative_doubles_and_integer_shifts_equal_repr(self, tmp_path_factory, bases, shifts):
+        # Each base plus integers: values that share a fraction, within a
+        # binade and across binades.
+        values = bases + [base + shift for base in bases for shift in shifts]
+        path = tmp_path_factory.mktemp("floats") / "r.csv"
+        assert float_column_csv(path, values) == expected_float_csv(values)
+
+    @FLOAT_PROPERTY
+    @given(
+        n=st.integers(1, 40),
+        period=st.floats(1e-3, 1e12),
+        fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=40, max_size=40),
+        first=st.integers(0, 2**40),
+        count=st.integers(1, 300),
+    )
+    def test_emission_times_equal_repr(self, tmp_path_factory, n, period, fractions, first, count):
+        schedule = EnsembleSchedule(np.array(fractions[:n]) * period, period)
+        times, _ = schedule.emissions_after(first, count)
+        path = tmp_path_factory.mktemp("times") / "r.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            # Small chunks, so keys repeat within and across chunks.
+            patch.setattr(report_module, "_ROWS_PER_CHUNK", 64)
+            assert float_column_csv(path, times) == expected_float_csv(times.tolist())
+
+
+class TestCodedColumn:
+    def test_each_code_present_is_formatted_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(report_module, "_ROWS_PER_CHUNK", 4)
+        codes = np.array([10**7 - 1, 5, 5, 3, 10**7 - 1, 5, 0, 3, 3, 10**7 - 1, 2**40])
+        formatted = []
+
+        def text(code: int) -> str:
+            formatted.append(code)
+            return f"c{code}"
+
+        path = tmp_path / "r.csv"
+        write_csv(path, [], ("a", "b"), (Coded(codes, text), ["x"] * len(codes)))
+        assert sorted(formatted) == sorted(set(codes.tolist()))
+        rows = [["a", "b"]] + [[f"c{code}", "x"] for code in codes.tolist()]
+        assert path.read_bytes() == reference_csv([], rows)
+
+    @pytest.mark.parametrize("field", ["1,5", 'say "x"', "a\nb", "a\rb"])
+    def test_text_csv_would_quote_raises(self, tmp_path, field):
+        column = Coded(np.array([0, 1, 0]), lambda code: field if code else "ok")
+        with pytest.raises(ValueError, match="comma, a double quote or a line break"):
+            write_csv(tmp_path / "r.csv", [], ("a", "b"), (column, np.zeros(3)))
+
+    @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (4096, 4097), (0, 1)])
+    def test_columns_of_unequal_length_raise(self, tmp_path, lengths):
+        columns = (Coded(np.zeros(lengths[0], dtype=int), str), np.zeros(lengths[1]))
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csv(tmp_path / "r.csv", [], ("a", "b"), columns)
+
+
 def reference_hits_csv(cfg) -> bytes:
     bit = 1 if cfg.detectors.value == "on" else 0
     result = transmit_message(
@@ -208,15 +303,29 @@ def reference_hits_csv(cfg) -> bytes:
 
 
 class TestReportsMatchCsvWriter:
-    # 2**14 rows fill one writer chunk exactly; one more row starts another.
-    @pytest.mark.parametrize("m", [1, 2**14, 2**14 + 1])
+    # 2**14 rows fill whole writer chunks; one more row starts another.
+    @pytest.mark.parametrize(
+        "m, n, t",
+        [
+            pytest.param(1, 37, 1.0, id="1"),
+            pytest.param(2**14, 37, 1.0, id="16384"),
+            pytest.param(2**14 + 1, 37, 1.0, id="16385"),
+            # One telegraph: every time shares the offset's fraction.
+            pytest.param(2**12 + 1, 1, 1.0, id="4097-N1-T1.0"),
+            pytest.param(2**12 + 1, 37, 0.37, id="4097-T0.37"),
+            # Every time below 1: no two share a (fraction, binade).
+            pytest.param(2**12 + 1, 37, 1e-6, id="4097-T1e-06"),
+            # Times up to 6e14, in binades whose spacing is 1/32 to 1/16.
+            pytest.param(2**12 + 1, 1, 1.5e11, id="4097-N1-T1.5e11"),
+        ],
+    )
     @pytest.mark.parametrize("bins", [256, 5000])
-    def test_hits_csv(self, tmp_path, monkeypatch, m, bins):
+    def test_hits_csv(self, tmp_path, monkeypatch, m, n, t, bins):
         monkeypatch.chdir(tmp_path)
-        argv = ["simulate", "--M", str(m), "--N", "37", "--bins", str(bins), "--detectors", "on"]
-        assert main(argv + ["--seed", "3", "--output-dir", "out"]) == 0
+        argv = ["simulate", "--M", str(m), "--N", str(n), "--T", repr(t), "--bins", str(bins)]
+        assert main(argv + ["--detectors", "on", "--seed", "3", "--output-dir", "out"]) == 0
         cfg = resolve_config(
-            {"M": m, "N": 37, "bins": bins, "detectors": "on", "seed": 3, "output_dir": "out"}
+            {"M": m, "N": n, "T": t, "bins": bins, "detectors": "on", "seed": 3, "output_dir": "out"}
         )
         assert (tmp_path / "out" / "hits.csv").read_bytes() == reference_hits_csv(cfg)
 
