@@ -5,12 +5,12 @@ exactly, at a fraction of their per-row cost:
 
 * :func:`write_csv` writes what ``csv.writer`` (excel dialect) writes for
   the same rows. Each column of a chunk of ``_ROWS_PER_CHUNK`` rows is a
-  table of distinct field texts plus an integer code per row, and a float
-  column adds a decimal integer before its table entry. The chunk is laid
-  out as a ``uint8`` matrix, one row per CSV row, compacted by the entries'
-  explicit byte lengths and written with one call. No field may need csv
-  quoting: each table entry is checked once for a comma, a double quote and
-  a line break, so there is no quoting path.
+  table of field texts plus an integer code per row, and a float column
+  adds a decimal integer before its table entry. The chunk is laid out as a
+  ``uint8`` matrix, one column per CSV row, beside a mask built from the
+  entries' explicit byte lengths; the masked bytes, row by row, are written
+  with one call. No field may need csv quoting: each table entry is checked
+  for a comma, a double quote and a line break, so there is no quoting path.
 * :func:`json_text` returns ``json.dumps(document, sort_keys=True, indent=2,
   allow_nan=False)``. With ``indent`` set, ``json`` formats every value in
   Python; here a list of numbers, or a list of flat records with the same
@@ -21,24 +21,25 @@ digits (D. M. Gay, "Correctly Rounded Binary-Decimal and Decimal-Binary
 Conversions", AT&T Numerical Analysis Manuscript 90-10, 1990), through this
 identity: for a double ``1e-4 <= x < 1e16``, ``repr(x) == repr(int(x)) + s``,
 where the suffix ``s`` (from the ".") depends only on the fraction
-``x - floor(x)`` and the binade ``[2**(e-1), 2**e)`` of x. Proof: with u the
-binade's spacing, the shortest digits are chosen among the decimals that
-round to x, the interval ``[x - u/2, x + u/2]``, its ends included when x's
-significand is even, and among the shortest the one nearest x. If u >= 1,
-x is an integer; so is x if its fraction is 0, and the integer is the one
-shortest candidate, since the interval is narrower than 1 and every other
-candidate needs a fractional digit: ``s`` is ".0". Otherwise u <= 1/2 and
+``x - floor(x)`` and the binade ``[2**(e-1), 2**e)`` of x. Proof: repr picks
+the shortest digits among the decimals that round to x, those in
+``[x - u/2, x + u/2]`` with u the binade's spacing (the ends included when
+x's significand is even), and among the shortest the one nearest x. If the
+fraction is 0, as it is whenever u >= 1, repr writes the integer x and
+".0": every other candidate is a non-integer, or for u = 2 an odd neighbour
+x +- 1, none shorter than x and all farther from it. Otherwise u <= 1/2 and
 the interval lies strictly between ``floor(x)`` and ``floor(x) + 1``, so
 every candidate writes ``int(x)`` and then fractional digits, and the
-shortest is the one with the fewest of those. Adding an integer k that keeps
-x in its binade moves the interval by k, keeps its width u, and keeps the
-significand's parity, which is that of ``(x - floor(x)) / u`` because
-``k / u`` is even; the candidates' fractional digits and their distances
-from x are unchanged. Inside ``[1e-4, 1e16)`` repr uses no exponent. So each
-chunk formats one repr per distinct (fraction, binade), the repr of the
-least double of the binade with that fraction, and writes ``int(x)`` in
-numpy; values outside that range (exponent notation, negative, -0.0, inf,
-nan) take their whole repr as the table entry.
+shortest has the fewest of those. Adding an integer k that keeps x in its
+binade moves the interval by k, keeps its width u and keeps the
+significand's parity (``k / u`` is even), so the candidates' fractional
+digits and their distances from x are unchanged. (At a power of two the
+interval's lower half is u/4, but a power of two at least 1 has fraction 0,
+and below 1 no shift stays in the binade.) Inside ``[1e-4, 1e16)``
+repr uses no exponent. So each chunk formats one repr per distinct
+(fraction, binade), that of the least double of the binade with that
+fraction, and writes ``int(x)`` in numpy; any other value (0.0, a negative
+value, exponent notation, inf, nan) takes its whole repr as its table entry.
 
 The module does no physics; besides the standard library it uses numpy.
 """
@@ -82,12 +83,14 @@ class Coded(NamedTuple):
 
 
 class _Part(NamedTuple):
-    """One column of a chunk. Row j is ``integers[j]`` in decimal, then
-    ``table[codes[j]]`` without its first ``skip[codes[j]]`` characters.
-    Without ``integers`` or ``skip`` a row is its table entry alone; a row
-    whose integer is -1 has no digits."""
+    """One column of a chunk, with a table of ``count`` entries joined by
+    ", " in ``table``. Row j is ``integers[j]`` in decimal, then entry
+    ``codes[j]`` without its first ``skip[codes[j]]`` characters. Without
+    ``integers`` or ``skip`` a row is its table entry alone; a row whose
+    integer is -1 has no digits."""
 
-    table: list[str]
+    table: str
+    count: int
     codes: np.ndarray
     integers: np.ndarray | None = None
     skip: np.ndarray | None = None
@@ -96,7 +99,7 @@ class _Part(NamedTuple):
 def _text_parts(column: Iterable[str]) -> Iterator[_Part]:
     texts = iter(column)
     while chunk := list(islice(texts, _ROWS_PER_CHUNK)):
-        yield _Part(chunk, np.arange(len(chunk)))
+        yield _Part(", ".join(chunk), len(chunk), np.arange(len(chunk)))
 
 
 def _coded_parts(column: Coded) -> Iterator[_Part]:
@@ -107,10 +110,10 @@ def _coded_parts(column: Coded) -> Iterator[_Part]:
         )
         present = present.tolist()
         formatted.update((code, column.text(code)) for code in present if code not in formatted)
-        yield _Part([formatted[code] for code in present], codes)
+        yield _Part(", ".join([formatted[code] for code in present]), len(present), codes)
 
 
-def _integer_parts(values: np.ndarray) -> np.ndarray:
+def _integer_prefix(values: np.ndarray) -> np.ndarray:
     """int(value) where repr writes no exponent and no sign, [1e-4, 1e16);
     -1 elsewhere (exponent notation, a sign, 0.0, inf and nan)."""
     fixed = (values >= 1e-4) & (values < 1e16)
@@ -120,7 +123,7 @@ def _integer_parts(values: np.ndarray) -> np.ndarray:
 def _float_parts(column: np.ndarray) -> Iterator[_Part]:
     for first in range(0, len(column), _ROWS_PER_CHUNK):
         values = column[first : first + _ROWS_PER_CHUNK]
-        integers = _integer_parts(values)
+        integers = _integer_prefix(values)
         # A value of at least 1 is keyed by the least double of its binade
         # with its fraction, whose repr ends in the value's suffix; any
         # other value by itself.
@@ -130,9 +133,10 @@ def _float_parts(column: np.ndarray) -> Iterator[_Part]:
         keys = np.where(whole, binade_floor + (plain - integers), values)
         distinct, codes = np.unique(keys.view(np.int64), return_inverse=True)
         representatives = distinct.view(np.float64)
-        table = list(map(float.__repr__, representatives.tolist()))
-        skip = _digit_count(_integer_parts(representatives))
-        yield _Part(table, codes, integers, skip)
+        # A list's repr is its floats' reprs joined by ", ".
+        table = repr(representatives.tolist())[1:-1]
+        skip = _digit_count(_integer_prefix(representatives))
+        yield _Part(table, len(representatives), codes, integers, skip)
 
 
 def _parts(column) -> Iterator[_Part]:
@@ -143,22 +147,21 @@ def _parts(column) -> Iterator[_Part]:
     return _text_parts(column)
 
 
-def _table_bytes(table: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries' UTF-8 bytes end to end, and where each starts and how
-    many bytes it has, after checking that csv.writer quotes no entry.
+def _table_bytes(table: str, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of ``count`` entries joined by ", ", and where each
+    entry starts and how many bytes it has, after checking that csv.writer
+    quotes no entry.
 
-    The entries are joined by commas, so the commas of the encoded text, one
-    fewer than the entries unless an entry holds one, mark where each ends.
-    The lengths are explicit, so an entry may end in NUL bytes.
+    The commas, one fewer than the entries unless an entry holds one, mark
+    where each entry ends. The lengths are explicit, so an entry may end in
+    NUL bytes.
     """
-    joined = ",".join(table)
-    data = np.frombuffer(joined.encode("utf-8"), np.uint8)
+    data = np.frombuffer(table.encode("utf-8"), np.uint8)
     ends = np.flatnonzero(data == _COMMA)
-    if len(ends) != len(table) - 1 or '"' in joined or "\r" in joined or "\n" in joined:
+    if len(ends) != count - 1 or '"' in table or "\r" in table or "\n" in table:
         raise ValueError("a CSV field holds a comma, a double quote or a line break")
-    ends = np.append(ends, len(data))
-    starts = np.append(0, ends[:-1] + 1)
-    return data, starts, ends - starts
+    starts = np.append(0, ends + 2)
+    return data, starts, np.append(ends, len(data)) - starts
 
 
 def _digit_count(integers: np.ndarray) -> np.ndarray:
@@ -190,7 +193,7 @@ def _rows_bytes(parts: Sequence[_Part]) -> bytes:
                 integers = quotient
             blocks.append(digits + _ZERO)
             masks.append(np.arange(width)[:, None] >= width - counts)
-        data, starts, lengths = _table_bytes(part.table)
+        data, starts, lengths = _table_bytes(part.table, part.count)
         first, length = starts[part.codes], lengths[part.codes]
         if part.skip is not None:
             skip = part.skip[part.codes]
@@ -223,7 +226,7 @@ def write_csv(
     if len(header) < 2 or len(columns) != len(header):
         # A lone empty field is the one unquoted case csv.writer quotes.
         raise ValueError(f"a CSV report needs one column per header name, at least two ({header})")
-    names = [_Part([name], np.zeros(1, dtype=np.intp)) for name in header]
+    names = [_Part(name, 1, np.zeros(1, dtype=np.intp)) for name in header]
     with open(path, "wb") as handle:
         handle.write(comment_lines_text(comment_lines).encode("utf-8"))
         handle.write(_rows_bytes(names))
