@@ -706,6 +706,42 @@ class TestSubcommands:
                 "decision.json": "fd60e2126f74d1dc5a47ce2b953a7bb6333cb4e9120d4d40263d158dcfb658d1",
             },
         ),
+        # 5000 symbols of 27 pairs decode in three receiver blocks.
+        (
+            "transmit---symbols-5000",
+            ("transmit", "--mode", "NaiveCollapse", "--symbols", "5000", "--M", "27", "--seed", "4"),
+            {
+                "transcript.json": "8f7b458c0cba1f529734d6c561bbd2d803bd7ce74b7039b9fde0e91c003f64c0",
+                "summary.json": "76025ac1b4fb802fda6822843f05f0b5f570bea9eac636c9dc6486f36a59905a",
+            },
+        ),
+        # The empty message.
+        (
+            "transmit---symbols-0",
+            ("transmit", "--symbols", "0", "--seed", "1"),
+            {
+                "transcript.json": "e0de4734980871034803112645a8d9771a54508f8ff7b470f58a6429f0c8c5a3",
+                "summary.json": "b39850a17cff0a70acd73156de314e95dde08138845b933bc4f48ef13cf8213b",
+            },
+        ),
+        # One symbol of one pair.
+        (
+            "transmit---bits-1-M-1",
+            ("transmit", "--mode", "NaiveCollapse", "--bits", "1", "--M", "1", "--seed", "2"),
+            {
+                "transcript.json": "2e28f4cd24a54bfdb97d2c0dcba31b6050bfa15622f6dafaa4cad29c24573ff1",
+                "summary.json": "881a72b5300b07ca0e0360e9340fc36983f77ca7967caf34e826ea71236a9c4c",
+            },
+        ),
+        # N >> M: the message reads 4 of 10^6 pooled slots.
+        (
+            "simulate---M-4-N-1000000",
+            ("simulate", "--M", "4", "--N", "1000000", "--seed", "3"),
+            {
+                "hits.csv": "a08dedcc16fb322d908025b5dea1c30c4cd347956204665b079ba98607e53eb0",
+                "decision.json": "b1f7678669d108db76e3511b06d5c40f57950fbe4c1d5b49d4546b54e54cc572",
+            },
+        ),
     )
 
     @pytest.mark.parametrize(
