@@ -34,11 +34,14 @@ import numpy as np
 from .device import DeviceConfig, write_distributions_csv
 from .nosignal import verify_no_signaling
 from .protocol import (
+    INTERFERENCE,
     MIN_ALPHA,
+    NO_INTERFERENCE,
     Detector,
     ModelMode,
     SymbolHits,
     TransmissionPlan,
+    TransmissionResult,
     required_sample_size,
     transmit_message,
 )
@@ -238,12 +241,15 @@ def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _decision_dict(decision) -> dict:
-    return {
-        "log_lr": decision.log_lr,
-        "decided": decision.decided,
-        "fringe_statistic": decision.fringe_statistic,
-    }
+def _decisions(result: TransmissionResult) -> list[dict]:
+    """The receiver's verdict per symbol, as report records."""
+    verdicts = (INTERFERENCE, NO_INTERFERENCE)  # by received bit
+    return [
+        {"log_lr": log_lr, "decided": verdicts[bit], "fringe_statistic": fringe}
+        for log_lr, bit, fringe in zip(
+            result.log_lr.tolist(), result.received.tolist(), result.fringe_statistic.tolist()
+        )
+    ]
 
 
 def _write_hits_csv(path: Path, cfg: RunConfig, hits: SymbolHits) -> None:
@@ -272,9 +278,9 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
         out / "decision.json",
         cfg,
         {
-            "decision": _decision_dict(result.decisions[0]),
+            "decision": _decisions(result)[0],
             "detectors": cfg.detectors.value,
-            "symbol_time": result.symbol_times[0],
+            "symbol_time": float(result.symbol_times[0]),
             "hit_count": result.hit_counts[0],
         },
     )
@@ -305,20 +311,20 @@ def _cmd_transmit(cfg: RunConfig, out: Path) -> int:
         bit_rng = stream(cfg.seed, "transmit", "bits")
         bits = [int(b) for b in bit_rng.integers(0, 2, size=cfg.symbols)]
     result = transmit_message(bits, cfg.plan, cfg.mode, cfg.device, stream(cfg.seed, "transmit"))
+    symbol_times = result.symbol_times.tolist()
     _write_json(
         out / "transcript.json",
         cfg,
         {
             "sent": list(result.sent),
-            "received": list(result.received),
-            "symbol_times": list(result.symbol_times),
+            "received": result.received.tolist(),
+            "symbol_times": symbol_times,
             "hit_counts": list(result.hit_counts),
-            "decisions": [_decision_dict(d) for d in result.decisions],
+            "decisions": _decisions(result),
         },
     )
-    mean_time = (
-        sum(result.symbol_times) / len(result.symbol_times) if result.symbol_times else 0.0
-    )
+    # Summed left to right, as the pinned summaries were.
+    mean_time = sum(symbol_times) / len(symbol_times) if symbol_times else 0.0
     _write_json(
         out / "summary.json",
         cfg,

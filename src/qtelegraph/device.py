@@ -10,11 +10,11 @@ is a finite grid of ``bins`` cells spanning [-x_max*w, +x_max*w]; amplitudes
 are sampled at bin centers and renormalized, once per config, into the
 read-only 2 x bins array ``DeviceConfig.amplitudes``. Everything downstream
 (the entangled joint state, the coherent/incoherent/eraser-conditioned screen
-statistics, and ``DeviceConfig.span``, the QR basis of the two rows that the
-no-signaling checks work in, also factored once per config) is an exact
-finite-dimensional computation from those two rows. Every superposed
-amplitude psi_1 ± psi_2 comes from ``superposition``, which refuses one that
-cancels to rounding noise.
+patterns, each a read-only probability array over the bins, and the span the
+no-signaling checks work in, ``DeviceConfig.span``, also factored once per
+config) is an exact finite-dimensional computation from those two rows. Every
+superposed amplitude psi_1 ± psi_2 comes from ``superposition``, which
+refuses one that cancels to rounding noise.
 """
 
 from __future__ import annotations
@@ -142,29 +142,6 @@ class DeviceConfig:
         return basis, triangle
 
 
-@dataclass(frozen=True)
-class ScreenDistribution:
-    """Probability per screen bin, with the bin-center grid it lives on."""
-
-    probabilities: np.ndarray
-    bin_centers: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.array(self.probabilities, dtype=float)
-        centers = np.array(self.bin_centers, dtype=float)
-        if probs.shape != centers.shape or probs.ndim != 1:
-            raise ValueError("probabilities and bin_centers must be equal-length 1-d")
-        # Negated comparisons, so that a NaN entry is rejected too.
-        if probs.size and not probs.min() >= 0.0:
-            raise ValueError(f"negative or NaN probability {probs.min()}")
-        if not abs(probs.sum() - 1.0) <= ATOL_LINALG:
-            raise ValueError(f"probabilities must sum to 1 within 1e-12, got {probs.sum()}")
-        probs.setflags(write=False)
-        centers.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "bin_centers", centers)
-
-
 def superposition(cfg: DeviceConfig, sign: int) -> np.ndarray:
     """psi_1 + sign * psi_2 for sign +1 or -1: the screen amplitude of the
     interfering pipes, and twice what the idler outcome (|1> ± |2>)/sqrt(2)
@@ -195,30 +172,27 @@ def build_joint_state(cfg: DeviceConfig) -> StateVector:
     return StateVector(labels, amplitudes)
 
 
-def _distribution_from_weights(cfg: DeviceConfig, weights: np.ndarray) -> ScreenDistribution:
-    return ScreenDistribution(clamp_probabilities(weights), cfg.bin_centers())
-
-
-def coherent_distribution(cfg: DeviceConfig) -> ScreenDistribution:
+def coherent_distribution(cfg: DeviceConfig) -> np.ndarray:
     """Screen statistics with the pipes interfering: p proportional to |psi_1 + psi_2|^2."""
-    return _distribution_from_weights(cfg, np.abs(superposition(cfg, 1)) ** 2)
+    return clamp_probabilities(np.abs(superposition(cfg, 1)) ** 2)
 
 
-def incoherent_distribution(cfg: DeviceConfig) -> ScreenDistribution:
+def incoherent_distribution(cfg: DeviceConfig) -> np.ndarray:
     """Which-path-marked screen statistics: p proportional to (|psi_1|^2 + |psi_2|^2) / 2.
 
     Equals the diagonal of the reduced screen density matrix of the joint state.
     """
     psi1, psi2 = cfg.amplitudes
-    return _distribution_from_weights(cfg, 0.5 * (np.abs(psi1) ** 2 + np.abs(psi2) ** 2))
+    return clamp_probabilities(0.5 * (np.abs(psi1) ** 2 + np.abs(psi2) ** 2))
 
 
 @dataclass(frozen=True)
 class EraserConditionals:
-    """Screen statistics conditioned on measuring the idler in (|1> ± |2>)/sqrt(2)."""
+    """Screen statistics conditioned on measuring the idler in (|1> ± |2>)/sqrt(2):
+    the read-only pattern per outcome and the outcome's probability."""
 
-    p_plus: ScreenDistribution
-    p_minus: ScreenDistribution
+    p_plus: np.ndarray
+    p_minus: np.ndarray
     prob_plus: float
     prob_minus: float
 
@@ -234,8 +208,8 @@ def eraser_conditionals(cfg: DeviceConfig) -> EraserConditionals:
     w_plus = float(np.linalg.norm(plus) ** 2)
     w_minus = float(np.linalg.norm(minus) ** 2)
     return EraserConditionals(
-        p_plus=_distribution_from_weights(cfg, np.abs(plus) ** 2),
-        p_minus=_distribution_from_weights(cfg, np.abs(minus) ** 2),
+        p_plus=clamp_probabilities(np.abs(plus) ** 2),
+        p_minus=clamp_probabilities(np.abs(minus) ** 2),
         prob_plus=w_plus,
         prob_minus=w_minus,
     )
@@ -249,15 +223,13 @@ def write_distributions_csv(
     Columns: x, p_coherent, p_incoherent, p_plus, p_minus. Lines from
     ``header_comments`` are emitted first, prefixed with '# '.
     """
-    coherent = coherent_distribution(cfg)
-    incoherent = incoherent_distribution(cfg)
     eraser = eraser_conditionals(cfg)
     values = (
         cfg.bin_centers(),
-        coherent.probabilities,
-        incoherent.probabilities,
-        eraser.p_plus.probabilities,
-        eraser.p_minus.probabilities,
+        coherent_distribution(cfg),
+        incoherent_distribution(cfg),
+        eraser.p_plus,
+        eraser.p_minus,
     )
     write_csv(
         path,

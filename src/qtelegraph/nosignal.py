@@ -143,8 +143,8 @@ def verify_no_signaling(cfg: DeviceConfig, mode: ModelMode) -> NoSignalReport:
     """Compare the receiving end's statistics across the two detector settings."""
     p_off = screen_marginal(cfg, Detector.OFF, mode)
     p_on = screen_marginal(cfg, Detector.ON, mode)
-    tv = total_variation(p_on.probabilities, p_off.probabilities)
-    mi = jensen_shannon_bits(p_on.probabilities, p_off.probabilities)
+    tv = total_variation(p_on, p_off)
+    mi = jensen_shannon_bits(p_on, p_off)
 
     if mode is ModelMode.UNITARY_QM:
         reduced_off = reduced_screen_by_partial_trace(cfg)
@@ -174,9 +174,7 @@ def eraser_decomposition_check(cfg: DeviceConfig) -> float:
     pattern; the completeness of the eraser basis makes this < 1e-12."""
     conditionals = eraser_conditionals(cfg)
     return mixture_residual(
-        conditionals.p_plus.probabilities,
-        conditionals.p_minus.probabilities,
-        incoherent_distribution(cfg).probabilities,
+        conditionals.p_plus, conditionals.p_minus, incoherent_distribution(cfg)
     )
 
 

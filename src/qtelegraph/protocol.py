@@ -42,7 +42,6 @@ import numpy as np
 
 from .device import (
     DeviceConfig,
-    ScreenDistribution,
     _integer_at_least,
     coherent_distribution,
     incoherent_distribution,
@@ -139,24 +138,8 @@ class SymbolHits:
             raise ValueError(f"time must be >= 0 (got {self.time.min()})")
 
 
-@dataclass(frozen=True)
-class DecisionResult:
-    """Receiver verdict for one symbol: interference iff ``log_lr`` > 0."""
-
-    log_lr: float
-    fringe_statistic: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fringe_statistic <= 1.0 + 1e-12:
-            raise ValueError(f"fringe_statistic out of [0,1]: {self.fringe_statistic}")
-
-    @property
-    def decided(self) -> str:
-        return INTERFERENCE if self.log_lr > 0 else NO_INTERFERENCE
-
-
-def screen_marginal(cfg: DeviceConfig, detectors: Detector, mode: ModelMode) -> ScreenDistribution:
-    """Screen distribution seen at the receiving end for a detector setting.
+def screen_marginal(cfg: DeviceConfig, detectors: Detector, mode: ModelMode) -> np.ndarray:
+    """Screen pattern seen at the receiving end for a detector setting.
 
     Under UnitaryQM this is the reduced-state diagonal (the incoherent
     pattern) for both settings; under NaiveCollapse the detectors-off setting
@@ -212,13 +195,12 @@ class _BinSampler:
         return self.indices(rng.random(count))
 
 
-def sample_hits(dist: ScreenDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` i.i.d. screen positions by inverse CDF over the bins.
-
-    Positions are reported at bin centers.
+def sample_hits(cfg: DeviceConfig, probabilities: np.ndarray, count: int, rng) -> np.ndarray:
+    """Draw ``count`` i.i.d. screen positions by inverse CDF over the bins of
+    ``cfg``, with the given probabilities. Positions are reported at bin centers.
     """
     count = _integer_at_least("count", count, 0)
-    return dist.bin_centers[_BinSampler(dist.probabilities).draw(count, rng)]
+    return cfg.bin_centers()[_BinSampler(probabilities).draw(count, rng)]
 
 
 def floored_log_ratio(p_numerator: np.ndarray, p_denominator: np.ndarray) -> np.ndarray:
@@ -234,25 +216,22 @@ def floored_log_ratio(p_numerator: np.ndarray, p_denominator: np.ndarray) -> np.
 
 def log_ratio_table(cfg: DeviceConfig) -> np.ndarray:
     """Per-bin log(p_coherent / p_incoherent) for the receiver's LRT."""
-    return floored_log_ratio(
-        coherent_distribution(cfg).probabilities,
-        incoherent_distribution(cfg).probabilities,
-    )
+    return floored_log_ratio(coherent_distribution(cfg), incoherent_distribution(cfg))
 
 
-def decide_bit(hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> DecisionResult:
-    """LRT verdict on one symbol: interference iff the sum of per-hit
-    log(p_coherent / p_incoherent) at the hits' bins is > 0. The fringe
-    statistic |mean over hits of exp(2i * kappa * x)| rides along; both are
-    0.0 for no hits."""
+def decide_bit(hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> tuple[float, float]:
+    """(log_lr, fringe statistic) of one symbol: the sum of per-hit
+    log(p_coherent / p_incoherent) at the hits' bins, which decides
+    interference iff > 0, and |mean over hits of exp(2i * kappa * x)|. Both
+    are 0.0 for no hits."""
     xs = np.asarray(hits, dtype=float)
     if xs.size == 0:
-        return DecisionResult(log_lr=0.0, fringe_statistic=0.0)
+        return 0.0, 0.0
     if xs.min() < -cfg.half_width or xs.max() > cfg.half_width:
         raise ValueError("hits must lie within the screen grid")
-    return DecisionResult(
-        log_lr=float(log_ratio_table(cfg)[cfg.bin_index(xs)].sum()),
-        fringe_statistic=float(np.abs(np.exp(2j * cfg.kappa * xs).mean())),
+    return (
+        float(log_ratio_table(cfg)[cfg.bin_index(xs)].sum()),
+        float(np.abs(np.exp(2j * cfg.kappa * xs).mean())),
     )
 
 
@@ -389,8 +368,8 @@ def required_sample_size(cfg: DeviceConfig, alpha: float) -> SampleSizeResult:
     if alpha >= 0.5:
         return SampleSizeResult(m_star=0, alpha=alpha)
 
-    p_c = coherent_distribution(cfg).probabilities
-    p_i = incoherent_distribution(cfg).probabilities
+    p_c = coherent_distribution(cfg)
+    p_i = incoherent_distribution(cfg)
     tv = 0.5 * float(np.abs(p_c - p_i).sum())
     if tv < 1e-6:
         return SampleSizeResult(
@@ -446,15 +425,27 @@ def required_sample_size(cfg: DeviceConfig, alpha: float) -> SampleSizeResult:
     )
 
 
+def _sorted_prefix(offsets: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(offsets, kind="stable")[:k]`` without sorting them all:
+    the first k ids in (offset, id) order all have offsets at most the k-th
+    smallest, so only those ids, in id order, are stable-sorted."""
+    if k >= offsets.size:
+        return np.argsort(offsets, kind="stable")
+    kth = np.partition(offsets, k - 1)[k - 1]
+    candidates = np.flatnonzero(offsets <= kth)
+    return candidates[np.argsort(offsets[candidates], kind="stable")[:k]]
+
+
 @dataclass(frozen=True)
 class EnsembleSchedule:
     """N telegraphs, telegraph i firing at offsets[i] + period*j for j >= 0.
 
     The pooled stream is periodic: cycle c fires every telegraph once, in
     offset order with ties broken by id, so pooled emission k is telegraph
-    ``order[k % N]`` at its offset + period*(k // N). ``order`` is derived
-    once per schedule, and a run of pooled emissions costs O(its length),
-    whatever N is.
+    ``order[k % N]`` at its offset + period*(k // N). ``order`` holds as
+    many slots as a read has needed (``pooled_order``), so a message that reads
+    fewer than N emissions orders only those, and a run of pooled emissions
+    costs O(its length), whatever N is.
     """
 
     offsets: np.ndarray
@@ -468,21 +459,28 @@ class EnsembleSchedule:
         _check_period("period", self.period)
         if not (offsets.min() >= 0.0 and offsets.max() < self.period):
             raise ValueError("offsets must lie in [0, period)")
-        order = np.argsort(offsets, kind="stable")
         offsets.setflags(write=False)
-        order.setflags(write=False)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", np.empty(0, dtype=np.intp))
 
     @property
     def telegraphs(self) -> int:
         return self.offsets.size
 
+    def pooled_order(self, slots: int) -> np.ndarray:
+        """The read-only ids of the first ``slots`` (at most N) slots of a
+        cycle, in pooled order; ordered on the first read that needs them."""
+        if slots > self.order.size:
+            order = _sorted_prefix(self.offsets, slots)
+            order.setflags(write=False)
+            object.__setattr__(self, "order", order)
+        return self.order[:slots]
+
     def emissions_after(self, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``count`` pooled emissions after the first ``first``, as
         (times, telegraph ids) in pooled order."""
         cycle, slot = np.divmod(np.arange(first, first + count), self.telegraphs)
-        ids = self.order[slot]
+        ids = self.pooled_order(min(first + count, self.telegraphs))[slot]
         return self.offsets[ids] + self.period * cycle, ids
 
 
@@ -505,8 +503,9 @@ def _symbol_windows(
     """
     cycle, slot = divmod(symbols * m - 1, schedule.telegraphs)
     # The message's last emission is its latest; Python floats overflow to
-    # inf without numpy's warning.
-    last = float(schedule.offsets[schedule.order[slot]]) + schedule.period * cycle
+    # inf without numpy's warning. Every slot the message reads is ordered here.
+    order = schedule.pooled_order(min(symbols * m, schedule.telegraphs))
+    last = float(schedule.offsets[order[slot]]) + schedule.period * cycle
     if not math.isfinite(last):
         raise ValueError(
             f"emission times overflow the float range; T ({schedule.period}) "
@@ -525,20 +524,24 @@ def _symbol_windows(
 
 @dataclass(frozen=True)
 class TransmissionResult:
-    """Full transcript of one message transmission."""
+    """Full transcript of one message transmission. ``symbol_times``,
+    ``log_lr`` and ``fringe_statistic`` are read-only arrays with one entry
+    per symbol; the receiver decides interference iff ``log_lr`` > 0."""
 
     sent: tuple[int, ...]
-    received: tuple[int, ...]
-    symbol_times: tuple[float, ...]
-    decisions: tuple[DecisionResult, ...]
+    symbol_times: np.ndarray
+    log_lr: np.ndarray
+    fringe_statistic: np.ndarray
     hit_counts: tuple[int, ...]
     hits: tuple[SymbolHits, ...] | None = None
 
+    @property
+    def received(self) -> np.ndarray:
+        """The decoded bits: interference -> 0, no-interference -> 1."""
+        return np.where(self.log_lr > 0, 0, 1)
+
     def symbol_error_rate(self) -> float:
-        if not self.sent:
-            return 0.0
-        wrong = sum(1 for s, r in zip(self.sent, self.received) if s != r)
-        return wrong / len(self.sent)
+        return float(np.mean(self.received != self.sent)) if self.sent else 0.0
 
 
 def transmit_message(
@@ -561,7 +564,9 @@ def transmit_message(
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
     if not bits:
-        return TransmissionResult((), (), (), (), (), () if keep_hits else None)
+        empty = np.empty(0)
+        empty.setflags(write=False)
+        return TransmissionResult((), empty, empty, empty, (), () if keep_hits else None)
 
     schedule = ensemble_schedule(plan.N, plan.T, rng)
     # Each symbol draws from default_rng(its child seed); one generator,
@@ -571,12 +576,10 @@ def transmit_message(
     # The receiver's model is fixed by cfg: derive it once per message.
     table = log_ratio_table(cfg)
     phasors = np.exp(2j * cfg.kappa * cfg.bin_centers())
-    samplers = {d: _BinSampler(screen_marginal(cfg, d, mode).probabilities) for d in Detector}
+    samplers = {d: _BinSampler(screen_marginal(cfg, d, mode)) for d in Detector}
     detectors_on = np.array(bits, dtype=bool)
 
-    log_lrs: list[float] = []
-    fringes: list[float] = []
-    symbol_times: list[float] = []
+    log_lr, fringes, symbol_times = (np.empty(len(bits)) for _ in range(3))
     all_hits: list[SymbolHits] = []
     start = 0
     for times, ids, block_times in _symbol_windows(schedule, plan.M, len(bits)):
@@ -596,9 +599,9 @@ def transmit_message(
         for detectors, sampler in samplers.items():
             rows = on == (detectors is Detector.ON)
             idx[rows] = sampler.indices(u[rows])
-        log_lrs.extend(table[idx].sum(axis=1).tolist())
-        fringes.extend(np.abs(phasors[idx].mean(axis=1)).tolist())
-        symbol_times.extend(block_times.tolist())
+        log_lr[start:stop] = table[idx].sum(axis=1)
+        fringes[start:stop] = np.abs(phasors[idx].mean(axis=1))
+        symbol_times[start:stop] = block_times
         if keep_hits:
             all_hits.extend(
                 SymbolHits(ids[row], times[row], idx[row], idlers[row] if on[row] else None)
@@ -606,12 +609,13 @@ def transmit_message(
             )
         start = stop
 
-    decisions = tuple(map(DecisionResult, log_lrs, fringes))
+    for column in (log_lr, fringes, symbol_times):
+        column.setflags(write=False)
     return TransmissionResult(
         sent=tuple(bits),
-        received=tuple(0 if d.decided == INTERFERENCE else 1 for d in decisions),
-        symbol_times=tuple(symbol_times),
-        decisions=decisions,
+        symbol_times=symbol_times,
+        log_lr=log_lr,
+        fringe_statistic=fringes,
         hit_counts=(plan.M,) * len(bits),
         hits=tuple(all_hits) if keep_hits else None,
     )

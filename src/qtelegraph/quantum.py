@@ -116,7 +116,8 @@ def _derived_density(mat: np.ndarray) -> DensityMatrix:
 
 
 def clamp_probabilities(values: np.ndarray) -> np.ndarray:
-    """Zero out numerical-noise negatives and renormalize to unit sum.
+    """Zero out numerical-noise negatives and renormalize to unit sum, as a
+    read-only array.
 
     Entries below -1e-10 are genuine errors, not noise, and raise.
     """
@@ -130,7 +131,9 @@ def clamp_probabilities(values: np.ndarray) -> np.ndarray:
     total = clipped.sum()
     if total <= 0.0:
         raise QuantumStateError("probabilities sum to zero")
-    return clipped / total
+    clipped /= total
+    clipped.setflags(write=False)
+    return clipped
 
 
 def density_from_state(state: StateVector) -> DensityMatrix:

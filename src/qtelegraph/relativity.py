@@ -162,17 +162,23 @@ def build_paradox(strategy: FrameStrategy, separation: float) -> ParadoxTrace:
         raise ValueError(f"separation must be > 0 (got {separation})")
     if isinstance(strategy, StateDependentFrames):
         frame_a, frame_b = strategy.v, -strategy.v
+        speed = f"v={strategy.v}"
     elif isinstance(strategy, PrivilegedFrame):
         frame_a = frame_b = strategy.beta0
+        speed = f"beta0={strategy.beta0}"
     else:
         raise TypeError(f"unknown frame strategy {strategy!r}")
 
     a_emission = Event(t=0.0, x=float(separation))
-    a_reception = signal_reception(a_emission, 0.0, frame_a)
+    try:  # B's reception time, (frame_b - frame_a) * separation, can overflow.
+        a_reception = signal_reception(a_emission, 0.0, frame_a)
+        b_reception = signal_reception(a_reception, float(separation), frame_b)
+    except ValueError as exc:
+        raise ValueError(f"separation={separation} at frame speed {speed}: {exc}") from None
     return ParadoxTrace(
         a_emission=a_emission,
         a_reception=a_reception,
-        b_reception=signal_reception(a_reception, float(separation), frame_b),
+        b_reception=b_reception,
         frame_a=frame_a,
         frame_b=frame_b,
     )

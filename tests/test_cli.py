@@ -135,15 +135,82 @@ SIMULATE_INVALID = {
 }
 
 
+# transmit's keys: an explicit bit string or a random message's length.
+TRANSMIT_VALID = {
+    "bits": st.text(alphabet="01", max_size=24),
+    "symbols": st.integers(0, 24),
+    "M": st.integers(1, 200),
+    "N": st.integers(1, 1000),
+    "T": st.floats(1e-9, 1e13),
+    "mode": SIMULATE_VALID["mode"],
+    "alpha": st.floats(1e-9, 1.0, exclude_max=True),
+}
+TRANSMIT_INVALID = {
+    "bits": st.sampled_from(["2", "01x", "1 0"]),
+    "symbols": st.integers(-3, -1),
+    "M": SIMULATE_INVALID["M"],
+    "N": SIMULATE_INVALID["N"],
+    "T": SIMULATE_INVALID["T"],
+    "mode": SIMULATE_INVALID["mode"],
+    "alpha": st.sampled_from([-0.5, 0.0, 1e-10, 1.0, 2.0]),
+}
+
+# paradox's keys; a separation near the float range's top overflows the loop.
+FRAME_SPEED = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+PARADOX_VALID = {
+    "strategy": st.sampled_from(["state-dependent", "privileged"]),
+    "v": FRAME_SPEED,
+    "beta0": FRAME_SPEED,
+    "separation": st.floats(0.0, exclude_min=True, allow_infinity=False),
+}
+NOT_A_FRAME_SPEED = st.floats(1.0, allow_infinity=False) | st.floats(max_value=-1.0, allow_infinity=False)
+PARADOX_INVALID = {
+    "strategy": st.sampled_from(["", "Privileged", "frames"]),
+    "v": NOT_A_FRAME_SPEED,
+    "beta0": NOT_A_FRAME_SPEED,
+    "separation": st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+}
+
+
 @st.composite
-def simulate_inputs(draw):
-    """(the key drawn outside its domain or None, simulate's inputs)."""
-    broken = draw(st.sampled_from([None, None, None, *SIMULATE_VALID]))
+def domain_inputs(draw, valid_values, invalid_values):
+    """(the key drawn outside its domain or None, one value per key)."""
+    broken = draw(st.sampled_from([None, None, None, *valid_values]))
     inputs = {
-        key: draw(SIMULATE_INVALID[key] if key == broken else valid)
-        for key, valid in SIMULATE_VALID.items()
+        key: draw(invalid_values[key] if key == broken else valid)
+        for key, valid in valid_values.items()
     }
     return broken, inputs
+
+
+def run_with_flags(command, inputs):
+    """Run ``command`` with each input as a '--key=value' flag, RuntimeWarnings
+    as errors: (exit code, stderr, {report name: text})."""
+    argv = [command] + [
+        f"{flag(key)}={value if isinstance(value, str) else repr(value)}"
+        for key, value in inputs.items()
+    ]
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv + ["--output-dir", out])
+        reports = {path.name: path.read_text() for path in Path(out).iterdir()}
+    return code, err.getvalue(), reports
+
+
+def assert_verdict_or_named_error(broken, inputs, code, err, reports):
+    """Exit 0 with finite reports for inputs in the domain, else exit 2 with
+    no report and an error naming a key (the broken one, if any); never a
+    traceback. True for exit 0."""
+    assert "Traceback" not in err
+    if code == 0 and broken is None:
+        for name, text in reports.items():
+            assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), name
+        return True
+    assert code == 2 and not reports
+    named = broken or "|".join(inputs)
+    assert re.match(rf"error: .*\b({named})\b", err)
+    return False
 
 
 class TestConfigKeys:
@@ -352,7 +419,7 @@ class TestSubcommands:
             (["transmit", "--T", "inf"], "T must be finite"),
             (["transmit", "--kappa", "inf"], "kappa must be finite"),
             (["paradox", "--separation", "inf"], "separation must be finite"),
-            (["paradox", "--separation", "1e308", "--v", "0.9"], "must be finite"),
+            (["paradox", "--separation", "1e308", "--v", "0.9"], "separation=1e+308 at frame speed v=0.9: event coordinates must be finite"),
             # The envelope width squares to 0, so the amplitudes would be 0/0.
             (["distributions", "--envelope-width", "1e-320", "--bins", "8"], "envelope_width=1e-320"),
             (["plan", "--envelope-width", "1e-320", "--bins", "8"], "envelope_width=1e-320"),
@@ -445,7 +512,7 @@ class TestSubcommands:
                 assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), report.name
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-    @given(case=simulate_inputs())
+    @given(case=domain_inputs(SIMULATE_VALID, SIMULATE_INVALID))
     # Times that cross 2**53 and 1e16.
     @example(case=(None, {"M": 2000, "N": 1, "T": 6e12, "seed": 7, "detectors": "on", "mode": "UnitaryQM"}))
     # Subnormal times, written in exponent notation.
@@ -471,6 +538,40 @@ class TestSubcommands:
                 assert code == 2
                 named = broken or "|".join(inputs)
                 assert re.match(rf"error: .*\b({named})\b", err.getvalue())
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(case=domain_inputs(TRANSMIT_VALID, TRANSMIT_INVALID))
+    # The empty message.
+    @example(case=(None, {"bits": "", "symbols": 0, "M": 1, "N": 1, "T": 1.0, "mode": "UnitaryQM", "alpha": 0.01}))
+    # The last emission time overflows.
+    @example(case=(None, {"bits": "", "symbols": 24, "M": 200, "N": 1, "T": 1e306, "mode": "UnitaryQM", "alpha": 0.5}))
+    def test_any_transmit_input_writes_a_transcript_or_exits_2(self, case):
+        """transmit over bits or symbols, M, N, T, mode and alpha: exit 0
+        with one finite record per symbol, or exit 2 naming a key."""
+        broken, inputs = case
+        code, err, reports = run_with_flags("transmit", inputs)
+        if assert_verdict_or_named_error(broken, inputs, code, err, reports):
+            transcript = json.loads(reports["transcript.json"])
+            symbols = len(inputs["bits"]) or inputs["symbols"]
+            assert transcript["sent"] == [int(b) for b in inputs["bits"]] or not inputs["bits"]
+            assert transcript["hit_counts"] == [inputs["M"]] * symbols
+            assert len(transcript["received"]) == len(transcript["decisions"]) == symbols
+            assert json.loads(reports["summary.json"])["symbols"] == symbols
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(case=domain_inputs(PARADOX_VALID, PARADOX_INVALID))
+    @example(case=(None, {"strategy": "state-dependent", "v": 0.9, "beta0": 0.3, "separation": 1e308}))
+    def test_any_paradox_input_writes_the_loop_or_exits_2(self, case):
+        """paradox over strategy, v, beta0 and separation: exit 0 with a
+        finite loop, or exit 2 naming a key (separation for a loop whose
+        advance overflows)."""
+        broken, inputs = case
+        code, err, reports = run_with_flags("paradox", inputs)
+        if assert_verdict_or_named_error(broken, inputs, code, err, reports):
+            payload = json.loads(reports["paradox.json"])
+            assert payload["automaton"]["inconsistent"] is payload["trace"]["closed_loop"]
+        elif broken is None:
+            assert "separation=" in err and "must be finite" in err
 
     def test_plan_cost_is_bounded_for_nearly_equal_patterns(self, tmp_path):
         """Patterns a total variation of 0.016 apart need M in the tens of

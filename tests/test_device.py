@@ -8,7 +8,6 @@ import pytest
 
 from qtelegraph.device import (
     DeviceConfig,
-    ScreenDistribution,
     build_joint_state,
     coherent_distribution,
     eraser_conditionals,
@@ -62,21 +61,6 @@ class TestDeviceConfig:
         cfg = DeviceConfig()
         centers = cfg.bin_centers()
         assert np.array_equal(cfg.bin_index(centers), np.arange(cfg.bins))
-
-
-class TestScreenDistribution:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            ScreenDistribution(np.array([1.5, -0.5]), np.array([0.0, 1.0]))
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            ScreenDistribution(np.array([0.5, 0.4]), np.array([0.0, 1.0]))
-
-    @pytest.mark.parametrize("probs", [[np.nan] * 3, [0.5, np.nan, 0.5]])
-    def test_rejects_nan(self, probs):
-        with pytest.raises(ValueError, match="NaN"):
-            ScreenDistribution(np.array(probs), np.arange(3.0))
 
 
 class TestPipeAmplitude:
@@ -163,24 +147,24 @@ class TestJointState:
         rho = density_from_state(build_joint_state(cfg))
         reduced = partial_trace(rho, (2, cfg.bins), keep=1)
         p_i = incoherent_distribution(cfg)
-        assert np.abs(reduced.diagonal_probabilities() - p_i.probabilities).max() < 1e-12
+        assert np.abs(reduced.diagonal_probabilities() - p_i).max() < 1e-12
 
 
 class TestCoherentDistribution:
     def test_normalized(self):
-        assert abs(coherent_distribution(DeviceConfig()).probabilities.sum() - 1.0) < 1e-12
+        assert abs(coherent_distribution(DeviceConfig()).sum() - 1.0) < 1e-12
 
     def test_nulls_at_half_integer_bins(self):
         p_c = coherent_distribution(NULL_ALIGNED)
-        centers = p_c.bin_centers
-        peak = p_c.probabilities.max()
+        centers = NULL_ALIGNED.bin_centers()
+        peak = p_c.max()
         null_bins = [
             j
             for j, x in enumerate(centers)
             if abs(x - (math.floor(x) + 0.5)) < 1e-9
         ]
         assert null_bins
-        assert p_c.probabilities[null_bins].max() / peak < 1e-12
+        assert p_c[null_bins].max() / peak < 1e-12
 
     def test_center_bin_ratio_is_two(self):
         """kappa=pi, w=2: p_c(center)/p_i(center) = 2 within 1e-9.
@@ -198,8 +182,8 @@ class TestCoherentDistribution:
 
         center = cfg.bins // 2
         assert xs[center] == 0.0
-        p_c = coherent_distribution(cfg).probabilities
-        p_i = incoherent_distribution(cfg).probabilities
+        p_c = coherent_distribution(cfg)
+        p_i = incoherent_distribution(cfg)
         ratio = p_c[center] / p_i[center]
         assert ratio == pytest.approx(oracle, abs=1e-12)
         assert ratio == pytest.approx(2.0, abs=1e-9)
@@ -209,18 +193,18 @@ class TestIncoherentDistribution:
     def test_proportional_to_envelope(self):
         cfg = DeviceConfig()
         p_i = incoherent_distribution(cfg)
-        g2 = envelope_squared(cfg, p_i.bin_centers)
-        assert np.abs(p_i.probabilities - g2 / g2.sum()).max() < 1e-12
+        g2 = envelope_squared(cfg, cfg.bin_centers())
+        assert np.abs(p_i - g2 / g2.sum()).max() < 1e-12
 
     def test_matches_reduced_density_diagonal(self):
         cfg = DeviceConfig(bins=128)
         rho = density_from_state(build_joint_state(cfg))
         reduced = partial_trace(rho, (2, cfg.bins), keep=1)
         p_i = incoherent_distribution(cfg)
-        assert np.abs(p_i.probabilities - reduced.diagonal_probabilities()).max() < 1e-12
+        assert np.abs(p_i - reduced.diagonal_probabilities()).max() < 1e-12
 
     def test_even_in_x(self):
-        p = incoherent_distribution(DeviceConfig()).probabilities
+        p = incoherent_distribution(DeviceConfig())
         assert np.abs(p - p[::-1]).max() < 1e-12
 
 
@@ -228,29 +212,29 @@ class TestEraserConditionals:
     def test_average_recovers_incoherent_on_envelope_complete_grid(self):
         conditionals = eraser_conditionals(ENVELOPE_COMPLETE)
         p_i = incoherent_distribution(ENVELOPE_COMPLETE)
-        avg = 0.5 * (conditionals.p_plus.probabilities + conditionals.p_minus.probabilities)
-        assert np.abs(avg - p_i.probabilities).max() < 1e-12
+        avg = 0.5 * (conditionals.p_plus + conditionals.p_minus)
+        assert np.abs(avg - p_i).max() < 1e-12
 
     def test_average_residual_at_default_truncation(self):
         conditionals = eraser_conditionals(DeviceConfig())
         p_i = incoherent_distribution(DeviceConfig())
-        avg = 0.5 * (conditionals.p_plus.probabilities + conditionals.p_minus.probabilities)
-        assert np.abs(avg - p_i.probabilities).max() < 1e-8
+        avg = 0.5 * (conditionals.p_plus + conditionals.p_minus)
+        assert np.abs(avg - p_i).max() < 1e-8
 
     def test_plus_branch_equals_coherent_pattern(self):
         cfg = DeviceConfig()
         conditionals = eraser_conditionals(cfg)
         p_c = coherent_distribution(cfg)
-        assert np.abs(conditionals.p_plus.probabilities - p_c.probabilities).max() < 1e-12
+        assert np.abs(conditionals.p_plus - p_c).max() < 1e-12
 
     def test_minus_branch_nulls_at_integer_bins(self):
         conditionals = eraser_conditionals(NULL_ALIGNED)
         p_minus = conditionals.p_minus
         antinull_bins = [
-            j for j, x in enumerate(p_minus.bin_centers) if abs(x - round(x)) < 1e-9
+            j for j, x in enumerate(NULL_ALIGNED.bin_centers()) if abs(x - round(x)) < 1e-9
         ]
         assert antinull_bins
-        assert p_minus.probabilities[antinull_bins].max() / p_minus.probabilities.max() < 1e-12
+        assert p_minus[antinull_bins].max() / p_minus.max() < 1e-12
 
     def test_outcomes_equiprobable(self):
         conditionals = eraser_conditionals(ENVELOPE_COMPLETE)
@@ -272,14 +256,14 @@ class TestEraserConditionals:
     def test_cancelled_minus_outcome_refused(self, cfg):
         with pytest.raises(QuantumStateError, match=f"psi_1 - psi_2 cancels .* bins={cfg.bins}"):
             eraser_conditionals(cfg)
-        assert abs(coherent_distribution(cfg).probabilities.sum() - 1.0) < 1e-12
+        assert abs(coherent_distribution(cfg).sum() - 1.0) < 1e-12
 
     def test_completeness_phase_independent(self):
         cfg = DeviceConfig(x_max=8.0, relative_phase=math.pi / 2)
         conditionals = eraser_conditionals(cfg)
         p_i = incoherent_distribution(cfg)
-        avg = 0.5 * (conditionals.p_plus.probabilities + conditionals.p_minus.probabilities)
-        assert np.abs(avg - p_i.probabilities).max() < 1e-12
+        avg = 0.5 * (conditionals.p_plus + conditionals.p_minus)
+        assert np.abs(avg - p_i).max() < 1e-12
 
 
 class TestDistributionProperties:
@@ -293,8 +277,9 @@ class TestDistributionProperties:
             conditionals.p_plus,
             conditionals.p_minus,
         ):
-            assert dist.probabilities.min() >= 0.0
-            assert abs(dist.probabilities.sum() - 1.0) < 1e-12
+            assert dist.min() >= 0.0
+            assert abs(dist.sum() - 1.0) < 1e-12
+            assert dist.shape == (cfg.bins,) and not dist.flags.writeable
 
     @pytest.mark.parametrize("phase", [0.0, math.pi / 2, math.pi])
     def test_fringe_pattern_shifts_by_half_phase_over_kappa(self, phase):
@@ -303,19 +288,19 @@ class TestDistributionProperties:
         cfg = DeviceConfig(relative_phase=phase)
         p_c = coherent_distribution(cfg)
         shift = phase / (2.0 * cfg.kappa)
-        nearest = int(np.argmin(np.abs(p_c.bin_centers - shift)))
-        assert p_c.probabilities[nearest] >= p_c.probabilities.max() * (1.0 - 1e-9)
+        nearest = int(np.argmin(np.abs(cfg.bin_centers() - shift)))
+        assert p_c[nearest] >= p_c.max() * (1.0 - 1e-9)
         if phase == math.pi:
-            old_peak = int(np.argmin(np.abs(p_c.bin_centers)))
-            assert p_c.probabilities[old_peak] < 0.02 * p_c.probabilities.max()
+            old_peak = int(np.argmin(np.abs(cfg.bin_centers())))
+            assert p_c[old_peak] < 0.02 * p_c.max()
 
     def test_grid_refinement_stability(self):
         # Center sampling leaves an O(bin_width^2) discretization error from
         # the fringe curvature: TV ~ 2.4e-3 at the 256-bin default, shrinking
         # fourfold per doubling.
         def refinement_tv(bins):
-            coarse = coherent_distribution(DeviceConfig(bins=bins)).probabilities
-            fine = coherent_distribution(DeviceConfig(bins=2 * bins)).probabilities
+            coarse = coherent_distribution(DeviceConfig(bins=bins))
+            fine = coherent_distribution(DeviceConfig(bins=2 * bins))
             aggregated = fine.reshape(-1, 2).sum(axis=1)
             return 0.5 * np.abs(coarse - aggregated).sum()
 

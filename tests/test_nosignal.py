@@ -93,7 +93,7 @@ class TestDistanceHelpers:
         assert total_variation(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
 
     def test_jensen_shannon_of_identical_is_exact_zero(self):
-        p = incoherent_distribution(DeviceConfig()).probabilities
+        p = incoherent_distribution(DeviceConfig())
         assert jensen_shannon_bits(p, p) == 0.0
 
     def test_jensen_shannon_of_disjoint_is_one_bit(self):
@@ -172,8 +172,8 @@ class TestReducedStateRoutes:
         computation path, 1e-15) and independently against the
         measurement-mixture route (1e-12)."""
         cfg = DeviceConfig()
-        off = screen_marginal(cfg, Detector.OFF, ModelMode.UNITARY_QM).probabilities
-        on = screen_marginal(cfg, Detector.ON, ModelMode.UNITARY_QM).probabilities
+        off = screen_marginal(cfg, Detector.OFF, ModelMode.UNITARY_QM)
+        on = screen_marginal(cfg, Detector.ON, ModelMode.UNITARY_QM)
         assert np.abs(on - off).max() < 1e-15
         mixture = reduced_screen_by_measurement_mixture(cfg)
         mixture_diagonal = DensityMatrix(lifted(cfg, mixture)).diagonal_probabilities()
@@ -296,7 +296,7 @@ class TestMixtureIdentities:
         for pipe in (1, 2):
             conditional = np.abs(pipe_formula(cfg, pipe, xs)) ** 2
             mixture += 0.5 * conditional / conditional.sum()
-        p_i = incoherent_distribution(cfg).probabilities
+        p_i = incoherent_distribution(cfg)
         assert np.abs(mixture - p_i).max() < 1e-12
 
     def test_eraser_mixture_recovers_marginal_at_defaults(self):
@@ -304,10 +304,10 @@ class TestMixtureIdentities:
         cfg = DeviceConfig()
         conditionals = eraser_conditionals(cfg)
         mixture = (
-            conditionals.prob_plus * conditionals.p_plus.probabilities
-            + conditionals.prob_minus * conditionals.p_minus.probabilities
+            conditionals.prob_plus * conditionals.p_plus
+            + conditionals.prob_minus * conditionals.p_minus
         )
-        p_i = incoherent_distribution(cfg).probabilities
+        p_i = incoherent_distribution(cfg)
         assert np.abs(mixture - p_i).max() < 1e-12
 
 
@@ -328,12 +328,12 @@ class TestEraserDecomposition:
     def test_detects_perturbation(self):
         cfg = ENVELOPE_COMPLETE
         conditionals = eraser_conditionals(cfg)
-        perturbed = conditionals.p_plus.probabilities.copy()
+        perturbed = conditionals.p_plus.copy()
         perturbed[10] += 1e-3
         residual = mixture_residual(
             perturbed,
-            conditionals.p_minus.probabilities,
-            incoherent_distribution(cfg).probabilities,
+            conditionals.p_minus,
+            incoherent_distribution(cfg),
         )
         assert residual >= 5e-4
 

@@ -10,21 +10,18 @@ from hypothesis import given, settings, strategies as st
 from qtelegraph import protocol as protocol_module
 from qtelegraph.device import (
     DeviceConfig,
-    ScreenDistribution,
     coherent_distribution,
     incoherent_distribution,
 )
 from qtelegraph.cli import ConfigError, resolve_config
 from qtelegraph.protocol import (
     Detector,
-    DecisionResult,
     EnsembleSchedule,
-    INTERFERENCE,
     MAX_TELEGRAPHS,
     ModelMode,
-    NO_INTERFERENCE,
     SymbolHits,
     TransmissionPlan,
+    TransmissionResult,
     decide_bit,
     ensemble_schedule,
     floored_log_ratio,
@@ -35,6 +32,7 @@ from qtelegraph.protocol import (
     transmit_message,
     _BLOCK_HITS,
     _BinSampler,
+    _sorted_prefix,
     _symbol_windows,
 )
 from qtelegraph.rng import child_seeds, stream
@@ -55,7 +53,7 @@ def mc_error_rates(cfg, m, trials, rng):
         (coherent_distribution(cfg), True),
         (incoherent_distribution(cfg), False),
     ):
-        xs = sample_hits(dist, trials * m, rng).reshape(trials, m)
+        xs = sample_hits(cfg, dist, trials * m, rng).reshape(trials, m)
         llr = table[cfg.bin_index(xs)].sum(axis=1)
         decided_interference = llr > 0
         wrong = (~decided_interference if want_interference else decided_interference).sum()
@@ -115,10 +113,16 @@ class TestPlanAndRecords:
         with pytest.raises(ValueError, match="time"):
             SymbolHits(telegraph_id=np.array([0]), time=np.array([-1.0]), bin=np.array([0]))
 
-    def test_decision_result_consistency_enforced(self):
-        assert DecisionResult(log_lr=1.0, fringe_statistic=0.0).decided == INTERFERENCE
-        assert DecisionResult(log_lr=0.0, fringe_statistic=0.0).decided == NO_INTERFERENCE
-        assert DecisionResult(log_lr=-1.0, fringe_statistic=0.0).decided == NO_INTERFERENCE
+    def test_received_bit_is_interference_iff_log_lr_positive(self):
+        result = TransmissionResult(
+            sent=(0, 1, 1),
+            symbol_times=np.ones(3),
+            log_lr=np.array([1.0, 0.0, -1.0]),
+            fringe_statistic=np.zeros(3),
+            hit_counts=(1, 1, 1),
+        )
+        assert result.received.tolist() == [0, 1, 1]
+        assert result.symbol_error_rate() == 0.0
 
     def test_enum_parsing(self):
         assert ModelMode("NaiveCollapse") is ModelMode.NAIVE_COLLAPSE
@@ -136,28 +140,29 @@ class TestScreenMarginal:
         cfg = DeviceConfig()
         off = screen_marginal(cfg, Detector.OFF, ModelMode.NAIVE_COLLAPSE)
         on = screen_marginal(cfg, Detector.ON, ModelMode.NAIVE_COLLAPSE)
-        assert np.array_equal(off.probabilities, coherent_distribution(cfg).probabilities)
-        assert np.array_equal(on.probabilities, incoherent_distribution(cfg).probabilities)
+        assert np.array_equal(off, coherent_distribution(cfg))
+        assert np.array_equal(on, incoherent_distribution(cfg))
 
     def test_unitary_marginal_is_detector_independent_bitwise(self):
         cfg = DeviceConfig()
         off = screen_marginal(cfg, Detector.OFF, ModelMode.UNITARY_QM)
         on = screen_marginal(cfg, Detector.ON, ModelMode.UNITARY_QM)
-        assert np.array_equal(off.probabilities, on.probabilities)
-        assert np.array_equal(off.probabilities, incoherent_distribution(cfg).probabilities)
+        assert np.array_equal(off, on)
+        assert np.array_equal(off, incoherent_distribution(cfg))
+        assert not off.flags.writeable
 
 
 class TestSampleHits:
     def test_zero_draws(self):
-        dist = incoherent_distribution(DeviceConfig())
-        assert sample_hits(dist, 0, stream(0, "empty")).size == 0
+        cfg = DeviceConfig()
+        assert sample_hits(cfg, incoherent_distribution(cfg), 0, stream(0, "empty")).size == 0
 
     def test_point_mass(self):
+        cfg = DeviceConfig(bins=8)
         probs = np.zeros(8)
         probs[3] = 1.0
-        dist = ScreenDistribution(probs, np.linspace(-1, 1, 8))
-        xs = sample_hits(dist, 200, stream(1, "point"))
-        assert np.all(xs == dist.bin_centers[3])
+        xs = sample_hits(cfg, probs, 200, stream(1, "point"))
+        assert np.all(xs == cfg.bin_centers()[3])
 
     def test_frequencies_within_multinomial_bounds(self):
         """10^5 draws from the incoherent pattern: per-bin frequencies within
@@ -166,27 +171,27 @@ class TestSampleHits:
         cfg = DeviceConfig()
         dist = incoherent_distribution(cfg)
         n = 100_000
-        xs = sample_hits(dist, n, stream(99, "multinomial"))
+        xs = sample_hits(cfg, dist, n, stream(99, "multinomial"))
         counts = np.bincount(cfg.bin_index(xs), minlength=cfg.bins)
         freq = counts / n
-        p = dist.probabilities
+        p = dist
         bound = 5.0 * np.sqrt(p * (1 - p) / n) + 5.0 / n
         assert np.all(np.abs(freq - p) <= bound)
 
     def test_hits_are_bin_centers(self):
         cfg = DeviceConfig()
-        xs = sample_hits(incoherent_distribution(cfg), 500, stream(5, "centers"))
+        xs = sample_hits(cfg, incoherent_distribution(cfg), 500, stream(5, "centers"))
         assert set(np.unique(xs)) <= set(cfg.bin_centers())
 
     @pytest.mark.parametrize("count", [2.5, True, -1])
     def test_count_must_be_a_non_negative_integer(self, count):
-        dist = incoherent_distribution(DeviceConfig())
+        cfg = DeviceConfig()
         with pytest.raises(ValueError, match=r"^count must be an integer >= 0"):
-            sample_hits(dist, count, stream(0, "count"))
+            sample_hits(cfg, incoherent_distribution(cfg), count, stream(0, "count"))
 
     def test_numpy_integer_count_accepted(self):
-        dist = incoherent_distribution(DeviceConfig())
-        assert sample_hits(dist, np.int64(7), stream(0, "count")).shape == (7,)
+        cfg = DeviceConfig()
+        assert sample_hits(cfg, incoherent_distribution(cfg), np.int64(7), stream(0, "count")).shape == (7,)
 
 
 class TestBinSampler:
@@ -216,7 +221,7 @@ class TestBinSampler:
         assert np.array_equal(sampler.indices(u), clipped_search(probabilities, u))
 
     def test_draw_takes_one_uniform_per_hit_in_any_shape(self):
-        probabilities = coherent_distribution(DeviceConfig()).probabilities
+        probabilities = coherent_distribution(DeviceConfig())
         sampler = _BinSampler(probabilities)
         u = stream(3, "draw").random(50_000)
         assert np.array_equal(sampler.draw(50_000, stream(3, "draw")), clipped_search(probabilities, u))
@@ -229,7 +234,7 @@ class TestBinSampler:
         draws in crowded buckets are searched. The symbol count adds no search
         over the draws, and the planner builds no sampler and draws nothing."""
         cfg = DeviceConfig()
-        guide_size = _BinSampler(coherent_distribution(cfg).probabilities)._buckets + 1
+        guide_size = _BinSampler(coherent_distribution(cfg))._buckets + 1
         searched, drawn, samplers = [], [], []
         original_search = np.searchsorted
         original_indices = _BinSampler.indices
@@ -280,13 +285,13 @@ class TestBinSampler:
 
 class TestLogLikelihoodRatio:
     def test_empty_hits_zero(self):
-        assert decide_bit([], DeviceConfig()).log_lr == 0.0
+        assert decide_bit([], DeviceConfig())[0] == 0.0
 
     def test_hit_at_fringe_null_is_strongly_negative(self):
         # In double precision the null-bin coherent probability is ~1e-33
         # (cos(pi/2) rounds to 6e-17), so the single-hit ratio is about -74;
         # the idealized exact-zero case is exercised through the floor below.
-        assert decide_bit([0.5], NULL_ALIGNED).log_lr <= -60.0
+        assert decide_bit([0.5], NULL_ALIGNED)[0] <= -60.0
 
     def test_floor_handles_exact_zero_bins(self):
         table = floored_log_ratio(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
@@ -300,7 +305,7 @@ class TestLogLikelihoodRatio:
         table = log_ratio_table(cfg)
         dist = coherent_distribution(cfg)
         trials, m = 1000, 1000
-        xs = sample_hits(dist, trials * m, stream(7, "llr-mc")).reshape(trials, m)
+        xs = sample_hits(cfg, dist, trials * m, stream(7, "llr-mc")).reshape(trials, m)
         llr = table[cfg.bin_index(xs)].sum(axis=1)
         assert (llr > 0).sum() >= 990
 
@@ -311,36 +316,33 @@ class TestLogLikelihoodRatio:
 
 class TestDecideBit:
     def test_single_hit_fringe_is_unit(self):
-        result = decide_bit([0.3], DeviceConfig())
-        assert result.fringe_statistic == pytest.approx(1.0, abs=1e-12)
+        _, fringe = decide_bit([0.3], DeviceConfig())
+        assert fringe == pytest.approx(1.0, abs=1e-12)
 
-    def test_empty_hits_decide_no_interference(self):
-        result = decide_bit([], DeviceConfig())
-        assert result.log_lr == 0.0
-        assert result.decided == NO_INTERFERENCE
-        assert result.fringe_statistic == 0.0
+    def test_empty_hits_give_zeros(self):
+        assert decide_bit([], DeviceConfig()) == (0.0, 0.0)
 
     def test_fringe_statistic_on_coherent_hits(self):
         """Grid oracle: E[e^{2 i kappa x}] under the coherent pattern is 1/2
         (the cos^2 Fourier component); 10^4 hits land within 0.03 of it."""
         cfg = DeviceConfig()
         p_c = coherent_distribution(cfg)
-        oracle = abs((p_c.probabilities * np.exp(2j * cfg.kappa * p_c.bin_centers)).sum())
+        oracle = abs((p_c * np.exp(2j * cfg.kappa * cfg.bin_centers())).sum())
         assert oracle == pytest.approx(0.5, abs=1e-6)
-        xs = sample_hits(p_c, 10_000, stream(13, "fringe-c"))
-        assert abs(decide_bit(xs, cfg).fringe_statistic - 0.5) <= 0.03
+        xs = sample_hits(cfg, p_c, 10_000, stream(13, "fringe-c"))
+        assert abs(decide_bit(xs, cfg)[1] - 0.5) <= 0.03
 
     def test_fringe_statistic_on_incoherent_hits(self):
         cfg = DeviceConfig()
-        xs = sample_hits(incoherent_distribution(cfg), 10_000, stream(14, "fringe-i"))
-        assert decide_bit(xs, cfg).fringe_statistic <= 0.05
+        xs = sample_hits(cfg, incoherent_distribution(cfg), 10_000, stream(14, "fringe-i"))
+        assert decide_bit(xs, cfg)[1] <= 0.05
 
     def test_decisions_recover_pattern(self):
         cfg = DeviceConfig()
-        coherent_hits = sample_hits(coherent_distribution(cfg), 1000, stream(2, "dec-c"))
-        incoherent_hits = sample_hits(incoherent_distribution(cfg), 1000, stream(2, "dec-i"))
-        assert decide_bit(coherent_hits, cfg).decided == INTERFERENCE
-        assert decide_bit(incoherent_hits, cfg).decided == NO_INTERFERENCE
+        coherent_hits = sample_hits(cfg, coherent_distribution(cfg), 1000, stream(2, "dec-c"))
+        incoherent_hits = sample_hits(cfg, incoherent_distribution(cfg), 1000, stream(2, "dec-i"))
+        assert decide_bit(coherent_hits, cfg)[0] > 0
+        assert decide_bit(incoherent_hits, cfg)[0] <= 0
 
 
 def recorded_probes(monkeypatch):
@@ -389,8 +391,8 @@ class TestRequiredSampleSize:
         # One fringe spanning far beyond the grid: verify first that the
         # hypotheses are numerically identical, then expect the failure.
         cfg = DeviceConfig(kappa=1e-4)
-        p_c = coherent_distribution(cfg).probabilities
-        p_i = incoherent_distribution(cfg).probabilities
+        p_c = coherent_distribution(cfg)
+        p_i = incoherent_distribution(cfg)
         assert 0.5 * np.abs(p_c - p_i).sum() < 1e-6
         result = required_sample_size(cfg, 0.01)
         assert not result.feasible
@@ -464,8 +466,8 @@ class TestRequiredSampleSize:
         the exact error rates of the receiver's sum lie inside the brackets,
         at every lattice step."""
         cfg = DeviceConfig(bins=24)
-        p_c = coherent_distribution(cfg).probabilities
-        p_i = incoherent_distribution(cfg).probabilities
+        p_c = coherent_distribution(cfg)
+        p_i = incoherent_distribution(cfg)
         table = floored_log_ratio(p_c, p_i)
         grids = np.ix_(*[np.arange(table.size)] * m)
         llr = sum(table[grid] for grid in grids)
@@ -489,8 +491,8 @@ class TestRequiredSampleSize:
     def test_fft_law_within_its_rounding_allowance(self, cfg, m, step):
         """Every run sum of the FFT law (each tail the brackets read) matches
         the direct-convolution power within the stated allowance."""
-        p_c = coherent_distribution(cfg).probabilities
-        p_i = incoherent_distribution(cfg).probabilities
+        p_c = coherent_distribution(cfg)
+        p_i = incoherent_distribution(cfg)
         offsets, _ = protocol_module._on_lattice(floored_log_ratio(p_c, p_i), m, step)
         for probabilities in (p_c, p_i):
             law, allowance = protocol_module._lattice_law(probabilities, offsets, m)
@@ -562,6 +564,25 @@ class TestEnsembleSchedule:
         assert np.array_equal(tail_ids, want_ids[1234:1734])
         assert np.array_equal(tail_times, want_times[1234:1734])
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 1000])
+    def test_sorted_prefix_is_the_full_stable_argsort_cut_short(self, n):
+        # Four distinct offsets, so most telegraphs tie with others.
+        offsets = stream(33, "prefix", n).integers(0, 4, size=n) / 4.0
+        full = np.argsort(offsets, kind="stable")
+        for k in {1, max(1, n - 1), n}:
+            assert np.array_equal(_sorted_prefix(offsets, k), full[:k])
+
+    def test_message_orders_only_the_slots_it_reads(self):
+        schedule = ensemble_schedule(1000, 1.0, stream(34, "prefix"))
+        blocks = list(_symbol_windows(schedule, 3, 5))
+        assert schedule.order.size == 15
+        want_times, want_ids = merged_emissions(schedule, 2000)
+        assert np.array_equal(np.concatenate([ids.ravel() for _, ids, _ in blocks]), want_ids[:15])
+        # A later, longer read orders the rest of the cycle.
+        times, ids = schedule.emissions_after(0, 2000)
+        assert schedule.order.size == 1000
+        assert np.array_equal(ids, want_ids) and np.array_equal(times, want_times)
+
     def test_tied_offsets_emit_every_telegraph(self):
         """Two telegraphs firing together both count: at M=1 the symbols
         alternate between them and the mean symbol time is T/N."""
@@ -624,7 +645,9 @@ class TestEnsembleSchedule:
 class TestTransmitMessage:
     def test_empty_message(self):
         result = transmit_message([], TransmissionPlan(), ModelMode.UNITARY_QM, DeviceConfig(), stream(0, "tx"))
-        assert result.sent == () and result.received == () and result.symbol_times == ()
+        assert result.sent == () and result.hit_counts == () and result.hits is None
+        for column in (result.received, result.symbol_times, result.log_lr, result.fringe_statistic):
+            assert column.shape == (0,)
 
     def test_rejects_non_binary_bits(self):
         with pytest.raises(ValueError, match="bits"):
@@ -635,8 +658,8 @@ class TestTransmitMessage:
         bits = [0, 1, 1, 0, 1]
         first = transmit_message(bits, plan, ModelMode.NAIVE_COLLAPSE, DeviceConfig(), stream(42, "tx"))
         second = transmit_message(bits, plan, ModelMode.NAIVE_COLLAPSE, DeviceConfig(), stream(42, "tx"))
-        assert first.received == second.received
-        assert first.symbol_times == second.symbol_times
+        assert np.array_equal(first.received, second.received)
+        assert np.array_equal(first.symbol_times, second.symbol_times)
 
     def test_naive_collapse_transmits_reliably(self):
         cfg = DeviceConfig()
@@ -719,27 +742,25 @@ class TestTransmitMessage:
         seeds = child_seeds(rng, symbols)
         centers = cfg.bin_centers()
         clock = 0.0
-        for bit, seed, hits, decision, symbol_time in zip(
-            bits, seeds, result.hits, result.decisions, result.symbol_times, strict=True
+        for bit, seed, hits, log_lr, fringe, symbol_time in zip(
+            bits, seeds, result.hits, result.log_lr, result.fringe_statistic, result.symbol_times, strict=True
         ):
             detectors = Detector.ON if bit == 1 else Detector.OFF
             symbol_rng = np.random.default_rng(int(seed))
-            probabilities = screen_marginal(cfg, detectors, mode).probabilities
+            probabilities = screen_marginal(cfg, detectors, mode)
             assert np.array_equal(centers[hits.bin], centers[clipped_search(probabilities, symbol_rng.random(m))])
             if bit == 1:
                 assert np.array_equal(hits.idler, symbol_rng.integers(1, 3, size=m))
             else:
                 assert hits.idler is None
-            reference = decide_bit(centers[hits.bin], cfg)
-            assert decision.log_lr == reference.log_lr
-            assert decision.fringe_statistic == reference.fringe_statistic
+            assert (log_lr, fringe) == decide_bit(centers[hits.bin], cfg)
             assert symbol_time == float(hits.time[-1]) - clock
             clock = float(hits.time[-1])
-        assert result.received == tuple(0 if d.log_lr > 0 else 1 for d in result.decisions)
         # Without hits kept, the idlers are not drawn and nothing else moves.
         bare = transmit_message(bits, plan, mode, cfg, stream(60, "tx"))
-        assert bare.decisions == result.decisions
-        assert bare.symbol_times == result.symbol_times
+        for name in ("log_lr", "fringe_statistic", "symbol_times"):
+            assert np.array_equal(getattr(bare, name), getattr(result, name))
+            assert not getattr(result, name).flags.writeable
 
     def test_symbol_times_accumulate_along_one_timeline(self):
         plan = TransmissionPlan(M=30, T=1.0, N=2)

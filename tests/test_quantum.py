@@ -112,6 +112,24 @@ class TestClampProbabilities:
         with pytest.raises(QuantumStateError, match="finite"):
             clamp_probabilities(np.array([0.5, bad]))
 
+    @pytest.mark.parametrize("probs", [[np.nan] * 3, [0.5, np.nan, 0.5]])
+    def test_nan_rejected(self, probs):
+        with pytest.raises(QuantumStateError, match="must be finite"):
+            clamp_probabilities(np.array(probs))
+
+    def test_negative_below_clamp_floor_rejected(self):
+        with pytest.raises(QuantumStateError, match="below clamp floor"):
+            clamp_probabilities(np.array([1.5, -0.5]))
+
+    @pytest.mark.parametrize("probs", [[0.0, 0.0], [-1e-12, 0.0], []])
+    def test_zero_total_rejected(self, probs):
+        with pytest.raises(QuantumStateError, match="sum to zero"):
+            clamp_probabilities(np.array(probs))
+
+    def test_noise_clipped_and_total_renormalized(self):
+        clamped = clamp_probabilities(np.array([0.25, -1e-12, 0.25]))
+        assert clamped.tolist() == [0.5, 0.0, 0.5]
+
 
 class TestPartialTrace:
     def test_bell_pair_reduces_to_maximally_mixed(self):

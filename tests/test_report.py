@@ -337,10 +337,10 @@ class TestReportsMatchCsvWriter:
         eraser = eraser_conditionals(cfg)
         columns = (
             cfg.bin_centers(),
-            coherent_distribution(cfg).probabilities,
-            incoherent_distribution(cfg).probabilities,
-            eraser.p_plus.probabilities,
-            eraser.p_minus.probabilities,
+            coherent_distribution(cfg),
+            incoherent_distribution(cfg),
+            eraser.p_plus,
+            eraser.p_minus,
         )
         rows = [["x", "p_coherent", "p_incoherent", "p_plus", "p_minus"]] + [
             [repr(float(column[j])) for column in columns] for j in range(bins)
