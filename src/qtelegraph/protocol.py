@@ -195,7 +195,9 @@ class _BinSampler:
         return self.indices(rng.random(count))
 
 
-def sample_hits(cfg: DeviceConfig, probabilities: np.ndarray, count: int, rng) -> np.ndarray:
+def sample_hits(
+    cfg: DeviceConfig, probabilities: np.ndarray, count: int, rng: np.random.Generator
+) -> np.ndarray:
     """Draw ``count`` i.i.d. screen positions by inverse CDF over the bins of
     ``cfg``, with the given probabilities. Positions are reported at bin centers.
     """
