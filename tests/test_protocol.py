@@ -169,12 +169,11 @@ class TestSampleHits:
         five multinomial sigmas (plus a 5/n Poisson allowance for the
         near-empty tail bins)."""
         cfg = DeviceConfig()
-        dist = incoherent_distribution(cfg)
+        p = incoherent_distribution(cfg)
         n = 100_000
-        xs = sample_hits(cfg, dist, n, stream(99, "multinomial"))
+        xs = sample_hits(cfg, p, n, stream(99, "multinomial"))
         counts = np.bincount(cfg.bin_index(xs), minlength=cfg.bins)
         freq = counts / n
-        p = dist
         bound = 5.0 * np.sqrt(p * (1 - p) / n) + 5.0 / n
         assert np.all(np.abs(freq - p) <= bound)
 
