@@ -34,9 +34,7 @@ import numpy as np
 from .device import DeviceConfig, write_distributions_csv
 from .nosignal import verify_no_signaling
 from .protocol import (
-    INTERFERENCE,
     MIN_ALPHA,
-    NO_INTERFERENCE,
     Detector,
     ModelMode,
     SymbolHits,
@@ -241,11 +239,14 @@ def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
+# The report's verdict for each received bit.
+VERDICTS = ("interference", "no-interference")
+
+
 def _decisions(result: TransmissionResult) -> list[dict]:
     """The receiver's verdict per symbol, as report records."""
-    verdicts = (INTERFERENCE, NO_INTERFERENCE)  # by received bit
     return [
-        {"log_lr": log_lr, "decided": verdicts[bit], "fringe_statistic": fringe}
+        {"log_lr": log_lr, "decided": VERDICTS[bit], "fringe_statistic": fringe}
         for log_lr, bit, fringe in zip(
             result.log_lr.tolist(), result.received.tolist(), result.fringe_statistic.tolist()
         )

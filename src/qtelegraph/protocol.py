@@ -49,8 +49,6 @@ from .device import (
 from .rng import child_seeds, reseedable
 
 PROBABILITY_FLOOR = 1e-300
-INTERFERENCE = "interference"
-NO_INTERFERENCE = "no-interference"
 # A schedule holds an offset and a slot of its pooled order per telegraph,
 # 16 bytes each, so this caps it at 160 MB.
 MAX_TELEGRAPHS = 10**7
@@ -431,8 +429,6 @@ def _sorted_prefix(offsets: np.ndarray, k: int) -> np.ndarray:
     """``np.argsort(offsets, kind="stable")[:k]`` without sorting them all:
     the first k ids in (offset, id) order all have offsets at most the k-th
     smallest, so only those ids, in id order, are stable-sorted."""
-    if k >= offsets.size:
-        return np.argsort(offsets, kind="stable")
     kth = np.partition(offsets, k - 1)[k - 1]
     candidates = np.flatnonzero(offsets <= kth)
     return candidates[np.argsort(offsets[candidates], kind="stable")[:k]]

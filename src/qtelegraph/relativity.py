@@ -162,19 +162,17 @@ def build_paradox(strategy: FrameStrategy, separation: float) -> ParadoxTrace:
         raise ValueError(f"separation must be > 0 (got {separation})")
     if isinstance(strategy, StateDependentFrames):
         frame_a, frame_b = strategy.v, -strategy.v
-        speed = f"v={strategy.v}"
     elif isinstance(strategy, PrivilegedFrame):
         frame_a = frame_b = strategy.beta0
-        speed = f"beta0={strategy.beta0}"
     else:
         raise TypeError(f"unknown frame strategy {strategy!r}")
 
     a_emission = Event(t=0.0, x=float(separation))
-    try:  # B's reception time, (frame_b - frame_a) * separation, can overflow.
-        a_reception = signal_reception(a_emission, 0.0, frame_a)
+    a_reception = signal_reception(a_emission, 0.0, frame_a)
+    try:  # -2*v*separation overflows for state-dependent frames; 0 for a privileged one.
         b_reception = signal_reception(a_reception, float(separation), frame_b)
     except ValueError as exc:
-        raise ValueError(f"separation={separation} at frame speed {speed}: {exc}") from None
+        raise ValueError(f"separation={separation} at frame speed v={frame_a}: {exc}") from None
     return ParadoxTrace(
         a_emission=a_emission,
         a_reception=a_reception,

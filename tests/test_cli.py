@@ -185,7 +185,8 @@ def domain_inputs(draw, valid_values, invalid_values):
 
 def run_with_flags(command, inputs):
     """Run ``command`` with each input as a '--key=value' flag, RuntimeWarnings
-    as errors: (exit code, stderr, {report name: text})."""
+    as errors: (exit code, stderr, {report name: bytes}, the output directory
+    it used, removed on return)."""
     argv = [command] + [
         f"{flag(key)}={value if isinstance(value, str) else repr(value)}"
         for key, value in inputs.items()
@@ -194,8 +195,8 @@ def run_with_flags(command, inputs):
         with contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(argv + ["--output-dir", out])
-        reports = {path.name: path.read_text() for path in Path(out).iterdir()}
-    return code, err.getvalue(), reports
+        reports = {path.name: path.read_bytes() for path in Path(out).iterdir()}
+    return code, err.getvalue(), reports, out
 
 
 def assert_verdict_or_named_error(broken, inputs, code, err, reports):
@@ -204,8 +205,8 @@ def assert_verdict_or_named_error(broken, inputs, code, err, reports):
     traceback. True for exit 0."""
     assert "Traceback" not in err
     if code == 0 and broken is None:
-        for name, text in reports.items():
-            assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), name
+        for name, content in reports.items():
+            assert not re.search(rb"\b(nan|inf|infinity)\b", content, re.IGNORECASE), name
         return True
     assert code == 2 and not reports
     named = broken or "|".join(inputs)
@@ -522,22 +523,10 @@ class TestSubcommands:
         csv.writer reference hits.csv, or exit 2 naming a key (the broken
         one, if a value was drawn outside its domain); no traceback."""
         broken, inputs = case
-        argv = ["simulate"] + [
-            f"{flag(key)}={value if isinstance(value, str) else repr(value)}"
-            for key, value in inputs.items()
-        ]
-        with tempfile.TemporaryDirectory() as out:
-            with contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                code = main(argv + ["--output-dir", out])
-            assert "Traceback" not in err.getvalue()
-            if code == 0 and broken is None:
-                cfg = resolve_config({**inputs, "output_dir": out})
-                assert (Path(out) / "hits.csv").read_bytes() == reference_hits_csv(cfg)
-            else:
-                assert code == 2
-                named = broken or "|".join(inputs)
-                assert re.match(rf"error: .*\b({named})\b", err.getvalue())
+        code, err, reports, out = run_with_flags("simulate", inputs)
+        if assert_verdict_or_named_error(broken, inputs, code, err, reports):
+            cfg = resolve_config({**inputs, "output_dir": out})
+            assert reports["hits.csv"] == reference_hits_csv(cfg)
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(case=domain_inputs(TRANSMIT_VALID, TRANSMIT_INVALID))
@@ -549,7 +538,7 @@ class TestSubcommands:
         """transmit over bits or symbols, M, N, T, mode and alpha: exit 0
         with one finite record per symbol, or exit 2 naming a key."""
         broken, inputs = case
-        code, err, reports = run_with_flags("transmit", inputs)
+        code, err, reports, _ = run_with_flags("transmit", inputs)
         if assert_verdict_or_named_error(broken, inputs, code, err, reports):
             transcript = json.loads(reports["transcript.json"])
             symbols = len(inputs["bits"]) or inputs["symbols"]
@@ -566,7 +555,7 @@ class TestSubcommands:
         finite loop, or exit 2 naming a key (separation for a loop whose
         advance overflows)."""
         broken, inputs = case
-        code, err, reports = run_with_flags("paradox", inputs)
+        code, err, reports, _ = run_with_flags("paradox", inputs)
         if assert_verdict_or_named_error(broken, inputs, code, err, reports):
             payload = json.loads(reports["paradox.json"])
             assert payload["automaton"]["inconsistent"] is payload["trace"]["closed_loop"]
