@@ -24,11 +24,15 @@ whatever N is.
 Screen hits are drawn by inverse CDF through a guide table built once per
 distribution (``_BinSampler``), which gives exactly the bins a binary search
 of the CDF would. The receiver decodes a block of symbols (about 2^16 hits)
-at a time: only setting each symbol's generator state and its draws stay per
-symbol, and the bins, log-likelihood ratios and fringe statistics of the
-whole block are array operations. Each symbol draws the stream of
-``np.random.default_rng(child seed)``; the starting states of all symbols are
-derived in one vectorised pass (``rng.reseedable``) and set on one generator.
+at a time: the bins, log-likelihood ratios and fringe statistics of the whole
+block are array operations, on screen patterns built once per message. Each
+symbol draws the stream of ``np.random.default_rng(child seed)``, whose
+starting states are derived for all symbols in one vectorised pass. When a
+block holds at least 16*M symbols (``_LANES_PER_DRAW``), the block's uniforms
+are drawn as PCG64 lanes, one vectorised step per draw (``rng.UniformLanes``);
+otherwise each symbol's state is set on one shared generator
+(``rng.reseedable``), and that, with its draws, stays per symbol. Only the
+idler draws of kept hits stay per symbol either way.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .device import (
     coherent_distribution,
     incoherent_distribution,
 )
-from .rng import child_seeds, reseedable
+from .rng import UniformLanes, child_seeds, reseedable
 
 PROBABILITY_FLOOR = 1e-300
 # A schedule holds an offset and a slot of its pooled order per telegraph,
@@ -59,6 +63,15 @@ MAX_PAIRS = 10**7
 # hits, the sampler's chunks a quarter of it.
 _BLOCK_HITS = 1 << 16
 _SAMPLER_CHUNK = 1 << 14
+# A message draws its uniforms as PCG64 lanes (``rng.UniformLanes``) when a
+# block holds at least this many symbols per pair of a symbol, 16*M, which
+# needs M <= 64. Each of a block's M draws is one vectorised step over its
+# symbols, so the lanes' cost per symbol grows with M, while a generator
+# reset per symbol costs about the same at any M. On a 2-core x86-64 the
+# lanes took 2-3 ms against 8-14 ms for 2000 symbols at M = 27, 1.3-1.5
+# times less at 16*M symbols for M from 16 to 64, and 1.4 and 3-4 times
+# more at M = 100 and 200 (655 and 327 symbols, a full block).
+_LANES_PER_DRAW = 16
 _BUCKETS_PER_BIN = 64
 _MAX_BUCKETS = 1 << 16
 # The planner's lattices: the first step (nats), halved while a bracket
@@ -136,16 +149,16 @@ class SymbolHits:
             raise ValueError(f"time must be >= 0 (got {self.time.min()})")
 
 
-def screen_marginal(cfg: DeviceConfig, detectors: Detector, mode: ModelMode) -> np.ndarray:
-    """Screen pattern seen at the receiving end for a detector setting.
+def _shows_coherent(detectors: Detector, mode: ModelMode) -> bool:
+    """Under UnitaryQM the receiving end sees the reduced-state diagonal (the
+    incoherent pattern) for both settings; under NaiveCollapse the
+    detectors-off setting is credited with the coherent pattern."""
+    return mode is ModelMode.NAIVE_COLLAPSE and detectors is Detector.OFF
 
-    Under UnitaryQM this is the reduced-state diagonal (the incoherent
-    pattern) for both settings; under NaiveCollapse the detectors-off setting
-    is credited with the coherent pattern.
-    """
-    if mode is ModelMode.UNITARY_QM:
-        return incoherent_distribution(cfg)
-    if detectors is Detector.OFF:
+
+def screen_marginal(cfg: DeviceConfig, detectors: Detector, mode: ModelMode) -> np.ndarray:
+    """Screen pattern seen at the receiving end for a detector setting."""
+    if _shows_coherent(detectors, mode):
         return coherent_distribution(cfg)
     return incoherent_distribution(cfg)
 
@@ -567,14 +580,23 @@ def transmit_message(
         return TransmissionResult((), empty, empty, empty, (), () if keep_hits else None)
 
     schedule = ensemble_schedule(plan.N, plan.T, rng)
-    # Each symbol draws from default_rng(its child seed); one generator,
-    # reset to each symbol's starting state, serves them all.
-    generator, starts = reseedable(child_seeds(rng, len(bits)))
-    bitgen = generator.bit_generator
-    # The receiver's model is fixed by cfg: derive it once per message.
-    table = log_ratio_table(cfg)
+    seeds = child_seeds(rng, len(bits))
+    # Each symbol draws from default_rng(its child seed): as PCG64 lanes when
+    # a block holds enough symbols to pay for a vectorised step per draw,
+    # else from one generator reset to each symbol's starting state.
+    if min(len(bits), _BLOCK_HITS // plan.M) >= _LANES_PER_DRAW * plan.M:
+        lanes = UniformLanes(seeds, plan.M)
+    else:
+        lanes = None
+        generator, starts = reseedable(seeds)
+    # The receiver's model is fixed by cfg: derive it once per message, each
+    # screen pattern built once for the LLR table and the samplers alike.
+    coherent, incoherent = coherent_distribution(cfg), incoherent_distribution(cfg)
+    table = floored_log_ratio(coherent, incoherent)
     phasors = np.exp(2j * cfg.kappa * cfg.bin_centers())
-    samplers = {d: _BinSampler(screen_marginal(cfg, d, mode)) for d in Detector}
+    samplers = {
+        d: _BinSampler(coherent if _shows_coherent(d, mode) else incoherent) for d in Detector
+    }
     detectors_on = np.array(bits, dtype=bool)
 
     log_lr, fringes, symbol_times = (np.empty(len(bits)) for _ in range(3))
@@ -583,16 +605,22 @@ def transmit_message(
     for times, ids, block_times in _symbol_windows(schedule, plan.M, len(bits)):
         stop = start + block_times.size
         on = detectors_on[start:stop]
-        u = np.empty(times.shape)
         idlers = np.zeros(times.shape, dtype=np.int64) if keep_hits else None
-        for row, state in enumerate(starts[start:stop]):
-            bitgen.state = state
-            generator.random(out=u[row])
-            if keep_hits and on[row]:
-                # Both pipes share the envelope, so the screen conditional given
-                # the pipe outcome is the same and the idler samples
-                # independently, after the screen draws.
-                idlers[row] = generator.integers(1, 3, size=plan.M)
+        # Both pipes share the envelope, so the screen conditional given the
+        # pipe outcome is the same and the idler samples independently, after
+        # the screen draws.
+        if lanes is not None:
+            u = lanes.take(stop - start)
+            if keep_hits:
+                for row in np.flatnonzero(on):
+                    idlers[row] = lanes.generator_after(start + row).integers(1, 3, size=plan.M)
+        else:
+            u = np.empty(times.shape)
+            for row, state in enumerate(starts[start:stop]):
+                generator.bit_generator.state = state
+                generator.random(out=u[row])
+                if keep_hits and on[row]:
+                    idlers[row] = generator.integers(1, 3, size=plan.M)
         idx = np.empty(times.shape, dtype=np.intp)
         for detectors, sampler in samplers.items():
             rows = on == (detectors is Detector.ON)

@@ -155,7 +155,8 @@ def build_paradox(strategy: FrameStrategy, separation: float) -> ParadoxTrace:
 
     A emits at (0, separation) toward x = 0; the reception is immediately
     retransmitted through B back to the emission position. State-dependent
-    frames (+v then -v) advance the message by 2*v*separation into the past;
+    frames (+v then -v) advance the message by 2*v*separation into the past,
+    and an advance that overflows, or underflows to 0 at v != 0, is refused;
     a privileged frame cancels over the round trip.
     """
     if not separation > 0:
@@ -173,13 +174,21 @@ def build_paradox(strategy: FrameStrategy, separation: float) -> ParadoxTrace:
         b_reception = signal_reception(a_reception, float(separation), frame_b)
     except ValueError as exc:
         raise ValueError(f"separation={separation} at frame speed v={frame_a}: {exc}") from None
-    return ParadoxTrace(
+    trace = ParadoxTrace(
         a_emission=a_emission,
         a_reception=a_reception,
         b_reception=b_reception,
         frame_a=frame_a,
         frame_b=frame_b,
     )
+    # At v != 0 the advance 2*v*separation is nonzero; rounded to 0 it would
+    # report an open loop where there is a closed (or reversed) one.
+    if isinstance(strategy, StateDependentFrames) and frame_a != 0 and trace.loop_advance == 0:
+        raise ValueError(
+            f"separation={separation} at frame speed v={frame_a}: the loop advance "
+            f"2*v*separation underflows to 0"
+        )
+    return trace
 
 
 NEGATION_RULE: Mapping[str, str] = MappingProxyType({M1: M2, M2: M1})

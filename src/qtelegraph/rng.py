@@ -8,11 +8,16 @@ identical random numbers stream by stream.
 
 Indexed sub-simulations (one per symbol) each draw from
 ``np.random.default_rng(child_seed)``. Building that generator hashes the
-seed through a ``SeedSequence`` (tens of microseconds), so ``reseedable``
-derives the PCG64 starting states of a whole run of child seeds in one
-vectorised pass and serves them all from one generator whose state is set
-per seed. The derivation reproduces numpy's seeding exactly and is checked
-against it once per call.
+seed through a ``SeedSequence`` (tens of microseconds), so the PCG64 starting
+states of a whole run of child seeds are derived in one vectorised pass,
+held as two uint64 limbs (hi, lo) per 128-bit word. ``reseedable`` serves
+them from one generator whose state is set per seed. ``UniformLanes`` draws
+their uniforms without a generator at all: PCG64's output is a pure function
+of its state (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms for Random Number Generation", HMC-CS-2014-0905),
+so each draw is one 128-bit LCG step of every seed's lane at once, in limb
+arithmetic. Both reproduce numpy bit for bit and check it against numpy once
+per call.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import numpy as np
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
 # numpy's SeedSequence hash (pool size 4) and PCG64's 128-bit LCG multiplier.
 _INIT_A = 0x43B0D7E5
@@ -117,30 +121,60 @@ def _seed_sequence_words(seeds: np.ndarray) -> list[np.ndarray]:
     return [halves[2 * k] | (halves[2 * k + 1] << np.uint64(32)) for k in range(_POOL_SIZE)]
 
 
-def default_rng_states(seeds) -> list[dict]:
-    """The PCG64 ``state`` that ``np.random.default_rng(s)`` starts from, for
-    each seed s (non-negative integers below 2^64).
+def _step(state: tuple[np.ndarray, np.ndarray], inc: tuple[np.ndarray, np.ndarray]):
+    """One PCG64 step of every lane, state * multiplier + inc mod 2^128, on
+    (hi, lo) uint64 limbs; uint64 products wrap mod 2^64.
+
+    Mod 2^128 the product is lo*m_lo + 2^64 (hi*m_lo + lo*m_hi), so only
+    lo*m_lo needs its high word, built from 32-bit halves as in Warren,
+    *Hacker's Delight*, 2nd ed., sec. 8-2 (``mulhu``): every partial product
+    of two halves plus a carried word still fits 64 bits.
+    """
+    hi, lo = state
+    m_hi, m_lo = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64)
+    m1, m0 = np.uint64(_PCG64_MULT >> 32 & _MASK32), np.uint64(_PCG64_MULT & _MASK32)
+    a1, a0 = lo >> 32, lo & _MASK32
+    middle = a1 * m0 + ((a0 * m0) >> 32)
+    carried = a0 * m1 + (middle & _MASK32)
+    high = a1 * m1 + (middle >> 32) + (carried >> 32)
+    new_lo = lo * m_lo + inc[1]
+    # The low word's sum carried iff it wrapped below the addend.
+    new_hi = high + lo * m_hi + hi * m_lo + inc[0] + (new_lo < inc[1])
+    return new_hi, new_lo
+
+
+def _pcg64_seeding(seeds) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(state, inc) limbs of the PCG64 that ``np.random.default_rng(s)``
+    starts as, for each seed s (non-negative integers below 2^64).
 
     PCG64 seeds itself from the words w0..w3 as inc = ((w2:w3) << 1) | 1 and
-    state = ((inc + (w0:w1)) * multiplier + inc) mod 2^128.
+    state = (inc + (w0:w1)) * multiplier + inc mod 2^128: one step from
+    inc + (w0:w1).
     """
     seeds = np.asarray(seeds)
     if seeds.dtype.kind not in "iu" or (seeds.size and seeds.min() < 0):
         raise ValueError("seeds must be non-negative integers below 2**64")
-    words = _seed_sequence_words(seeds.astype(np.uint64).ravel())
-    states = []
-    for w0, w1, w2, w3 in zip(*(w.tolist() for w in words)):
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        )
-    return states
+    w0, w1, w2, w3 = _seed_sequence_words(seeds.astype(np.uint64).ravel())
+    inc = ((w2 << 1) | (w3 >> 63), (w3 << 1) | 1)
+    start_lo = inc[1] + w1
+    start = (inc[0] + w0 + (start_lo < w1), start_lo)
+    return _step(start, inc), inc
+
+
+def _state_dict(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> dict:
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def default_rng_states(seeds) -> list[dict]:
+    """The PCG64 ``state`` that ``np.random.default_rng(s)`` starts from, for
+    each seed s (non-negative integers below 2^64)."""
+    state, inc = _pcg64_seeding(seeds)
+    return [_state_dict(*words) for words in zip(*(limb.tolist() for limb in state + inc))]
 
 
 def reseedable(seeds) -> tuple[np.random.Generator, list[dict]]:
@@ -161,3 +195,49 @@ def reseedable(seeds) -> tuple[np.random.Generator, list[dict]]:
             "derived PCG64 seeding disagrees with numpy's; numpy's seeding has changed"
         )
     return np.random.Generator(bitgen), states
+
+
+class UniformLanes:
+    """The uniforms of ``np.random.default_rng(s).random(m)`` for a run of
+    seeds s, one lane per seed, drawn row by row in seed order.
+
+    Column j of a block of rows is one PCG64 step of those lanes (``_step``)
+    and its XSL-RR output, the high word xor the low one rotated right by
+    the state's top 6 bits, as the double (output >> 11) * 2^-53, which is
+    what numpy's ``Generator.random`` returns. Only numpy's ``PCG64(seed0)``
+    is built, once; the first rows taken check lane 0 against it.
+    """
+
+    def __init__(self, seeds, m: int) -> None:
+        seeds = np.asarray(seeds)
+        self._state, self._inc = _pcg64_seeding(seeds)
+        if not seeds.size:
+            raise ValueError("UniformLanes needs at least one seed")
+        self._generator = np.random.Generator(np.random.PCG64(int(seeds.flat[0])))
+        self._m = m
+        self._taken = 0
+
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` lanes' m uniforms, as a (count, m) array."""
+        lanes = slice(self._taken, self._taken + count)
+        state = (self._state[0][lanes], self._state[1][lanes])
+        inc = (self._inc[0][lanes], self._inc[1][lanes])
+        columns = np.empty((self._m, state[0].size))
+        for column in columns:
+            state = _step(state, inc)
+            word = state[0] ^ state[1]
+            turn = state[0] >> 58
+            np.multiply((word >> turn | word << (-turn & 63)) >> 11, 2.0**-53, out=column)
+        self._state[0][lanes], self._state[1][lanes] = state
+        if self._taken == 0 and not np.array_equal(columns[:, 0], self._generator.random(self._m)):
+            raise RuntimeError("PCG64 lanes disagree with numpy's generator; numpy's PCG64 has changed")
+        self._taken = lanes.stop
+        return columns.T
+
+    def generator_after(self, lane: int) -> np.random.Generator:
+        """numpy's generator, set to where lane ``lane``'s stream stands after
+        its m uniforms: it draws what that seed's default_rng draws next."""
+        self._generator.bit_generator.state = _state_dict(
+            *(int(limb[lane]) for limb in self._state + self._inc)
+        )
+        return self._generator

@@ -463,6 +463,12 @@ class TestSubcommands:
             (["transmit", "--symbols", "2", "--M", "100000000000000000000"], "M must be <= 10000000"),
             # Every command shares the planner's alpha domain.
             (["transmit", "--alpha", "1e-12"], "alpha must be in [1e-09, 1)"),
+            # At v != 0 a loop advance that underflows to 0 is refused, either sign.
+            (
+                ["paradox", "--v", "1e-300", "--separation", "1e-30"],
+                "separation=1e-30 at frame speed v=1e-300: the loop advance 2*v*separation underflows to 0",
+            ),
+            (["paradox", "--v=-1e-300", "--separation", "1e-30"], "separation=1e-30 at frame speed v=-1e-300"),
         ],
     )
     def test_out_of_domain_values_exit_2(self, tmp_path, monkeypatch, capsys, argv, named):
@@ -830,6 +836,24 @@ class TestSubcommands:
             {
                 "hits.csv": "a08dedcc16fb322d908025b5dea1c30c4cd347956204665b079ba98607e53eb0",
                 "decision.json": "b1f7678669d108db76e3511b06d5c40f57950fbe4c1d5b49d4546b54e54cc572",
+            },
+        ),
+        # The telegraph workload's message size at M* under both models: its
+        # uniforms are drawn as PCG64 lanes. Pinned from per-symbol generators.
+        (
+            "transmit---mode-NaiveCollapse-symbols-2000-M-27",
+            ("transmit", "--mode", "NaiveCollapse", "--symbols", "2000", "--M", "27", "--seed", "9"),
+            {
+                "transcript.json": "45971d4a27f2db4bdc75a381ba3c5738e43a245ab28a11f24283eb6e0555b505",
+                "summary.json": "21fbdcb2d193a0f9336ee3ed241ca69824ebaee01281a733ffc1a448fb5c475c",
+            },
+        ),
+        (
+            "transmit---mode-UnitaryQM-symbols-2000-M-27",
+            ("transmit", "--mode", "UnitaryQM", "--symbols", "2000", "--M", "27", "--seed", "9"),
+            {
+                "transcript.json": "c904bd11cbbc1f03a535889c44260c82deb3b059a6b4bbebf8a7a7bd6b87d5a0",
+                "summary.json": "a3294ac1748099105e22aecfcf38a69505a82b11cf94da444f76a398fee276f2",
             },
         ),
     )

@@ -35,7 +35,7 @@ from qtelegraph.protocol import (
     _sorted_prefix,
     _symbol_windows,
 )
-from qtelegraph.rng import child_seeds, stream
+from qtelegraph.rng import UniformLanes, child_seeds, stream
 
 # The planner's M* at the defaults (alpha = 0.01), certified by its error
 # brackets: at M = 26 the incoherent-data error is at least 0.0108, at 27
@@ -725,8 +725,24 @@ class TestTransmitMessage:
             counts.append(sorted(calls))
         assert counts[0] == counts[1] == ["PCG64"]
 
+    @pytest.mark.parametrize(
+        "symbols, m",
+        [(431, 27), (432, 27), (2000, 27), (4096, 64), (10_000, 65), (1, 1), (16, 1)],
+    )
+    def test_lanes_draw_when_a_block_holds_16_symbols_per_pair(self, monkeypatch, symbols, m):
+        # A block holds at most 2^16 / M symbols, so lanes need M <= 64.
+        built = []
+        monkeypatch.setattr(
+            protocol_module, "UniformLanes", lambda *args: built.append(args) or UniformLanes(*args)
+        )
+        plan = TransmissionPlan(M=m, T=1.0, N=3)
+        transmit_message([0] * symbols, plan, ModelMode.UNITARY_QM, DeviceConfig(), stream(6, "tx"))
+        assert len(built) == (symbols >= 16 * m and m <= 64)
+
     @pytest.mark.parametrize("mode", list(ModelMode))
-    @pytest.mark.parametrize("symbols, m", [(200, 28), (150, 1000)])
+    # 200 symbols of 28 pairs draw from per-symbol generators, 2000 of 27 as
+    # PCG64 lanes (a block of at least 16*M symbols).
+    @pytest.mark.parametrize("symbols, m", [(200, 28), (2000, 27), (150, 1000)])
     def test_block_decoder_matches_symbol_by_symbol_reference(self, mode, symbols, m):
         """In one block and across several, every symbol equals the
         one-symbol-at-a-time decode: its own generator's uniforms through a

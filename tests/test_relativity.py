@@ -119,6 +119,17 @@ class TestBuildParadox:
         for event in (trace.a_emission, trace.a_reception, trace.b_reception):
             assert event.t == 0.0
 
+    @pytest.mark.parametrize("v", [1e-300, -1e-300, 5e-324])
+    def test_advance_underflowing_to_zero_rejected(self, v):
+        with pytest.raises(ValueError, match=f"separation=1e-30 at frame speed v={v}: the loop advance"):
+            build_paradox(StateDependentFrames(v), 1e-30)
+
+    def test_zero_advances_that_are_exact_kept(self):
+        assert build_paradox(StateDependentFrames(0.0), 1e-30).loop_advance == 0.0
+        assert build_paradox(PrivilegedFrame(1e-300), 1e-30).loop_advance == 0.0
+        # A subnormal advance still closes the loop.
+        assert build_paradox(StateDependentFrames(1e-300), 2.5e-24).closed_loop
+
     def test_privileged_frame_round_trip_cancels(self):
         trace = build_paradox(PrivilegedFrame(0.3), 1.0)
         assert trace.b_reception == Event(0.0, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qtelegraph import rng as rng_module
-from qtelegraph.rng import child_seeds, default_rng_states, reseedable, stream
+from qtelegraph.rng import UniformLanes, child_seeds, default_rng_states, reseedable, stream
 
 EDGE_SEEDS = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**62, 2**63 - 1, 2**63, 2**64 - 1]
 
@@ -54,6 +54,43 @@ class TestReseedable:
     def test_empty_seed_run_rejected(self):
         with pytest.raises(ValueError, match="at least one seed"):
             reseedable(np.zeros(0, dtype=np.int64))
+
+
+class TestUniformLanes:
+    LANE_SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+
+    @pytest.mark.parametrize("m", [1, 7, 27, 64])
+    def test_lanes_draw_what_default_rng_draws(self, m):
+        for seeds in (np.array(self.LANE_SEEDS, dtype=np.uint64), child_seeds(stream(44, "lanes"), 1000)):
+            rows = UniformLanes(seeds, m).take(seeds.size)
+            assert rows.shape == (seeds.size, m)
+            for seed, row in zip(seeds.tolist(), rows):
+                assert np.array_equal(row, np.random.default_rng(seed).random(m))
+
+    def test_rows_taken_in_blocks_equal_rows_taken_at_once(self):
+        seeds = child_seeds(stream(45, "lanes"), 100)
+        lanes = UniformLanes(seeds, 9)
+        blocks = np.concatenate([lanes.take(1), lanes.take(62), lanes.take(37)])
+        assert np.array_equal(blocks, UniformLanes(seeds, 9).take(100))
+
+    def test_generator_after_a_lane_continues_its_stream(self):
+        # The idlers of kept hits are drawn after a symbol's screen draws.
+        seeds = np.concatenate([np.array(self.LANE_SEEDS, dtype=np.uint64), child_seeds(stream(46, "lanes"), 50).astype(np.uint64)])
+        lanes = UniformLanes(seeds, 27)
+        lanes.take(seeds.size)
+        for lane in (7, 0, len(seeds) - 1, 3):
+            fresh = np.random.default_rng(int(seeds[lane]))
+            fresh.random(27)
+            assert np.array_equal(lanes.generator_after(lane).integers(1, 3, size=27), fresh.integers(1, 3, size=27))
+
+    def test_guard_raises_when_lanes_disagree_with_numpy(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "_PCG64_MULT", rng_module._PCG64_MULT ^ 2)
+        with pytest.raises(RuntimeError, match="disagree with numpy"):
+            UniformLanes(np.array([5, 6]), 4).take(2)
+
+    def test_empty_seed_run_rejected(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            UniformLanes(np.zeros(0, dtype=np.int64), 3)
 
 
 class TestStream:
