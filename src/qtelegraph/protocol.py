@@ -64,13 +64,14 @@ MAX_PAIRS = 10**7
 _BLOCK_HITS = 1 << 16
 _SAMPLER_CHUNK = 1 << 14
 # A message draws its uniforms as PCG64 lanes (``rng.UniformLanes``) when a
-# block holds at least this many symbols per pair of a symbol, 16*M, which
-# needs M <= 64. Each of a block's M draws is one vectorised step over its
-# symbols, so the lanes' cost per symbol grows with M, while a generator
-# reset per symbol costs about the same at any M. On a 2-core x86-64 the
-# lanes took 2-3 ms against 8-14 ms for 2000 symbols at M = 27, 1.3-1.5
-# times less at 16*M symbols for M from 16 to 64, and 1.4 and 3-4 times
-# more at M = 100 and 200 (655 and 327 symbols, a full block).
+# full block, min(symbols, 2^16 // M), holds at least this many symbols per
+# pair pooled: 16*M, which a block of 2^16 hits allows only for M <= 64. Each
+# of a block's M draws is one vectorised step over its symbols, so the lanes'
+# cost per symbol grows with M, while a generator reset per symbol costs about
+# the same at any M. On a 2-core x86-64 the lanes took 2-3 ms against 8-14 ms
+# for 2000 symbols at M = 27, 1.3-1.5 times less at 16*M symbols for M from
+# 16 to 64, and 1.4 and 3-4 times more at M = 100 and 200 (655 and 327
+# symbols, a full block).
 _LANES_PER_DRAW = 16
 _BUCKETS_PER_BIN = 64
 _MAX_BUCKETS = 1 << 16
