@@ -75,13 +75,16 @@ class TestUniformLanes:
 
     def test_generator_after_a_lane_continues_its_stream(self):
         # The idlers of kept hits are drawn after a symbol's screen draws.
-        seeds = np.concatenate([np.array(self.LANE_SEEDS, dtype=np.uint64), child_seeds(stream(46, "lanes"), 50).astype(np.uint64)])
+        seeds = np.concatenate(
+            [np.array(self.LANE_SEEDS, dtype=np.uint64), child_seeds(stream(46, "lanes"), 50).astype(np.uint64)]
+        )
         lanes = UniformLanes(seeds, 27)
         lanes.take(seeds.size)
         for lane in (7, 0, len(seeds) - 1, 3):
             fresh = np.random.default_rng(int(seeds[lane]))
             fresh.random(27)
-            assert np.array_equal(lanes.generator_after(lane).integers(1, 3, size=27), fresh.integers(1, 3, size=27))
+            idlers = lanes.generator_after(lane).integers(1, 3, size=27)
+            assert np.array_equal(idlers, fresh.integers(1, 3, size=27))
 
     def test_guard_raises_when_lanes_disagree_with_numpy(self, monkeypatch):
         monkeypatch.setattr(rng_module, "_PCG64_MULT", rng_module._PCG64_MULT ^ 2)
