@@ -37,7 +37,6 @@ from .protocol import (
     MIN_ALPHA,
     Detector,
     ModelMode,
-    SymbolHits,
     TransmissionPlan,
     TransmissionResult,
     required_sample_size,
@@ -52,6 +51,11 @@ from .relativity import (
 )
 from .report import Coded, comment_lines_text, json_text, write_csv
 from .rng import stream
+
+# transmit holds about 0.9 kB per symbol (its per-symbol arrays, records and
+# report text; measured at 10^6 symbols), so this many random bits take about
+# 0.9 GB.
+MAX_SYMBOLS = 10**6
 
 STRATEGY_STATE_DEPENDENT = "state-dependent"
 STRATEGY_PRIVILEGED = "privileged"
@@ -208,8 +212,8 @@ def resolve_config(overrides: dict) -> RunConfig:
         raise ConfigError(f"alpha must be in [{MIN_ALPHA:g}, 1) (got {values['alpha']})")
     if values["bits"] and set(values["bits"]) - {"0", "1"}:
         raise ConfigError(f"bits must contain only '0' and '1' (got {values['bits']!r})")
-    if values["symbols"] < 0:
-        raise ConfigError(f"symbols must be >= 0 (got {values['symbols']})")
+    if not 0 <= values["symbols"] <= MAX_SYMBOLS:
+        raise ConfigError(f"symbols must be in [0, {MAX_SYMBOLS}] (got {values['symbols']})")
     if values["strategy"] not in (STRATEGY_STATE_DEPENDENT, STRATEGY_PRIVILEGED):
         raise ConfigError(
             f"strategy must be '{STRATEGY_STATE_DEPENDENT}' or "
@@ -253,17 +257,18 @@ def _decisions(result: TransmissionResult) -> list[dict]:
     ]
 
 
-def _write_hits_csv(path: Path, cfg: RunConfig, hits: SymbolHits) -> None:
-    """hits.csv: one row per hit, columns telegraph_id, time and x.
+def _write_hits_csv(path: Path, cfg: RunConfig, result: TransmissionResult) -> None:
+    """hits.csv: one row per kept hit, in pooled order, columns telegraph_id,
+    time and x.
 
     Every x is the center of the hit's bin, so x is written from the bin
     (keying by value would merge -0.0 with 0.0).
     """
     centers = cfg.device.bin_centers()
     columns = (
-        Coded(hits.telegraph_id, int.__repr__),
-        hits.time,
-        Coded(hits.bin, lambda b: float.__repr__(float(centers[b]))),
+        Coded(result.hit_telegraph_ids.ravel(), int.__repr__),
+        result.hit_times.ravel(),
+        Coded(result.hit_bins.ravel(), lambda b: float.__repr__(float(centers[b]))),
     )
     write_csv(path, _config_comment_lines(cfg), ("telegraph_id", "time", "x"), columns)
 
@@ -273,8 +278,7 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
     result = transmit_message(
         [bit], cfg.plan, cfg.mode, cfg.device, stream(cfg.seed, "simulate"), keep_hits=True
     )
-    assert result.hits is not None
-    _write_hits_csv(out / "hits.csv", cfg, result.hits[0])
+    _write_hits_csv(out / "hits.csv", cfg, result)
     _write_json(
         out / "decision.json",
         cfg,

@@ -37,6 +37,9 @@ from .quantum import (
 from .report import write_csv
 
 PIPES = (1, 2)
+# nosignal-check, the command that holds the most per bin, peaks at about 240 B
+# per bin (measured at 2^20 bins), so this many bins take about 0.5 GB.
+MAX_BINS = 1 << 21
 
 
 def _integer_at_least(name: str, value, minimum: int) -> int:
@@ -54,7 +57,7 @@ class DeviceConfig:
     kappa: fringe wavenumber (radians per screen-position unit), > 0.
     envelope_width: Gaussian envelope width w, > 0.
     x_max: half-width of the screen grid in units of w, > 0.
-    bins: number of screen bins, >= 2.
+    bins: number of screen bins, in [2, MAX_BINS].
     relative_phase: extra phase on pipe 2, radians.
     """
 
@@ -72,6 +75,8 @@ class DeviceConfig:
         if not self.x_max > 0:
             raise ValueError(f"x_max must be > 0 (got {self.x_max})")
         object.__setattr__(self, "bins", _integer_at_least("bins", self.bins, 2))
+        if self.bins > MAX_BINS:
+            raise ValueError(f"bins must be <= {MAX_BINS} (got {self.bins})")
         if not 0.0 < self.bin_width < math.inf:
             raise ValueError(
                 f"x_max * envelope_width = {self.half_width} gives no finite, "

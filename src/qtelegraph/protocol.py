@@ -26,13 +26,10 @@ distribution (``_BinSampler``), which gives exactly the bins a binary search
 of the CDF would. The receiver decodes a block of symbols (about 2^16 hits)
 at a time: the bins, log-likelihood ratios and fringe statistics of the whole
 block are array operations, on screen patterns built once per message. Each
-symbol draws the stream of ``np.random.default_rng(child seed)``, whose
-starting states are derived for all symbols in one vectorised pass. When a
-block holds at least 16*M symbols (``_LANES_PER_DRAW``), the block's uniforms
-are drawn as PCG64 lanes, one vectorised step per draw (``rng.UniformLanes``);
-otherwise each symbol's state is set on one shared generator
-(``rng.reseedable``), and that, with its draws, stays per symbol. Only the
-idler draws of kept hits stay per symbol either way.
+symbol's M uniforms are those of ``np.random.default_rng(child seed)``, and a
+block takes them from one ``rng.UniformLanes`` per message, which picks how to
+draw them from the block's size. Only the screen draws are made: the idler's
+outcome is read by no report, so it is not drawn.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ from .device import (
     coherent_distribution,
     incoherent_distribution,
 )
-from .rng import UniformLanes, child_seeds, reseedable
+from .rng import UniformLanes, child_seeds
 
 PROBABILITY_FLOOR = 1e-300
 # A schedule holds an offset and a slot of its pooled order per telegraph,
@@ -63,16 +60,6 @@ MAX_PAIRS = 10**7
 # hits, the sampler's chunks a quarter of it.
 _BLOCK_HITS = 1 << 16
 _SAMPLER_CHUNK = 1 << 14
-# A message draws its uniforms as PCG64 lanes (``rng.UniformLanes``) when a
-# full block, min(symbols, 2^16 // M), holds at least this many symbols per
-# pair pooled: 16*M, which a block of 2^16 hits allows only for M <= 64. Each
-# of a block's M draws is one vectorised step over its symbols, so the lanes'
-# cost per symbol grows with M, while a generator reset per symbol costs about
-# the same at any M. On a 2-core x86-64 the lanes took 2-3 ms against 8-14 ms
-# for 2000 symbols at M = 27, 1.3-1.5 times less at 16*M symbols for M from
-# 16 to 64, and 1.4 and 3-4 times more at M = 100 and 200 (655 and 327
-# symbols, a full block).
-_LANES_PER_DRAW = 16
 _BUCKETS_PER_BIN = 64
 _MAX_BUCKETS = 1 << 16
 # The planner's lattices: the first step (nats), halved while a bracket
@@ -129,25 +116,6 @@ class TransmissionPlan:
             raise ValueError(f"M must be <= {MAX_PAIRS} (got {self.M})")
         _check_period("T", self.T)
         object.__setattr__(self, "N", _telegraph_count("N", self.N))
-
-
-@dataclass(frozen=True)
-class SymbolHits:
-    """One symbol's screen detections as columns: which telegraph, when,
-    which screen bin (the hit's position is that bin's center), and (with
-    the detectors on, else None) which pipe the idler was found in. Row j of
-    every column is the j-th pooled emission."""
-
-    telegraph_id: np.ndarray
-    time: np.ndarray
-    bin: np.ndarray
-    idler: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if np.any(self.telegraph_id < 0):
-            raise ValueError(f"telegraph_id must be >= 0 (got {self.telegraph_id.min()})")
-        if np.any(self.time < 0):
-            raise ValueError(f"time must be >= 0 (got {self.time.min()})")
 
 
 def _shows_coherent(detectors: Detector, mode: ModelMode) -> bool:
@@ -538,14 +506,20 @@ def _symbol_windows(
 class TransmissionResult:
     """Full transcript of one message transmission. ``symbol_times``,
     ``log_lr`` and ``fringe_statistic`` are read-only arrays with one entry
-    per symbol; the receiver decides interference iff ``log_lr`` > 0."""
+    per symbol; the receiver decides interference iff ``log_lr`` > 0. Kept
+    hits are read-only (symbols, M) arrays whose row s holds symbol s's pooled
+    emissions in order: which telegraph, when, and which screen bin (the
+    hit's position is that bin's center). They are None unless kept from a
+    non-empty message."""
 
     sent: tuple[int, ...]
     symbol_times: np.ndarray
     log_lr: np.ndarray
     fringe_statistic: np.ndarray
     hit_counts: tuple[int, ...]
-    hits: tuple[SymbolHits, ...] | None = None
+    hit_telegraph_ids: np.ndarray | None = None
+    hit_times: np.ndarray | None = None
+    hit_bins: np.ndarray | None = None
 
     @property
     def received(self) -> np.ndarray:
@@ -578,18 +552,10 @@ def transmit_message(
     if not bits:
         empty = np.empty(0)
         empty.setflags(write=False)
-        return TransmissionResult((), empty, empty, empty, (), () if keep_hits else None)
+        return TransmissionResult((), empty, empty, empty, ())
 
     schedule = ensemble_schedule(plan.N, plan.T, rng)
-    seeds = child_seeds(rng, len(bits))
-    # Each symbol draws from default_rng(its child seed): as PCG64 lanes when
-    # a block holds enough symbols to pay for a vectorised step per draw,
-    # else from one generator reset to each symbol's starting state.
-    if min(len(bits), _BLOCK_HITS // plan.M) >= _LANES_PER_DRAW * plan.M:
-        lanes = UniformLanes(seeds, plan.M)
-    else:
-        lanes = None
-        generator, starts = reseedable(seeds)
+    lanes = UniformLanes(child_seeds(rng, len(bits)), plan.M)
     # The receiver's model is fixed by cfg: derive it once per message, each
     # screen pattern built once for the LLR table and the samplers alike.
     coherent, incoherent = coherent_distribution(cfg), incoherent_distribution(cfg)
@@ -601,27 +567,12 @@ def transmit_message(
     detectors_on = np.array(bits, dtype=bool)
 
     log_lr, fringes, symbol_times = (np.empty(len(bits)) for _ in range(3))
-    all_hits: list[SymbolHits] = []
+    kept = []
     start = 0
     for times, ids, block_times in _symbol_windows(schedule, plan.M, len(bits)):
         stop = start + block_times.size
         on = detectors_on[start:stop]
-        idlers = np.zeros(times.shape, dtype=np.int64) if keep_hits else None
-        # Both pipes share the envelope, so the screen conditional given the
-        # pipe outcome is the same and the idler samples independently, after
-        # the screen draws.
-        if lanes is not None:
-            u = lanes.take(stop - start)
-            if keep_hits:
-                for row in np.flatnonzero(on):
-                    idlers[row] = lanes.generator_after(start + row).integers(1, 3, size=plan.M)
-        else:
-            u = np.empty(times.shape)
-            for row, state in enumerate(starts[start:stop]):
-                generator.bit_generator.state = state
-                generator.random(out=u[row])
-                if keep_hits and on[row]:
-                    idlers[row] = generator.integers(1, 3, size=plan.M)
+        u = lanes.take(stop - start)
         idx = np.empty(times.shape, dtype=np.intp)
         for detectors, sampler in samplers.items():
             rows = on == (detectors is Detector.ON)
@@ -630,13 +581,12 @@ def transmit_message(
         fringes[start:stop] = np.abs(phasors[idx].mean(axis=1))
         symbol_times[start:stop] = block_times
         if keep_hits:
-            all_hits.extend(
-                SymbolHits(ids[row], times[row], idx[row], idlers[row] if on[row] else None)
-                for row in range(stop - start)
-            )
+            kept.append((ids, times, idx))
         start = stop
 
-    for column in (log_lr, fringes, symbol_times):
+    names = ("hit_telegraph_ids", "hit_times", "hit_bins")
+    hits = dict(zip(names, map(np.concatenate, zip(*kept))))
+    for column in (log_lr, fringes, symbol_times, *hits.values()):
         column.setflags(write=False)
     return TransmissionResult(
         sent=tuple(bits),
@@ -644,6 +594,6 @@ def transmit_message(
         log_lr=log_lr,
         fringe_statistic=fringes,
         hit_counts=(plan.M,) * len(bits),
-        hits=tuple(all_hits) if keep_hits else None,
+        **hits,
     )
 

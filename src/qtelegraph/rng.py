@@ -8,16 +8,16 @@ identical random numbers stream by stream.
 
 Indexed sub-simulations (one per symbol) each draw from
 ``np.random.default_rng(child_seed)``. Building that generator hashes the
-seed through a ``SeedSequence`` (tens of microseconds), so the PCG64 starting
-states of a whole run of child seeds are derived in one vectorised pass,
-held as two uint64 limbs (hi, lo) per 128-bit word. ``reseedable`` serves
-them from one generator whose state is set per seed. ``UniformLanes`` draws
-their uniforms without a generator at all: PCG64's output is a pure function
-of its state (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
-Statistically Good Algorithms for Random Number Generation", HMC-CS-2014-0905),
-so each draw is one 128-bit LCG step of every seed's lane at once, in limb
-arithmetic. Both reproduce numpy bit for bit and check it against numpy once
-per call.
+seed through a ``SeedSequence`` (tens of microseconds), so ``UniformLanes``
+derives the PCG64 starting states of a whole run of child seeds in one
+vectorised pass, held as two uint64 limbs (hi, lo) per 128-bit word, and
+serves their uniforms from those states. A large take steps every seed's lane
+at once: PCG64's output is a pure function of its state (O'Neill, "PCG: A
+Family of Simple Fast Space-Efficient Statistically Good Algorithms for Random
+Number Generation", HMC-CS-2014-0905), so each draw is one 128-bit LCG step of
+the lanes in limb arithmetic. A small take sets one generator to each lane's
+state in turn. Both reproduce numpy bit for bit, which the class checks
+against numpy's own seeding and generator.
 """
 
 from __future__ import annotations
@@ -170,42 +170,28 @@ def _state_dict(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> dict:
     }
 
 
-def default_rng_states(seeds) -> list[dict]:
-    """The PCG64 ``state`` that ``np.random.default_rng(s)`` starts from, for
-    each seed s (non-negative integers below 2^64)."""
-    state, inc = _pcg64_seeding(seeds)
-    return [_state_dict(*words) for words in zip(*(limb.tolist() for limb in state + inc))]
-
-
-def reseedable(seeds) -> tuple[np.random.Generator, list[dict]]:
-    """One generator for a run of seeds, and the state that starts each seed.
-
-    After ``generator.bit_generator.state = states[i]`` the generator draws
-    exactly what ``np.random.default_rng(seeds[i])`` would. The generator is
-    built from the first seed by numpy itself, which checks the vectorised
-    derivation once per call.
-    """
-    seeds = np.asarray(seeds)
-    states = default_rng_states(seeds)
-    if not states:
-        raise ValueError("reseedable needs at least one seed")
-    bitgen = np.random.PCG64(int(seeds.flat[0]))
-    if bitgen.state != states[0]:
-        raise RuntimeError(
-            "derived PCG64 seeding disagrees with numpy's; numpy's seeding has changed"
-        )
-    return np.random.Generator(bitgen), states
+# A take of at least this many rows per draw, 16*m rows of m uniforms, steps
+# its lanes. Each of the m draws is one vectorised step over the take's rows,
+# so the lanes' cost per row grows with m, while a generator reset per row
+# costs about the same at any m. On a 2-core x86-64 the lanes took 2-3 ms
+# against 8-14 ms for 2000 rows at m = 27, 1.3-1.5 times less at 16*m rows for
+# m from 16 to 64, and 1.4 and 3-4 times more at m = 100 and 200 (655 and 327
+# rows).
+_LANES_PER_DRAW = 16
 
 
 class UniformLanes:
     """The uniforms of ``np.random.default_rng(s).random(m)`` for a run of
-    seeds s, one lane per seed, drawn row by row in seed order.
+    seeds s, one lane per seed, taken row by row in seed order.
 
-    Column j of a block of rows is one PCG64 step of those lanes (``_step``)
-    and its XSL-RR output, the high word xor the low one rotated right by
-    the state's top 6 bits, as the double (output >> 11) * 2^-53, which is
-    what numpy's ``Generator.random`` returns. Only numpy's ``PCG64(seed0)``
-    is built, once; the first rows taken check lane 0 against it.
+    A take of at least 16*m rows (``_LANES_PER_DRAW``) steps them as lanes:
+    column j is one PCG64 step of the take's lanes (``_step``) and its XSL-RR
+    output, the high word xor the low one rotated right by the state's top 6
+    bits, as the double (output >> 11) * 2^-53, which is what numpy's
+    ``Generator.random`` returns. A smaller take sets one numpy generator to
+    each lane's starting state and draws its row. That generator, numpy's
+    ``PCG64(seed0)``, is the only one built; it checks the derived seeding of
+    lane 0 when built, and each stepped take's first lane against its reset.
     """
 
     def __init__(self, seeds, m: int) -> None:
@@ -214,12 +200,29 @@ class UniformLanes:
         if not seeds.size:
             raise ValueError("UniformLanes needs at least one seed")
         self._generator = np.random.Generator(np.random.PCG64(int(seeds.flat[0])))
+        if self._generator.bit_generator.state != _state_dict(
+            *(int(limb[0]) for limb in self._state + self._inc)
+        ):
+            raise RuntimeError(
+                "derived PCG64 seeding disagrees with numpy's; numpy's seeding has changed"
+            )
         self._m = m
         self._taken = 0
+
+    def _reset_rows(self, lanes: slice) -> np.ndarray:
+        limbs = [limb[lanes].tolist() for limb in self._state + self._inc]
+        rows = np.empty((len(limbs[0]), self._m))
+        for row, state in zip(rows, zip(*limbs)):
+            self._generator.bit_generator.state = _state_dict(*state)
+            self._generator.random(out=row)
+        return rows
 
     def take(self, count: int) -> np.ndarray:
         """The next ``count`` lanes' m uniforms, as a (count, m) array."""
         lanes = slice(self._taken, self._taken + count)
+        self._taken = lanes.stop
+        if count < _LANES_PER_DRAW * self._m:
+            return self._reset_rows(lanes)
         state = (self._state[0][lanes], self._state[1][lanes])
         inc = (self._inc[0][lanes], self._inc[1][lanes])
         columns = np.empty((self._m, state[0].size))
@@ -228,16 +231,7 @@ class UniformLanes:
             word = state[0] ^ state[1]
             turn = state[0] >> 58
             np.multiply((word >> turn | word << (-turn & 63)) >> 11, 2.0**-53, out=column)
-        self._state[0][lanes], self._state[1][lanes] = state
-        if self._taken == 0 and not np.array_equal(columns[:, 0], self._generator.random(self._m)):
+        first = self._reset_rows(slice(lanes.start, lanes.start + 1))[0]
+        if not np.array_equal(columns[:, 0], first):
             raise RuntimeError("PCG64 lanes disagree with numpy's generator; numpy's PCG64 has changed")
-        self._taken = lanes.stop
         return columns.T
-
-    def generator_after(self, lane: int) -> np.random.Generator:
-        """numpy's generator, set to where lane ``lane``'s stream stands after
-        its m uniforms: it draws what that seed's default_rng draws next."""
-        self._generator.bit_generator.state = _state_dict(
-            *(int(limb[lane]) for limb in self._state + self._inc)
-        )
-        return self._generator

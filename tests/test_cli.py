@@ -469,6 +469,14 @@ class TestSubcommands:
                 "separation=1e-30 at frame speed v=1e-300: the loop advance 2*v*separation underflows to 0",
             ),
             (["paradox", "--v=-1e-300", "--separation", "1e-30"], "separation=1e-30 at frame speed v=-1e-300"),
+            # Grids and messages are refused before numpy would fail to
+            # allocate them (a traceback, exit 1) or call them too big
+            # without naming the key.
+            (["nosignal-check", "--mode", "UnitaryQM", "--bins", str(2**40)], "bins must be <= 2097152"),
+            (["plan", "--bins", str(2**40)], "bins must be <= 2097152 (got 1099511627776)"),
+            (["distributions", "--bins", str(2**62)], "bins must be <= 2097152"),
+            (["transmit", "--symbols", str(2**40), "--M", "1"], "symbols must be in [0, 1000000]"),
+            (["transmit", "--symbols", str(2**62)], "symbols must be in [0, 1000000] (got 4611686018427387904)"),
         ],
     )
     def test_out_of_domain_values_exit_2(self, tmp_path, monkeypatch, capsys, argv, named):
@@ -854,6 +862,16 @@ class TestSubcommands:
             {
                 "transcript.json": "c904bd11cbbc1f03a535889c44260c82deb3b059a6b4bbebf8a7a7bd6b87d5a0",
                 "summary.json": "a3294ac1748099105e22aecfcf38a69505a82b11cf94da444f76a398fee276f2",
+            },
+        ),
+        # A full block of 2427 symbols steps PCG64 lanes, and the 73-symbol
+        # tail resets a generator per symbol. Pinned from a lane-stepped tail.
+        (
+            "transmit---symbols-2500-M-27",
+            ("transmit", "--symbols", "2500", "--M", "27", "--seed", "4"),
+            {
+                "transcript.json": "7c41f511378b39e7692483ee147f50c8fa2c5cfd71ba9bb90abb5a1eb5f2707e",
+                "summary.json": "e43c5d9cbdca2ef94c00f956f13f61cf1911832e1765919912aee695d5597b0f",
             },
         ),
     )

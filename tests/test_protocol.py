@@ -19,7 +19,6 @@ from qtelegraph.protocol import (
     EnsembleSchedule,
     MAX_TELEGRAPHS,
     ModelMode,
-    SymbolHits,
     TransmissionPlan,
     TransmissionResult,
     decide_bit,
@@ -35,7 +34,7 @@ from qtelegraph.protocol import (
     _sorted_prefix,
     _symbol_windows,
 )
-from qtelegraph.rng import UniformLanes, child_seeds, stream
+from qtelegraph.rng import child_seeds, stream
 
 # The planner's M* at the defaults (alpha = 0.01), certified by its error
 # brackets: at M = 26 the incoherent-data error is at least 0.0108, at 27
@@ -108,10 +107,6 @@ class TestPlanAndRecords:
         assert stored == value and type(stored) is int
         with pytest.raises(ValueError, match=rf"^{field} must be an integer >= \d \(got True\)"):
             read(True)
-
-    def test_hit_record_validation(self):
-        with pytest.raises(ValueError, match="time"):
-            SymbolHits(telegraph_id=np.array([0]), time=np.array([-1.0]), bin=np.array([0]))
 
     def test_received_bit_is_interference_iff_log_lr_positive(self):
         result = TransmissionResult(
@@ -644,7 +639,7 @@ class TestEnsembleSchedule:
 class TestTransmitMessage:
     def test_empty_message(self):
         result = transmit_message([], TransmissionPlan(), ModelMode.UNITARY_QM, DeviceConfig(), stream(0, "tx"))
-        assert result.sent == () and result.hit_counts == () and result.hits is None
+        assert result.sent == () and result.hit_counts == () and result.hit_bins is None
         for column in (result.received, result.symbol_times, result.log_lr, result.fringe_statistic):
             assert column.shape == (0,)
 
@@ -675,16 +670,16 @@ class TestTransmitMessage:
         accuracy = 1.0 - result.symbol_error_rate()
         assert abs(accuracy - 0.5) <= 0.07
 
-    def test_hit_records_carry_idler_outcomes_only_when_detectors_on(self):
+    def test_kept_hits_are_read_only_symbol_by_pair_arrays(self):
         plan = TransmissionPlan(M=20, T=1.0, N=2)
         result = transmit_message(
             [1, 0], plan, ModelMode.NAIVE_COLLAPSE, DeviceConfig(), stream(4, "tx"), keep_hits=True
         )
-        on_symbol, off_symbol = result.hits
-        assert set(on_symbol.idler.tolist()) <= {1, 2}
-        assert on_symbol.idler.size == plan.M
-        assert off_symbol.idler is None
-        assert all((symbol.time >= 0).all() for symbol in (on_symbol, off_symbol))
+        for column in (result.hit_telegraph_ids, result.hit_times, result.hit_bins):
+            assert column.shape == (2, plan.M) and not column.flags.writeable
+        assert set(result.hit_telegraph_ids.ravel().tolist()) <= {0, 1}
+        assert (result.hit_times >= 0).all()
+        assert ((result.hit_bins >= 0) & (result.hit_bins < DeviceConfig().bins)).all()
 
     def test_pooled_order_sorted_once_per_message(self, monkeypatch):
         calls = []
@@ -721,33 +716,20 @@ class TestTransmitMessage:
             calls.clear()
             bits = [0, 1] * (symbols // 2)
             result = transmit_message(bits, plan, ModelMode.NAIVE_COLLAPSE, DeviceConfig(), rng, keep_hits=True)
-            assert len(result.hits) == symbols
+            assert result.hit_bins.shape == (symbols, plan.M)
             counts.append(sorted(calls))
         assert counts[0] == counts[1] == ["PCG64"]
 
-    @pytest.mark.parametrize(
-        "symbols, m",
-        [(431, 27), (432, 27), (2000, 27), (4096, 64), (10_000, 65), (1, 1), (16, 1)],
-    )
-    def test_lanes_draw_when_a_block_holds_16_symbols_per_pair(self, monkeypatch, symbols, m):
-        # A block holds at most 2^16 / M symbols, so lanes need M <= 64.
-        built = []
-        monkeypatch.setattr(
-            protocol_module, "UniformLanes", lambda *args: built.append(args) or UniformLanes(*args)
-        )
-        plan = TransmissionPlan(M=m, T=1.0, N=3)
-        transmit_message([0] * symbols, plan, ModelMode.UNITARY_QM, DeviceConfig(), stream(6, "tx"))
-        assert len(built) == (symbols >= 16 * m and m <= 64)
-
     @pytest.mark.parametrize("mode", list(ModelMode))
-    # 200 symbols of 28 pairs draw from per-symbol generators, 2000 of 27 as
-    # PCG64 lanes (a block of at least 16*M symbols).
-    @pytest.mark.parametrize("symbols, m", [(200, 28), (2000, 27), (150, 1000)])
+    # 200 symbols of 28 pairs reset a generator per symbol and 2000 of 27 step
+    # PCG64 lanes (a block of at least 16*M symbols); 2500 of 27 step a full
+    # block of 2427 and reset for the 73-symbol tail.
+    @pytest.mark.parametrize("symbols, m", [(200, 28), (2000, 27), (2500, 27), (150, 1000)])
     def test_block_decoder_matches_symbol_by_symbol_reference(self, mode, symbols, m):
         """In one block and across several, every symbol equals the
         one-symbol-at-a-time decode: its own generator's uniforms through a
-        binary search of its marginal's CDF, the idler draws after them, and
-        decide_bit on its hits, bit for bit."""
+        binary search of its marginal's CDF, and decide_bit on its hits, bit
+        for bit."""
         cfg = DeviceConfig()
         plan = TransmissionPlan(M=m, T=0.3, N=3)
         bits = [int(b) for b in stream(60, "bits", m).integers(0, 2, size=symbols)]
@@ -757,21 +739,24 @@ class TestTransmitMessage:
         seeds = child_seeds(rng, symbols)
         centers = cfg.bin_centers()
         clock = 0.0
-        for bit, seed, hits, log_lr, fringe, symbol_time in zip(
-            bits, seeds, result.hits, result.log_lr, result.fringe_statistic, result.symbol_times, strict=True
+        for bit, seed, bins, times, log_lr, fringe, symbol_time in zip(
+            bits,
+            seeds,
+            result.hit_bins,
+            result.hit_times,
+            result.log_lr,
+            result.fringe_statistic,
+            result.symbol_times,
+            strict=True,
         ):
             detectors = Detector.ON if bit == 1 else Detector.OFF
-            symbol_rng = np.random.default_rng(int(seed))
             probabilities = screen_marginal(cfg, detectors, mode)
-            assert np.array_equal(centers[hits.bin], centers[clipped_search(probabilities, symbol_rng.random(m))])
-            if bit == 1:
-                assert np.array_equal(hits.idler, symbol_rng.integers(1, 3, size=m))
-            else:
-                assert hits.idler is None
-            assert (log_lr, fringe) == decide_bit(centers[hits.bin], cfg)
-            assert symbol_time == float(hits.time[-1]) - clock
-            clock = float(hits.time[-1])
-        # Without hits kept, the idlers are not drawn and nothing else moves.
+            uniforms = np.random.default_rng(int(seed)).random(m)
+            assert np.array_equal(centers[bins], centers[clipped_search(probabilities, uniforms)])
+            assert (log_lr, fringe) == decide_bit(centers[bins], cfg)
+            assert symbol_time == float(times[-1]) - clock
+            clock = float(times[-1])
+        # Keeping the hits moves nothing else.
         bare = transmit_message(bits, plan, mode, cfg, stream(60, "tx"))
         for name in ("log_lr", "fringe_statistic", "symbol_times"):
             assert np.array_equal(getattr(bare, name), getattr(result, name))
@@ -782,7 +767,7 @@ class TestTransmitMessage:
         result = transmit_message(
             [0, 0, 0], plan, ModelMode.UNITARY_QM, DeviceConfig(), stream(10, "tx"), keep_hits=True
         )
-        last_times = [float(symbol.time[-1]) for symbol in result.hits]
+        last_times = result.hit_times[:, -1].tolist()
         assert last_times == sorted(last_times)
         assert result.symbol_times[1] == pytest.approx(last_times[1] - last_times[0], abs=1e-9)
 

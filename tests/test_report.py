@@ -293,10 +293,11 @@ def reference_hits_csv(cfg) -> bytes:
     result = transmit_message(
         [bit], cfg.plan, cfg.mode, cfg.device, stream(cfg.seed, "simulate"), keep_hits=True
     )
-    hits = result.hits[0]
     rows = [["telegraph_id", "time", "x"]] + [
         [int(i), repr(float(t)), repr(float(x))]
-        for i, t, x in zip(hits.telegraph_id, hits.time, cfg.device.bin_centers()[hits.bin])
+        for i, t, x in zip(
+            result.hit_telegraph_ids[0], result.hit_times[0], cfg.device.bin_centers()[result.hit_bins[0]]
+        )
     ]
     comments = [f"{key}: {value}" for key, value in sorted(cfg.resolved().items())]
     return reference_csv(comments, rows)
