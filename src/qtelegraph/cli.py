@@ -53,8 +53,8 @@ from .report import Coded, comment_lines_text, json_text, write_csv
 from .rng import stream
 
 # transmit holds about 0.9 kB per symbol (its per-symbol arrays, records and
-# report text; measured at 10^6 symbols), so this many random bits take about
-# 0.9 GB.
+# report text; measured at 10^6 symbols), so a message of this many symbols,
+# random or given as bits, takes about 0.9 GB.
 MAX_SYMBOLS = 10**6
 
 STRATEGY_STATE_DEPENDENT = "state-dependent"
@@ -212,6 +212,10 @@ def resolve_config(overrides: dict) -> RunConfig:
         raise ConfigError(f"alpha must be in [{MIN_ALPHA:g}, 1) (got {values['alpha']})")
     if values["bits"] and set(values["bits"]) - {"0", "1"}:
         raise ConfigError(f"bits must contain only '0' and '1' (got {values['bits']!r})")
+    if len(values["bits"]) > MAX_SYMBOLS:
+        raise ConfigError(
+            f"bits must hold at most {MAX_SYMBOLS} symbols (got {len(values['bits'])})"
+        )
     if not 0 <= values["symbols"] <= MAX_SYMBOLS:
         raise ConfigError(f"symbols must be in [0, {MAX_SYMBOLS}] (got {values['symbols']})")
     if values["strategy"] not in (STRATEGY_STATE_DEPENDENT, STRATEGY_PRIVILEGED):

@@ -477,6 +477,7 @@ class TestSubcommands:
             (["distributions", "--bins", str(2**62)], "bins must be <= 2097152"),
             (["transmit", "--symbols", str(2**40), "--M", "1"], "symbols must be in [0, 1000000]"),
             (["transmit", "--symbols", str(2**62)], "symbols must be in [0, 1000000] (got 4611686018427387904)"),
+            (["transmit", "--bits", "1" * 1000001], "bits must hold at most 1000000 symbols (got 1000001)"),
         ],
     )
     def test_out_of_domain_values_exit_2(self, tmp_path, monkeypatch, capsys, argv, named):
@@ -865,7 +866,8 @@ class TestSubcommands:
             },
         ),
         # A full block of 2427 symbols steps PCG64 lanes, and the 73-symbol
-        # tail resets a generator per symbol. Pinned from a lane-stepped tail.
+        # tail resets a generator per symbol. Pinned while the tail still
+        # stepped lanes with its block.
         (
             "transmit---symbols-2500-M-27",
             ("transmit", "--symbols", "2500", "--M", "27", "--seed", "4"),
