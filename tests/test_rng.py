@@ -40,6 +40,15 @@ class TestUniformLanes:
         seeds = child_seeds(stream(42, "parity"), 10_000)
         assert_rows_are_default_rng_draws(seeds, taken_rows(seeds, 2, stepped), 2)
 
+    @pytest.mark.parametrize("m", [1, 7, 27, 64])
+    def test_lanes_draw_what_default_rng_draws(self, m):
+        # 16*m seeds, the fewest that one take steps, led by the 64-bit edges.
+        edges = np.array([0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1], dtype=np.uint64)
+        children = child_seeds(stream(44, "lanes"), 16 * m - edges.size).astype(np.uint64)
+        seeds = np.concatenate([edges, children])
+        for stepped in (True, False):
+            assert_rows_are_default_rng_draws(seeds, taken_rows(seeds, m, stepped), m)
+
     @pytest.mark.parametrize(
         "m, count", [(27, 431), (27, 432), (100, 1599), (100, 1600), (1, 15), (1, 16), (64, 1024)]
     )
