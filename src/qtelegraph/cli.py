@@ -34,11 +34,11 @@ import numpy as np
 from .device import DeviceConfig, write_distributions_csv
 from .nosignal import verify_no_signaling
 from .protocol import (
-    MIN_ALPHA,
     Detector,
     ModelMode,
     TransmissionPlan,
     TransmissionResult,
+    check_alpha,
     required_sample_size,
     transmit_message,
 )
@@ -201,6 +201,7 @@ def resolve_config(overrides: dict) -> RunConfig:
     try:
         device = DeviceConfig(**{f.name: values[f.name] for f in fields(DeviceConfig)})
         plan = TransmissionPlan(**{f.name: values[f.name] for f in fields(TransmissionPlan)})
+        check_alpha(values["alpha"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     mode = _to_enum(ModelMode, "mode", values["mode"])
@@ -208,8 +209,6 @@ def resolve_config(overrides: dict) -> RunConfig:
 
     if not 0 <= values["seed"] < 2**64:
         raise ConfigError(f"seed must be in [0, 2**64) (got {values['seed']})")
-    if not MIN_ALPHA <= values["alpha"] < 1.0:
-        raise ConfigError(f"alpha must be in [{MIN_ALPHA:g}, 1) (got {values['alpha']})")
     if values["bits"] and set(values["bits"]) - {"0", "1"}:
         raise ConfigError(f"bits must contain only '0' and '1' (got {values['bits']!r})")
     if len(values["bits"]) > MAX_SYMBOLS:

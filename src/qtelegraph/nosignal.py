@@ -45,7 +45,7 @@ from .device import (
     superposition,
 )
 from .protocol import Detector, ModelMode, screen_marginal
-from .quantum import DensityMatrix, _derived_density, trace_distance
+from .quantum import DensityMatrix, _derived_density, total_variation, trace_distance
 
 # The total variation and trace distances must be below DISTANCE_TOLERANCE,
 # the mutual information below MI_TOLERANCE bits.
@@ -87,11 +87,6 @@ class NoSignalReport:
     def to_text(self) -> str:
         lines = [f"{key}: {value}" for key, value in self.to_dict().items()]
         return "\n".join(lines) + "\n"
-
-
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    """Half the L1 distance between two probability vectors."""
-    return float(0.5 * np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
 def _entropy_bits(p: np.ndarray) -> float:

@@ -11,15 +11,15 @@ is kept as a secondary diagnostic. Two device models are available:
 * UnitaryQM: the receiving-end marginal is the incoherent pattern whatever
   the detectors do, so the telegraph carries nothing.
 
-A sample-size planner searches for the smallest M meeting a target error
-probability. It brackets both exact error probabilities of the M-sample
-receiver from the M-fold convolution power of the LLR table's law, taken on
-a lattice by FFT, so it draws nothing and needs no seed. The staggered
-N-telegraph ensemble schedule realizes the M*T/N symbol time of the
-many-telegraph construction. The
-ensemble's pooled emission stream repeats every period, so it is addressed by
-index: symbol s pools emissions s*M to (s+1)*M - 1, at O(M) cost per symbol
-whatever N is.
+The receiver's model is one ``ErrorLaw`` per config: both screen patterns,
+the LLR table, and [lo, hi] brackets on both exact errors of the M-sample
+receiver from the M-fold convolution power of the table's law, taken on a
+lattice by FFT. The sample-size planner is a search over it for the smallest
+M meeting a target error probability, so it draws nothing and needs no seed.
+The staggered N-telegraph ensemble schedule realizes the M*T/N symbol time of
+the many-telegraph construction. Its pooled emission stream repeats every
+period, so it is addressed by index: symbol s pools emissions s*M to
+(s+1)*M - 1, at O(M) cost per symbol whatever N is.
 
 Screen hits are drawn by inverse CDF through a guide table built once per
 distribution (``_BinSampler``), which gives exactly the bins a binary search
@@ -47,6 +47,7 @@ from .device import (
     coherent_distribution,
     incoherent_distribution,
 )
+from .quantum import total_variation
 from .rng import UniformLanes, child_seeds
 
 PROBABILITY_FLOOR = 1e-300
@@ -73,6 +74,8 @@ _LATTICE_BUDGET = 1 << 20
 MIN_ALPHA = 1e-9
 # The planner's search gives up past this M.
 M_CAP = 1 << 16
+
+Brackets = tuple[tuple[float, float], tuple[float, float]]
 
 
 def _check_period(name: str, value: float) -> None:
@@ -197,8 +200,8 @@ def floored_log_ratio(p_numerator: np.ndarray, p_denominator: np.ndarray) -> np.
 
 
 def log_ratio_table(cfg: DeviceConfig) -> np.ndarray:
-    """Per-bin log(p_coherent / p_incoherent) for the receiver's LRT."""
-    return floored_log_ratio(coherent_distribution(cfg), incoherent_distribution(cfg))
+    """Per-bin log(p_coherent / p_incoherent) for the receiver's LRT, read-only."""
+    return ErrorLaw(cfg).table
 
 
 def decide_bit(hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> tuple[float, float]:
@@ -256,152 +259,148 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _on_lattice(table: np.ndarray, m: int, step: float) -> tuple[np.ndarray, int]:
-    """Each table entry as its nearest multiple k*step: (k - least k, least k).
+class ErrorLaw:
+    """The M-sample receiver's exact error law for one DeviceConfig: the
+    screen patterns ``coherent`` and ``incoherent``, the LLR ``table`` the
+    receiver sums (all read-only), their ``total_variation``, and [lo, hi]
+    brackets on both errors at any M. The statistic is a sum of M i.i.d.
+    draws from the table, so each error is a tail of the table law's M-fold
+    convolution power (Cover & Thomas, *Elements of Information Theory*, ch.
+    11), bracketed on a lattice."""
 
-    Entries below -(m-1)*max(table) are raised to it first. One such draw
-    makes the sum of m draws <= 0 whatever the others are, so the raise
-    changes no decision, and it keeps the floored null bins (about -690) from
-    widening the lattice.
-    """
-    points = np.rint(np.maximum(table, -(m - 1) * table.max()) / step).astype(np.int64)
-    least = int(points.min())
-    return points - least, least
+    def __init__(self, cfg: DeviceConfig) -> None:
+        self.coherent = coherent_distribution(cfg)
+        self.incoherent = incoherent_distribution(cfg)
+        self.table = floored_log_ratio(self.coherent, self.incoherent)
+        self.table.setflags(write=False)
+        self.total_variation = total_variation(self.coherent, self.incoherent)
+        self._settled: dict[tuple[int, float], Brackets] = {}
+
+    def lattice(self, m: int, step: float) -> tuple[np.ndarray, int]:
+        """Each table entry as its nearest multiple k*step: (k - least k, least k).
+
+        Entries below -(m-1)*max(table) are raised to it first. One such draw
+        makes the sum of m draws <= 0 whatever the others are, so the raise
+        changes no decision, and it keeps the floored null bins (about -690)
+        from widening the lattice.
+        """
+        raised = np.maximum(self.table, -(m - 1) * self.table.max())
+        points = np.rint(raised / step).astype(np.int64)
+        least = int(points.min())
+        return points - least, least
+
+    @staticmethod
+    def power(pattern: np.ndarray, offsets: np.ndarray, m: int) -> tuple[np.ndarray, float]:
+        """Law of the sum of m i.i.d. lattice offsets (entry j is P(sum = j)),
+        from one rfft/irfft pair, and its rounding allowance: a bound on the
+        error of any sum of its entries over a run of consecutive j.
+
+        An FFT of length L computes each output within g * sum|input|, with
+        g = 8 log2(L) eps (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, 2nd ed., sec. 24.1, gives about 3.5 log2(L) eps in
+        norm). One draw's spectrum Q has sum|q| = 1, so each |dQ_k| <= g, and
+        the power (|Q_k| <= 1) makes that at most 2 m g, rounding of the power
+        included. A run of consecutive outputs weighs frequency k by at most
+        1 / (2 min(k, L - k)), so the power's error moves a run's sum by at
+        most 2 m g (ln L + 2); the inverse transform adds g * sum|P_k| over
+        the full spectrum, and the summation g more.
+        """
+        size = m * int(offsets.max()) + 1
+        length = _fft_length(size)
+        spectrum = np.fft.rfft(np.bincount(offsets, weights=pattern), length) ** m
+        g = 8.0 * math.log2(length) * float(np.finfo(float).eps)
+        allowance = 2.0 * m * (math.log(length) + 2.0) + 2.0 * float(np.abs(spectrum).sum()) + 1.0
+        return np.fft.irfft(spectrum, length)[:size], g * allowance
+
+    def brackets(self, m: int, step: float) -> Brackets | None:
+        """[lo, hi] on each error probability of the m-sample LRT, coherent
+        data first, with the table on a lattice of ``step``; None if the
+        m-fold law on that lattice would exceed _LATTICE_BUDGET points.
+
+        The lattice sum step*K is within m*step/2 of the true sum S, so with
+        h = m // 2, S <= 0 implies K <= h and K <= -h - 1 implies S < 0:
+        P_c(K <= -h-1) <= P_c(S <= 0) <= P_c(K <= h) on coherent-pattern data
+        and P_i(K >= h+1) <= P_i(S > 0) <= P_i(K >= -h) on incoherent-pattern
+        data. Each end is widened by the law's rounding allowance.
+        """
+        offsets, least = self.lattice(m, step)
+        if m * int(offsets.max()) + 1 > _LATTICE_BUDGET:
+            return None
+        # Lattice sums <= k are offset sums below k - m*least + 1 (the law's
+        # length caps the slice), for k = -h - 1 and k = h.
+        below, upto = (max(0, k - m * least + 1) for k in (-(m // 2) - 1, m // 2))
+        law, allowance = self.power(self.coherent, offsets, m)
+        ends = [(law[:below].sum(), law[:upto].sum(), allowance)]
+        law, allowance = self.power(self.incoherent, offsets, m)
+        ends.append((law[upto:].sum(), law[below:].sum(), allowance))
+        c, i = ((max(0.0, float(lo) - a), min(1.0, float(hi) + a)) for lo, hi, a in ends)
+        return c, i
+
+    def settled(self, m: int, alpha: float) -> Brackets:
+        """``brackets`` at m from step _COARSE_STEP (doubled until the lattice
+        fits the budget), the step halved while a bracket straddles alpha and
+        the halved lattice fits; computed once per (m, alpha)."""
+        if (m, alpha) not in self._settled:
+            step = _COARSE_STEP
+            while (found := self.brackets(m, step)) is None:
+                step *= 2.0
+            while not (
+                all(hi <= alpha for _, hi in found) or any(lo > alpha for lo, _ in found)
+            ) and (finer := self.brackets(m, step / 2.0)) is not None:
+                found, step = finer, step / 2.0
+            self._settled[m, alpha] = found
+        return self._settled[m, alpha]
+
+    def meets(self, m: int, alpha: float) -> bool:
+        """Whether both error probabilities at m are certainly <= alpha."""
+        return all(hi <= alpha for _, hi in self.settled(m, alpha))
 
 
-def _lattice_law(
-    probabilities: np.ndarray, offsets: np.ndarray, m: int
-) -> tuple[np.ndarray, float]:
-    """Law of the sum of m i.i.d. lattice offsets (entry j is P(sum = j)),
-    from one rfft/irfft pair, and its rounding allowance: a bound on the
-    error of any sum of its entries over a run of consecutive j.
-
-    An FFT of length L computes each output within g * sum|input|, with
-    g = 8 log2(L) eps (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., sec. 24.1, gives about 3.5 log2(L) eps in norm).
-    One draw's spectrum Q has sum|q| = 1, so each |dQ_k| <= g, and the power
-    (|Q_k| <= 1) makes that at most 2 m g, rounding of the power included. A
-    run of consecutive outputs weighs frequency k by at most
-    1 / (2 min(k, L - k)), so the power's error moves a run's sum by at most
-    2 m g (ln L + 2); the inverse transform adds g * sum|P_k| over the full
-    spectrum, and the summation g more.
-    """
-    size = m * int(offsets.max()) + 1
-    length = _fft_length(size)
-    one_draw = np.bincount(offsets, weights=probabilities)
-    spectrum = np.fft.rfft(one_draw, length) ** m
-    g = 8.0 * math.log2(length) * float(np.finfo(float).eps)
-    allowance = g * (2.0 * m * (math.log(length) + 2.0) + 2.0 * float(np.abs(spectrum).sum()) + 1.0)
-    return np.fft.irfft(spectrum, length)[:size], allowance
-
-
-def _error_brackets(
-    laws: tuple[np.ndarray, np.ndarray], table: np.ndarray, m: int, step: float
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """[lo, hi] on each error probability of the m-sample LRT, with the
-    table on a lattice of ``step``.
-
-    The lattice sum step*K is within m*step/2 of the true sum S, so with
-    h = m // 2, S <= 0 implies K <= h and K <= -h - 1 implies S < 0:
-    P_c(K <= -h-1) <= P_c(S <= 0) <= P_c(K <= h) on coherent-pattern data
-    and P_i(K >= h+1) <= P_i(S > 0) <= P_i(K >= -h) on incoherent-pattern
-    data. Each end is widened by the law's rounding allowance.
-    """
-    offsets, least = _on_lattice(table, m, step)
-    h = m // 2
-
-    def upto(k: int) -> int:
-        # Lattice sums <= k: offset sums below k - m*least + 1 (the law's
-        # length caps the slice).
-        return max(0, k - m * least + 1)
-
-    brackets = []
-    for which, probabilities in enumerate(laws):
-        law, allowance = _lattice_law(probabilities, offsets, m)
-        if which == 0:
-            lo, hi = law[: upto(-h - 1)].sum(), law[: upto(h)].sum()
-        else:
-            lo, hi = law[upto(h) :].sum(), law[upto(-h - 1) :].sum()
-        brackets.append((max(0.0, float(lo) - allowance), min(1.0, float(hi) + allowance)))
-    return brackets[0], brackets[1]
-
-
-def required_sample_size(cfg: DeviceConfig, alpha: float) -> SampleSizeResult:
-    """Smallest M whose exact error brackets are both <= alpha.
-
-    The receiver's statistic is a sum of M i.i.d. draws from the LLR table,
-    so each error is a tail of the table law's M-fold convolution power
-    (Cover & Thomas, *Elements of Information Theory*, ch. 11), bracketed on
-    a lattice (``_error_brackets``). Searches by doubling, up to M_CAP, then
-    by bisection. Each probed M starts on a lattice of step _COARSE_STEP
-    (coarser if the lattice budget demands) and halves the step while a
-    bracket straddles alpha and the halved lattice fits _LATTICE_BUDGET
-    points; M is feasible only if both upper ends are <= alpha, so the
-    result is always sufficient. Nothing is random. When the two patterns
-    are (numerically) indistinguishable no finite M exists and an explicit
-    failure is returned. alpha >= 1/2 needs no data at all: a fair coin
-    achieves it, so M = 0. alpha below MIN_ALPHA is refused.
-    """
+def check_alpha(alpha: float) -> None:
+    """Refuse a target error probability outside [MIN_ALPHA, 1)."""
     if not MIN_ALPHA <= alpha < 1.0:
         raise ValueError(
             f"alpha must be in [{MIN_ALPHA:g}, 1); smaller targets are below the "
             f"planner's rounding allowance (got {alpha})"
         )
+
+
+def required_sample_size(cfg: DeviceConfig, alpha: float) -> SampleSizeResult:
+    """Smallest M whose exact error brackets (``ErrorLaw.settled``) are both
+    <= alpha.
+
+    Searches by doubling, up to M_CAP, then by bisection; M is feasible only
+    if both upper ends are <= alpha, so the result is always sufficient.
+    Nothing is random. When the two patterns are (numerically)
+    indistinguishable no finite M exists and an explicit failure is returned.
+    alpha >= 1/2 needs no data at all: a fair coin achieves it, so M = 0.
+    alpha outside [MIN_ALPHA, 1) is refused.
+    """
+    check_alpha(alpha)
     if alpha >= 0.5:
         return SampleSizeResult(m_star=0, alpha=alpha)
-
-    p_c = coherent_distribution(cfg)
-    p_i = incoherent_distribution(cfg)
-    tv = 0.5 * float(np.abs(p_c - p_i).sum())
-    if tv < 1e-6:
+    law = ErrorLaw(cfg)
+    if law.total_variation < 1e-6:
         return SampleSizeResult(
             m_star=None,
             alpha=alpha,
             failure_reason=(
                 f"coherent and incoherent patterns are indistinguishable "
-                f"(total variation {tv:.3e}); no finite M suffices"
+                f"(total variation {law.total_variation:.3e}); no finite M suffices"
             ),
         )
 
-    table = floored_log_ratio(p_c, p_i)
-    cache: dict[int, tuple[tuple[float, float], tuple[float, float]]] = {}
-
-    def fits(m: int, step: float) -> bool:
-        return m * int(_on_lattice(table, m, step)[0].max()) + 1 <= _LATTICE_BUDGET
-
-    def feasible_at(m: int) -> bool:
-        if m not in cache:
-            step = _COARSE_STEP
-            while not fits(m, step):
-                step *= 2.0
-            while True:
-                brackets = _error_brackets((p_c, p_i), table, m, step)
-                settled = all(hi <= alpha for _, hi in brackets) or any(
-                    lo > alpha for lo, _ in brackets
-                )
-                if settled or not fits(m, step / 2.0):
-                    break
-                step /= 2.0
-            cache[m] = brackets
-        return all(hi <= alpha for _, hi in cache[m])
-
     hi = 1
-    while not feasible_at(hi):
+    while not law.meets(hi, alpha):
         hi *= 2
         if hi > M_CAP:
-            return SampleSizeResult(
-                m_star=None,
-                alpha=alpha,
-                failure_reason=f"no sufficient M found up to cap {M_CAP}",
-            )
+            reason = f"no sufficient M found up to cap {M_CAP}"
+            return SampleSizeResult(None, alpha, failure_reason=reason)
     lo = hi // 2  # hi == 1 gives lo == 0, the known-infeasible floor
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if feasible_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    err_c, err_i = cache[hi]
+        lo, hi = (lo, mid) if law.meets(mid, alpha) else (mid, hi)
+    err_c, err_i = law.settled(hi, alpha)
     return SampleSizeResult(
         m_star=hi, alpha=alpha, error_interference=err_c, error_no_interference=err_i
     )
@@ -558,11 +557,11 @@ def transmit_message(
     lanes = UniformLanes(child_seeds(rng, len(bits)), plan.M)
     # The receiver's model is fixed by cfg: derive it once per message, each
     # screen pattern built once for the LLR table and the samplers alike.
-    coherent, incoherent = coherent_distribution(cfg), incoherent_distribution(cfg)
-    table = floored_log_ratio(coherent, incoherent)
+    law = ErrorLaw(cfg)
     phasors = np.exp(2j * cfg.kappa * cfg.bin_centers())
     samplers = {
-        d: _BinSampler(coherent if _shows_coherent(d, mode) else incoherent) for d in Detector
+        d: _BinSampler(law.coherent if _shows_coherent(d, mode) else law.incoherent)
+        for d in Detector
     }
     detectors_on = np.array(bits, dtype=bool)
 
@@ -577,7 +576,7 @@ def transmit_message(
         for detectors, sampler in samplers.items():
             rows = on == (detectors is Detector.ON)
             idx[rows] = sampler.indices(u[rows])
-        log_lr[start:stop] = table[idx].sum(axis=1)
+        log_lr[start:stop] = law.table[idx].sum(axis=1)
         fringes[start:stop] = np.abs(phasors[idx].mean(axis=1))
         symbol_times[start:stop] = block_times
         if keep_hits:

@@ -4,9 +4,9 @@ States live on an explicit ordered basis of hashable labels; for the
 telegraph the labels are ``(pipe, bin)`` pairs, pipe-major. Everything is
 dense complex double precision. The no-signaling verifier holds its screen
 states as 2 x 2 matrices on the span of the two pipe amplitudes and uses
-only ``DensityMatrix`` and ``trace_distance`` from here; the dense joint
-state, partial trace and Born probabilities are the bins x bins reference
-its tests compare against. The tolerance ladder is 1e-12 for composed linear
+only ``DensityMatrix``, ``trace_distance`` and ``total_variation`` from
+here; the dense joint state, partial trace and Born probabilities are the
+bins x bins reference its tests compare against. The tolerance ladder is 1e-12 for composed linear
 algebra and 1e-10 for eigenvalue checks. ``DensityMatrix(matrix)`` checks a
 matrix in full against it, so an invalid state fails loudly where it enters;
 what ``density_from_state`` and ``partial_trace`` derive from checked
@@ -134,6 +134,12 @@ def clamp_probabilities(values: np.ndarray) -> np.ndarray:
     clipped /= total
     clipped.setflags(write=False)
     return clipped
+
+
+def total_variation(p: np.ndarray, q: np.ndarray) -> float:
+    """Half the L1 distance between two probability vectors, the classical
+    counterpart of ``trace_distance``."""
+    return float(0.5 * np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
 def density_from_state(state: StateVector) -> DensityMatrix:

@@ -723,6 +723,23 @@ class TestSubcommands:
                 "plan.json": "462dbfe54d7fbaf9820fd11215446b4e046e0e8a2d7b7a7620c4a8d2a7078d85",
             },
         ),
+        # Plans at other probe schedules: at alpha 1e-6 some probes halve the
+        # lattice step twice, to 0.0025; at 64 bins and kappa 2 every probe
+        # settles on the first step.
+        (
+            "plan---alpha-1e-6",
+            ("plan", "--alpha", "1e-6"),
+            {
+                "plan.json": "1b4385bd9075bae220e3cf6425de5a5bb7f2b27bcd3eeab225436cc3a67cc1ca",
+            },
+        ),
+        (
+            "plan---bins-64-kappa-2-alpha-0.001",
+            ("plan", "--bins", "64", "--kappa", "2", "--alpha", "0.001"),
+            {
+                "plan.json": "32a26fab0615c75068b3c6d550df8c94b97d69623d26537023a7f5b3f90a6120",
+            },
+        ),
         # Several receiver blocks of symbols, both detector settings mixed.
         (
             "transmit---symbols-3000",

@@ -24,7 +24,6 @@ from qtelegraph.nosignal import (
     plugin_mutual_information,
     reduced_screen_by_measurement_mixture,
     reduced_screen_by_partial_trace,
-    total_variation,
     verify_no_signaling,
 )
 from qtelegraph.protocol import (
@@ -43,6 +42,7 @@ from qtelegraph.quantum import (
     density_from_state,
     normalize,
     partial_trace,
+    total_variation,
     trace_distance,
 )
 from qtelegraph.rng import stream

@@ -17,6 +17,7 @@ from qtelegraph.cli import ConfigError, resolve_config
 from qtelegraph.protocol import (
     Detector,
     EnsembleSchedule,
+    ErrorLaw,
     MAX_TELEGRAPHS,
     ModelMode,
     TransmissionPlan,
@@ -342,14 +343,15 @@ class TestDecideBit:
 def recorded_probes(monkeypatch):
     """Every bracket the planner computes, as (m, step, brackets)."""
     probes = []
-    original = protocol_module._error_brackets
+    original = ErrorLaw.brackets
 
-    def recording(laws, table, m, step):
-        brackets = original(laws, table, m, step)
-        probes.append((m, step, brackets))
+    def recording(law, m, step):
+        brackets = original(law, m, step)
+        if brackets is not None:
+            probes.append((m, step, brackets))
         return brackets
 
-    monkeypatch.setattr(protocol_module, "_error_brackets", recording)
+    monkeypatch.setattr(ErrorLaw, "brackets", recording)
     return probes
 
 
@@ -459,17 +461,14 @@ class TestRequiredSampleSize:
         """On a 24-bin grid every one of the 24^m hit tuples is enumerated:
         the exact error rates of the receiver's sum lie inside the brackets,
         at every lattice step."""
-        cfg = DeviceConfig(bins=24)
-        p_c = coherent_distribution(cfg)
-        p_i = incoherent_distribution(cfg)
-        table = floored_log_ratio(p_c, p_i)
-        grids = np.ix_(*[np.arange(table.size)] * m)
-        llr = sum(table[grid] for grid in grids)
-        weight_c = math.prod(p_c[grid] for grid in grids)
-        weight_i = math.prod(p_i[grid] for grid in grids)
+        law = ErrorLaw(DeviceConfig(bins=24))
+        grids = np.ix_(*[np.arange(law.table.size)] * m)
+        llr = sum(law.table[grid] for grid in grids)
+        weight_c = math.prod(law.coherent[grid] for grid in grids)
+        weight_i = math.prod(law.incoherent[grid] for grid in grids)
         err_c = weight_c[llr <= 0].sum()
         err_i = weight_i[llr > 0].sum()
-        (lo_c, hi_c), (lo_i, hi_i) = protocol_module._error_brackets((p_c, p_i), table, m, step)
+        (lo_c, hi_c), (lo_i, hi_i) = law.brackets(m, step)
         assert lo_c <= err_c <= hi_c
         assert lo_i <= err_i <= hi_i
 
@@ -485,16 +484,59 @@ class TestRequiredSampleSize:
     def test_fft_law_within_its_rounding_allowance(self, cfg, m, step):
         """Every run sum of the FFT law (each tail the brackets read) matches
         the direct-convolution power within the stated allowance."""
-        p_c = coherent_distribution(cfg)
-        p_i = incoherent_distribution(cfg)
-        offsets, _ = protocol_module._on_lattice(floored_log_ratio(p_c, p_i), m, step)
-        for probabilities in (p_c, p_i):
-            law, allowance = protocol_module._lattice_law(probabilities, offsets, m)
-            reference = direct_power(np.bincount(offsets, weights=probabilities), m)
+        error_law = ErrorLaw(cfg)
+        offsets, _ = error_law.lattice(m, step)
+        for pattern in (error_law.coherent, error_law.incoherent):
+            law, allowance = error_law.power(pattern, offsets, m)
+            reference = direct_power(np.bincount(offsets, weights=pattern), m)
             assert law.shape == reference.shape
             assert np.abs(np.cumsum(law) - np.cumsum(reference)).max() <= allowance
             assert np.abs(np.cumsum(law[::-1]) - np.cumsum(reference[::-1])).max() <= allowance
             assert allowance < 1e-10
+
+
+class TestErrorLaw:
+    def test_arrays_are_read_only_and_the_receiver_sums_the_table(self):
+        cfg = DeviceConfig()
+        law = ErrorLaw(cfg)
+        for array in (law.coherent, law.incoherent, law.table, log_ratio_table(cfg)):
+            assert not array.flags.writeable
+        assert np.array_equal(log_ratio_table(cfg), law.table)
+        assert law.total_variation == 0.5 * float(np.abs(law.coherent - law.incoherent).sum())
+
+    def test_settled_brackets_are_computed_once_per_m(self, monkeypatch):
+        probes = recorded_probes(monkeypatch)
+        law = ErrorLaw(DeviceConfig())
+        first = law.settled(26, 0.01)
+        count = len(probes)
+        assert count >= 1 and law.settled(26, 0.01) is first and len(probes) == count
+        assert not law.meets(26, 0.01) and law.meets(27, 0.01)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cfg: required_sample_size(cfg, 0.01),
+            *(
+                lambda cfg, mode=mode: transmit_message(
+                    [0, 1, 1], TransmissionPlan(M=5, N=2), mode, cfg, stream(3, "once")
+                )
+                for mode in ModelMode
+            ),
+        ],
+        ids=["plan", *(f"transmit-{mode.value}" for mode in ModelMode)],
+    )
+    def test_each_pattern_built_once_per_call(self, monkeypatch, call):
+        built = []
+        for name in ("coherent_distribution", "incoherent_distribution"):
+            original = getattr(protocol_module, name)
+
+            def counted(cfg, _original=original, _name=name):
+                built.append(_name)
+                return _original(cfg)
+
+            monkeypatch.setattr(protocol_module, name, counted)
+        call(DeviceConfig())
+        assert sorted(built) == ["coherent_distribution", "incoherent_distribution"]
 
 
 def merged_emissions(schedule, count):
