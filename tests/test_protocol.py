@@ -512,20 +512,9 @@ class TestErrorLaw:
         assert count >= 1 and law.settled(26, 0.01) is first and len(probes) == count
         assert not law.meets(26, 0.01) and law.meets(27, 0.01)
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda cfg: required_sample_size(cfg, 0.01),
-            *(
-                lambda cfg, mode=mode: transmit_message(
-                    [0, 1, 1], TransmissionPlan(M=5, N=2), mode, cfg, stream(3, "once")
-                )
-                for mode in ModelMode
-            ),
-        ],
-        ids=["plan", *(f"transmit-{mode.value}" for mode in ModelMode)],
-    )
-    def test_each_pattern_built_once_per_call(self, monkeypatch, call):
+    # None runs the planner; a mode sends a message under it.
+    @pytest.mark.parametrize("mode", [None, *ModelMode], ids=["plan", *(m.value for m in ModelMode)])
+    def test_each_pattern_built_once_per_call(self, monkeypatch, mode):
         built = []
         for name in ("coherent_distribution", "incoherent_distribution"):
             original = getattr(protocol_module, name)
@@ -535,7 +524,10 @@ class TestErrorLaw:
                 return _original(cfg)
 
             monkeypatch.setattr(protocol_module, name, counted)
-        call(DeviceConfig())
+        if mode is None:
+            required_sample_size(DeviceConfig(), 0.01)
+        else:
+            transmit_message([0, 1, 1], TransmissionPlan(M=5, N=2), mode, DeviceConfig(), stream(3, "once"))
         assert sorted(built) == ["coherent_distribution", "incoherent_distribution"]
 
 
