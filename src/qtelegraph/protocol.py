@@ -331,6 +331,8 @@ class ErrorLaw:
         below, upto = (max(0, k - m * least + 1) for k in (-(m // 2) - 1, m // 2))
         law, allowance = self.power(self.coherent, offsets, m)
         ends = [(law[:below].sum(), law[:upto].sum(), allowance)]
+        # Freed before the next law is built: one lattice-sized law at a time.
+        del law
         law, allowance = self.power(self.incoherent, offsets, m)
         ends.append((law[upto:].sum(), law[below:].sum(), allowance))
         c, i = ((max(0.0, float(lo) - a), min(1.0, float(hi) + a)) for lo, hi, a in ends)
@@ -467,7 +469,10 @@ def ensemble_schedule(n: int, period: float, rng: np.random.Generator) -> Ensemb
     """Draw the staggered ensemble: one uniform [0, T) offset per telegraph."""
     n = _telegraph_count("telegraph count", n)
     _check_period("period", period)
-    return EnsembleSchedule(offsets=rng.random(n) * period, period=period)
+    # At a subnormal period a uniform below 1 times the period can round up
+    # to the period; such an offset takes the greatest double below it.
+    offsets = np.minimum(rng.random(n) * period, np.nextafter(period, 0.0))
+    return EnsembleSchedule(offsets=offsets, period=period)
 
 
 def _symbol_windows(

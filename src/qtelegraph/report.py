@@ -13,8 +13,10 @@ exactly, at a fraction of their per-row cost:
   for a comma, a double quote and a line break, so there is no quoting path.
 * :func:`json_text` returns ``json.dumps(document, sort_keys=True, indent=2,
   allow_nan=False)``. With ``indent`` set, ``json`` formats every value in
-  Python; here a list of numbers, or a list of flat records with the same
-  keys, is formatted a column at a time.
+  Python; here only dicts with ``str`` keys are walked, exact ints, finite
+  floats and strings are written as ``json`` writes them, and a list of
+  them, or a list of flat records with the same keys, is formatted a column
+  at a time. Every other value, and every error, is ``json``'s own.
 
 A float column is written as ``float.__repr__``, Gay's shortest round-trip
 digits (D. M. Gay, "Correctly Rounded Binary-Decimal and Decimal-Binary
@@ -46,6 +48,7 @@ The module does no physics; besides the standard library it uses numpy.
 
 from __future__ import annotations
 
+import json
 from itertools import islice, zip_longest
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
@@ -59,7 +62,6 @@ import numpy as np
 # little to the resident memory.
 _ROWS_PER_CHUNK = 1 << 12
 _INDENT = "  "
-_CONTAINERS = (dict, list, tuple)
 _COMMA = np.frombuffer(b",", np.uint8)
 _ROW_END = np.frombuffer(b"\r\n", np.uint8)
 _ZERO = np.uint8(ord("0"))
@@ -239,81 +241,56 @@ def write_csv(
 def json_text(document) -> str:
     """``json.dumps(document, sort_keys=True, indent=2, allow_nan=False)``.
 
-    Values are dicts with ``str`` keys, lists, tuples, strings, ints, floats,
-    bools and None. A non-finite float raises ValueError; any other value,
-    or a dict key that is not a ``str``, raises TypeError.
+    Formatted here: a non-empty dict with only ``str`` keys; an exact int,
+    finite float or string, alone or as each item of a list; a list of flat
+    records with the same ``str`` keys. Any other value (None, a bool, a
+    numpy scalar, an empty or mixed container, a non-``str`` key, inf, nan)
+    is ``json``'s own text, re-indented, and raises what ``json`` raises.
     """
     return _value(document, "\n")
 
 
 def _value(value, newline: str) -> str:
     """``value`` as JSON; ``newline`` is a line break plus its indentation."""
-    if isinstance(value, (list, tuple)):
-        return _array(value, newline)
-    if isinstance(value, dict):
-        return _object(value, newline)
-    return _scalar(value)
-
-
-def _scalar(value) -> str:
-    # The tests and order of json's own encoder: bool before int.
-    if isinstance(value, str):
+    if type(value) is str:
         return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _finite([float.__repr__(value)])[0]
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _finite(texts: list[str]) -> list[str]:
-    # Only 'inf', '-inf' and 'nan' among number reprs hold an 'n'.
-    if "n" in "".join(texts):
-        bad = next(text for text in texts if "n" in text)
-        raise ValueError(f"Out of range float values are not JSON compliant: {bad}")
-    return texts
+    if type(value) in (int, float) and "n" not in (text := repr(value)):
+        return text
+    inner = newline + _INDENT
+    if isinstance(value, dict) and set(map(type, value)) == {str}:
+        members = [_quote(key) + ": " + _value(item, inner) for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(members) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        texts = _column(value)
+        if texts is None:
+            texts = _records(value, inner)
+        if texts is not None:
+            return "[" + inner + ("," + inner).join(texts) + newline + "]"
+    # A JSON text breaks lines only between tokens, never inside a string.
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", newline)
 
 
 def _column(values: Sequence) -> list[str] | None:
-    """Scalars as JSON texts, or None if a value is a container."""
+    """Exact ints and finite floats, or strings, as JSON texts; else None."""
     kinds = set(map(type, values))
     if kinds <= {int, float}:
-        # For exact ints and floats, repr is what json writes.
-        return _finite(list(map(repr, values)))
-    if kinds <= {str}:
+        # For exact ints and floats, repr is what json writes; only 'inf',
+        # '-inf' and 'nan' among their reprs hold an 'n'.
+        texts = list(map(repr, values))
+        return None if "n" in "".join(texts) else texts
+    if kinds == {str}:
         return list(map(_quote, values))
-    if any(issubclass(kind, _CONTAINERS) for kind in kinds):
+    return None
+
+
+def _records(records: Sequence, newline: str) -> Iterable[str] | None:
+    """Flat dicts with the same ``str`` keys, each through one template; else None."""
+    if set(map(type, records)) != {dict}:
         return None
-    return list(map(_scalar, values))
-
-
-def _sorted_keys(mapping: dict) -> list[str]:
-    for key in mapping:
-        if not isinstance(key, str):
-            raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-    return sorted(mapping)
-
-
-def _object(mapping: dict, newline: str) -> str:
-    if not mapping:
-        return "{}"
-    inner = newline + _INDENT
-    members = [_quote(key) + ": " + _value(mapping[key], inner) for key in _sorted_keys(mapping)]
-    return "{" + inner + ("," + inner).join(members) + newline + "}"
-
-
-def _records(records: Sequence[dict], newline: str) -> Iterable[str] | None:
-    """Flat dicts with the same keys, each through one template; else None."""
     keys = records[0].keys()
-    if not keys or not all(map(keys.__eq__, map(dict.keys, records))):
+    if set(map(type, keys)) != {str} or not all(map(keys.__eq__, map(dict.keys, records))):
         return None
-    names = _sorted_keys(records[0])
+    names = sorted(keys)
     columns = [_column(list(map(itemgetter(name), records))) for name in names]
     if None in columns:
         return None
@@ -321,15 +298,3 @@ def _records(records: Sequence[dict], newline: str) -> Iterable[str] | None:
     slots = [_quote(name).replace("{", "{{").replace("}", "}}") + ": {}" for name in names]
     template = "{{" + inner + ("," + inner).join(slots) + newline + "}}"
     return map(template.format, *columns)
-
-
-def _array(items: Sequence, newline: str) -> str:
-    if not items:
-        return "[]"
-    inner = newline + _INDENT
-    texts = _column(items)
-    if texts is None and set(map(type, items)) == {dict}:
-        texts = _records(items, inner)
-    if texts is None:
-        texts = [_value(item, inner) for item in items]
-    return "[" + inner + ("," + inner).join(texts) + newline + "]"

@@ -533,6 +533,8 @@ class TestSubcommands:
     @example(case=(None, {"M": 2000, "N": 1, "T": 6e12, "seed": 7, "detectors": "on", "mode": "UnitaryQM"}))
     # Subnormal times, written in exponent notation.
     @example(case=(None, {"M": 50, "N": 3, "T": 1e-320, "seed": 1, "detectors": "off", "mode": "UnitaryQM"}))
+    # At this seed a uniform offset times T = 5e-324 rounds up to T.
+    @example(case=(None, {"M": 3, "N": 1, "T": 5e-324, "seed": 1, "detectors": "off", "mode": "UnitaryQM"}))
     def test_any_simulate_input_writes_reference_hits_or_exits_2(self, case):
         """simulate over M, N, T, seed, detectors and mode: exit 0 with the
         csv.writer reference hits.csv, or exit 2 naming a key (the broken
@@ -549,6 +551,8 @@ class TestSubcommands:
     @example(case=(None, {"bits": "", "symbols": 0, "M": 1, "N": 1, "T": 1.0, "mode": "UnitaryQM", "alpha": 0.01}))
     # The last emission time overflows.
     @example(case=(None, {"bits": "", "symbols": 24, "M": 200, "N": 1, "T": 1e306, "mode": "UnitaryQM", "alpha": 0.5}))
+    # At the default seed a uniform offset times T = 5e-324 rounds up to T.
+    @example(case=(None, {"bits": "", "symbols": 3, "M": 2, "N": 1, "T": 5e-324, "mode": "UnitaryQM", "alpha": 0.01}))
     def test_any_transmit_input_writes_a_transcript_or_exits_2(self, case):
         """transmit over bits or symbols, M, N, T, mode and alpha: exit 0
         with one finite record per symbol, or exit 2 naming a key."""
@@ -740,6 +744,23 @@ class TestSubcommands:
                 "plan.json": "32a26fab0615c75068b3c6d550df8c94b97d69623d26537023a7f5b3f90a6120",
             },
         ),
+        # The plans no probe decides: indistinguishable patterns leave M*
+        # and both brackets null with a reason; at alpha 0.5 guessing meets
+        # the target, so M* is 0 and the brackets are null.
+        (
+            "plan---kappa-1e-9",
+            ("plan", "--kappa", "1e-9"),
+            {
+                "plan.json": "e41113e1e6561c6bd42030176863c3fd0e80ba9b51d8c655f5c2b9b741c437ae",
+            },
+        ),
+        (
+            "plan---alpha-0.5",
+            ("plan", "--alpha", "0.5"),
+            {
+                "plan.json": "e3d3bbb779a52b57fd9ba8abc978daaef97b57920ee758a42f82e6296eea14c0",
+            },
+        ),
         # Several receiver blocks of symbols, both detector settings mixed.
         (
             "transmit---symbols-3000",
@@ -910,6 +931,12 @@ class TestSubcommands:
             for name in pinned
         }
         assert digests == pinned
+        # Each JSON report is json's own text of what it holds.
+        for name in pinned:
+            if name.endswith(".json"):
+                text = (tmp_path / "out" / name).read_text(encoding="utf-8")
+                content = json.loads(text)
+                assert text == json.dumps(content, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def test_pinned_cases_have_unique_ids(self):
         # pytest would quietly suffix a repeated id, renaming a pinned case.

@@ -1,6 +1,7 @@
 """Tests for the telegraph protocol: receiver, planner, ensemble, throughput."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -504,6 +505,24 @@ class TestErrorLaw:
         assert np.array_equal(log_ratio_table(cfg), law.table)
         assert law.total_variation == 0.5 * float(np.abs(law.coherent - law.incoherent).sum())
 
+    def test_brackets_hold_one_law_at_a_time(self):
+        # Patterns a total variation of 0.016 apart: at M = 65536 and step
+        # 0.01 each hypothesis's law has 786433 points.
+        cfg = DeviceConfig(bins=64, kappa=0.5, x_max=0.5, envelope_width=0.5, relative_phase=0.5)
+        law = ErrorLaw(cfg)
+        m, step = 65536, 0.01
+        offsets, _ = law.lattice(m, step)
+        tracemalloc.start()
+        try:
+            ErrorLaw.power(law.coherent, offsets, m)
+            power_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert law.brackets(m, step) is not None
+            brackets_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert brackets_peak <= 1.1 * power_peak, (brackets_peak, power_peak)
+
     def test_settled_brackets_are_computed_once_per_m(self, monkeypatch):
         probes = recorded_probes(monkeypatch)
         law = ErrorLaw(DeviceConfig())
@@ -552,6 +571,13 @@ class TestEnsembleSchedule:
         schedule = ensemble_schedule(500, 0.7, stream(8, "sched"))
         assert schedule.offsets.min() >= 0.0
         assert schedule.offsets.max() < 0.7
+
+    @pytest.mark.parametrize("period", [5e-324, 1e-322])
+    def test_offsets_stay_below_a_subnormal_period(self, period):
+        # A uniform below 1 times a subnormal period can round up to it.
+        for seed in range(400):
+            offsets = ensemble_schedule(1, period, stream(seed, "sched")).offsets
+            assert 0.0 <= offsets[0] < period
 
     def test_emissions_after_is_sorted_and_strict(self):
         schedule = ensemble_schedule(7, 1.0, stream(9, "sched"))
