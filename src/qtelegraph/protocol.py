@@ -508,7 +508,7 @@ def _symbol_windows(
 
 @dataclass(frozen=True)
 class TransmissionResult:
-    """Full transcript of one message transmission. ``symbol_times``,
+    """Full transcript of one message transmission. ``sent``, ``symbol_times``,
     ``log_lr`` and ``fringe_statistic`` are read-only arrays with one entry
     per symbol; the receiver decides interference iff ``log_lr`` > 0. Kept
     hits are read-only (symbols, M) arrays whose row s holds symbol s's pooled
@@ -516,11 +516,10 @@ class TransmissionResult:
     hit's position is that bin's center). They are None unless kept from a
     non-empty message."""
 
-    sent: tuple[int, ...]
+    sent: np.ndarray
     symbol_times: np.ndarray
     log_lr: np.ndarray
     fringe_statistic: np.ndarray
-    hit_counts: tuple[int, ...]
     hit_telegraph_ids: np.ndarray | None = None
     hit_times: np.ndarray | None = None
     hit_bins: np.ndarray | None = None
@@ -531,18 +530,18 @@ class TransmissionResult:
         return np.where(self.log_lr > 0, 0, 1)
 
     def symbol_error_rate(self) -> float:
-        return float(np.mean(self.received != self.sent)) if self.sent else 0.0
+        return float(np.mean(self.received != self.sent)) if self.sent.size else 0.0
 
 
 def transmit_message(
-    bits: Sequence[int],
+    bits: np.ndarray | Sequence[int],
     plan: TransmissionPlan,
     mode: ModelMode,
     cfg: DeviceConfig,
     rng: np.random.Generator,
     keep_hits: bool = False,
 ) -> TransmissionResult:
-    """Send ``bits`` through the N-telegraph ensemble and decode each symbol.
+    """Send ``bits``, a 1-d array of 0s and 1s, through the ensemble; decode each symbol.
 
     For each symbol every telegraph's detectors are set from the bit
     (on = 1, off = 0), hits are pooled in emission order until M are
@@ -550,13 +549,15 @@ def transmit_message(
     The symbol time is the pooled collection time; symbols run back to back
     on one continuous emission timeline.
     """
-    bits = [int(b) for b in bits]
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
-    if not bits:
+    bits = np.asarray(bits)
+    if bits.ndim != 1 or not np.isin(bits, (0, 1)).all():
+        raise ValueError("bits must be a 1-d array of 0s and 1s")
+    bits = bits.astype(np.int64)
+    bits.setflags(write=False)
+    if not bits.size:
         empty = np.empty(0)
         empty.setflags(write=False)
-        return TransmissionResult((), empty, empty, empty, ())
+        return TransmissionResult(bits, empty, empty, empty)
 
     schedule = ensemble_schedule(plan.N, plan.T, rng)
     lanes = UniformLanes(child_seeds(rng, len(bits)), plan.M)
@@ -568,14 +569,13 @@ def transmit_message(
         d: _BinSampler(law.coherent if _shows_coherent(d, mode) else law.incoherent)
         for d in Detector
     }
-    detectors_on = np.array(bits, dtype=bool)
 
     log_lr, fringes, symbol_times = (np.empty(len(bits)) for _ in range(3))
     kept = []
     start = 0
     for times, ids, block_times in _symbol_windows(schedule, plan.M, len(bits)):
         stop = start + block_times.size
-        on = detectors_on[start:stop]
+        on = bits[start:stop] == 1
         u = lanes.take(stop - start)
         idx = np.empty(times.shape, dtype=np.intp)
         for detectors, sampler in samplers.items():
@@ -593,11 +593,10 @@ def transmit_message(
     for column in (log_lr, fringes, symbol_times, *hits.values()):
         column.setflags(write=False)
     return TransmissionResult(
-        sent=tuple(bits),
+        sent=bits,
         symbol_times=symbol_times,
         log_lr=log_lr,
         fringe_statistic=fringes,
-        hit_counts=(plan.M,) * len(bits),
         **hits,
     )
 

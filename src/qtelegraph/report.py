@@ -12,11 +12,12 @@ exactly, at a fraction of their per-row cost:
   with one call. No field may need csv quoting: each table entry is checked
   for a comma, a double quote and a line break, so there is no quoting path.
 * :func:`json_text` returns ``json.dumps(document, sort_keys=True, indent=2,
-  allow_nan=False)``. With ``indent`` set, ``json`` formats every value in
-  Python; here only dicts with ``str`` keys are walked, exact ints, finite
-  floats and strings are written as ``json`` writes them, and a list of
-  them, or a list of flat records with the same keys, is formatted a column
-  at a time. Every other value, and every error, is ``json``'s own.
+  allow_nan=False)``, an array written as its list. With ``indent`` set,
+  ``json`` formats every value in Python; here only dicts with ``str`` keys
+  are walked, exact ints, finite floats and strings are written as ``json``
+  writes them, and an int, float64 or str array, alone or as a column of
+  :class:`Records`, is formatted a column at a time from its dtype. Every
+  other value, and every error, is ``json``'s own.
 
 A float column is written as ``float.__repr__``, Gay's shortest round-trip
 digits (D. M. Gay, "Correctly Rounded Binary-Decimal and Decimal-Binary
@@ -49,11 +50,10 @@ The module does no physics; besides the standard library it uses numpy.
 from __future__ import annotations
 
 import json
-from itertools import islice, zip_longest
+from itertools import islice, starmap, zip_longest
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -238,63 +238,68 @@ def write_csv(
             handle.write(_rows_bytes(parts))
 
 
+class Records(NamedTuple):
+    """Flat records with the same ``str`` keys, as one 1-d array per key
+    with an item per record; :func:`json_text` writes the list of records."""
+
+    columns: Mapping[str, np.ndarray]
+
+
 def json_text(document) -> str:
-    """``json.dumps(document, sort_keys=True, indent=2, allow_nan=False)``.
+    """``json.dumps(document, sort_keys=True, indent=2, allow_nan=False)``,
+    with a 1-d array written as its list and :class:`Records` as its records.
 
     Formatted here: a non-empty dict with only ``str`` keys; an exact int,
-    finite float or string, alone or as each item of a list; a list of flat
-    records with the same ``str`` keys. Any other value (None, a bool, a
-    numpy scalar, an empty or mixed container, a non-``str`` key, inf, nan)
-    is ``json``'s own text, re-indented, and raises what ``json`` raises.
+    finite float or string; a 1-d int, float64 or str array, alone or as a
+    column of ``Records``. Any other value (None, a bool, a numpy scalar, a
+    list, an empty dict, a non-``str`` key, inf, nan, any other array) is
+    ``json``'s own text, re-indented, and raises what ``json`` raises.
     """
-    return _value(document, "\n")
+    return _value(document, "\n", ())
 
 
-def _value(value, newline: str) -> str:
-    """``value`` as JSON; ``newline`` is a line break plus its indentation."""
+def _value(value, newline: str, parents: tuple) -> str:
+    """``value``, inside the dicts ``parents``, as JSON; ``newline`` breaks a line and indents."""
     if type(value) is str:
         return _quote(value)
     if type(value) in (int, float) and "n" not in (text := repr(value)):
         return text
     inner = newline + _INDENT
     if isinstance(value, dict) and set(map(type, value)) == {str}:
-        members = [_quote(key) + ": " + _value(item, inner) for key, item in sorted(value.items())]
+        if any(value is parent for parent in parents):
+            raise ValueError("Circular reference detected")
+        parents += (value,)
+        members = [_quote(key) + ": " + _value(item, inner, parents) for key, item in sorted(value.items())]
         return "{" + inner + ("," + inner).join(members) + newline + "}"
-    if isinstance(value, (list, tuple)) and value:
-        texts = _column(value)
-        if texts is None:
-            texts = _records(value, inner)
-        if texts is not None:
-            return "[" + inner + ("," + inner).join(texts) + newline + "]"
+    texts = _rows(value, inner) if isinstance(value, Records) else _items(value)
+    if texts is not None:
+        return "[" + inner + ("," + inner).join(texts) + newline + "]" if texts else "[]"
     # A JSON text breaks lines only between tokens, never inside a string.
     return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", newline)
 
 
-def _column(values: Sequence) -> list[str] | None:
-    """Exact ints and finite floats, or strings, as JSON texts; else None."""
-    kinds = set(map(type, values))
-    if kinds <= {int, float}:
-        # For exact ints and floats, repr is what json writes; only 'inf',
-        # '-inf' and 'nan' among their reprs hold an 'n'.
-        texts = list(map(repr, values))
-        return None if "n" in "".join(texts) else texts
-    if kinds == {str}:
-        return list(map(_quote, values))
-    return None
+def _items(column) -> list[str] | None:
+    """The JSON text of each item of a 1-d int, float64 or str array; else None."""
+    if not isinstance(column, np.ndarray) or column.ndim != 1:
+        return None
+    if column.dtype.kind == "U":
+        return list(map(_quote, column.tolist()))
+    if column.dtype.kind not in "iu" and column.dtype != np.float64:
+        return None
+    items = column.tolist()
+    if column.dtype.kind == "f" and not np.isfinite(column).all():
+        json.dumps(items, allow_nan=False)  # raises json's own error
+    # For exact ints and finite floats, repr is what json writes.
+    return list(map(repr, items))
 
 
-def _records(records: Sequence, newline: str) -> Iterable[str] | None:
-    """Flat dicts with the same ``str`` keys, each through one template; else None."""
-    if set(map(type, records)) != {dict}:
-        return None
-    keys = records[0].keys()
-    if set(map(type, keys)) != {str} or not all(map(keys.__eq__, map(dict.keys, records))):
-        return None
-    names = sorted(keys)
-    columns = [_column(list(map(itemgetter(name), records))) for name in names]
+def _rows(records: Records, newline: str) -> list[str] | None:
+    """Each record through one template; None unless every column is formatted here."""
+    keys = sorted(records.columns)
+    columns = [_items(records.columns[key]) for key in keys]
     if None in columns:
         return None
     inner = newline + _INDENT
-    slots = [_quote(name).replace("{", "{{").replace("}", "}}") + ": {}" for name in names]
+    slots = [_quote(key).replace("{", "{{").replace("}", "}}") + ": {}" for key in keys]
     template = "{{" + inner + ("," + inner).join(slots) + newline + "}}"
-    return map(template.format, *columns)
+    return list(starmap(template.format, zip(*columns, strict=True)))

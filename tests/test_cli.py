@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -26,11 +27,11 @@ from qtelegraph.cli import (
     build_parser,
     config_from_args,
     main,
-    parse_config,
     resolve_config,
     run_command,
 )
 from qtelegraph.protocol import Detector, ModelMode
+from oracles import parse_config
 from test_report import reference_hits_csv
 
 
@@ -348,6 +349,20 @@ class TestSubcommands:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["symbol_error_rate"] == 0.0
         assert summary["symbols"] == 4
+
+    def test_transmit_holds_a_message_as_arrays(self, tmp_path):
+        # Per-symbol arrays and the report text, with no Python list or dict
+        # per symbol, peak at about 600 B per symbol; a record dict per
+        # symbol took it past 800.
+        symbols = 20000
+        tracemalloc.start()
+        try:
+            argv = ["transmit", "--symbols", str(symbols), "--M", "1", "--output-dir", str(tmp_path)]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / symbols < 700
 
     def test_nosignal_check_exit_codes(self, tmp_path):
         assert main(["nosignal-check", "--output-dir", str(tmp_path)]) == 0

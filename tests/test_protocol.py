@@ -112,11 +112,10 @@ class TestPlanAndRecords:
 
     def test_received_bit_is_interference_iff_log_lr_positive(self):
         result = TransmissionResult(
-            sent=(0, 1, 1),
+            sent=np.array([0, 1, 1]),
             symbol_times=np.ones(3),
             log_lr=np.array([1.0, 0.0, -1.0]),
             fringe_statistic=np.zeros(3),
-            hit_counts=(1, 1, 1),
         )
         assert result.received.tolist() == [0, 1, 1]
         assert result.symbol_error_rate() == 0.0
@@ -699,13 +698,28 @@ class TestEnsembleSchedule:
 class TestTransmitMessage:
     def test_empty_message(self):
         result = transmit_message([], TransmissionPlan(), ModelMode.UNITARY_QM, DeviceConfig(), stream(0, "tx"))
-        assert result.sent == () and result.hit_counts == () and result.hit_bins is None
-        for column in (result.received, result.symbol_times, result.log_lr, result.fringe_statistic):
+        assert result.hit_bins is None and result.symbol_error_rate() == 0.0
+        for column in (result.sent, result.received, result.symbol_times, result.log_lr, result.fringe_statistic):
             assert column.shape == (0,)
 
     def test_rejects_non_binary_bits(self):
         with pytest.raises(ValueError, match="bits"):
             transmit_message([2], TransmissionPlan(), ModelMode.UNITARY_QM, DeviceConfig(), stream(0, "tx"))
+
+    @pytest.mark.parametrize(
+        "bits",
+        [[0, 1, -1], [0.5], [np.nan], ["1"], np.array([[0, 1]]), np.array([[0], [1]]), np.array(1)],
+        ids=["-1", "0.5", "nan", "str", "row", "column", "0-d"],
+    )
+    def test_rejects_bits_outside_0_1_and_non_1d_input(self, bits):
+        with pytest.raises(ValueError, match="bits must be a 1-d array of 0s and 1s"):
+            transmit_message(bits, TransmissionPlan(), ModelMode.UNITARY_QM, DeviceConfig(), stream(0, "tx"))
+
+    def test_sent_is_a_read_only_copy_of_the_bits(self):
+        bits = np.array([True, False, True])
+        result = transmit_message(bits, TransmissionPlan(M=3), ModelMode.UNITARY_QM, DeviceConfig(), stream(0, "tx"))
+        assert result.sent.tolist() == [1, 0, 1] and result.sent.dtype.kind == "i"
+        assert not result.sent.flags.writeable and bits.flags.writeable
 
     def test_deterministic_for_fixed_seed(self):
         plan = TransmissionPlan(M=50, T=1.0, N=3)

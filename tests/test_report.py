@@ -19,7 +19,7 @@ from qtelegraph.device import (
     write_distributions_csv,
 )
 from qtelegraph.protocol import EnsembleSchedule, transmit_message
-from qtelegraph.report import Coded, json_text, write_csv
+from qtelegraph.report import Coded, Records, json_text, write_csv
 from qtelegraph.rng import stream
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -29,6 +29,18 @@ FLOAT_PROPERTY = settings(PROPERTY, max_examples=50)
 
 def reference_json(document) -> str:
     return json.dumps(document, sort_keys=True, indent=2, allow_nan=False)
+
+
+def listed(value):
+    """``value`` with each array as its list and each Records as its list of dicts."""
+    if isinstance(value, dict):
+        return {key: listed(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Records):
+        keys = list(value.columns)
+        return [dict(zip(keys, row)) for row in zip(*map(listed, value.columns.values()))]
+    return value
 
 
 def reference_csv(comment_lines, rows) -> bytes:
@@ -61,6 +73,33 @@ def same_keyed(draw, values):
     return [{key: draw(values) for key in keys} for _ in range(count)]
 
 
+ARRAY_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16])
+ARRAY_ITEMS = {
+    np.int64: st.integers(-(2**63), 2**63 - 1),
+    np.float64: ARRAY_FLOATS,
+    str: TEXT,
+}
+
+
+def arrays(dtype, size=st.integers(0, 8)):
+    return size.flatmap(lambda n: st.lists(ARRAY_ITEMS[dtype], min_size=n, max_size=n)).map(
+        lambda items: np.array(items, dtype=dtype)
+    )
+
+
+@st.composite
+def records(draw):
+    """Records of int64, float64 and str columns, zero rows included."""
+    rows = st.just(draw(st.integers(0, 5)))
+    keys = draw(st.lists(KEYS, max_size=4, unique=True))
+    return Records({key: draw(arrays(draw(st.sampled_from(list(ARRAY_ITEMS))), rows)) for key in keys})
+
+
+def array_documents():
+    leaves = st.sampled_from(list(ARRAY_ITEMS)).flatmap(arrays) | records() | scalars(FLOATS)
+    return st.recursive(leaves, lambda children: st.dictionaries(KEYS, children, max_size=4), max_leaves=12)
+
+
 def documents(floats=FLOATS, keys=KEYS):
     leaves = scalars(floats)
     base = (
@@ -89,6 +128,11 @@ class TestJsonText:
         assert json_text(document) == reference_json(document)
 
     @PROPERTY
+    @given(array_documents())
+    def test_arrays_and_records_equal_json_dumps_of_their_lists(self, document):
+        assert json_text(document) == reference_json(listed(document))
+
+    @PROPERTY
     @given(documents(floats=FLOATS | NON_FINITE))
     def test_non_finite_floats_raise_like_allow_nan_false(self, document):
         try:
@@ -108,6 +152,9 @@ class TestJsonText:
             lambda v: [{"k": 1.0, "s": "x"}, {"k": v, "s": "y"}],
             lambda v: {"a": {"b": [[v]]}},
             lambda v: ["text", None, v],
+            lambda v: np.array([1.0, v]),
+            lambda v: {"a": {"b": np.array([v, 2.5])}},
+            lambda v: Records({"k": np.array([1.0, v]), "s": np.array(["x", "y"])}),
         ],
     )
     def test_every_non_finite_placement_raises(self, place, bad):
@@ -129,23 +176,61 @@ class TestJsonText:
             assert json_text(document) == expected
 
     @pytest.mark.parametrize(
-        "value", [{1, 2}, b"bytes", object(), np.int64(3), [1, {2}], [{"a": {3}}, {"a": 1}]]
+        "value",
+        [
+            {1, 2},
+            b"bytes",
+            object(),
+            np.int64(3),
+            [1, {2}],
+            [{"a": {3}}, {"a": 1}],
+            # Only 1-d int, float64 and str arrays are formatted.
+            np.array([[1, 2]]),
+            np.array([True]),
+            np.array([1.0], dtype=np.float32),
+            [np.array([1])],
+            Records({"a": np.array([True])}),
+        ],
     )
     def test_values_outside_json_raise_type_error(self, value):
         with pytest.raises(TypeError):
             json_text({"value": value})
 
-    def test_lists_and_records_are_formatted_here(self, monkeypatch):
+    def test_record_columns_of_unequal_length_raise(self):
+        with pytest.raises(ValueError, match="shorter|longer"):
+            json_text(Records({"a": np.arange(3), "b": np.arange(2)}))
+
+    @pytest.mark.parametrize("shape", ["direct", "nested"])
+    def test_dict_cycles_raise_like_json_dumps(self, shape):
+        document = {"b": {"c": 1}}
+        if shape == "direct":
+            document["a"] = document
+        else:
+            document["b"]["d"] = document
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            reference_json(document)
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            json_text(document)
+
+    def test_a_dict_held_twice_off_its_own_path_is_not_a_cycle(self):
+        shared = {"x": 1}
+        document = {"a": shared, "b": {"c": shared}}
+        assert json_text(document) == reference_json(document)
+
+    def test_arrays_and_records_are_formatted_here(self, monkeypatch):
         # A transcript's shapes, and a None: json formats only the None.
+        k = np.arange(50)
         document = {
-            "decisions": [{"decided": "no", "log_lr": k / 3, "fringe_statistic": k} for k in range(50)],
-            "sent": [0, 1] * 20,
-            "symbol_times": [k * 0.1 for k in range(40)],
-            "names": ["a", "é"],
+            "decisions": Records(
+                {"decided": np.array(["no"] * 50), "log_lr": k / 3, "fringe_statistic": k}
+            ),
+            "sent": np.array([0, 1] * 20),
+            "symbol_times": np.arange(40) * 0.1,
+            "names": np.array(["a", "é"]),
             "config": {"M": 27, "alpha": 0.01, "bits": ""},
             "failure_reason": None,
         }
-        expected = reference_json(document)
+        expected = reference_json(listed(document))
         handed = []
         dumps = json.dumps
 
