@@ -19,13 +19,17 @@ M meeting a target error probability, so it draws nothing and needs no seed.
 The staggered N-telegraph ensemble schedule realizes the M*T/N symbol time of
 the many-telegraph construction. Its pooled emission stream repeats every
 period, so it is addressed by index: symbol s pools emissions s*M to
-(s+1)*M - 1, at O(M) cost per symbol whatever N is.
+(s+1)*M - 1, whatever N is. A message reads one emission per symbol, the
+last, whose time ends the symbol; only when its hits are kept (``simulate``)
+does it lay out all M emissions of each symbol.
 
 Screen hits are drawn by inverse CDF through a guide table built once per
-distribution (``_BinSampler``), which gives exactly the bins a binary search
-of the CDF would. The receiver decodes a block of symbols (about 2^16 hits)
-at a time: the bins, log-likelihood ratios and fringe statistics of the whole
-block are array operations, on screen patterns built once per message. Each
+screen pattern (``_BinSampler``), which gives exactly the bins a binary
+search of the CDF would. A UnitaryQM message has one sampler, since both
+detector settings show the incoherent pattern; a NaiveCollapse message has
+two. The receiver decodes a block of symbols (about 2^16 hits) at a time:
+the bins, log-likelihood ratios and fringe statistics of the whole block are
+array operations, on screen patterns built once per message. Each
 symbol's M uniforms are those of ``np.random.default_rng(child seed)``, and a
 block takes them from one ``rng.UniformLanes`` per message, which picks how to
 draw them from the block's size. Only the screen draws are made: the idler's
@@ -457,11 +461,19 @@ class EnsembleSchedule:
             object.__setattr__(self, "order", order)
         return self.order[:slots]
 
-    def emissions_after(self, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ``count`` pooled emissions after the first ``first``, as
-        (times, telegraph ids) in pooled order."""
-        cycle, slot = np.divmod(np.arange(first, first + count), self.telegraphs)
-        ids = self.pooled_order(min(first + count, self.telegraphs))[slot]
+    def emissions_after(
+        self, first: int, count: int, stride: int = 1
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pooled emissions first, first + stride, ..., ``count`` of them, as
+        (times, telegraph ids) in pooled order; at stride 1, the ``count``
+        emissions after the first ``first``."""
+        first = _integer_at_least("first", first, 0)
+        count = _integer_at_least("count", count, 0)
+        stride = _integer_at_least("stride", stride, 1)
+        k = np.arange(first, first + stride * count, stride)
+        cycle, slot = np.divmod(k, self.telegraphs)
+        reach = first + stride * (count - 1) + 1 if count else 0
+        ids = self.pooled_order(min(reach, self.telegraphs))[slot]
         return self.offsets[ids] + self.period * cycle, ids
 
 
@@ -476,14 +488,16 @@ def ensemble_schedule(n: int, period: float, rng: np.random.Generator) -> Ensemb
 
 
 def _symbol_windows(
-    schedule: EnsembleSchedule, m: int, symbols: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    schedule: EnsembleSchedule, m: int, symbols: int, keep_hits: bool = False
+) -> Iterator[tuple[np.ndarray | None, np.ndarray | None, np.ndarray]]:
     """The one emission timeline: symbol s pools emissions [s*m, (s+1)*m).
 
     Yields blocks of consecutive symbols, about _BLOCK_HITS emissions each (at
     least one symbol): (times, telegraph ids) as (symbols, m) arrays, one row
-    per symbol, and each symbol's time, which runs from the previous symbol's
-    last emission (from 0 for the first).
+    per symbol, or (None, None) unless ``keep_hits``; and each symbol's time,
+    which runs from the previous symbol's last emission (from 0 for the
+    first). A symbol's time reads only its last emission, (s+1)*m - 1, so a
+    block reads one emission per symbol unless its hits are kept.
     """
     cycle, slot = divmod(symbols * m - 1, schedule.telegraphs)
     # The message's last emission is its latest; Python floats overflow to
@@ -499,10 +513,12 @@ def _symbol_windows(
     clock = 0.0
     for first in range(0, symbols, per_block):
         count = min(per_block, symbols - first)
-        times, ids = schedule.emissions_after(first * m, count * m)
-        times = times.reshape(count, m)
-        ends = times[:, -1]
-        yield times, ids.reshape(count, m), np.diff(ends, prepend=clock)
+        ends, _ = schedule.emissions_after((first + 1) * m - 1, count, stride=m)
+        times = ids = None
+        if keep_hits:
+            times, ids = schedule.emissions_after(first * m, count * m)
+            times, ids = times.reshape(count, m), ids.reshape(count, m)
+        yield times, ids, np.diff(ends, prepend=clock)
         clock = float(ends[-1])
 
 
@@ -547,7 +563,10 @@ def transmit_message(
     (on = 1, off = 0), hits are pooled in emission order until M are
     collected, and the LRT decides: interference -> 0, no-interference -> 1.
     The symbol time is the pooled collection time; symbols run back to back
-    on one continuous emission timeline.
+    on one continuous emission timeline. Each symbol reads only its last
+    emission's time unless ``keep_hits`` is set, and is sampled from the
+    pattern its setting shows: under UnitaryQM one sampler draws every
+    symbol, a block in one call.
     """
     bits = np.asarray(bits)
     if bits.ndim != 1 or not np.isin(bits, (0, 1)).all():
@@ -565,22 +584,24 @@ def transmit_message(
     # screen pattern built once for the LLR table and the samplers alike.
     law = ErrorLaw(cfg)
     phasors = np.exp(2j * cfg.kappa * cfg.bin_centers())
-    samplers = {
-        d: _BinSampler(law.coherent if _shows_coherent(d, mode) else law.incoherent)
-        for d in Detector
-    }
+    # One sampler per screen pattern shown: the detectors-on setting always
+    # shows the incoherent one, and under UnitaryQM so does detectors-off.
+    incoherent = _BinSampler(law.incoherent)
+    coherent = _BinSampler(law.coherent) if _shows_coherent(Detector.OFF, mode) else None
 
     log_lr, fringes, symbol_times = (np.empty(len(bits)) for _ in range(3))
     kept = []
     start = 0
-    for times, ids, block_times in _symbol_windows(schedule, plan.M, len(bits)):
+    for times, ids, block_times in _symbol_windows(schedule, plan.M, len(bits), keep_hits):
         stop = start + block_times.size
-        on = bits[start:stop] == 1
         u = lanes.take(stop - start)
-        idx = np.empty(times.shape, dtype=np.intp)
-        for detectors, sampler in samplers.items():
-            rows = on == (detectors is Detector.ON)
-            idx[rows] = sampler.indices(u[rows])
+        if coherent is None:
+            idx = incoherent.indices(u)
+        else:
+            on = bits[start:stop] == 1
+            idx = np.empty(u.shape, dtype=np.intp)
+            idx[on] = incoherent.indices(u[on])
+            idx[~on] = coherent.indices(u[~on])
         log_lr[start:stop] = law.table[idx].sum(axis=1)
         fringes[start:stop] = np.abs(phasors[idx].mean(axis=1))
         symbol_times[start:stop] = block_times

@@ -38,6 +38,8 @@ from qtelegraph.protocol import (
 )
 from qtelegraph.rng import child_seeds, stream
 
+from oracles import divmod_emissions
+
 # The planner's M* at the defaults (alpha = 0.01), certified by its error
 # brackets: at M = 26 the incoherent-data error is at least 0.0108, at 27
 # both are at most 0.0097.
@@ -261,9 +263,16 @@ class TestBinSampler:
             return builds
 
         plan = TransmissionPlan(M=28, T=1.0, N=3)
+        per_block = _BLOCK_HITS // plan.M
         for symbols in (2, 40):
             bits = [0, 1] * (symbols // 2)
             assert searches(lambda: transmit_message(bits, plan, ModelMode.NAIVE_COLLAPSE, cfg, stream(5, "tx"))) == 2
+        # Under UnitaryQM both settings show the incoherent pattern: one guide
+        # table per message, and one draw per block whatever its bits.
+        for symbols in (2, 40, 2 * per_block + 2):
+            bits = [0, 1] * (symbols // 2)
+            assert searches(lambda: transmit_message(bits, plan, ModelMode.UNITARY_QM, cfg, stream(5, "tx"))) == 1
+            assert len(drawn) == -(-symbols // per_block)
 
         def no_generator(*args, **kwargs):
             raise AssertionError("the planner made a generator")
@@ -627,7 +636,7 @@ class TestEnsembleSchedule:
 
     def test_message_orders_only_the_slots_it_reads(self):
         schedule = ensemble_schedule(1000, 1.0, stream(34, "prefix"))
-        blocks = list(_symbol_windows(schedule, 3, 5))
+        blocks = list(_symbol_windows(schedule, 3, 5, keep_hits=True))
         assert schedule.order.size == 15
         want_times, want_ids = merged_emissions(schedule, 2000)
         assert np.array_equal(np.concatenate([ids.ravel() for _, ids, _ in blocks]), want_ids[:15])
@@ -640,7 +649,7 @@ class TestEnsembleSchedule:
         """Two telegraphs firing together both count: at M=1 the symbols
         alternate between them and the mean symbol time is T/N."""
         schedule = EnsembleSchedule(offsets=[0.5, 0.5], period=1.0)
-        windows = list(_symbol_windows(schedule, 1, 100))
+        windows = list(_symbol_windows(schedule, 1, 100, keep_hits=True))
         ids = np.concatenate([w[1].ravel() for w in windows])
         times = np.concatenate([w[0].ravel() for w in windows])
         assert ids.tolist() == [0, 1] * 50
@@ -652,7 +661,7 @@ class TestEnsembleSchedule:
     @pytest.mark.parametrize("m, symbols", [(1, 70_000), (28, 5000), (70_000, 3)])
     def test_symbol_blocks_are_bounded_slices_of_one_timeline(self, m, symbols):
         schedule = ensemble_schedule(7, 0.3, stream(32, "blocks"))
-        blocks = list(_symbol_windows(schedule, m, symbols))
+        blocks = list(_symbol_windows(schedule, m, symbols, keep_hits=True))
         assert len(blocks) > 1
         assert all(times.size <= max(m, _BLOCK_HITS) for times, _, _ in blocks)
         times = np.concatenate([block[0] for block in blocks])
@@ -662,6 +671,42 @@ class TestEnsembleSchedule:
         assert np.array_equal(ids.ravel(), want_ids)
         symbol_times = np.concatenate([block[2] for block in blocks])
         assert np.array_equal(symbol_times, np.diff(times[:, -1], prepend=0.0))
+        # Not kept, a block holds no hits and the same symbol times.
+        unkept = list(_symbol_windows(schedule, m, symbols))
+        assert all(times is None and ids is None for times, ids, _ in unkept)
+        assert np.array_equal(np.concatenate([block[2] for block in unkept]), symbol_times)
+
+    @pytest.mark.parametrize("period", [0.1, 1.0, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 1000])
+    @pytest.mark.parametrize("m, symbols", [(1, 5), (3, 5), (7, 300), (28, 40), (1000, 3)])
+    def test_strided_and_contiguous_reads_match_the_divmod_layout(self, n, period, m, symbols):
+        """Bit for bit, on fresh schedules (each read orders its own slots):
+        with more telegraphs than emissions read and with symbols that cross
+        a cycle, from the start and from a later symbol."""
+        seed = stream(35, "strided", n, str(period)).integers(2**32)
+
+        def fresh():
+            return ensemble_schedule(n, period, np.random.default_rng(seed))
+
+        want_times, want_ids = divmod_emissions(fresh(), 0, m * symbols)
+        for first in {0, symbols // 2}:
+            times, ids = fresh().emissions_after(first * m, (symbols - first) * m)
+            assert np.array_equal(times, want_times[first * m :])
+            assert np.array_equal(ids, want_ids[first * m :])
+            times, ids = fresh().emissions_after((first + 1) * m - 1, symbols - first, stride=m)
+            assert np.array_equal(times, want_times[(first + 1) * m - 1 :: m])
+            assert np.array_equal(ids, want_ids[(first + 1) * m - 1 :: m])
+
+    @pytest.mark.parametrize(
+        "first, count, stride, named",
+        [(0, 3, 0, "stride"), (0, 3, -2, "stride"), (0, -1, 1, "count"), (-1, 3, 1, "first")],
+    )
+    def test_emissions_after_rejects_bad_reads(self, first, count, stride, named):
+        schedule = ensemble_schedule(3, 1.0, stream(36, "sched"))
+        with pytest.raises(ValueError, match=rf"^{named} must"):
+            schedule.emissions_after(first, count, stride=stride)
+        times, ids = schedule.emissions_after(5, 0, stride=4)
+        assert times.size == 0 and ids.size == 0
 
     @pytest.mark.parametrize(
         "build, named",
@@ -793,6 +838,25 @@ class TestTransmitMessage:
             assert result.hit_bins.shape == (symbols, plan.M)
             counts.append(sorted(calls))
         assert counts[0] == counts[1] == ["PCG64"]
+
+    @pytest.mark.parametrize("mode", list(ModelMode))
+    @pytest.mark.parametrize("m, symbols", [(28, 5000), (1, 70_000), (70_000, 3)])
+    def test_reads_one_emission_per_symbol_unless_hits_are_kept(self, monkeypatch, mode, m, symbols):
+        read = []
+        original = EnsembleSchedule.emissions_after
+
+        def counted(self, first, count, stride=1):
+            times, ids = original(self, first, count, stride)
+            read.append(times.size)
+            return times, ids
+
+        monkeypatch.setattr(EnsembleSchedule, "emissions_after", counted)
+        plan = TransmissionPlan(M=m, T=0.3, N=7)
+        bits = stream(37, "bits", m).integers(0, 2, size=symbols)
+        for keep_hits, want in ((False, symbols), (True, symbols + symbols * m)):
+            read.clear()
+            transmit_message(bits, plan, mode, DeviceConfig(), stream(37, "tx"), keep_hits=keep_hits)
+            assert sum(read) == want
 
     @pytest.mark.parametrize("mode", list(ModelMode))
     # 200 symbols of 28 pairs reset a generator per symbol and 2000 of 27 step
