@@ -929,6 +929,16 @@ class TestSubcommands:
                 "summary.json": "e43c5d9cbdca2ef94c00f956f13f61cf1911832e1765919912aee695d5597b0f",
             },
         ),
+        # 9000 symbols: each transcript column spans three 4096-row writer
+        # chunks. Pinned while the transcript was formatted in one string.
+        (
+            "transmit---symbols-9000-M-1",
+            ("transmit", "--symbols", "9000", "--M", "1", "--seed", "5"),
+            {
+                "transcript.json": "4838dcb3d876929712715302de0991a4b35d504b7b677a57bc55cbc390fc866d",
+                "summary.json": "9d37e95c3d3fc4f1d3d1dde9839c9ea4318cd4ff00d90b5628263c79d74f73eb",
+            },
+        ),
     )
 
     @pytest.mark.parametrize(
