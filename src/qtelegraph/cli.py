@@ -21,6 +21,7 @@ assert the no-signaling property with a single command.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -49,12 +50,12 @@ from .relativity import (
     automaton_fixed_points,
     build_paradox,
 )
-from .report import Coded, Records, comment_lines_text, json_text, write_csv
+from .report import Coded, Records, comment_lines_text, write_csv, write_json
 from .rng import stream
 
-# transmit peaks at about 0.6 kB per symbol, its arrays and report text (607 B
-# by tracemalloc at 10^5 symbols, 620 MiB max RSS at 10^6), so a message of
-# this many symbols, random or given as bits, takes about 0.6 GB.
+# transmit peaks at about 160 B per symbol, its arrays (by tracemalloc at 10^5
+# symbols; 193 MiB max RSS at 10^6), so a message of this many symbols, random
+# or given as bits, takes about 0.2 GB.
 MAX_SYMBOLS = 10**6
 
 STRATEGY_STATE_DEPENDENT = "state-dependent"
@@ -236,19 +237,8 @@ def _config_comment_lines(cfg: RunConfig) -> list[str]:
     return [f"{key}: {value}" for key, value in sorted(cfg.resolved().items())]
 
 
-def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
-    text = json_text({"config": cfg.resolved(), **payload})
-    path.write_text(text + "\n", encoding="utf-8")
-
-
 # The report's verdict for each received bit.
-VERDICTS = np.array(("interference", "no-interference"))
-
-
-def _decision_columns(result: TransmissionResult) -> dict[str, np.ndarray]:
-    """The receiver's verdict per symbol, as report columns."""
-    decided = VERDICTS[result.received]
-    return {"log_lr": result.log_lr, "decided": decided, "fringe_statistic": result.fringe_statistic}
+VERDICTS = ("interference", "no-interference")
 
 
 def _write_hits_csv(path: Path, cfg: RunConfig, result: TransmissionResult) -> None:
@@ -273,11 +263,15 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
         [bit], cfg.plan, cfg.mode, cfg.device, stream(cfg.seed, "simulate"), keep_hits=True
     )
     _write_hits_csv(out / "hits.csv", cfg, result)
-    _write_json(
+    write_json(
         out / "decision.json",
-        cfg,
         {
-            "decision": {key: column[0].item() for key, column in _decision_columns(result).items()},
+            "config": cfg.resolved(),
+            "decision": {
+                "log_lr": float(result.log_lr[0]),
+                "decided": VERDICTS[result.received[0]],
+                "fringe_statistic": float(result.fringe_statistic[0]),
+            },
             "detectors": cfg.detectors.value,
             "symbol_time": float(result.symbol_times[0]),
             "hit_count": cfg.M,
@@ -288,10 +282,10 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_plan(cfg: RunConfig, out: Path) -> int:
     result = required_sample_size(cfg.device, cfg.alpha)
-    _write_json(
+    write_json(
         out / "plan.json",
-        cfg,
         {
+            "config": cfg.resolved(),
             "m_star": result.m_star,
             "feasible": result.feasible,
             "alpha": result.alpha,
@@ -309,24 +303,29 @@ def _cmd_transmit(cfg: RunConfig, out: Path) -> int:
     else:
         bits = stream(cfg.seed, "transmit", "bits").integers(0, 2, size=cfg.symbols)
     result = transmit_message(bits, cfg.plan, cfg.mode, cfg.device, stream(cfg.seed, "transmit"))
-    symbols = result.sent.size
-    _write_json(
+    symbols, received = result.sent.size, result.received
+    decisions = {
+        "log_lr": result.log_lr,
+        "decided": Coded(received, lambda bit: json.dumps(VERDICTS[bit])),
+        "fringe_statistic": result.fringe_statistic,
+    }
+    write_json(
         out / "transcript.json",
-        cfg,
         {
+            "config": cfg.resolved(),
             "sent": result.sent,
-            "received": result.received,
+            "received": received,
             "symbol_times": result.symbol_times,
             "hit_counts": np.full(symbols, cfg.M),
-            "decisions": Records(_decision_columns(result)),
+            "decisions": Records(decisions),
         },
     )
     # Summed left to right (numpy's cumsum adds in order), as the pinned summaries were.
     mean_time = float(np.cumsum(result.symbol_times)[-1]) / symbols if symbols else 0.0
-    _write_json(
+    write_json(
         out / "summary.json",
-        cfg,
         {
+            "config": cfg.resolved(),
             "symbols": symbols,
             "symbol_error_rate": result.symbol_error_rate(),
             "mean_symbol_time": mean_time,
@@ -339,7 +338,7 @@ def _cmd_nosignal_check(cfg: RunConfig, out: Path) -> int:
     report = verify_no_signaling(cfg.device, cfg.mode)
     provenance = comment_lines_text(_config_comment_lines(cfg))
     (out / "nosignal.txt").write_text(provenance + report.to_text(), encoding="utf-8")
-    _write_json(out / "nosignal.json", cfg, {"report": report.to_dict()})
+    write_json(out / "nosignal.json", {"config": cfg.resolved(), "report": report.to_dict()})
     return 0 if report.passed() else 1
 
 
@@ -352,10 +351,10 @@ def _cmd_paradox(cfg: RunConfig, out: Path) -> int:
     # The contradiction needs both a closed loop and the negation automaton's
     # empty fixed-point set; the report states both.
     fixed_points = sorted(automaton_fixed_points(NEGATION_RULE))
-    _write_json(
+    write_json(
         out / "paradox.json",
-        cfg,
         {
+            "config": cfg.resolved(),
             "trace": trace.to_dict(),
             "automaton": {
                 "rule": dict(NEGATION_RULE),
@@ -369,7 +368,7 @@ def _cmd_paradox(cfg: RunConfig, out: Path) -> int:
         out / "events.csv",
         _config_comment_lines(cfg),
         ("label", "t", "x"),
-        (labels, np.array(times), np.array(places)),
+        (Coded(np.arange(len(labels)), labels.__getitem__), np.array(times), np.array(places)),
     )
     return 0
 

@@ -1,22 +1,19 @@
-"""Report writers: CSV and indented JSON text, formatted column by column.
+"""Report writers: one column model, written as CSV or as indented JSON.
 
-Both writers reproduce the bytes of the standard library's own writers
-exactly, at a fraction of their per-row cost:
+A report's rows are columns of two kinds: a :class:`Coded` column, an integer
+code per row and the text of a code, and a float64 array, written as each
+float's ``repr``. A chunk of ``_ROWS_PER_CHUNK`` rows of a column is a table of
+texts with explicit byte lengths plus a code per row (a float adds a decimal
+integer before its text). The chunk is laid out as a ``uint8`` matrix, one
+matrix column per row, with literal text before each field and after the row,
+beside a mask of the bytes written, and the masked bytes are written at once.
 
-* :func:`write_csv` writes what ``csv.writer`` (excel dialect) writes for
-  the same rows. Each column of a chunk of ``_ROWS_PER_CHUNK`` rows is a
-  table of field texts plus an integer code per row, and a float column
-  adds a decimal integer before its table entry. The chunk is laid out as a
-  ``uint8`` matrix, one column per CSV row, beside a mask built from the
-  entries' explicit byte lengths; the masked bytes, row by row, are written
-  with one call. No field may need csv quoting: each table entry is checked
-  for a comma, a double quote and a line break, so there is no quoting path.
-* :func:`json_text` returns ``json.dumps(document, sort_keys=True, indent=2,
-  allow_nan=False)``, an array written as its list. With ``indent`` set,
-  ``json`` formats every value in Python; here only dicts with ``str`` keys
-  are walked, exact ints, finite floats and strings are written as ``json``
-  writes them, and an int, float64 or str array, alone or as a column of
-  :class:`Records`, is formatted a column at a time from its dtype. Every
+* :func:`write_csv` writes the bytes of ``csv.writer`` (excel dialect). A
+  field it would quote raises ValueError, so there is no quoting path.
+* :func:`write_json` writes ``json.dumps(document, sort_keys=True, indent=2,
+  allow_nan=False)``, with a top-level 1-d array or :class:`Records` written
+  as its list: an int column is coded by value, a Coded column holds JSON
+  texts, and a finite float is its ``repr``, as ``json`` writes it. Every
   other value, and every error, is ``json``'s own.
 
 A float column is written as ``float.__repr__``, Gay's shortest round-trip
@@ -50,20 +47,16 @@ The module does no physics; besides the standard library it uses numpy.
 from __future__ import annotations
 
 import json
-from itertools import islice, starmap, zip_longest
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-# CSV rows are formatted and written this many at a time. Every array a
-# chunk needs is a few times this many rows, so a report of any length adds
-# little to the resident memory.
+# Rows are formatted and written this many at a time. Every array a chunk
+# needs is a few times this many rows, so a report of any length adds little
+# to the resident memory.
 _ROWS_PER_CHUNK = 1 << 12
-_INDENT = "  "
-_COMMA = np.frombuffer(b",", np.uint8)
-_ROW_END = np.frombuffer(b"\r\n", np.uint8)
 _ZERO = np.uint8(ord("0"))
 # 0, 10, ..., 10**15: an integer below 1e16 has as many digits as it reaches.
 _DIGIT_THRESHOLDS = np.append(0, 10 ** np.arange(1, 16, dtype=np.int64))
@@ -75,44 +68,45 @@ def comment_lines_text(lines: Iterable[str]) -> str:
 
 
 class Coded(NamedTuple):
-    """A CSV column as an integer code per row and the text of a code.
-
-    Each distinct code is formatted once, on the first chunk it occurs in.
-    """
+    """A column as an integer code per row and the text of a code as it is
+    written, a CSV field or a JSON value; each code is formatted once."""
 
     codes: np.ndarray
     text: Callable[[int], str]
 
 
-class _Part(NamedTuple):
-    """One column of a chunk, with a table of ``count`` entries joined by
-    ", " in ``table``. Row j is ``integers[j]`` in decimal, then entry
-    ``codes[j]`` without its first ``skip[codes[j]]`` characters. Without
-    ``integers`` or ``skip`` a row is its table entry alone; a row whose
-    integer is -1 has no digits."""
+class Records(NamedTuple):
+    """Same-keyed flat records, held as one column (a 1-d array or a
+    :class:`Coded` column) per ``str`` key; written as the list of records."""
 
-    table: str
-    count: int
+    columns: Mapping[str, np.ndarray | Coded]
+
+
+class _Part(NamedTuple):
+    """One column of a chunk: row j is ``integers[j]`` in decimal (none if -1
+    or absent), then ``table[starts[c] : starts[c] + lengths[c]]``, c = ``codes[j]``."""
+
+    table: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
     codes: np.ndarray
     integers: np.ndarray | None = None
-    skip: np.ndarray | None = None
-
-
-def _text_parts(column: Iterable[str]) -> Iterator[_Part]:
-    texts = iter(column)
-    while chunk := list(islice(texts, _ROWS_PER_CHUNK)):
-        yield _Part(", ".join(chunk), len(chunk), np.arange(len(chunk)))
 
 
 def _coded_parts(column: Coded) -> Iterator[_Part]:
-    formatted: dict[int, str] = {}
+    formatted: dict[int, bytes] = {}
     for first in range(0, len(column.codes), _ROWS_PER_CHUNK):
         present, codes = np.unique(
             column.codes[first : first + _ROWS_PER_CHUNK], return_inverse=True
         )
         present = present.tolist()
-        formatted.update((code, column.text(code)) for code in present if code not in formatted)
-        yield _Part(", ".join([formatted[code] for code in present]), len(present), codes)
+        formatted.update(
+            (code, column.text(code).encode("utf-8")) for code in present if code not in formatted
+        )
+        entries = [formatted[code] for code in present]
+        lengths = np.fromiter(map(len, entries), np.intp, len(entries))
+        table = np.frombuffer(b"".join(entries), np.uint8)
+        yield _Part(table, np.cumsum(lengths) - lengths, lengths, codes)
 
 
 def _integer_prefix(values: np.ndarray) -> np.ndarray:
@@ -135,35 +129,24 @@ def _float_parts(column: np.ndarray) -> Iterator[_Part]:
         keys = np.where(whole, binade_floor + (plain - integers), values)
         distinct, codes = np.unique(keys.view(np.int64), return_inverse=True)
         representatives = distinct.view(np.float64)
-        # A list's repr is its floats' reprs joined by ", ".
-        table = repr(representatives.tolist())[1:-1]
+        # A list's repr is its floats' reprs joined by ", ", and no float's
+        # repr holds a comma. Each entry starts after its integer's digits.
+        table = np.frombuffer(repr(representatives.tolist())[1:-1].encode("ascii"), np.uint8)
+        ends = np.flatnonzero(table == ord(","))
+        starts = np.append(0, ends + 2)
+        lengths = np.append(ends, len(table)) - starts
         skip = _digit_count(_integer_prefix(representatives))
-        yield _Part(table, len(representatives), codes, integers, skip)
+        yield _Part(table, starts + skip, lengths - skip, codes, integers)
 
 
-def _parts(column) -> Iterator[_Part]:
+def _parts(column: Coded | np.ndarray) -> Iterator[_Part]:
     if isinstance(column, Coded):
         return _coded_parts(column)
-    if isinstance(column, np.ndarray):
-        return _float_parts(np.ascontiguousarray(column, dtype=np.float64))
-    return _text_parts(column)
+    return _float_parts(np.ascontiguousarray(column, dtype=np.float64))
 
 
-def _table_bytes(table: str, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The UTF-8 bytes of ``count`` entries joined by ", ", and where each
-    entry starts and how many bytes it has, after checking that csv.writer
-    quotes no entry.
-
-    The commas, one fewer than the entries unless an entry holds one, mark
-    where each entry ends. The lengths are explicit, so an entry may end in
-    NUL bytes.
-    """
-    data = np.frombuffer(table.encode("utf-8"), np.uint8)
-    ends = np.flatnonzero(data == _COMMA)
-    if len(ends) != count - 1 or '"' in table or "\r" in table or "\n" in table:
-        raise ValueError("a CSV field holds a comma, a double quote or a line break")
-    starts = np.append(0, ends + 2)
-    return data, starts, np.append(ends, len(data)) - starts
+def _length(column: Coded | np.ndarray) -> int:
+    return len(column.codes if isinstance(column, Coded) else column)
 
 
 def _digit_count(integers: np.ndarray) -> np.ndarray:
@@ -171,17 +154,25 @@ def _digit_count(integers: np.ndarray) -> np.ndarray:
     return np.searchsorted(_DIGIT_THRESHOLDS, integers, side="right")
 
 
-def _rows_bytes(parts: Sequence[_Part]) -> bytes:
-    """The CSV rows of one chunk, as the bytes csv.writer writes for them.
+def _rows_bytes(parts: Sequence[_Part], literals: Sequence[bytes]) -> bytes:
+    """The rows of one chunk: per row, ``literals[i]`` before field i and
+    ``literals[-1]`` after the last field.
 
-    Each field is laid out down a column of a uint8 matrix whose columns are
-    the rows, beside a mask of the bytes written; the masked bytes of the
-    transposed matrix are the rows end to end.
+    Each field and literal is laid out down a column of a uint8 matrix whose
+    columns are the rows, beside a mask of the bytes written; the masked
+    bytes of the transposed matrix are the rows end to end.
     """
     rows = len(parts[0].codes)
     blocks: list[np.ndarray] = []
     masks: list[np.ndarray] = []
-    for j, part in enumerate(parts):
+
+    def literal(text: bytes) -> None:
+        if text:
+            blocks.append(np.frombuffer(text, np.uint8)[:, None].repeat(rows, axis=1))
+            masks.append(np.ones((len(text), rows), dtype=bool))
+
+    for before, part in zip(literals, parts):
+        literal(before)
         if part.integers is not None:
             # Right-aligned digits, by division by a scalar, which numpy
             # does without a hardware divide.
@@ -195,111 +186,114 @@ def _rows_bytes(parts: Sequence[_Part]) -> bytes:
                 integers = quotient
             blocks.append(digits + _ZERO)
             masks.append(np.arange(width)[:, None] >= width - counts)
-        data, starts, lengths = _table_bytes(part.table, part.count)
-        first, length = starts[part.codes], lengths[part.codes]
-        if part.skip is not None:
-            skip = part.skip[part.codes]
-            first, length = first + skip, length - skip
+        first, length = part.starts[part.codes], part.lengths[part.codes]
         places = np.arange(length.max())[:, None]
-        blocks.append(np.take(data, first + places, mode="clip"))
+        blocks.append(np.take(part.table, first + places, mode="clip"))
         masks.append(places < length)
-        end = _ROW_END if j == len(parts) - 1 else _COMMA
-        blocks.append(np.broadcast_to(end[:, None], (len(end), rows)))
-        masks.append(np.ones((len(end), rows), dtype=bool))
+    literal(literals[-1])
     return np.concatenate(blocks).T[np.concatenate(masks).T].tobytes()
+
+
+def _csv_field(text: str) -> str:
+    """``text``, checked to be a field that csv.writer does not quote."""
+    if any(mark in text for mark in ',"\r\n'):
+        raise ValueError("a CSV field holds a comma, a double quote or a line break")
+    return text
 
 
 def write_csv(
     path: str | Path,
     comment_lines: Iterable[str],
     header: Sequence[str],
-    columns: Sequence,
+    columns: Sequence[Coded | np.ndarray],
 ) -> None:
     """Write a CSV report: '# ' comment lines, the header, then the rows.
 
     ``columns`` holds one column per header name, all of the same length,
-    each one of: an iterable of formatted field texts; a :class:`Coded`
-    column; or a float64 numpy array, written as each float's ``repr``. They
-    are consumed ``_ROWS_PER_CHUNK`` rows at a time. The bytes equal those of
-    ``csv.writer`` writing the same rows. A field that ``csv.writer`` would
-    quote (one holding a comma, a double quote or a line break) raises
+    each a :class:`Coded` column of field texts or a float64 numpy array,
+    written as each float's ``repr``. The bytes equal those of ``csv.writer``
+    writing the same rows. A field that ``csv.writer`` would quote raises
     ValueError instead, as do columns of unequal length.
     """
     if len(header) < 2 or len(columns) != len(header):
         # A lone empty field is the one unquoted case csv.writer quotes.
         raise ValueError(f"a CSV report needs one column per header name, at least two ({header})")
-    names = [_Part(name, 1, np.zeros(1, dtype=np.intp)) for name in header]
+    if len(set(map(_length, columns))) != 1:
+        raise ValueError(f"CSV columns of {header} differ in length")
+    columns = [
+        Coded(column.codes, lambda code, text=column.text: _csv_field(text(code)))
+        if isinstance(column, Coded)
+        else column
+        for column in columns
+    ]
+    literals = [b""] + [b","] * (len(columns) - 1) + [b"\r\n"]
     with open(path, "wb") as handle:
         handle.write(comment_lines_text(comment_lines).encode("utf-8"))
-        handle.write(_rows_bytes(names))
-        for parts in zip_longest(*map(_parts, columns)):
-            if None in parts or len({len(part.codes) for part in parts}) != 1:
-                raise ValueError(f"CSV columns of {header} differ in length")
-            handle.write(_rows_bytes(parts))
+        handle.write((",".join(map(_csv_field, header)) + "\r\n").encode("utf-8"))
+        for parts in zip(*map(_parts, columns)):
+            handle.write(_rows_bytes(parts, literals))
 
 
-class Records(NamedTuple):
-    """Flat records with the same ``str`` keys, as one 1-d array per key
-    with an item per record; :func:`json_text` writes the list of records."""
-
-    columns: Mapping[str, np.ndarray]
-
-
-def json_text(document) -> str:
-    """``json.dumps(document, sort_keys=True, indent=2, allow_nan=False)``,
-    with a 1-d array written as its list and :class:`Records` as its records.
-
-    Formatted here: a non-empty dict with only ``str`` keys; an exact int,
-    finite float or string; a 1-d int, float64 or str array, alone or as a
-    column of ``Records``. Any other value (None, a bool, a numpy scalar, a
-    list, an empty dict, a non-``str`` key, inf, nan, any other array) is
-    ``json``'s own text, re-indented, and raises what ``json`` raises.
-    """
-    return _value(document, "\n", ())
-
-
-def _value(value, newline: str, parents: tuple) -> str:
-    """``value``, inside the dicts ``parents``, as JSON; ``newline`` breaks a line and indents."""
-    if type(value) is str:
-        return _quote(value)
-    if type(value) in (int, float) and "n" not in (text := repr(value)):
-        return text
-    inner = newline + _INDENT
-    if isinstance(value, dict) and set(map(type, value)) == {str}:
-        if any(value is parent for parent in parents):
-            raise ValueError("Circular reference detected")
-        parents += (value,)
-        members = [_quote(key) + ": " + _value(item, inner, parents) for key, item in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(members) + newline + "}"
-    texts = _rows(value, inner) if isinstance(value, Records) else _items(value)
-    if texts is not None:
-        return "[" + inner + ("," + inner).join(texts) + newline + "]" if texts else "[]"
-    # A JSON text breaks lines only between tokens, never inside a string.
-    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False).replace("\n", newline)
-
-
-def _items(column) -> list[str] | None:
-    """The JSON text of each item of a 1-d int, float64 or str array; else None."""
+def _json_column(column) -> Coded | np.ndarray | None:
+    """A Coded column of JSON texts, or a 1-d int or float64 array, as a
+    column to write; None for any other value."""
+    if isinstance(column, Coded):
+        return column
     if not isinstance(column, np.ndarray) or column.ndim != 1:
         return None
-    if column.dtype.kind == "U":
-        return list(map(_quote, column.tolist()))
-    if column.dtype.kind not in "iu" and column.dtype != np.float64:
-        return None
-    items = column.tolist()
-    if column.dtype.kind == "f" and not np.isfinite(column).all():
-        json.dumps(items, allow_nan=False)  # raises json's own error
-    # For exact ints and finite floats, repr is what json writes.
-    return list(map(repr, items))
+    if column.dtype == np.float64:
+        if not np.isfinite(column).all():  # raise json's own error
+            json.dumps(column[~np.isfinite(column)].tolist(), allow_nan=False)
+        return column
+    return Coded(column, int.__repr__) if column.dtype.kind in "iu" else None
 
 
-def _rows(records: Records, newline: str) -> list[str] | None:
-    """Each record through one template; None unless every column is formatted here."""
-    keys = sorted(records.columns)
-    columns = [_items(records.columns[key]) for key in keys]
-    if None in columns:
+def _json_rows(value) -> tuple[list, list[bytes]] | None:
+    """A top-level array or Records as its columns and the literal text
+    around each row's fields; None for any other value."""
+    if not isinstance(value, Records):
+        column = _json_column(value)
+        return None if column is None else ([column], [b",\n    ", b""])
+    keys = sorted(value.columns)
+    columns = [_json_column(value.columns[key]) for key in keys]
+    if any(column is None for column in columns):
         return None
-    inner = newline + _INDENT
-    slots = [_quote(key).replace("{", "{{").replace("}", "}}") + ": {}" for key in keys]
-    template = "{{" + inner + ("," + inner).join(slots) + newline + "}}"
-    return list(starmap(template.format, zip(*columns, strict=True)))
+    if len(set(map(_length, columns))) > 1:
+        raise ValueError("record columns differ in length")
+    texts = [("," if j else ",\n    {") + f"\n      {_quote(key)}: " for j, key in enumerate(keys)]
+    return columns, [text.encode("ascii") for text in texts + ["\n    }"]]
+
+
+def _dumps(value, newline: bytes) -> bytes:
+    # A JSON text breaks lines only between tokens, never inside a string.
+    text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+    return text.encode("ascii").replace(b"\n", newline)
+
+
+def write_json(path: str | Path, document) -> None:
+    """Write ``json.dumps(document, sort_keys=True, indent=2,
+    allow_nan=False)`` and a line break, with each 1-d array and each
+    :class:`Records` at the top level of a dict with ``str`` keys written as
+    its list, a chunk of rows at a time. Every other value is ``json``'s own
+    text, re-indented, and every error is raised before the file is opened.
+    """
+    if not (isinstance(document, dict) and document and all(type(key) is str for key in document)):
+        pieces = [_dumps(document, b"\n") + b"\n"]
+    else:
+        pieces = [b"{"]
+        for key, value in sorted(document.items()):
+            key_text = b"\n  " + _quote(key).encode("ascii") + b": "
+            pieces += [key_text, _json_rows(value) or _dumps(value, b"\n  "), b","]
+        pieces[-1] = b"\n}\n"
+    with open(path, "wb") as handle:
+        for piece in pieces:
+            if isinstance(piece, bytes):
+                handle.write(piece)
+                continue
+            opened = False
+            for parts in zip(*map(_parts, piece[0])):
+                rows = _rows_bytes(parts, piece[1])
+                # The first row has no comma before it.
+                handle.write(rows if opened else b"[" + rows[1:])
+                opened = True
+            handle.write(b"\n  ]" if opened else b"[]")

@@ -23,7 +23,6 @@ import qtelegraph
 from qtelegraph.cli import (
     CONFIG_KEYS,
     ConfigError,
-    _write_json,
     build_parser,
     config_from_args,
     main,
@@ -31,6 +30,7 @@ from qtelegraph.cli import (
     run_command,
 )
 from qtelegraph.protocol import Detector, ModelMode
+from qtelegraph.report import write_json
 from oracles import parse_config
 from test_report import reference_hits_csv
 
@@ -351,10 +351,11 @@ class TestSubcommands:
         assert summary["symbols"] == 4
 
     def test_transmit_holds_a_message_as_arrays(self, tmp_path):
-        # Per-symbol arrays and the report text, with no Python list or dict
-        # per symbol, peak at about 600 B per symbol; a record dict per
-        # symbol took it past 800.
-        symbols = 20000
+        # Per-symbol arrays, with no Python list or dict per symbol and the
+        # transcript written a chunk at a time, peak at about 160 B per
+        # symbol; the whole transcript text held in memory took it to 560,
+        # and a record dict per symbol past 800.
+        symbols = 100000
         tracemalloc.start()
         try:
             argv = ["transmit", "--symbols", str(symbols), "--M", "1", "--output-dir", str(tmp_path)]
@@ -362,7 +363,7 @@ class TestSubcommands:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / symbols < 700
+        assert peak / symbols < 192
 
     def test_nosignal_check_exit_codes(self, tmp_path):
         assert main(["nosignal-check", "--output-dir", str(tmp_path)]) == 0
@@ -626,7 +627,7 @@ class TestSubcommands:
     def test_json_reports_refuse_non_finite_numbers(self, tmp_path):
         path = tmp_path / "report.json"
         with pytest.raises(ValueError, match="JSON compliant"):
-            _write_json(path, parse_config(""), {"symbol_time": math.inf})
+            write_json(path, {"config": parse_config("").resolved(), "symbol_time": math.inf})
         assert not path.exists()
 
     # SHA-256 of report files (Python 3.11, numpy 2.4, x86-64). The transmit

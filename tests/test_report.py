@@ -19,7 +19,7 @@ from qtelegraph.device import (
     write_distributions_csv,
 )
 from qtelegraph.protocol import EnsembleSchedule, transmit_message
-from qtelegraph.report import Coded, Records, json_text, write_csv
+from qtelegraph.report import Coded, Records, write_csv, write_json
 from qtelegraph.rng import stream
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -32,11 +32,14 @@ def reference_json(document) -> str:
 
 
 def listed(value):
-    """``value`` with each array as its list and each Records as its list of dicts."""
+    """``value`` with each array or Coded column as its list and each Records
+    as its list of dicts."""
     if isinstance(value, dict):
         return {key: listed(item) for key, item in value.items()}
     if isinstance(value, np.ndarray):
         return value.tolist()
+    if isinstance(value, Coded):
+        return [json.loads(value.text(code)) for code in value.codes.tolist()]
     if isinstance(value, Records):
         keys = list(value.columns)
         return [dict(zip(keys, row)) for row in zip(*map(listed, value.columns.values()))]
@@ -51,7 +54,7 @@ def reference_csv(comment_lines, rows) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
-# -- json_text ---------------------------------------------------------------
+# -- write_json ---------------------------------------------------------------
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 0.0, 1e16, 1e-5, 5e-324, 0.1, 1e300, -2.5]
@@ -76,8 +79,8 @@ def same_keyed(draw, values):
 ARRAY_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16])
 ARRAY_ITEMS = {
     np.int64: st.integers(-(2**63), 2**63 - 1),
+    np.uint64: st.integers(0, 2**64 - 1),
     np.float64: ARRAY_FLOATS,
-    str: TEXT,
 }
 
 
@@ -87,17 +90,33 @@ def arrays(dtype, size=st.integers(0, 8)):
     )
 
 
+def coded_texts(size):
+    """A Coded column of JSON-quoted texts, as the transcript's verdicts are."""
+    texts = st.lists(TEXT, min_size=1, max_size=3)
+    return texts.flatmap(
+        lambda texts: st.lists(st.integers(0, len(texts) - 1), min_size=size, max_size=size).map(
+            lambda codes: Coded(np.array(codes, dtype=np.intp), lambda code: json.dumps(texts[code]))
+        )
+    )
+
+
 @st.composite
 def records(draw):
-    """Records of int64, float64 and str columns, zero rows included."""
-    rows = st.just(draw(st.integers(0, 5)))
+    """Records of int, float64 and Coded columns, zero rows included."""
+    rows = draw(st.integers(0, 7))
     keys = draw(st.lists(KEYS, max_size=4, unique=True))
-    return Records({key: draw(arrays(draw(st.sampled_from(list(ARRAY_ITEMS))), rows)) for key in keys})
+    kinds = [*ARRAY_ITEMS, Coded]
+    columns = {}
+    for key in keys:
+        kind = draw(st.sampled_from(kinds))
+        columns[key] = draw(coded_texts(rows) if kind is Coded else arrays(kind, st.just(rows)))
+    return Records(columns)
 
 
 def array_documents():
-    leaves = st.sampled_from(list(ARRAY_ITEMS)).flatmap(arrays) | records() | scalars(FLOATS)
-    return st.recursive(leaves, lambda children: st.dictionaries(KEYS, children, max_size=4), max_leaves=12)
+    """Dicts whose top-level values include 1-d arrays and Records."""
+    values = st.sampled_from(list(ARRAY_ITEMS)).flatmap(arrays) | records() | documents()
+    return st.dictionaries(KEYS, values, max_size=5)
 
 
 def documents(floats=FLOATS, keys=KEYS):
@@ -121,59 +140,85 @@ def documents(floats=FLOATS, keys=KEYS):
     )
 
 
-class TestJsonText:
+def written_json(path, document) -> str:
+    write_json(path, document)
+    return path.read_text(encoding="utf-8")
+
+
+def assert_raises_and_writes_nothing(path, document, error, match=None):
+    with pytest.raises(error, match=match):
+        write_json(path, document)
+    assert not path.exists()
+
+
+class TestWriteJson:
     @PROPERTY
     @given(documents())
-    def test_equals_indented_sorted_json_dumps(self, document):
-        assert json_text(document) == reference_json(document)
+    def test_equals_indented_sorted_json_dumps(self, tmp_path_factory, document):
+        path = tmp_path_factory.mktemp("json") / "r.json"
+        assert written_json(path, document) == reference_json(document) + "\n"
 
     @PROPERTY
     @given(array_documents())
-    def test_arrays_and_records_equal_json_dumps_of_their_lists(self, document):
-        assert json_text(document) == reference_json(listed(document))
+    def test_arrays_and_records_equal_json_dumps_of_their_lists(self, tmp_path_factory, document):
+        path = tmp_path_factory.mktemp("json") / "r.json"
+        with pytest.MonkeyPatch.context() as patch:
+            # Small chunks, so arrays and records cross chunk boundaries.
+            patch.setattr(report_module, "_ROWS_PER_CHUNK", 3)
+            assert written_json(path, document) == reference_json(listed(document)) + "\n"
 
     @PROPERTY
     @given(documents(floats=FLOATS | NON_FINITE))
-    def test_non_finite_floats_raise_like_allow_nan_false(self, document):
+    def test_non_finite_floats_raise_like_allow_nan_false(self, tmp_path_factory, document):
+        path = tmp_path_factory.mktemp("json") / "r.json"
         try:
             expected = reference_json(document)
         except ValueError:
-            with pytest.raises(ValueError, match="JSON compliant"):
-                json_text(document)
+            assert_raises_and_writes_nothing(path, document, ValueError, "JSON compliant")
         else:
-            assert json_text(document) == expected
+            assert written_json(path, document) == expected + "\n"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "place",
         [
             lambda v: v,
+            lambda v: {"a": v},
             lambda v: {"a": [1, 2.5, v]},
             lambda v: [{"k": 1.0, "s": "x"}, {"k": v, "s": "y"}],
             lambda v: {"a": {"b": [[v]]}},
-            lambda v: ["text", None, v],
-            lambda v: np.array([1.0, v]),
-            lambda v: {"a": {"b": np.array([v, 2.5])}},
-            lambda v: Records({"k": np.array([1.0, v]), "s": np.array(["x", "y"])}),
+            lambda v: {"c": 1, "a": ["text", None, v]},
+            lambda v: {"a": np.array([1.0, v])},
+            lambda v: {"z": np.arange(3), "a": Records({"k": np.array([1.0, v]), "s": np.arange(2)})},
         ],
     )
-    def test_every_non_finite_placement_raises(self, place, bad):
-        with pytest.raises(ValueError, match="JSON compliant"):
-            json_text(place(bad))
+    def test_every_non_finite_placement_raises(self, tmp_path, place, bad):
+        assert_raises_and_writes_nothing(tmp_path / "r.json", place(bad), ValueError, "JSON compliant")
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"a": {"b": np.array([1.0, 2.5])}},
+            {"a": [np.arange(2)]},
+            {"a": {"r": Records({"k": np.arange(2)})}},
+            np.array([1.0]),
+        ],
+    )
+    def test_an_array_below_the_top_level_is_json_type_error(self, tmp_path, document):
+        assert_raises_and_writes_nothing(tmp_path / "r.json", document, TypeError, "not JSON serializable")
 
     @PROPERTY
     @given(documents(keys=KEYS | st.integers(-5, 5) | st.booleans() | st.none()))
-    def test_non_str_keys_convert_or_raise_like_json_dumps(self, document):
+    def test_non_str_keys_convert_or_raise_like_json_dumps(self, tmp_path_factory, document):
         # json writes an int, bool or None key as a string, and refuses to
-        # sort keys of mixed types; json_text does exactly the same.
+        # sort keys of mixed types; write_json does exactly the same.
+        path = tmp_path_factory.mktemp("json") / "r.json"
         try:
             expected = reference_json(document)
         except Exception as error:
-            with pytest.raises(Exception) as raised:
-                json_text(document)
-            assert type(raised.value) is type(error)
+            assert_raises_and_writes_nothing(path, document, type(error))
         else:
-            assert json_text(document) == expected
+            assert written_json(path, document) == expected + "\n"
 
     @pytest.mark.parametrize(
         "value",
@@ -184,24 +229,24 @@ class TestJsonText:
             np.int64(3),
             [1, {2}],
             [{"a": {3}}, {"a": 1}],
-            # Only 1-d int, float64 and str arrays are formatted.
+            # Only 1-d int and float64 arrays are written as lists.
             np.array([[1, 2]]),
+            np.array(["a"]),
             np.array([True]),
             np.array([1.0], dtype=np.float32),
             [np.array([1])],
             Records({"a": np.array([True])}),
         ],
     )
-    def test_values_outside_json_raise_type_error(self, value):
-        with pytest.raises(TypeError):
-            json_text({"value": value})
+    def test_values_outside_json_raise_type_error(self, tmp_path, value):
+        assert_raises_and_writes_nothing(tmp_path / "r.json", {"value": value}, TypeError)
 
-    def test_record_columns_of_unequal_length_raise(self):
-        with pytest.raises(ValueError, match="shorter|longer"):
-            json_text(Records({"a": np.arange(3), "b": np.arange(2)}))
+    def test_record_columns_of_unequal_length_raise(self, tmp_path):
+        document = {"r": Records({"a": np.arange(3), "b": np.arange(2)})}
+        assert_raises_and_writes_nothing(tmp_path / "r.json", document, ValueError, "differ in length")
 
     @pytest.mark.parametrize("shape", ["direct", "nested"])
-    def test_dict_cycles_raise_like_json_dumps(self, shape):
+    def test_dict_cycles_raise_like_json_dumps(self, tmp_path, shape):
         document = {"b": {"c": 1}}
         if shape == "direct":
             document["a"] = document
@@ -209,28 +254,28 @@ class TestJsonText:
             document["b"]["d"] = document
         with pytest.raises(ValueError, match="^Circular reference detected$"):
             reference_json(document)
-        with pytest.raises(ValueError, match="^Circular reference detected$"):
-            json_text(document)
+        path = tmp_path / "r.json"
+        assert_raises_and_writes_nothing(path, document, ValueError, "^Circular reference detected$")
 
-    def test_a_dict_held_twice_off_its_own_path_is_not_a_cycle(self):
+    def test_a_dict_held_twice_off_its_own_path_is_not_a_cycle(self, tmp_path):
         shared = {"x": 1}
         document = {"a": shared, "b": {"c": shared}}
-        assert json_text(document) == reference_json(document)
+        assert written_json(tmp_path / "r.json", document) == reference_json(document) + "\n"
 
-    def test_arrays_and_records_are_formatted_here(self, monkeypatch):
-        # A transcript's shapes, and a None: json formats only the None.
+    def test_no_array_or_records_reaches_json_dumps(self, tmp_path, monkeypatch):
+        # A transcript's shapes, a config and a None: json formats only the
+        # config and the None.
         k = np.arange(50)
         document = {
             "decisions": Records(
-                {"decided": np.array(["no"] * 50), "log_lr": k / 3, "fringe_statistic": k}
+                {"decided": Coded(k % 2, lambda code: f'"v{code}"'), "log_lr": k / 3, "fringe_statistic": k}
             ),
             "sent": np.array([0, 1] * 20),
             "symbol_times": np.arange(40) * 0.1,
-            "names": np.array(["a", "é"]),
             "config": {"M": 27, "alpha": 0.01, "bits": ""},
             "failure_reason": None,
         }
-        expected = reference_json(listed(document))
+        expected = reference_json(listed(document)) + "\n"
         handed = []
         dumps = json.dumps
 
@@ -239,18 +284,27 @@ class TestJsonText:
             return dumps(value, **options)
 
         monkeypatch.setattr(json, "dumps", recorded)
-        assert json_text(document) == expected
-        assert handed == [None]
+        assert written_json(tmp_path / "r.json", document) == expected
+        assert handed == [document["config"], None]
 
-    def test_numpy_floats_are_written_as_floats(self):
+    def test_numpy_floats_are_written_as_floats(self, tmp_path):
         # json writes a float subclass through float.__repr__; so must this.
         document = {"x": np.float64(0.1), "xs": [np.float64(2.5), 1.0]}
-        assert json_text(document) == reference_json(document)
+        assert written_json(tmp_path / "r.json", document) == reference_json(document) + "\n"
 
 
 # -- write_csv -----------------------------------------------------------------
 
 SAFE_FIELDS = st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)))
+
+
+def texts_column(texts) -> Coded:
+    """A Coded column whose row i is ``texts[i]``."""
+    return Coded(np.arange(len(texts)), list(texts).__getitem__)
+
+
+def constant_column(text, length) -> Coded:
+    return Coded(np.zeros(length, dtype=np.intp), lambda code: text)
 
 
 class TestWriteCsv:
@@ -267,7 +321,7 @@ class TestWriteCsv:
         with pytest.MonkeyPatch.context() as patch:
             # Small chunks, so rows cross chunk boundaries.
             patch.setattr(report_module, "_ROWS_PER_CHUNK", 3)
-            write_csv(path, comments, header, [[row[j] for row in rows] for j in range(width)])
+            write_csv(path, comments, header, [texts_column([row[j] for row in rows]) for j in range(width)])
         assert path.read_bytes() == reference_csv(comments, [header] + rows)
 
     @pytest.mark.parametrize("field", ["1,5", 'say "x"', '"', "a\nb", "a\rb", "a\r\nb"])
@@ -277,24 +331,25 @@ class TestWriteCsv:
         column = ["1", "2", "3", "4"]
         column[row] = field
         with pytest.raises(ValueError, match="comma, a double quote or a line break"):
-            write_csv(tmp_path / "r.csv", [], ("a", "b"), (column, ["x"] * 4))
+            write_csv(tmp_path / "r.csv", [], ("a", "b"), (texts_column(column), constant_column("x", 4)))
 
     @pytest.mark.parametrize("header", [("a,b", "c"), ("a", 'b"')])
     def test_header_csv_would_quote_raises(self, tmp_path, header):
         with pytest.raises(ValueError, match="comma, a double quote or a line break"):
-            write_csv(tmp_path / "r.csv", [], header, (["1"], ["2"]))
+            write_csv(tmp_path / "r.csv", [], header, (texts_column(["1"]), texts_column(["2"])))
 
     @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (16384, 16385), (0, 1)])
     def test_columns_of_unequal_length_raise(self, tmp_path, lengths):
-        columns = [map(str, range(n)) for n in lengths]
+        columns = [Coded(np.arange(n), str) for n in lengths]
         with pytest.raises(ValueError, match="differ in length"):
             write_csv(tmp_path / "r.csv", [], ("a", "b"), columns)
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("header, count", [(("a",), 1), (("a", "b"), 1), (("a", "b"), 3)])
     def test_one_column_per_header_name_at_least_two(self, tmp_path, header, count):
         # csv.writer quotes a lone empty field, so one column is refused.
         with pytest.raises(ValueError, match="at least two"):
-            write_csv(tmp_path / "r.csv", [], header, [["1"]] * count)
+            write_csv(tmp_path / "r.csv", [], header, [texts_column(["1"])] * count)
         assert not (tmp_path / "r.csv").exists()
 
 
@@ -318,7 +373,7 @@ OTHER_FLOATS = [-0.0, -1.5, -5e-324, -1e300, math.inf, -math.inf, math.nan]
 def float_column_csv(path, values) -> bytes:
     """A float column written beside a text column."""
     column = np.array(values, dtype=np.float64)
-    write_csv(path, ["floats"], ("v", "w"), (column, ["w"] * len(column)))
+    write_csv(path, ["floats"], ("v", "w"), (column, constant_column("w", len(column))))
     return path.read_bytes()
 
 
@@ -372,7 +427,7 @@ class TestCodedColumn:
             return f"c{code}"
 
         path = tmp_path / "r.csv"
-        write_csv(path, [], ("a", "b"), (Coded(codes, text), ["x"] * len(codes)))
+        write_csv(path, [], ("a", "b"), (Coded(codes, text), constant_column("x", len(codes))))
         assert sorted(formatted) == sorted(set(codes.tolist()))
         rows = [["a", "b"]] + [[f"c{code}", "x"] for code in codes.tolist()]
         assert path.read_bytes() == reference_csv([], rows)
@@ -388,6 +443,7 @@ class TestCodedColumn:
         columns = (Coded(np.zeros(lengths[0], dtype=int), str), np.zeros(lengths[1]))
         with pytest.raises(ValueError, match="differ in length"):
             write_csv(tmp_path / "r.csv", [], ("a", "b"), columns)
+        assert not (tmp_path / "r.csv").exists()
 
 
 def reference_hits_csv(cfg) -> bytes:
