@@ -14,7 +14,7 @@ beside a mask of the bytes written, and the masked bytes are written at once.
   allow_nan=False)``, with a top-level 1-d array or :class:`Records` written
   as its list: an int column is coded by value, a Coded column holds JSON
   texts, and a finite float is its ``repr``, as ``json`` writes it. Every
-  other value, and every error, is ``json``'s own.
+  other value is ``json``'s own text; every error is raised before writing.
 
 A float column is written as ``float.__repr__``, Gay's shortest round-trip
 digits (D. M. Gay, "Correctly Rounded Binary-Decimal and Decimal-Binary
