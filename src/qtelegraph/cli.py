@@ -21,6 +21,7 @@ assert the no-signaling property with a single command.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -408,10 +409,14 @@ def run_command(name: str, cfg: RunConfig) -> int:
     return _COMMANDS[name](cfg, out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # Flags are plain strings, and a flag not given stays out of the
-    # namespace, so every value reaches its key's converter the way a
-    # config-file line does.
+    """The command-line parser, built once per process and shared: never mutate it.
+
+    Flags are plain strings, and a flag not given stays out of the
+    namespace, so every value reaches its key's converter the way a
+    config-file line does.
+    """
     parser = argparse.ArgumentParser(
         prog="qtelegraph",
         description="Entanglement telegraph simulator and no-signaling verifier.",
@@ -435,8 +440,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
         return run_command(args.command, cfg)

@@ -44,7 +44,7 @@ from .device import (
     incoherent_distribution,
     superposition,
 )
-from .protocol import Detector, ModelMode, screen_marginal
+from .protocol import Detector, ModelMode, _shows_coherent, screen_marginal
 from .quantum import DensityMatrix, _derived_density, total_variation, trace_distance
 
 # The total variation and trace distances must be below DISTANCE_TOLERANCE,
@@ -136,8 +136,10 @@ def coherent_screen_state(cfg: DeviceConfig) -> DensityMatrix:
 
 def verify_no_signaling(cfg: DeviceConfig, mode: ModelMode) -> NoSignalReport:
     """Compare the receiving end's statistics across the two detector settings."""
-    p_off = screen_marginal(cfg, Detector.OFF, mode)
     p_on = screen_marginal(cfg, Detector.ON, mode)
+    # Detectors-off sees the same pattern unless it is credited with the coherent one.
+    off_differs = _shows_coherent(Detector.OFF, mode)
+    p_off = screen_marginal(cfg, Detector.OFF, mode) if off_differs else p_on
     tv = total_variation(p_on, p_off)
     mi = jensen_shannon_bits(p_on, p_off)
 

@@ -96,6 +96,9 @@ class _Part(NamedTuple):
 def _coded_parts(column: Coded) -> Iterator[_Part]:
     formatted: dict[int, bytes] = {}
     for first in range(0, len(column.codes), _ROWS_PER_CHUNK):
+        # A few codes are formatted once per column; many, once per chunk or so.
+        if len(formatted) > _ROWS_PER_CHUNK:
+            formatted.clear()
         present, codes = np.unique(
             column.codes[first : first + _ROWS_PER_CHUNK], return_inverse=True
         )

@@ -1,5 +1,6 @@
 """Tests for config parsing and the CLI subcommands."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -269,6 +270,60 @@ class TestConfigKeys:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("### Config keys and defaults", 1)[1].split("\n\n", 2)[1]
         assert re.findall(r"^\| `([^`]+)` \|", section, re.M) == list(CONFIG_KEYS)
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process, and no run leaves a trace
+    in it that a later run could see."""
+
+    RUN = ["nosignal-check", "--mode", "NaiveCollapse", "--bins", "64", "--relative-phase", "0.7"]
+
+    def test_main_builds_one_parser_per_process(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        build_parser.cache_clear()
+        for out in ("a", "b"):
+            assert main(["distributions", "--bins", "16", "--output-dir", str(tmp_path / out)]) == 0
+        assert built == ["qtelegraph"]
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "before, code",
+        [
+            (["nosignal-check", "--no-such-flag", "1"], 2),
+            (["--help"], 0),
+            (["transmit", "--seed", "1.5"], 2),
+        ],
+        ids=["usage-error", "help", "config-error"],
+    )
+    def test_run_after_an_exit_writes_the_first_runs_bytes(self, tmp_path, monkeypatch, capsys, before, code):
+        """The same run, made first with a fresh parser and again after an
+        argparse usage error, --help or a ConfigError, writes the same bytes."""
+
+        def run(where):
+            where.mkdir()
+            monkeypatch.chdir(where)
+            assert main(self.RUN + ["--output-dir", "out"]) == 1
+            return {path.name: path.read_bytes() for path in (where / "out").iterdir()}
+
+        build_parser.cache_clear()
+        first = run(tmp_path / "first")
+        monkeypatch.chdir(tmp_path)
+        try:
+            exited = main(before + ["--output-dir", "unused"])
+        except SystemExit as exc:
+            exited = exc.code
+        assert exited == code
+        assert not (tmp_path / "unused").exists()
+        capsys.readouterr()
+        assert run(tmp_path / "again") == first
+        assert set(first) == {"nosignal.json", "nosignal.txt"}
 
 
 class TestRunCommand:
@@ -542,6 +597,31 @@ class TestSubcommands:
             for report in Path(out).iterdir():
                 text = report.read_text()
                 assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), report.name
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        command=st.sampled_from(["distributions", "nosignal-check"]),
+        bins=st.integers(2, 4096),
+        mode=SIMULATE_VALID["mode"],
+    )
+    @example(command="distributions", bins=2, mode="UnitaryQM")
+    @example(command="nosignal-check", bins=2, mode="NaiveCollapse")
+    # psi_1 + psi_2 cancels on this grid.
+    @example(command="nosignal-check", bins=4, mode="NaiveCollapse")
+    @example(command="nosignal-check", bins=4096, mode="UnitaryQM")
+    def test_any_grid_exits_cleanly(self, command, bins, mode):
+        """Every grid size from 2 to 4096 bins under either model: exit 0
+        or 1 with finite reports, or exit 2 with none and an error naming a
+        config key; no traceback."""
+        code, err, reports, _ = run_with_flags(command, {"bins": bins, "mode": mode})
+        assert "Traceback" not in err
+        if code in (0, 1):
+            assert reports and not err
+            for name, content in reports.items():
+                assert not re.search(rb"\b(nan|inf|infinity)\b", content, re.IGNORECASE), name
+        else:
+            assert code == 2 and not reports
+            assert re.match(rf"error: .*\b({'|'.join(CONFIG_KEYS)})\b", err)
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(case=domain_inputs(SIMULATE_VALID, SIMULATE_INVALID))

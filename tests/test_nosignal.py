@@ -26,6 +26,7 @@ from qtelegraph.nosignal import (
     reduced_screen_by_partial_trace,
     verify_no_signaling,
 )
+from qtelegraph import protocol as protocol_module
 from qtelegraph.protocol import (
     Detector,
     ModelMode,
@@ -116,6 +117,28 @@ class TestVerifyNoSignaling:
         assert report.trace_distance_reduced > 0.3
         assert report.mutual_information_bits > 0.01
         assert report.verdict == "fail"
+
+    @pytest.mark.parametrize(
+        "mode, built",
+        [
+            (ModelMode.UNITARY_QM, ["incoherent_distribution"]),
+            (ModelMode.NAIVE_COLLAPSE, ["coherent_distribution", "incoherent_distribution"]),
+        ],
+        ids=["UnitaryQM", "NaiveCollapse"],
+    )
+    def test_each_screen_pattern_built_once(self, monkeypatch, mode, built):
+        """Under UnitaryQM both settings show the incoherent pattern, so it
+        is built once and the two marginals are exactly equal."""
+        calls = []
+        for name in ("coherent_distribution", "incoherent_distribution"):
+            original = getattr(protocol_module, name)
+            monkeypatch.setattr(
+                protocol_module, name, lambda cfg, name=name, original=original: calls.append(name) or original(cfg)
+            )
+        report = verify_no_signaling(DeviceConfig(bins=64), mode)
+        assert sorted(calls) == built
+        if mode is ModelMode.UNITARY_QM:
+            assert report.tv_distance == report.mutual_information_bits == 0.0
 
     def test_report_serialization_round_trip(self):
         report = verify_no_signaling(DeviceConfig(), ModelMode.UNITARY_QM)

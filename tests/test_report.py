@@ -5,6 +5,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,6 +432,20 @@ class TestCodedColumn:
         assert sorted(formatted) == sorted(set(codes.tolist()))
         rows = [["a", "b"]] + [[f"c{code}", "x"] for code in codes.tolist()]
         assert path.read_bytes() == reference_csv([], rows)
+
+    def test_distinct_codes_are_held_about_a_chunk_at_a_time(self, tmp_path):
+        """A column of 10^5 distinct codes keeps the texts of about two
+        chunks' codes, not of all of them (14.5 MiB when it kept them all)."""
+        codes = np.arange(10**5)
+        path = tmp_path / "r.csv"
+        tracemalloc.start()
+        try:
+            write_csv(path, [], ("a", "b"), (Coded(codes, int.__repr__), constant_column("x", codes.size)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert path.read_bytes() == reference_csv([], [["a", "b"]] + [[str(code), "x"] for code in codes.tolist()])
 
     @pytest.mark.parametrize("field", ["1,5", 'say "x"', "a\nb", "a\rb"])
     def test_text_csv_would_quote_raises(self, tmp_path, field):
