@@ -69,7 +69,8 @@ def comment_lines_text(lines: Iterable[str]) -> str:
 
 class Coded(NamedTuple):
     """A column as an integer code per row and the text of a code as it is
-    written, a CSV field or a JSON value; each code is formatted once."""
+    written, a CSV field or a JSON value; a code is formatted once per
+    column, or once per chunk or so when the column holds many distinct codes."""
 
     codes: np.ndarray
     text: Callable[[int], str]
@@ -96,7 +97,6 @@ class _Part(NamedTuple):
 def _coded_parts(column: Coded) -> Iterator[_Part]:
     formatted: dict[int, bytes] = {}
     for first in range(0, len(column.codes), _ROWS_PER_CHUNK):
-        # A few codes are formatted once per column; many, once per chunk or so.
         if len(formatted) > _ROWS_PER_CHUNK:
             formatted.clear()
         present, codes = np.unique(
