@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -401,11 +402,12 @@ def run_command(name: str, cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write-probe"
-        probe.write_text("", encoding="utf-8")
-        probe.unlink()
     except OSError as exc:
         raise ConfigError(f"output directory {out} is not writable: {exc}") from None
+    # Asked of the kernel, so no file is made; a denial access(2) does not
+    # foresee is raised by the first report write instead.
+    if not os.access(out, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {out} is not writable")
     return _COMMANDS[name](cfg, out)
 
 

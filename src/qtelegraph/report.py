@@ -8,6 +8,12 @@ integer before its text). The chunk is laid out as a ``uint8`` matrix, one
 matrix column per row, with literal text before each field and after the row,
 beside a mask of the bytes written, and the masked bytes are written at once.
 
+A Coded column formats the text of a code once per column when every code
+lies in ``[0, _ROWS_PER_CHUNK)``: one table, indexed by the code itself, that
+each chunk shares with a slice of the column's own codes. Any other Coded
+column sorts each chunk's codes and formats each code present once per
+stretch of chunks, keeping at most about a chunk's worth of texts.
+
 * :func:`write_csv` writes the bytes of ``csv.writer`` (excel dialect). A
   field it would quote raises ValueError, so there is no quoting path.
 * :func:`write_json` writes ``json.dumps(document, sort_keys=True, indent=2,
@@ -69,8 +75,9 @@ def comment_lines_text(lines: Iterable[str]) -> str:
 
 class Coded(NamedTuple):
     """A column as an integer code per row and the text of a code as it is
-    written, a CSV field or a JSON value; a code is formatted once per
-    column, or once per chunk or so when the column holds many distinct codes."""
+    written, a CSV field or a JSON value. A code's text is formatted once per
+    column when every code is below 4096 (``_ROWS_PER_CHUNK``), and otherwise
+    once per code per stretch of chunks."""
 
     codes: np.ndarray
     text: Callable[[int], str]
@@ -94,22 +101,35 @@ class _Part(NamedTuple):
     integers: np.ndarray | None = None
 
 
+def _table(entries: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The texts end to end, with each text's start and length."""
+    lengths = np.fromiter(map(len, entries), np.intp, len(entries))
+    return np.frombuffer(b"".join(entries), np.uint8), np.cumsum(lengths) - lengths, lengths
+
+
 def _coded_parts(column: Coded) -> Iterator[_Part]:
+    codes = column.codes
+    if codes.size and codes.min() >= 0 and codes.max() < _ROWS_PER_CHUNK:
+        # One table for the column, indexed by the code itself: a code that
+        # never occurs gets an empty entry and no text.
+        present = np.flatnonzero(np.bincount(codes.astype(np.intp, copy=False)))
+        texts = [column.text(code).encode("utf-8") for code in present.tolist()]
+        table, starts, lengths = _table(texts)
+        by_code = np.zeros((2, present[-1] + 1), np.intp)
+        by_code[:, present] = starts, lengths
+        for first in range(0, len(codes), _ROWS_PER_CHUNK):
+            yield _Part(table, by_code[0], by_code[1], codes[first : first + _ROWS_PER_CHUNK])
+        return
     formatted: dict[int, bytes] = {}
-    for first in range(0, len(column.codes), _ROWS_PER_CHUNK):
+    for first in range(0, len(codes), _ROWS_PER_CHUNK):
         if len(formatted) > _ROWS_PER_CHUNK:
             formatted.clear()
-        present, codes = np.unique(
-            column.codes[first : first + _ROWS_PER_CHUNK], return_inverse=True
-        )
+        present, inverse = np.unique(codes[first : first + _ROWS_PER_CHUNK], return_inverse=True)
         present = present.tolist()
         formatted.update(
             (code, column.text(code).encode("utf-8")) for code in present if code not in formatted
         )
-        entries = [formatted[code] for code in present]
-        lengths = np.fromiter(map(len, entries), np.intp, len(entries))
-        table = np.frombuffer(b"".join(entries), np.uint8)
-        yield _Part(table, np.cumsum(lengths) - lengths, lengths, codes)
+        yield _Part(*_table([formatted[code] for code in present]), inverse)
 
 
 def _integer_prefix(values: np.ndarray) -> np.ndarray:

@@ -36,6 +36,31 @@ from oracles import parse_config
 from test_report import reference_hits_csv
 
 
+# The (event, path) of each file opened, removed or renamed while a
+# file_events() block runs; None outside one. Audit hooks cannot be removed,
+# so one hook is added on first use and records only inside a block.
+_file_events: list | None = None
+
+
+def _record_file_event(event, args):
+    if _file_events is not None and event in ("open", "os.remove", "os.rename", "os.replace"):
+        if isinstance(args[0], (str, bytes, os.PathLike)):
+            _file_events.append((event, os.fsdecode(args[0])))
+
+
+@contextlib.contextmanager
+def file_events():
+    global _file_events
+    if not getattr(file_events, "hooked", False):
+        sys.addaudithook(_record_file_event)
+        file_events.hooked = True
+    _file_events = events = []
+    try:
+        yield events
+    finally:
+        _file_events = None
+
+
 def read_csv_body(path):
     lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
     return list(csv.reader(lines))
@@ -337,6 +362,20 @@ class TestRunCommand:
         cfg = resolve_config({"output_dir": str(blocker / "sub")})
         with pytest.raises(ConfigError, match="not writable|output"):
             run_command("distributions", cfg)
+
+    def test_a_directory_access_refuses_is_not_writable(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        with pytest.raises(ConfigError, match=r"output directory .* is not writable"):
+            run_command("distributions", resolve_config({"output_dir": str(tmp_path / "out")}))
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_creates_and_removes_no_file_besides_its_reports(self, tmp_path):
+        out = tmp_path / "out"
+        with file_events() as events:
+            assert main(["nosignal-check", "--bins", "32", "--output-dir", str(out)]) == 0
+        touched = {(event, Path(path).name) for event, path in events if Path(path).parent == out}
+        assert touched == {("open", "nosignal.json"), ("open", "nosignal.txt")}
+        assert sorted(path.name for path in out.iterdir()) == ["nosignal.json", "nosignal.txt"]
 
 
 class TestSubcommands:

@@ -447,6 +447,102 @@ class TestCodedColumn:
         assert peak < 4 * 2**20
         assert path.read_bytes() == reference_csv([], [["a", "b"]] + [[str(code), "x"] for code in codes.tolist()])
 
+    def test_each_code_present_is_formatted_once_per_column(self, tmp_path, monkeypatch):
+        """Codes below the chunk size share one table: a code's text is made
+        once however many chunks hold it, and a code that never occurs
+        (2 here) is not formatted."""
+        monkeypatch.setattr(report_module, "_ROWS_PER_CHUNK", 4)
+        codes = np.array([3, 1, 1, 3, 3, 1, 0, 3, 3, 1, 3, 0, 0])
+        formatted = []
+
+        def text(code: int) -> str:
+            formatted.append(code)
+            return f"c{code}"
+
+        path = tmp_path / "r.csv"
+        write_csv(path, [], ("a", "b"), (Coded(codes, text), constant_column("x", len(codes))))
+        assert sorted(formatted) == [0, 1, 3]
+        rows = [["a", "b"]] + [[f"c{code}", "x"] for code in codes.tolist()]
+        assert path.read_bytes() == reference_csv([], rows)
+
+    @PROPERTY
+    @given(
+        dtype=st.sampled_from([np.int64, np.uint64]),
+        dense=st.lists(st.integers(0, 3), max_size=14),
+        sparse=st.lists(st.integers(4, 2**63 - 1), min_size=14, max_size=14),
+        texts=st.lists(SAFE_FIELDS, min_size=4, max_size=4),
+    )
+    def test_dense_codes_equal_csv_writer(self, tmp_path_factory, dtype, dense, sparse, texts):
+        """A dense column (every code below the chunk size of 4, some never
+        occurring) beside a sparse one, across chunks."""
+        rows = len(dense)
+        columns = (
+            Coded(np.array(dense, dtype), texts.__getitem__),
+            Coded(np.array(sparse[:rows], dtype), lambda code: f"s{code}"),
+            Coded(np.array(dense[::-1], dtype), lambda code: f"{code}"),
+        )
+        path = tmp_path_factory.mktemp("dense") / "r.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(report_module, "_ROWS_PER_CHUNK", 4)
+            write_csv(path, ["dense"], ("a", "b", "c"), columns)
+        expected = [["a", "b", "c"]] + [
+            [texts[code], f"s{other}", f"{back}"] for code, other, back in zip(dense, sparse, dense[::-1])
+        ]
+        assert path.read_bytes() == reference_csv(["dense"], expected)
+
+    @PROPERTY
+    @given(
+        dtype=st.sampled_from([np.int64, np.uint64]),
+        dense=st.lists(st.integers(0, 3), max_size=14),
+        sparse=st.lists(st.integers(4, 2**63 - 1), min_size=14, max_size=14),
+        texts=st.lists(TEXT, min_size=4, max_size=4),
+    )
+    def test_dense_codes_equal_json_dumps(self, tmp_path_factory, dtype, dense, sparse, texts):
+        rows = len(dense)
+        document = {
+            "records": Records(
+                {
+                    "text": Coded(np.array(dense, dtype), lambda code: json.dumps(texts[code])),
+                    "int": np.array(dense, dtype),
+                    "sparse": np.array(sparse[:rows], dtype),
+                }
+            ),
+            "dense": np.array(dense[::-1], dtype),
+            "sparse": np.array(sparse[:rows], dtype),
+        }
+        path = tmp_path_factory.mktemp("dense") / "r.json"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(report_module, "_ROWS_PER_CHUNK", 4)
+            assert written_json(path, document) == reference_json(listed(document)) + "\n"
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_empty_columns(self, tmp_path, dtype):
+        empty = Coded(np.zeros(0, dtype), str)
+        write_csv(tmp_path / "r.csv", ["empty"], ("a", "b"), (empty, empty))
+        assert (tmp_path / "r.csv").read_bytes() == reference_csv(["empty"], [["a", "b"]])
+        write_json(tmp_path / "r.json", {"a": np.zeros(0, dtype), "r": Records({"b": empty})})
+        assert (tmp_path / "r.json").read_text() == reference_json({"a": [], "r": []}) + "\n"
+
+    def test_hits_csv_sorts_only_its_float_column(self, tmp_path, monkeypatch):
+        """hits.csv at N = 1 has codes below the chunk size in both Coded
+        columns (telegraph_id, x), so only its float column, time, is sorted
+        (np.unique), once per chunk."""
+        chunk = report_module._ROWS_PER_CHUNK
+        callers = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            caller = sys._getframe(1)
+            if caller.f_globals["__name__"] == report_module.__name__:
+                callers.append(caller.f_code.co_name)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--N", "1", "--M", str(3 * chunk), "--detectors", "on", "--output-dir", "out"]
+        assert main(argv) == 0
+        assert callers == ["_float_parts"] * 3
+
     @pytest.mark.parametrize("field", ["1,5", 'say "x"', "a\nb", "a\rb"])
     def test_text_csv_would_quote_raises(self, tmp_path, field):
         column = Coded(np.array([0, 1, 0]), lambda code: field if code else "ok")
