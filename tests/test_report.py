@@ -417,6 +417,23 @@ class TestFloatColumn:
             assert float_column_csv(path, times) == expected_float_csv(times.tolist())
 
 
+# Codes outside [0, 4), the chunk size the dense-code tests patch in.
+SPARSE_CODES = {
+    np.int64: st.integers(-(2**63), -1) | st.integers(4, 2**63 - 1),
+    np.uint64: st.integers(4, 2**64 - 1),
+}
+
+
+@st.composite
+def dense_and_sparse(draw):
+    """Two code columns of one dtype and length (zero included): a dense one,
+    every code in [0, 4) and some never occurring, and a sparse one, every
+    code outside it."""
+    dtype = draw(st.sampled_from(list(SPARSE_CODES)))
+    dense = draw(st.lists(st.integers(0, 3), max_size=14))
+    sparse = draw(st.lists(SPARSE_CODES[dtype], min_size=len(dense), max_size=len(dense)))
+    return np.array(dense, dtype), np.array(sparse, dtype)
+
 class TestCodedColumn:
     def test_each_code_present_is_formatted_once(self, tmp_path, monkeypatch):
         monkeypatch.setattr(report_module, "_ROWS_PER_CHUNK", 4)
@@ -466,49 +483,38 @@ class TestCodedColumn:
         assert path.read_bytes() == reference_csv([], rows)
 
     @PROPERTY
-    @given(
-        dtype=st.sampled_from([np.int64, np.uint64]),
-        dense=st.lists(st.integers(0, 3), max_size=14),
-        sparse=st.lists(st.integers(4, 2**63 - 1), min_size=14, max_size=14),
-        texts=st.lists(SAFE_FIELDS, min_size=4, max_size=4),
-    )
-    def test_dense_codes_equal_csv_writer(self, tmp_path_factory, dtype, dense, sparse, texts):
-        """A dense column (every code below the chunk size of 4, some never
-        occurring) beside a sparse one, across chunks."""
-        rows = len(dense)
-        columns = (
-            Coded(np.array(dense, dtype), texts.__getitem__),
-            Coded(np.array(sparse[:rows], dtype), lambda code: f"s{code}"),
-            Coded(np.array(dense[::-1], dtype), lambda code: f"{code}"),
+    @given(columns=dense_and_sparse(), texts=st.lists(SAFE_FIELDS, min_size=4, max_size=4))
+    def test_dense_codes_equal_csv_writer(self, tmp_path_factory, columns, texts):
+        dense, sparse = columns
+        coded = (
+            Coded(dense, texts.__getitem__),
+            Coded(sparse, lambda code: f"s{code}"),
+            Coded(dense[::-1], str),
         )
         path = tmp_path_factory.mktemp("dense") / "r.csv"
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(report_module, "_ROWS_PER_CHUNK", 4)
-            write_csv(path, ["dense"], ("a", "b", "c"), columns)
+            write_csv(path, ["dense"], ("a", "b", "c"), coded)
         expected = [["a", "b", "c"]] + [
-            [texts[code], f"s{other}", f"{back}"] for code, other, back in zip(dense, sparse, dense[::-1])
+            [texts[code], f"s{other}", str(back)]
+            for code, other, back in zip(dense.tolist(), sparse.tolist(), dense[::-1].tolist())
         ]
         assert path.read_bytes() == reference_csv(["dense"], expected)
 
     @PROPERTY
-    @given(
-        dtype=st.sampled_from([np.int64, np.uint64]),
-        dense=st.lists(st.integers(0, 3), max_size=14),
-        sparse=st.lists(st.integers(4, 2**63 - 1), min_size=14, max_size=14),
-        texts=st.lists(TEXT, min_size=4, max_size=4),
-    )
-    def test_dense_codes_equal_json_dumps(self, tmp_path_factory, dtype, dense, sparse, texts):
-        rows = len(dense)
+    @given(columns=dense_and_sparse(), texts=st.lists(TEXT, min_size=4, max_size=4))
+    def test_dense_codes_equal_json_dumps(self, tmp_path_factory, columns, texts):
+        dense, sparse = columns
         document = {
             "records": Records(
                 {
-                    "text": Coded(np.array(dense, dtype), lambda code: json.dumps(texts[code])),
-                    "int": np.array(dense, dtype),
-                    "sparse": np.array(sparse[:rows], dtype),
+                    "text": Coded(dense, lambda code: json.dumps(texts[code])),
+                    "int": dense,
+                    "sparse": sparse,
                 }
             ),
-            "dense": np.array(dense[::-1], dtype),
-            "sparse": np.array(sparse[:rows], dtype),
+            "dense": dense[::-1],
+            "sparse": sparse,
         }
         path = tmp_path_factory.mktemp("dense") / "r.json"
         with pytest.MonkeyPatch.context() as patch:
