@@ -10,9 +10,11 @@ is a finite grid of ``bins`` cells spanning [-x_max*w, +x_max*w]; amplitudes
 are sampled at bin centers and renormalized, once per config, into the
 read-only 2 x bins array ``DeviceConfig.amplitudes``. Everything downstream
 (the entangled joint state, the coherent/incoherent/eraser-conditioned screen
-patterns, each a read-only probability array over the bins, and the span the
-no-signaling checks work in, ``DeviceConfig.span``, also factored once per
-config) is an exact finite-dimensional computation from those two rows. Every
+patterns, each a read-only probability array over the bins, the span
+``DeviceConfig.span``, also factored once per config, and the reduced screen
+states, 2 x 2 matrices on it that equal their bins x bins counterparts) is an
+exact finite-dimensional computation from those two rows; which state each
+detector setting leaves is ``protocol.Hypotheses``'s to decide. Every
 superposed amplitude psi_1 ± psi_2 comes from ``superposition``, which
 refuses one that cancels to rounding noise.
 """
@@ -30,8 +32,10 @@ import numpy as np
 
 from .quantum import (
     ATOL_LINALG,
+    DensityMatrix,
     QuantumStateError,
     StateVector,
+    _derived_density,
     clamp_probabilities,
 )
 from .report import write_csv
@@ -167,6 +171,38 @@ def superposition(cfg: DeviceConfig, sign: int) -> np.ndarray:
             f"relative_phase={cfg.relative_phase}, bins={cfg.bins}"
         )
     return summed
+
+
+def reduced_screen_by_partial_trace(cfg: DeviceConfig) -> DensityMatrix:
+    """Route (a): trace the idler out of the untouched joint state.
+
+    The reduced state A^T A* is Q (R R^H) Q^H, so in span coordinates it is
+    R R^H; Hermitian and positive semidefinite by construction.
+    """
+    _, triangle = cfg.span
+    reduced = triangle @ triangle.conj().T
+    # Symmetrized for an exactly Hermitian result; the report bits rely on it.
+    return _derived_density(0.5 * (reduced + reduced.conj().T))
+
+
+def reduced_screen_by_measurement_mixture(cfg: DeviceConfig) -> DensityMatrix:
+    """Route (b): which-path-measure the idler, mix the collapsed signal
+    states s_k = Q^H a_k / |a_k| with weights |a_k|^2; checked once, in full."""
+    basis, _ = cfg.span
+    mixture = np.zeros((2, 2), dtype=complex)
+    for amplitude in cfg.amplitudes / math.sqrt(2.0):
+        norm = float(np.linalg.norm(amplitude))
+        signal = basis.conj().T @ amplitude / norm
+        mixture += norm**2 * np.outer(signal, signal.conj())
+    return DensityMatrix(mixture)
+
+
+def coherent_screen_state(cfg: DeviceConfig) -> DensityMatrix:
+    """The pure superposition the collapse story credits to detectors-off."""
+    basis, _ = cfg.span
+    summed = basis.conj().T @ superposition(cfg, 1)
+    summed /= np.linalg.norm(summed)
+    return _derived_density(np.outer(summed, summed.conj()))
 
 
 def build_joint_state(cfg: DeviceConfig) -> StateVector:

@@ -13,18 +13,10 @@ Three measures are reported for a given device model:
   channel under a uniform setting (the Jensen-Shannon divergence, in bits,
   of the two marginals).
 
-The joint state is the 2 x bins amplitude matrix A = [psi_1; psi_2] / sqrt(2)
-(the config's ``amplitudes``, scaled): row k is the signal amplitude left by
-idler which-path outcome k. Every screen state here lies in the span of those
-two rows, so it is held as a 2 x 2 matrix in the coordinates of an
-orthonormal basis Q of that span, from the config's one QR factorization
-A^T = Q R (``DeviceConfig.span``). Route (a) is then R R^H, route (b) the
-mixture of the normalized Q^H a_k weighted by |a_k|^2, the collapse story's
-coherent state the normalized Q^H (psi_1 + psi_2) from
-``device.superposition``, and a trace distance is a 2 x 2 eigenproblem.
-Because Q is an isometry, each is exactly the bins x bins quantity of the
-dense ``quantum`` algebra, which the tests use as the reference; no
-bins-sized matrix is built here.
+Each setting's screen pattern and reduced screen state, a 2 x 2 matrix on
+the span of the pipe amplitudes built in ``device``, come from
+``protocol.Hypotheses(cfg, mode)``. So a trace distance is a 2 x 2
+eigenproblem; the tests check each against the dense ``quantum`` algebra.
 
 Under unitary quantum mechanics all three vanish to float precision; under
 the naive collapse model all three are macroscopic.
@@ -32,20 +24,22 @@ the naive collapse model all three are macroscopic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 
+# The span states are built in device and read here under their own names.
 from .device import (
     DeviceConfig,
+    coherent_screen_state,
     eraser_conditionals,
     incoherent_distribution,
-    superposition,
+    reduced_screen_by_measurement_mixture,
+    reduced_screen_by_partial_trace,
 )
-from .protocol import Detector, ModelMode, _shows_coherent, screen_marginal
-from .quantum import DensityMatrix, _derived_density, total_variation, trace_distance
+from .protocol import Detector, Hypotheses, ModelMode
+from .quantum import total_variation, trace_distance
 
 # The total variation and trace distances must be below DISTANCE_TOLERANCE,
 # the mutual information below MI_TOLERANCE bits.
@@ -102,59 +96,16 @@ def jensen_shannon_bits(p: np.ndarray, q: np.ndarray) -> float:
     return max(0.0, _entropy_bits(mid) - 0.5 * (_entropy_bits(p) + _entropy_bits(q)))
 
 
-def reduced_screen_by_partial_trace(cfg: DeviceConfig) -> DensityMatrix:
-    """Route (a): trace the idler out of the untouched joint state.
-
-    The reduced state A^T A* is Q (R R^H) Q^H, so in span coordinates it is
-    R R^H; Hermitian and positive semidefinite by construction.
-    """
-    _, triangle = cfg.span
-    reduced = triangle @ triangle.conj().T
-    # Symmetrized for an exactly Hermitian result; the report bits rely on it.
-    return _derived_density(0.5 * (reduced + reduced.conj().T))
-
-
-def reduced_screen_by_measurement_mixture(cfg: DeviceConfig) -> DensityMatrix:
-    """Route (b): which-path-measure the idler, mix the collapsed signal
-    states s_k = Q^H a_k / |a_k| with weights |a_k|^2; checked once, in full."""
-    basis, _ = cfg.span
-    mixture = np.zeros((2, 2), dtype=complex)
-    for amplitude in cfg.amplitudes / math.sqrt(2.0):
-        norm = float(np.linalg.norm(amplitude))
-        signal = basis.conj().T @ amplitude / norm
-        mixture += norm**2 * np.outer(signal, signal.conj())
-    return DensityMatrix(mixture)
-
-
-def coherent_screen_state(cfg: DeviceConfig) -> DensityMatrix:
-    """The pure superposition the collapse story credits to detectors-off."""
-    basis, _ = cfg.span
-    summed = basis.conj().T @ superposition(cfg, 1)
-    summed /= np.linalg.norm(summed)
-    return _derived_density(np.outer(summed, summed.conj()))
-
-
 def verify_no_signaling(cfg: DeviceConfig, mode: ModelMode) -> NoSignalReport:
     """Compare the receiving end's statistics across the two detector settings."""
-    p_on = screen_marginal(cfg, Detector.ON, mode)
-    # Detectors-off sees the same pattern unless it is credited with the coherent one.
-    off_differs = _shows_coherent(Detector.OFF, mode)
-    p_off = screen_marginal(cfg, Detector.OFF, mode) if off_differs else p_on
-    tv = total_variation(p_on, p_off)
-    mi = jensen_shannon_bits(p_on, p_off)
-
-    if mode is ModelMode.UNITARY_QM:
-        reduced_off = reduced_screen_by_partial_trace(cfg)
-    else:
-        reduced_off = coherent_screen_state(cfg)
-    reduced_on = reduced_screen_by_measurement_mixture(cfg)
-    td = trace_distance(reduced_off, reduced_on)
-
+    hypotheses = Hypotheses(cfg, mode)
+    p_off, p_on = map(hypotheses.pattern, (Detector.OFF, Detector.ON))
+    reduced_off, reduced_on = map(hypotheses.state, (Detector.OFF, Detector.ON))
     return NoSignalReport(
         mode=mode,
-        tv_distance=tv,
-        trace_distance_reduced=td,
-        mutual_information_bits=mi,
+        tv_distance=total_variation(p_on, p_off),
+        trace_distance_reduced=trace_distance(reduced_off, reduced_on),
+        mutual_information_bits=jensen_shannon_bits(p_on, p_off),
     )
 
 

@@ -4,7 +4,9 @@ The sender encodes a bit per symbol by switching the idler detectors of all
 N telegraphs (on = 1, off = 0). The receiver pools M screen hits and runs an
 exact log-likelihood-ratio test of "interference" (coherent pattern) against
 "no interference" (incoherent pattern); the fringe statistic |mean e^{2i k x}|
-is kept as a secondary diagnostic. Two device models are available:
+is kept as a secondary diagnostic. Two device models are available, and
+``Hypotheses(cfg, mode)`` is the one place that decides what each detector
+setting shows, its screen pattern and its reduced screen state:
 
 * NaiveCollapse: detectors off leaves the coherent pattern, detectors on the
   incoherent one, so toggling is remotely visible and the telegraph works.
@@ -25,11 +27,11 @@ does it lay out all M emissions of each symbol.
 
 Screen hits are drawn by inverse CDF through a guide table built once per
 screen pattern (``_BinSampler``), which gives exactly the bins a binary
-search of the CDF would. A UnitaryQM message has one sampler, since both
-detector settings show the incoherent pattern; a NaiveCollapse message has
-two. The receiver decodes a block of symbols (about 2^16 hits) at a time:
-the bins, log-likelihood ratios and fringe statistics of the whole block are
-array operations, on screen patterns built once per message. Each
+search of the CDF would. A message has one sampler when both detector
+settings show one pattern (UnitaryQM) and two otherwise. The receiver
+decodes a block of symbols (about 2^16 hits) at a time: the bins,
+log-likelihood ratios and fringe statistics of the whole block are array
+operations, on screen patterns built once per message. Each
 symbol's M uniforms are those of ``np.random.default_rng(child seed)``, and a
 block takes them from one ``rng.UniformLanes`` per message, which picks how to
 draw them from the block's size. Only the screen draws are made: the idler's
@@ -38,6 +40,7 @@ outcome is read by no report, so it is not drawn.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -49,9 +52,12 @@ from .device import (
     DeviceConfig,
     _integer_at_least,
     coherent_distribution,
+    coherent_screen_state,
     incoherent_distribution,
+    reduced_screen_by_measurement_mixture,
+    reduced_screen_by_partial_trace,
 )
-from .quantum import total_variation
+from .quantum import DensityMatrix, total_variation
 from .rng import UniformLanes, child_seeds
 
 PROBABILITY_FLOOR = 1e-300
@@ -123,20 +129,6 @@ class TransmissionPlan:
             raise ValueError(f"M must be <= {MAX_PAIRS} (got {self.M})")
         _check_period("T", self.T)
         object.__setattr__(self, "N", _telegraph_count("N", self.N))
-
-
-def _shows_coherent(detectors: Detector, mode: ModelMode) -> bool:
-    """Under UnitaryQM the receiving end sees the reduced-state diagonal (the
-    incoherent pattern) for both settings; under NaiveCollapse the
-    detectors-off setting is credited with the coherent pattern."""
-    return mode is ModelMode.NAIVE_COLLAPSE and detectors is Detector.OFF
-
-
-def screen_marginal(cfg: DeviceConfig, detectors: Detector, mode: ModelMode) -> np.ndarray:
-    """Screen pattern seen at the receiving end for a detector setting."""
-    if _shows_coherent(detectors, mode):
-        return coherent_distribution(cfg)
-    return incoherent_distribution(cfg)
 
 
 class _BinSampler:
@@ -266,19 +258,33 @@ def _fft_length(n: int) -> int:
 class ErrorLaw:
     """The M-sample receiver's exact error law for one DeviceConfig: the
     screen patterns ``coherent`` and ``incoherent``, the LLR ``table`` the
-    receiver sums (all read-only), their ``total_variation``, and [lo, hi]
-    brackets on both errors at any M. The statistic is a sum of M i.i.d.
-    draws from the table, so each error is a tail of the table law's M-fold
-    convolution power (Cover & Thomas, *Elements of Information Theory*, ch.
-    11), bracketed on a lattice."""
+    receiver sums (all read-only and built on first read), their
+    ``total_variation``, and [lo, hi] brackets on both errors at any M. The
+    statistic is a sum of M i.i.d. draws from the table, so each error is a
+    tail of the table law's M-fold convolution power (Cover & Thomas,
+    *Elements of Information Theory*, ch. 11), bracketed on a lattice."""
 
     def __init__(self, cfg: DeviceConfig) -> None:
-        self.coherent = coherent_distribution(cfg)
-        self.incoherent = incoherent_distribution(cfg)
-        self.table = floored_log_ratio(self.coherent, self.incoherent)
-        self.table.setflags(write=False)
-        self.total_variation = total_variation(self.coherent, self.incoherent)
+        self.cfg = cfg
         self._settled: dict[tuple[int, float], Brackets] = {}
+
+    @functools.cached_property
+    def coherent(self) -> np.ndarray:
+        return coherent_distribution(self.cfg)
+
+    @functools.cached_property
+    def incoherent(self) -> np.ndarray:
+        return incoherent_distribution(self.cfg)
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        table = floored_log_ratio(self.coherent, self.incoherent)
+        table.setflags(write=False)
+        return table
+
+    @functools.cached_property
+    def total_variation(self) -> float:
+        return total_variation(self.coherent, self.incoherent)
 
     def lattice(self, m: int, step: float) -> tuple[np.ndarray, int]:
         """Each table entry as its nearest multiple k*step: (k - least k, least k).
@@ -360,6 +366,33 @@ class ErrorLaw:
     def meets(self, m: int, alpha: float) -> bool:
         """Whether both error probabilities at m are certainly <= alpha."""
         return all(hi <= alpha for _, hi in self.settled(m, alpha))
+
+
+class Hypotheses:
+    """What each detector setting shows at the receiving end for one (config,
+    mode): its screen ``pattern`` and its 2 x 2 span ``state``. On, it is the
+    incoherent pattern and route (b), the which-path mixture. Off, NaiveCollapse
+    credits the coherent pattern and the pure superposition; UnitaryQM shows
+    the same incoherent pattern object and route (a), the partial trace, an
+    independent route to the same matrix. ``law`` is the receiver's ErrorLaw."""
+
+    def __init__(self, cfg: DeviceConfig, mode: ModelMode) -> None:
+        self.law = ErrorLaw(cfg)
+        self._collapse = mode is ModelMode.NAIVE_COLLAPSE
+
+    def pattern(self, detectors: Detector) -> np.ndarray:
+        """The read-only screen pattern the setting shows."""
+        if detectors is Detector.OFF and self._collapse:
+            return self.law.coherent
+        return self.law.incoherent
+
+    def state(self, detectors: Detector) -> DensityMatrix:
+        """The reduced screen state the setting leaves, on the span."""
+        if detectors is Detector.ON:
+            return reduced_screen_by_measurement_mixture(self.law.cfg)
+        if self._collapse:
+            return coherent_screen_state(self.law.cfg)
+        return reduced_screen_by_partial_trace(self.law.cfg)
 
 
 def check_alpha(alpha: float) -> None:
@@ -582,12 +615,13 @@ def transmit_message(
     lanes = UniformLanes(child_seeds(rng, len(bits)), plan.M)
     # The receiver's model is fixed by cfg: derive it once per message, each
     # screen pattern built once for the LLR table and the samplers alike.
-    law = ErrorLaw(cfg)
+    hypotheses = Hypotheses(cfg, mode)
+    table = hypotheses.law.table
     phasors = np.exp(2j * cfg.kappa * cfg.bin_centers())
-    # One sampler per screen pattern shown: the detectors-on setting always
-    # shows the incoherent one, and under UnitaryQM so does detectors-off.
-    incoherent = _BinSampler(law.incoherent)
-    coherent = _BinSampler(law.coherent) if _shows_coherent(Detector.OFF, mode) else None
+    # One sampler per screen pattern shown.
+    on, off = map(hypotheses.pattern, (Detector.ON, Detector.OFF))
+    sample_on = _BinSampler(on)
+    sample_off = sample_on if off is on else _BinSampler(off)
 
     log_lr, fringes, symbol_times = (np.empty(len(bits)) for _ in range(3))
     kept = []
@@ -595,14 +629,14 @@ def transmit_message(
     for times, ids, block_times in _symbol_windows(schedule, plan.M, len(bits), keep_hits):
         stop = start + block_times.size
         u = lanes.take(stop - start)
-        if coherent is None:
-            idx = incoherent.indices(u)
+        if sample_off is sample_on:
+            idx = sample_on.indices(u)
         else:
-            on = bits[start:stop] == 1
+            ones = bits[start:stop] == 1
             idx = np.empty(u.shape, dtype=np.intp)
-            idx[on] = incoherent.indices(u[on])
-            idx[~on] = coherent.indices(u[~on])
-        log_lr[start:stop] = law.table[idx].sum(axis=1)
+            idx[ones] = sample_on.indices(u[ones])
+            idx[~ones] = sample_off.indices(u[~ones])
+        log_lr[start:stop] = table[idx].sum(axis=1)
         fringes[start:stop] = np.abs(phasors[idx].mean(axis=1))
         symbol_times[start:stop] = block_times
         if keep_hits:

@@ -20,7 +20,9 @@ stretch of chunks, keeping at most about a chunk's worth of texts.
   allow_nan=False)``, with a top-level 1-d array or :class:`Records` written
   as its list: an int column is coded by value, a Coded column holds JSON
   texts, and a finite float is its ``repr``, as ``json`` writes it. Every
-  other value is ``json``'s own text; every error is raised before writing.
+  other value is ``json``'s own text.
+
+A writer that raises removes the file it opened: no partial report is left.
 
 A float column is written as ``float.__repr__``, Gay's shortest round-trip
 digits (D. M. Gay, "Correctly Rounded Binary-Decimal and Decimal-Binary
@@ -52,10 +54,11 @@ The module does no physics; besides the standard library it uses numpy.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -217,6 +220,19 @@ def _rows_bytes(parts: Sequence[_Part], literals: Sequence[bytes]) -> bytes:
     return np.concatenate(blocks).T[np.concatenate(masks).T].tobytes()
 
 
+@contextlib.contextmanager
+def _report_file(path: str | Path) -> Iterator[BinaryIO]:
+    """``path`` opened for writing, and removed if writing or closing it
+    raises, so no partial report is left."""
+    handle = open(path, "wb")
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        Path(path).unlink()
+        raise
+
+
 def _csv_field(text: str) -> str:
     """``text``, checked to be a field that csv.writer does not quote."""
     if any(mark in text for mark in ',"\r\n'):
@@ -250,7 +266,7 @@ def write_csv(
         for column in columns
     ]
     literals = [b""] + [b","] * (len(columns) - 1) + [b"\r\n"]
-    with open(path, "wb") as handle:
+    with _report_file(path) as handle:
         handle.write(comment_lines_text(comment_lines).encode("utf-8"))
         handle.write((",".join(map(_csv_field, header)) + "\r\n").encode("utf-8"))
         for parts in zip(*map(_parts, columns)):
@@ -298,7 +314,8 @@ def write_json(path: str | Path, document) -> None:
     allow_nan=False)`` and a line break, with each 1-d array and each
     :class:`Records` at the top level of a dict with ``str`` keys written as
     its list, a chunk of rows at a time. Every other value is ``json``'s own
-    text, re-indented, and every error is raised before the file is opened.
+    text, re-indented. A value ``json`` refuses raises before the file is
+    opened.
     """
     if not (isinstance(document, dict) and document and all(type(key) is str for key in document)):
         pieces = [_dumps(document, b"\n") + b"\n"]
@@ -308,7 +325,7 @@ def write_json(path: str | Path, document) -> None:
             key_text = b"\n  " + _quote(key).encode("ascii") + b": "
             pieces += [key_text, _json_rows(value) or _dumps(value, b"\n  "), b","]
         pieces[-1] = b"\n}\n"
-    with open(path, "wb") as handle:
+    with _report_file(path) as handle:
         for piece in pieces:
             if isinstance(piece, bytes):
                 handle.write(piece)

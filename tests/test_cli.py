@@ -639,7 +639,7 @@ class TestSubcommands:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
-        command=st.sampled_from(["distributions", "nosignal-check"]),
+        command=st.sampled_from(["distributions", "nosignal-check", "transmit", "simulate"]),
         bins=st.integers(2, 4096),
         mode=SIMULATE_VALID["mode"],
     )
@@ -648,6 +648,8 @@ class TestSubcommands:
     # psi_1 + psi_2 cancels on this grid.
     @example(command="nosignal-check", bins=4, mode="NaiveCollapse")
     @example(command="nosignal-check", bins=4096, mode="UnitaryQM")
+    # The receiver's table needs the coherent pattern under either model.
+    @example(command="transmit", bins=4, mode="UnitaryQM")
     def test_any_grid_exits_cleanly(self, command, bins, mode):
         """Every grid size from 2 to 4096 bins under either model: exit 0
         or 1 with finite reports, or exit 2 with none and an error naming a

@@ -29,9 +29,9 @@ from qtelegraph.nosignal import (
 from qtelegraph import protocol as protocol_module
 from qtelegraph.protocol import (
     Detector,
+    Hypotheses,
     ModelMode,
     TransmissionPlan,
-    screen_marginal,
     transmit_message,
 )
 from qtelegraph.quantum import (
@@ -51,6 +51,11 @@ from qtelegraph.rng import stream
 from test_protocol import PINNED_M_STAR
 
 ENVELOPE_COMPLETE = DeviceConfig(x_max=8.0, bins=256)
+STATE_BUILDERS = (
+    "coherent_screen_state",
+    "reduced_screen_by_measurement_mixture",
+    "reduced_screen_by_partial_trace",
+)
 # 2 * kappa * bin_width = 2 pi: psi_2 is psi_1 times one phase on every bin.
 ALIASED_KAPPA = math.pi * 256 / 20
 
@@ -119,26 +124,45 @@ class TestVerifyNoSignaling:
         assert report.verdict == "fail"
 
     @pytest.mark.parametrize(
-        "mode, built",
+        "mode, built, states",
         [
-            (ModelMode.UNITARY_QM, ["incoherent_distribution"]),
-            (ModelMode.NAIVE_COLLAPSE, ["coherent_distribution", "incoherent_distribution"]),
+            (
+                ModelMode.UNITARY_QM,
+                ["incoherent_distribution"],
+                ["reduced_screen_by_measurement_mixture", "reduced_screen_by_partial_trace"],
+            ),
+            (
+                ModelMode.NAIVE_COLLAPSE,
+                ["coherent_distribution", "incoherent_distribution"],
+                ["coherent_screen_state", "reduced_screen_by_measurement_mixture"],
+            ),
         ],
         ids=["UnitaryQM", "NaiveCollapse"],
     )
-    def test_each_screen_pattern_built_once(self, monkeypatch, mode, built):
+    def test_each_screen_pattern_built_once(self, monkeypatch, mode, built, states):
         """Under UnitaryQM both settings show the incoherent pattern, so it
-        is built once and the two marginals are exactly equal."""
+        is built once and the two marginals are exactly equal. Each setting's
+        state is built once, and under UnitaryQM by two independent routes:
+        the partial trace (off) and the which-path mixture (on)."""
         calls = []
         for name in ("coherent_distribution", "incoherent_distribution"):
             original = getattr(protocol_module, name)
             monkeypatch.setattr(
                 protocol_module, name, lambda cfg, name=name, original=original: calls.append(name) or original(cfg)
             )
+        state_calls = []
+        for name in STATE_BUILDERS:
+            original = getattr(protocol_module, name)
+            monkeypatch.setattr(
+                protocol_module, name, lambda cfg, name=name, original=original: state_calls.append(name) or original(cfg)
+            )
         report = verify_no_signaling(DeviceConfig(bins=64), mode)
         assert sorted(calls) == built
+        assert sorted(state_calls) == states
         if mode is ModelMode.UNITARY_QM:
             assert report.tv_distance == report.mutual_information_bits == 0.0
+            hypotheses = Hypotheses(DeviceConfig(bins=64), mode)
+            assert hypotheses.pattern(Detector.OFF) is hypotheses.pattern(Detector.ON)
 
     def test_report_serialization_round_trip(self):
         report = verify_no_signaling(DeviceConfig(), ModelMode.UNITARY_QM)
@@ -195,8 +219,8 @@ class TestReducedStateRoutes:
         computation path, 1e-15) and independently against the
         measurement-mixture route (1e-12)."""
         cfg = DeviceConfig()
-        off = screen_marginal(cfg, Detector.OFF, ModelMode.UNITARY_QM)
-        on = screen_marginal(cfg, Detector.ON, ModelMode.UNITARY_QM)
+        hypotheses = Hypotheses(cfg, ModelMode.UNITARY_QM)
+        off, on = hypotheses.pattern(Detector.OFF), hypotheses.pattern(Detector.ON)
         assert np.abs(on - off).max() < 1e-15
         mixture = reduced_screen_by_measurement_mixture(cfg)
         mixture_diagonal = DensityMatrix(lifted(cfg, mixture)).diagonal_probabilities()

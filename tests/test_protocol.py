@@ -19,6 +19,7 @@ from qtelegraph.protocol import (
     Detector,
     EnsembleSchedule,
     ErrorLaw,
+    Hypotheses,
     MAX_TELEGRAPHS,
     ModelMode,
     TransmissionPlan,
@@ -29,7 +30,6 @@ from qtelegraph.protocol import (
     log_ratio_table,
     required_sample_size,
     sample_hits,
-    screen_marginal,
     transmit_message,
     _BLOCK_HITS,
     _BinSampler,
@@ -136,15 +136,15 @@ class TestPlanAndRecords:
 class TestScreenMarginal:
     def test_naive_collapse_reveals_detector_setting(self):
         cfg = DeviceConfig()
-        off = screen_marginal(cfg, Detector.OFF, ModelMode.NAIVE_COLLAPSE)
-        on = screen_marginal(cfg, Detector.ON, ModelMode.NAIVE_COLLAPSE)
+        hypotheses = Hypotheses(cfg, ModelMode.NAIVE_COLLAPSE)
+        off, on = hypotheses.pattern(Detector.OFF), hypotheses.pattern(Detector.ON)
         assert np.array_equal(off, coherent_distribution(cfg))
         assert np.array_equal(on, incoherent_distribution(cfg))
 
     def test_unitary_marginal_is_detector_independent_bitwise(self):
         cfg = DeviceConfig()
-        off = screen_marginal(cfg, Detector.OFF, ModelMode.UNITARY_QM)
-        on = screen_marginal(cfg, Detector.ON, ModelMode.UNITARY_QM)
+        hypotheses = Hypotheses(cfg, ModelMode.UNITARY_QM)
+        off, on = hypotheses.pattern(Detector.OFF), hypotheses.pattern(Detector.ON)
         assert np.array_equal(off, on)
         assert np.array_equal(off, incoherent_distribution(cfg))
         assert not off.flags.writeable
@@ -877,6 +877,7 @@ class TestTransmitMessage:
         seeds = child_seeds(rng, symbols)
         centers = cfg.bin_centers()
         clock = 0.0
+        hypotheses = Hypotheses(cfg, mode)
         for bit, seed, bins, times, log_lr, fringe, symbol_time in zip(
             bits,
             seeds,
@@ -888,7 +889,7 @@ class TestTransmitMessage:
             strict=True,
         ):
             detectors = Detector.ON if bit == 1 else Detector.OFF
-            probabilities = screen_marginal(cfg, detectors, mode)
+            probabilities = hypotheses.pattern(detectors)
             uniforms = np.random.default_rng(int(seed)).random(m)
             assert np.array_equal(centers[bins], centers[clipped_search(probabilities, uniforms)])
             assert (log_lr, fringe) == decide_bit(centers[bins], cfg)

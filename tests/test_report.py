@@ -1,9 +1,11 @@
 """Tests for the report writers: byte for byte against csv.writer and json.dumps."""
 
 import csv
+import errno
 import io
 import json
 import math
+import os
 import sys
 import tracemalloc
 
@@ -288,6 +290,16 @@ class TestWriteJson:
         assert written_json(tmp_path / "r.json", document) == expected
         assert handed == [document["config"], None]
 
+    def test_a_failed_chunk_write_leaves_no_file(self, tmp_path, monkeypatch):
+        """A full disk at the second chunk of an array removes the report:
+        the brace, the key and the first chunk are not left behind."""
+        monkeypatch.setattr(report_module, "_ROWS_PER_CHUNK", 2)
+        monkeypatch.setattr(report_module, "open", lambda path, mode: DiskFullAfter(path, mode, 3), raising=False)
+        path = tmp_path / "r.json"
+        with pytest.raises(OSError, match="No space left"):
+            write_json(path, {"xs": np.arange(6.0)})
+        assert not path.exists()
+
     def test_numpy_floats_are_written_as_floats(self, tmp_path):
         # json writes a float subclass through float.__repr__; so must this.
         document = {"x": np.float64(0.1), "xs": [np.float64(2.5), 1.0]}
@@ -297,6 +309,27 @@ class TestWriteJson:
 # -- write_csv -----------------------------------------------------------------
 
 SAFE_FIELDS = st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)))
+
+
+class DiskFullAfter:
+    """A report file whose writes after the first ``writes`` fail as a full
+    disk does."""
+
+    def __init__(self, path, mode, writes):
+        self.file = open(path, mode)
+        self.writes = writes
+
+    def write(self, data):
+        if not self.writes:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.writes -= 1
+        return self.file.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
 
 
 def texts_column(texts) -> Coded:
@@ -333,6 +366,17 @@ class TestWriteCsv:
         column[row] = field
         with pytest.raises(ValueError, match="comma, a double quote or a line break"):
             write_csv(tmp_path / "r.csv", [], ("a", "b"), (texts_column(column), constant_column("x", 4)))
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_a_field_csv_would_quote_in_a_later_chunk_leaves_no_file(self, tmp_path, monkeypatch):
+        """Sparse codes -5..-1 are formatted chunk by chunk, so code -1's
+        'x,y' is found after the header and four rows are written."""
+        monkeypatch.setattr(report_module, "_ROWS_PER_CHUNK", 2)
+        column = Coded(np.arange(-5, 0), lambda code: "x,y" if code == -1 else str(code))
+        path = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match="comma, a double quote or a line break"):
+            write_csv(path, ["c"], ("a", "b"), (column, constant_column("z", 5)))
+        assert not path.exists()
 
     @pytest.mark.parametrize("header", [("a,b", "c"), ("a", 'b"')])
     def test_header_csv_would_quote_raises(self, tmp_path, header):
@@ -554,6 +598,7 @@ class TestCodedColumn:
         column = Coded(np.array([0, 1, 0]), lambda code: field if code else "ok")
         with pytest.raises(ValueError, match="comma, a double quote or a line break"):
             write_csv(tmp_path / "r.csv", [], ("a", "b"), (column, np.zeros(3)))
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (4096, 4097), (0, 1)])
     def test_columns_of_unequal_length_raise(self, tmp_path, lengths):
