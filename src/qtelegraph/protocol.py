@@ -370,11 +370,11 @@ class ErrorLaw:
 
 class Hypotheses:
     """What each detector setting shows at the receiving end for one (config,
-    mode): its screen ``pattern`` and its 2 x 2 span ``state``. On, it is the
-    incoherent pattern and route (b), the which-path mixture. Off, NaiveCollapse
-    credits the coherent pattern and the pure superposition; UnitaryQM shows
-    the same incoherent pattern object and route (a), the partial trace, an
-    independent route to the same matrix. ``law`` is the receiver's ErrorLaw."""
+    mode): its screen ``pattern`` and 2 x 2 span ``state``. Detectors on show
+    the incoherent pattern and route (b), the which-path mixture. Off, they show
+    the coherent pattern and pure superposition under NaiveCollapse, and under
+    UnitaryQM the same incoherent pattern object and route (a), the partial
+    trace, an independent route to (b)'s matrix. ``law`` is the ErrorLaw."""
 
     def __init__(self, cfg: DeviceConfig, mode: ModelMode) -> None:
         self.law = ErrorLaw(cfg)

@@ -229,7 +229,7 @@ def _report_file(path: str | Path) -> Iterator[BinaryIO]:
         with handle:
             yield handle
     except BaseException:
-        Path(path).unlink()
+        Path(path).unlink(missing_ok=True)
         raise
 
 
@@ -314,8 +314,7 @@ def write_json(path: str | Path, document) -> None:
     allow_nan=False)`` and a line break, with each 1-d array and each
     :class:`Records` at the top level of a dict with ``str`` keys written as
     its list, a chunk of rows at a time. Every other value is ``json``'s own
-    text, re-indented. A value ``json`` refuses raises before the file is
-    opened.
+    text, re-indented; what ``json`` refuses raises before the file is opened.
     """
     if not (isinstance(document, dict) and document and all(type(key) is str for key in document)):
         pieces = [_dumps(document, b"\n") + b"\n"]
