@@ -85,7 +85,9 @@ MIN_ALPHA = 1e-9
 # The planner's search gives up past this M.
 M_CAP = 1 << 16
 
-Brackets = tuple[tuple[float, float], tuple[float, float]]
+Bracket = tuple[float, float]
+# One bracket per hypothesis, coherent-pattern data first.
+Brackets = tuple[Bracket | None, Bracket | None]
 
 
 def _check_period(name: str, value: float) -> None:
@@ -259,14 +261,18 @@ class ErrorLaw:
     """The M-sample receiver's exact error law for one DeviceConfig: the
     screen patterns ``coherent`` and ``incoherent``, the LLR ``table`` the
     receiver sums (all read-only and built on first read), their
-    ``total_variation``, and [lo, hi] brackets on both errors at any M. The
+    ``total_variation``, and a [lo, hi] bracket on either error at any M. The
     statistic is a sum of M i.i.d. draws from the table, so each error is a
-    tail of the table law's M-fold convolution power (Cover & Thomas,
-    *Elements of Information Theory*, ch. 11), bracketed on a lattice."""
+    tail of the table law's M-fold convolution power under its hypothesis
+    (Cover & Thomas, *Elements of Information Theory*, ch. 11), bracketed on
+    a lattice. A planner probe (``settled``) builds one hypothesis's law at a
+    time and the other's only where the first leaves the probe open."""
 
     def __init__(self, cfg: DeviceConfig) -> None:
         self.cfg = cfg
         self._settled: dict[tuple[int, float], Brackets] = {}
+        # The hypothesis a probe computes first (see ``settled``).
+        self._lead = 1
 
     @functools.cached_property
     def coherent(self) -> np.ndarray:
@@ -322,10 +328,12 @@ class ErrorLaw:
         allowance = 2.0 * m * (math.log(length) + 2.0) + 2.0 * float(np.abs(spectrum).sum()) + 1.0
         return np.fft.irfft(spectrum, length)[:size], g * allowance
 
-    def brackets(self, m: int, step: float) -> Brackets | None:
-        """[lo, hi] on each error probability of the m-sample LRT, coherent
-        data first, with the table on a lattice of ``step``; None if the
-        m-fold law on that lattice would exceed _LATTICE_BUDGET points.
+    def bracket(self, m: int, step: float, hypothesis: int) -> Bracket | None:
+        """[lo, hi] on one error probability of the m-sample LRT, with the
+        table on a lattice of ``step``, from one ``power`` call: hypothesis 0
+        is coherent-pattern data, whose error is deciding "no interference",
+        and 1 is incoherent-pattern data (the order of ``Brackets``). None if
+        the m-fold law on that lattice would exceed _LATTICE_BUDGET points.
 
         The lattice sum step*K is within m*step/2 of the true sum S, so with
         h = m // 2, S <= 0 implies K <= h and K <= -h - 1 implies S < 0:
@@ -339,33 +347,55 @@ class ErrorLaw:
         # Lattice sums <= k are offset sums below k - m*least + 1 (the law's
         # length caps the slice), for k = -h - 1 and k = h.
         below, upto = (max(0, k - m * least + 1) for k in (-(m // 2) - 1, m // 2))
-        law, allowance = self.power(self.coherent, offsets, m)
-        ends = [(law[:below].sum(), law[:upto].sum(), allowance)]
-        # Freed before the next law is built: one lattice-sized law at a time.
-        del law
-        law, allowance = self.power(self.incoherent, offsets, m)
-        ends.append((law[upto:].sum(), law[below:].sum(), allowance))
-        c, i = ((max(0.0, float(lo) - a), min(1.0, float(hi) + a)) for lo, hi, a in ends)
-        return c, i
+        law, allowance = self.power((self.coherent, self.incoherent)[hypothesis], offsets, m)
+        if hypothesis == 0:
+            lo, hi = law[:below].sum(), law[:upto].sum()
+        else:
+            lo, hi = law[upto:].sum(), law[below:].sum()
+        return max(0.0, float(lo) - allowance), min(1.0, float(hi) + allowance)
 
     def settled(self, m: int, alpha: float) -> Brackets:
-        """``brackets`` at m from step _COARSE_STEP (doubled until the lattice
-        fits the budget), the step halved while a bracket straddles alpha and
-        the halved lattice fits; computed once per (m, alpha)."""
+        """The brackets at m at the probe's last lattice step, None for a law
+        that step did not build; computed once per (m, alpha).
+
+        The step starts at _COARSE_STEP, doubled until the lattice fits the
+        budget. Each step builds the lead hypothesis's law first and fails
+        the probe if its lower end is > alpha; only if its upper end is <=
+        alpha does it build the other law, which fails or meets the probe
+        unless it straddles alpha. The step is halved while the probe is open
+        and the finer lattice fits. The lead is the hypothesis whose lower
+        end was larger when both were last built (at first the incoherent).
+
+        Each [lo, hi] bounds its exact error at every step, so a lower end >
+        alpha at any step rules out a meet at every step: building both laws
+        at every step reaches the same verdict. A probe that meets has no
+        lower end > alpha, so it stops, as that ladder does, at the first step
+        where both upper ends are <= alpha, with the same brackets. The lead
+        sets only how many laws are built.
+        """
         if (m, alpha) not in self._settled:
-            step = _COARSE_STEP
-            while (found := self.brackets(m, step)) is None:
+            lead, step = self._lead, _COARSE_STEP
+            while (ends := self.bracket(m, step, lead)) is None:
                 step *= 2.0
-            while not (
-                all(hi <= alpha for _, hi in found) or any(lo > alpha for lo, _ in found)
-            ) and (finer := self.brackets(m, step / 2.0)) is not None:
-                found, step = finer, step / 2.0
-            self._settled[m, alpha] = found
+            while True:
+                found: list[Bracket | None] = [None, None]
+                found[lead] = ends
+                if ends[1] <= alpha:
+                    other = found[1 - lead] = self.bracket(m, step, 1 - lead)
+                    self._lead = lead if ends[0] >= other[0] else 1 - lead
+                    if other[0] > alpha or other[1] <= alpha:
+                        break
+                elif ends[0] > alpha:
+                    break
+                if (finer := self.bracket(m, step / 2.0, lead)) is None:
+                    break
+                ends, step = finer, step / 2.0
+            self._settled[m, alpha] = tuple(found)
         return self._settled[m, alpha]
 
     def meets(self, m: int, alpha: float) -> bool:
         """Whether both error probabilities at m are certainly <= alpha."""
-        return all(hi <= alpha for _, hi in self.settled(m, alpha))
+        return all(ends is not None and ends[1] <= alpha for ends in self.settled(m, alpha))
 
 
 class Hypotheses:
@@ -409,7 +439,9 @@ def required_sample_size(cfg: DeviceConfig, alpha: float) -> SampleSizeResult:
     <= alpha.
 
     Searches by doubling, up to M_CAP, then by bisection; M is feasible only
-    if both upper ends are <= alpha, so the result is always sufficient.
+    if both upper ends are <= alpha, so the result is always sufficient. A
+    probe builds one hypothesis's law at a time (``ErrorLaw.settled``), with
+    the verdict, and at M* the brackets, that building both gives.
     Nothing is random. When the two patterns are (numerically)
     indistinguishable no finite M exists and an explicit failure is returned.
     alpha >= 1/2 needs no data at all: a fair coin achieves it, so M = 0.

@@ -1,7 +1,10 @@
 """Reference code that only the tests read, kept out of the package."""
 
+from unittest import mock
+
 import numpy as np
 
+from qtelegraph import protocol
 from qtelegraph.cli import RunConfig, parse_document, resolve_config
 
 
@@ -18,3 +21,44 @@ def divmod_emissions(schedule, first: int, count: int) -> tuple[np.ndarray, np.n
     cycle, slot = np.divmod(np.arange(first, first + count), schedule.telegraphs)
     ids = np.argsort(schedule.offsets, kind="stable")[slot]
     return schedule.offsets[ids] + schedule.period * cycle, ids
+
+
+class JointErrorLaw(protocol.ErrorLaw):
+    """The planner's former probe: both hypotheses' laws at every lattice
+    step, the step halved while neither settles the probe."""
+
+    def brackets(self, m: int, step: float):
+        """[lo, hi] on each error probability, coherent data first, with the
+        table on a lattice of ``step``; None past the lattice budget."""
+        offsets, least = self.lattice(m, step)
+        if m * int(offsets.max()) + 1 > protocol._LATTICE_BUDGET:
+            return None
+        below, upto = (max(0, k - m * least + 1) for k in (-(m // 2) - 1, m // 2))
+        law, allowance = self.power(self.coherent, offsets, m)
+        ends = [(law[:below].sum(), law[:upto].sum(), allowance)]
+        del law
+        law, allowance = self.power(self.incoherent, offsets, m)
+        ends.append((law[upto:].sum(), law[below:].sum(), allowance))
+        c, i = ((max(0.0, float(lo) - a), min(1.0, float(hi) + a)) for lo, hi, a in ends)
+        return c, i
+
+    def settled(self, m: int, alpha: float):
+        """``brackets`` at m from step _COARSE_STEP (doubled until the lattice
+        fits the budget), the step halved while a bracket straddles alpha and
+        the halved lattice fits; computed once per (m, alpha)."""
+        if (m, alpha) not in self._settled:
+            step = protocol._COARSE_STEP
+            while (found := self.brackets(m, step)) is None:
+                step *= 2.0
+            while not (
+                all(hi <= alpha for _, hi in found) or any(lo > alpha for lo, _ in found)
+            ) and (finer := self.brackets(m, step / 2.0)) is not None:
+                found, step = finer, step / 2.0
+            self._settled[m, alpha] = found
+        return self._settled[m, alpha]
+
+
+def joint_required_sample_size(cfg, alpha: float) -> protocol.SampleSizeResult:
+    """``required_sample_size`` with every probe settled by ``JointErrorLaw``."""
+    with mock.patch.object(protocol, "ErrorLaw", JointErrorLaw):
+        return protocol.required_sample_size(cfg, alpha)

@@ -182,6 +182,16 @@ TRANSMIT_INVALID = {
     "alpha": st.sampled_from([-0.5, 0.0, 1e-10, 1.0, 2.0]),
 }
 
+# plan's keys: the target error probability on two grids.
+PLAN_VALID = {
+    "alpha": st.floats(1e-4, 1.0, exclude_max=True),
+    "bins": st.sampled_from([64, 256]),
+}
+PLAN_INVALID = {
+    "alpha": TRANSMIT_INVALID["alpha"],
+    "bins": st.sampled_from([-64, 0, 1, 2**21 + 1]),
+}
+
 # paradox's keys; a separation near the float range's top overflows the loop.
 FRAME_SPEED = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
 PARADOX_VALID = {
@@ -702,6 +712,23 @@ class TestSubcommands:
             assert transcript["hit_counts"] == [inputs["M"]] * symbols
             assert len(transcript["received"]) == len(transcript["decisions"]) == symbols
             assert json.loads(reports["summary.json"])["symbols"] == symbols
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(case=domain_inputs(PLAN_VALID, PLAN_INVALID))
+    # alpha = 0.5 needs no data: M* is 0 and both brackets are null.
+    @example(case=(None, {"alpha": 0.5, "bins": 64}))
+    @example(case=(None, {"alpha": 1e-4, "bins": 256}))
+    def test_any_plan_input_writes_a_sufficient_plan_or_exits_2(self, case):
+        """plan over alpha and bins: exit 0 with a plan whose upper ends are
+        both <= alpha when it has an M* above 0, or exit 2 naming a key."""
+        broken, inputs = case
+        code, err, reports, _ = run_with_flags("plan", inputs)
+        assert (code == 0) == (broken is None), (code, err)
+        if assert_verdict_or_named_error(broken, inputs, code, err, reports):
+            plan = json.loads(reports["plan.json"])
+            assert plan["alpha"] == inputs["alpha"]
+            if plan["feasible"] and plan["m_star"] > 0:
+                assert max(plan["error_interference"][1], plan["error_no_interference"][1]) <= inputs["alpha"]
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(case=domain_inputs(PARADOX_VALID, PARADOX_INVALID))

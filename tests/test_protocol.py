@@ -1,12 +1,14 @@
 """Tests for the telegraph protocol: receiver, planner, ensemble, throughput."""
 
+import contextlib
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtelegraph import protocol as protocol_module
 from qtelegraph.device import (
@@ -38,7 +40,7 @@ from qtelegraph.protocol import (
 )
 from qtelegraph.rng import child_seeds, stream
 
-from oracles import divmod_emissions
+from oracles import divmod_emissions, joint_required_sample_size
 
 # The planner's M* at the defaults (alpha = 0.01), certified by its error
 # brackets: at M = 26 the incoherent-data error is at least 0.0108, at 27
@@ -46,6 +48,8 @@ from oracles import divmod_emissions
 PINNED_M_STAR = 27
 
 NULL_ALIGNED = DeviceConfig(x_max=5.125, bins=41)
+# Patterns a total variation of 0.016 apart.
+NEARLY_EQUAL = DeviceConfig(bins=64, kappa=0.5, x_max=0.5, envelope_width=0.5, relative_phase=0.5)
 
 
 def mc_error_rates(cfg, m, trials, rng):
@@ -350,18 +354,50 @@ class TestDecideBit:
 
 
 def recorded_probes(monkeypatch):
-    """Every bracket the planner computes, as (m, step, brackets)."""
+    """Every bracket the planner computes, as (m, step, hypothesis, bracket)."""
     probes = []
-    original = ErrorLaw.brackets
+    original = ErrorLaw.bracket
 
-    def recording(law, m, step):
-        brackets = original(law, m, step)
-        if brackets is not None:
-            probes.append((m, step, brackets))
-        return brackets
+    def recording(law, m, step, hypothesis):
+        bracket = original(law, m, step, hypothesis)
+        if bracket is not None:
+            probes.append((m, step, hypothesis, bracket))
+        return bracket
 
-    monkeypatch.setattr(ErrorLaw, "brackets", recording)
+    monkeypatch.setattr(ErrorLaw, "bracket", recording)
     return probes
+
+
+@contextlib.contextmanager
+def counted_powers():
+    """Count ``ErrorLaw.power`` calls, the planner's FFT laws, made inside
+    the block: yields a list whose one entry is the count so far."""
+    count = [0]
+    original = ErrorLaw.power
+
+    def counted(*args):
+        count[0] += 1
+        return original(*args)
+
+    with mock.patch.object(ErrorLaw, "power", staticmethod(counted)):
+        yield count
+
+
+@st.composite
+def non_aliased_geometries(draw):
+    """A device geometry of 32 to 256 bins with at least 2 bins per fringe
+    period (pi / kappa) and at least 2 periods across the grid."""
+    bins = draw(st.integers(32, 256))
+    x_max = draw(st.floats(2.0, 8.0))
+    width = draw(st.floats(0.5, 4.0))
+    bins_per_period = draw(st.floats(2.0, bins / 2.0))
+    return DeviceConfig(
+        kappa=math.pi * bins / (2.0 * x_max * width * bins_per_period),
+        envelope_width=width,
+        x_max=x_max,
+        bins=bins,
+        relative_phase=draw(st.floats(0.0, 2.0 * math.pi)),
+    )
 
 
 def direct_power(law, m):
@@ -420,8 +456,9 @@ class TestRequiredSampleSize:
         result = required_sample_size(DeviceConfig(), alpha)
         assert result.m_star == m_star
         assert max(result.error_interference[1], result.error_no_interference[1]) <= alpha
-        below = [brackets for m, _, brackets in probes if m == m_star - 1]
-        assert any(lo > alpha for lo, _ in below[-1])
+        # The probe at M* - 1 stopped on the last bracket it computed.
+        below = [bracket for m, _, _, bracket in probes if m == m_star - 1]
+        assert below[-1][0] > alpha
         for lo, hi in (result.error_interference, result.error_no_interference):
             assert 0.0 <= lo <= hi <= 1.0
 
@@ -455,14 +492,14 @@ class TestRequiredSampleSize:
         trials = 10_000
         probes = recorded_probes(monkeypatch)
         required_sample_size(cfg, 0.01)
-        assert len({m for m, _, _ in probes}) >= 8
+        assert len({m for m, _, _, _ in probes}) >= 8
         estimates = {}
-        for m, _, brackets in probes:
+        for m, _, hypothesis, (lo, hi) in probes:
             if m not in estimates:
                 estimates[m] = mc_error_rates(cfg, m, trials, stream(78, "probe", m))
-            for estimate, (lo, hi) in zip(estimates[m], brackets):
-                assert lo - 3.0 * math.sqrt(lo * (1 - lo) / trials) <= estimate, (m, lo, estimate)
-                assert estimate <= hi + 3.0 * math.sqrt(hi * (1 - hi) / trials), (m, hi, estimate)
+            estimate = estimates[m][hypothesis]
+            assert lo - 3.0 * math.sqrt(lo * (1 - lo) / trials) <= estimate, (m, lo, estimate)
+            assert estimate <= hi + 3.0 * math.sqrt(hi * (1 - hi) / trials), (m, hi, estimate)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("step", [0.5, 0.1, 1e-2])
@@ -477,7 +514,7 @@ class TestRequiredSampleSize:
         weight_i = math.prod(law.incoherent[grid] for grid in grids)
         err_c = weight_c[llr <= 0].sum()
         err_i = weight_i[llr > 0].sum()
-        (lo_c, hi_c), (lo_i, hi_i) = law.brackets(m, step)
+        (lo_c, hi_c), (lo_i, hi_i) = (law.bracket(m, step, hypothesis) for hypothesis in (0, 1))
         assert lo_c <= err_c <= hi_c
         assert lo_i <= err_i <= hi_i
 
@@ -514,22 +551,22 @@ class TestErrorLaw:
         assert law.total_variation == 0.5 * float(np.abs(law.coherent - law.incoherent).sum())
 
     def test_brackets_hold_one_law_at_a_time(self):
-        # Patterns a total variation of 0.016 apart: at M = 65536 and step
-        # 0.01 each hypothesis's law has 786433 points.
-        cfg = DeviceConfig(bins=64, kappa=0.5, x_max=0.5, envelope_width=0.5, relative_phase=0.5)
-        law = ErrorLaw(cfg)
+        # At M = 65536 and step 0.01 each hypothesis's law has 786433 points.
+        law = ErrorLaw(NEARLY_EQUAL)
         m, step = 65536, 0.01
         offsets, _ = law.lattice(m, step)
         tracemalloc.start()
         try:
             ErrorLaw.power(law.coherent, offsets, m)
             power_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            assert law.brackets(m, step) is not None
-            brackets_peak = tracemalloc.get_traced_memory()[1]
+            bracket_peaks = []
+            for hypothesis in (0, 1):
+                tracemalloc.reset_peak()
+                assert law.bracket(m, step, hypothesis) is not None
+                bracket_peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert brackets_peak <= 1.1 * power_peak, (brackets_peak, power_peak)
+        assert max(bracket_peaks) <= 1.1 * power_peak, (bracket_peaks, power_peak)
 
     def test_settled_brackets_are_computed_once_per_m(self, monkeypatch):
         probes = recorded_probes(monkeypatch)
@@ -538,6 +575,47 @@ class TestErrorLaw:
         count = len(probes)
         assert count >= 1 and law.settled(26, 0.01) is first and len(probes) == count
         assert not law.meets(26, 0.01) and law.meets(27, 0.01)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        cfg=non_aliased_geometries(),
+        alpha=st.sampled_from([0.3, 0.1, 0.01, 1e-3]),
+        budget=st.sampled_from([1 << 10, 1 << 14, 1 << 18]),
+    )
+    # At M = 121 and 122, step 0.01, the incoherent law meets alpha and the
+    # coherent one straddles it; both meet at step 0.005.
+    @example(
+        cfg=DeviceConfig(kappa=0.18139079365739716, envelope_width=3.174564404917848, x_max=5.754162996172942, bins=60),
+        alpha=0.01,
+        budget=1 << 18,
+    )
+    def test_one_law_at_a_time_plans_as_both_laws_at_every_step(self, cfg, alpha, budget):
+        """The planner gives the result of the ladder that builds both laws at
+        every step (the oracle), field for field and bit for bit, from no
+        more FFT laws. Lattice budgets below the planner's own leave some
+        probes open, or the search without M*, at a small cost."""
+        with mock.patch.object(protocol_module, "_LATTICE_BUDGET", budget), counted_powers() as count:
+            result = required_sample_size(cfg, alpha)
+            laws = count[0]
+            count[0] = 0
+            reference = joint_required_sample_size(cfg, alpha)
+        assert result.m_star == reference.m_star
+        # repr tells apart every two doubles but NaNs.
+        assert repr(result.error_interference) == repr(reference.error_interference)
+        assert repr(result.error_no_interference) == repr(reference.error_no_interference)
+        assert result.failure_reason == reference.failure_reason
+        assert laws <= count[0], (laws, count[0])
+
+    @pytest.mark.parametrize(
+        "cfg, alpha, most",
+        [(DeviceConfig(), 0.01, 15), (DeviceConfig(), 1e-6, 25), (NEARLY_EQUAL, 0.01, 34)],
+        ids=["defaults-0.01", "defaults-1e-06", "nearly-equal-0.01"],
+    )
+    def test_planner_builds_few_laws(self, cfg, alpha, most):
+        # Building both laws at every step took 22, 38 and 64.
+        with counted_powers() as count:
+            required_sample_size(cfg, alpha)
+        assert count[0] <= most
 
     # None runs the planner; a mode sends a message under it.
     @pytest.mark.parametrize("mode", [None, *ModelMode], ids=["plan", *(m.value for m in ModelMode)])
