@@ -2,9 +2,10 @@
 
 A report's rows are columns of two kinds: a :class:`Coded` column, an integer
 code per row and the text of a code, and a float64 array, written as each
-float's ``repr``. A chunk of ``_ROWS_PER_CHUNK`` rows of a column is a table of
-texts with explicit byte lengths plus a code per row (a float adds a decimal
-integer before its text). The chunk is laid out as a ``uint8`` matrix, one
+float's ``repr``. A chunk of ``_ROWS_PER_CHUNK`` rows of a column is a field
+per row, made of pieces of two kinds: a text cut from a table by an explicit
+start and byte length per row, and the last n decimal digits of an integer,
+with an explicit n per row. The chunk is laid out as a ``uint8`` matrix, one
 matrix column per row, with literal text before each field and after the row,
 beside a mask of the bytes written, and the masked bytes are written at once.
 
@@ -26,9 +27,40 @@ A writer that raises removes the file it opened: no partial report is left.
 
 A float column is written as ``float.__repr__``, Gay's shortest round-trip
 digits (D. M. Gay, "Correctly Rounded Binary-Decimal and Decimal-Binary
-Conversions", AT&T Numerical Analysis Manuscript 90-10, 1990), through this
-identity: for a double ``1e-4 <= x < 1e16``, ``repr(x) == repr(int(x)) + s``,
-where the suffix ``s`` (from the ".") depends only on the fraction
+Conversions", AT&T Numerical Analysis Manuscript 90-10, 1990), in one of two
+ways, chosen per chunk by the count of distinct (fraction, binade) keys
+(below) that the chunk's ``np.unique`` returns:
+
+* More than ``_REPR_KEYS`` (1024) keys: every value is written from its
+  shortest digits, computed in numpy by :func:`_shortest_digits`. That is
+  Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020), the
+  method of Java's ``Double.toString``, which like Ryu (U. Adams, "Ryu: fast
+  float-to-string conversion", PLDI 2018) needs no big-number arithmetic:
+  three products of the significand with a 126-bit g(k) ~ 10**-k per value,
+  done lane-wise in uint64 32-bit limbs. g(k) is exact, from Python ints, and
+  made only for the exponents k in [-324, 292] that a chunk meets. Two
+  departures from Java give ``repr``'s digits: Java writes at least two
+  digits, so it tries the one-digit-shorter candidate only for s >= 100 and
+  scales a subnormal whose significand is below 3 by 10 (``4.9e-324``);
+  Python writes one digit where one is enough, so the shorter candidate is
+  tried for every s and every subnormal takes the ordinary path
+  (``5e-324``). The text is laid out as ``repr`` does: exponent notation
+  (``e-05``, ``e+16``, ``e-324``, at least two exponent digits) iff the
+  decimal point position decpt satisfies ``decpt <= -4`` or ``decpt > 16``,
+  and ``.0`` after an integral value. Its pieces are the sign (or the whole
+  text of 0.0, inf or nan), the integer digits (0 below 1), ".", the
+  fraction digits, padded with zeros on the left, and the exponent.
+* At most 1024 keys: one ``repr`` per key, as a table, by the identity
+  below. A chunk of few keys, such as hits.csv's times, a short
+  transcript or paradox's events, costs little more than its rows' layout.
+
+The crossover, on a 2-core x86-64 VM with numpy 2.4, lies at about 1300
+keys in a chunk of 4096 rows, and at about 600 rows in a chunk whose keys
+are all distinct; a constant of 1024 sits between the two. A chunk of a
+64-symbol transcript or of paradox's events never reaches it.
+
+The identity: for a double ``1e-4 <= x < 1e16``, ``repr(x) == repr(int(x))
++ s``, where the suffix ``s`` (from the ".") depends only on the fraction
 ``x - floor(x)`` and the binade ``[2**(e-1), 2**e)`` of x. Proof: repr picks
 the shortest digits among the decimals that round to x, those in
 ``[x - u/2, x + u/2]`` with u the binade's spacing (the ends included when
@@ -44,7 +76,7 @@ significand's parity (``k / u`` is even), so the candidates' fractional
 digits and their distances from x are unchanged. (At a power of two the
 interval's lower half is u/4, but a power of two at least 1 has fraction 0,
 and below 1 no shift stays in the binade.) Inside ``[1e-4, 1e16)``
-repr uses no exponent. So each chunk formats one repr per distinct
+repr uses no exponent. So such a chunk formats one repr per distinct
 (fraction, binade), that of the least double of the binade with that
 fraction, and writes ``int(x)`` in numpy; any other value (0.0, a negative
 value, exponent notation, inf, nan) takes its whole repr as its table entry.
@@ -55,6 +87,7 @@ The module does no physics; besides the standard library it uses numpy.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -66,9 +99,19 @@ import numpy as np
 # needs is a few times this many rows, so a report of any length adds little
 # to the resident memory.
 _ROWS_PER_CHUNK = 1 << 12
+# A float chunk with more distinct (fraction, binade) keys than this is
+# written from its shortest digits, not from one repr per key: the measured
+# crossover is about 1300 keys in a chunk of 4096 rows, and about 600 rows
+# in a chunk whose keys are all distinct.
+_REPR_KEYS = 1024
 _ZERO = np.uint8(ord("0"))
-# 0, 10, ..., 10**15: an integer below 1e16 has as many digits as it reaches.
-_DIGIT_THRESHOLDS = np.append(0, 10 ** np.arange(1, 16, dtype=np.int64))
+# 0, 10, ..., 10**16: an integer below 1e17 has as many digits as it reaches.
+_DIGIT_THRESHOLDS = np.append(0, 10 ** np.arange(1, 17, dtype=np.int64))
+_POWERS = 10 ** np.arange(18, dtype=np.int64)
+_MASK32 = (1 << 32) - 1
+_MASK63 = (1 << 63) - 1
+# The decimal exponents k of Schubfach's table g(k) for doubles.
+_K_MIN, _K_MAX = -324, 292
 
 
 def comment_lines_text(lines: Iterable[str]) -> str:
@@ -94,14 +137,23 @@ class Records(NamedTuple):
 
 
 class _Part(NamedTuple):
-    """One column of a chunk: row j is ``integers[j]`` in decimal (none if -1
-    or absent), then ``table[starts[c] : starts[c] + lengths[c]]``, c = ``codes[j]``."""
+    """Text of each row of a chunk: ``table[first[j] : first[j] + lengths[j]]``."""
 
     table: np.ndarray
-    starts: np.ndarray
+    first: np.ndarray
     lengths: np.ndarray
-    codes: np.ndarray
-    integers: np.ndarray | None = None
+
+
+class _Digits(NamedTuple):
+    """Digits of each row of a chunk: the last ``lengths[j]`` decimal digits
+    of ``integers[j]``, zeros on the left where it has fewer (none if 0)."""
+
+    integers: np.ndarray
+    lengths: np.ndarray
+
+
+# A chunk of one column: each row's field is its pieces' texts end to end.
+_Field = Sequence[_Part | _Digits]
 
 
 def _table(entries: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,7 +162,13 @@ def _table(entries: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.frombuffer(b"".join(entries), np.uint8), np.cumsum(lengths) - lengths, lengths
 
 
-def _coded_parts(column: Coded) -> Iterator[_Part]:
+# The text of a value's sign, or the whole text of 0.0, inf and nan.
+_SIGNS, _SIGN_STARTS, _SIGN_LENGTHS = _table([b"", b"-", b"0.0", b"-0.0", b"inf", b"-inf", b"nan"])
+# A decimal point at 0, an exponent's "e+" at 1 and "e-" at 3.
+_MARKS = np.frombuffer(b".e+e-", np.uint8)
+
+
+def _coded_parts(column: Coded) -> Iterator[_Field]:
     codes = column.codes
     if codes.size and codes.min() >= 0 and codes.max() < _ROWS_PER_CHUNK:
         # One table for the column, indexed by the code itself: a code that
@@ -121,7 +179,8 @@ def _coded_parts(column: Coded) -> Iterator[_Part]:
         by_code = np.zeros((2, present[-1] + 1), np.intp)
         by_code[:, present] = starts, lengths
         for first in range(0, len(codes), _ROWS_PER_CHUNK):
-            yield _Part(table, by_code[0], by_code[1], codes[first : first + _ROWS_PER_CHUNK])
+            chunk = codes[first : first + _ROWS_PER_CHUNK]
+            yield (_Part(table, by_code[0][chunk], by_code[1][chunk]),)
         return
     formatted: dict[int, bytes] = {}
     for first in range(0, len(codes), _ROWS_PER_CHUNK):
@@ -132,7 +191,8 @@ def _coded_parts(column: Coded) -> Iterator[_Part]:
         formatted.update(
             (code, column.text(code).encode("utf-8")) for code in present if code not in formatted
         )
-        yield _Part(*_table([formatted[code] for code in present]), inverse)
+        table, starts, lengths = _table([formatted[code] for code in present])
+        yield (_Part(table, starts[inverse], lengths[inverse]),)
 
 
 def _integer_prefix(values: np.ndarray) -> np.ndarray:
@@ -142,7 +202,7 @@ def _integer_prefix(values: np.ndarray) -> np.ndarray:
     return np.where(fixed, np.floor(values), -1).astype(np.int64)
 
 
-def _float_parts(column: np.ndarray) -> Iterator[_Part]:
+def _float_parts(column: np.ndarray) -> Iterator[_Field]:
     for first in range(0, len(column), _ROWS_PER_CHUNK):
         values = column[first : first + _ROWS_PER_CHUNK]
         integers = _integer_prefix(values)
@@ -154,6 +214,9 @@ def _float_parts(column: np.ndarray) -> Iterator[_Part]:
         binade_floor = np.ldexp(1.0, np.frexp(plain)[1] - 1)
         keys = np.where(whole, binade_floor + (plain - integers), values)
         distinct, codes = np.unique(keys.view(np.int64), return_inverse=True)
+        if len(distinct) > _REPR_KEYS:
+            yield _shortest_parts(values)
+            continue
         representatives = distinct.view(np.float64)
         # A list's repr is its floats' reprs joined by ", ", and no float's
         # repr holds a comma. Each entry starts after its integer's digits.
@@ -162,10 +225,137 @@ def _float_parts(column: np.ndarray) -> Iterator[_Part]:
         starts = np.append(0, ends + 2)
         lengths = np.append(ends, len(table)) - starts
         skip = _digit_count(_integer_prefix(representatives))
-        yield _Part(table, starts + skip, lengths - skip, codes, integers)
+        yield (
+            _Digits(integers, _digit_count(integers)),
+            _Part(table, (starts + skip)[codes], (lengths - skip)[codes]),
+        )
 
 
-def _parts(column: Coded | np.ndarray) -> Iterator[_Part]:
+def _floor_log2_pow10(e):
+    """floor(e log2(10)) for |e| <= 1838394 (Giulietti, section 10)."""
+    return (e * 913_124_641_741) >> 38
+
+
+@functools.cache  # k takes the 617 values in [_K_MIN, _K_MAX]
+def _g(k: int) -> tuple[int, ...]:
+    """g1 and the high and low 32-bit halves of g0 and of g1, where g = g1
+    2**63 + g0 = floor(10**-k 2**-r) + 1, with r such that 2**125 <= 10**-k
+    2**-r < 2**126."""
+    r = _floor_log2_pow10(-k) - 125
+    if k > 0:
+        g = (1 << -r) // 10**k + 1
+    else:
+        g = (10**-k >> r if r >= 0 else 10**-k << -r) + 1
+    g1, g0 = g >> 63, g & _MASK63
+    return g1, g0 >> 32, g0 & _MASK32, g1 >> 32, g1 & _MASK32
+
+
+def _high_product(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The high 64 bits of the 128-bit products of uint64 lanes, each lane
+    given as its (high, low) 32-bit halves."""
+    low = a[1] * b[1]
+    middle = a[0] * b[1] + (low >> 32)
+    other = a[1] * b[0] + (middle & _MASK32)
+    return a[0] * b[0] + (middle >> 32) + (other >> 32)
+
+
+def _shortest_digits(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, exponent): digits 10**exponent is the shortest decimal that
+    rounds to each positive finite double, and the nearest to it of those
+    (the even one on a tie), the decimal that ``repr`` writes. digits is an
+    int64 with no trailing zero.
+
+    Schubfach (Giulietti, figure 7), lane-wise, in the names of its paper.
+    """
+    bits = magnitudes.view(np.int64)
+    binade, t = bits >> 52, bits & (1 << 52) - 1
+    c = t | (binade > 0) << 52
+    q = np.maximum(binade, 1) - 1075  # the double is c 2**q
+    # Below a power of two the spacing halves; the least normal double and
+    # the subnormals are evenly spaced.
+    irregular = (t == 0) & (binade > 1)
+    # floor(log10(2**q)), or floor(log10(3/4 2**q)) where irregular.
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = q + _floor_log2_pow10(-k) + 2
+    # g(k) for the exponents this chunk meets, gathered per lane.
+    index = k - _K_MIN
+    table = np.zeros((5, _K_MAX - _K_MIN + 1), np.uint64)
+    present = np.zeros(table.shape[1], bool)
+    present[index] = True
+    for met in np.flatnonzero(present).tolist():
+        table[:, met] = _g(met + _K_MIN)
+    g = np.take(table, index, axis=1)
+    g0_halves, g1_halves = (g[1], g[2]), (g[3], g[4])
+
+    def rop(cb: np.ndarray) -> np.ndarray:
+        """rop(cb 2**h g 2**-127): the integer part of the product, with its
+        lowest bit set when a fraction is left (Giulietti, figure 8)."""
+        cp = (cb << h).view(np.uint64)
+        halves = (cp >> 32, cp & _MASK32)
+        z = (g[0] * cp >> 1) + _high_product(g0_halves, halves)
+        vbp = _high_product(g1_halves, halves) + (z >> 63)
+        return (vbp | ((z & _MASK63) + _MASK63) >> 63).view(np.int64)
+
+    # 4 v and 4 times the ends of the interval that rounds to v, in units of
+    # 10**k, each to within round-to-odd; an odd c excludes the ends.
+    cb = c << 2
+    vb, vbl, vbr = rop(cb), rop(cb - 2 + irregular), rop(cb + 2)
+    lowest, highest = vbl + (c & 1), vbr - (c & 1)
+    s = vb >> 2
+    # The interval is narrower than 10**(k + 1), so it holds sp10 or tp10 =
+    # sp10 + 10, one digit shorter than s, or neither. Python tries them for
+    # every s; Java only for s >= 100, for Double.toString's two digits.
+    sp10 = s // 10 * 10
+    upin = lowest <= sp10 << 2
+    wpin = (sp10 << 2) + 40 <= highest
+    # Otherwise s or s + 1, whichever lies in the interval, or if both do
+    # the nearer to v, the even one on a tie.
+    uin = lowest <= vb & -4
+    win = (vb | 3) + 1 <= highest
+    up = win & (~uin | ((vb & 3) + (s & 1) > 2))
+    digits = np.where(upin ^ wpin, sp10 + 10 * wpin, s + up)
+    exponent = k
+    for power in (16, 8, 4, 2, 1):
+        quotient = digits // 10**power
+        whole = quotient * 10**power == digits
+        if whole.any():
+            digits = np.where(whole, quotient, digits)
+            exponent = exponent + power * whole
+    return digits, exponent
+
+
+def _shortest_parts(values: np.ndarray) -> _Field:
+    """``repr`` of each value, as a sign (or the whole text of 0.0, inf or
+    nan), the integer digits, ".", the fraction digits and the exponent."""
+    finite = np.isfinite(values) & (values != 0)
+    digits, exponent = _shortest_digits(np.where(finite, np.abs(values), 1.0))
+    count = _digit_count(digits)
+    decpt = count + exponent  # the value is 0.<digits> 10**decpt
+    scientific = (decpt <= -4) | (decpt > 16)
+    point = np.where(scientific, 1, decpt)  # digits before the "."
+    after = count - point  # digits after it, before padding
+    # A value below 1 writes its integer 0 and pads its fraction with zeros;
+    # an integral one pads its integer with zeros and writes ".0".
+    scale = _POWERS[np.clip(after, 0, 17)]
+    quotient = digits // scale
+    fraction = digits - quotient * scale
+    integer = quotient * _POWERS[np.clip(-after, 0, 17)]
+    fraction_lengths = np.where(scientific, after, np.maximum(after, 1)) * finite
+    power = decpt - 1
+    power_lengths = np.where(np.abs(power) < 100, 2, 3) * (scientific & finite)
+    sign = np.signbit(values) + np.where(finite, 0, np.where(values == 0, 2, 4))
+    sign[np.isnan(values)] = 6
+    return (
+        _Part(_SIGNS, _SIGN_STARTS[sign], _SIGN_LENGTHS[sign]),
+        _Digits(integer, np.maximum(point, 1) * finite),
+        _Part(_MARKS, np.zeros_like(fraction_lengths), fraction_lengths > 0),
+        _Digits(fraction, fraction_lengths),
+        _Part(_MARKS, 1 + 2 * (power < 0), 2 * (scientific & finite)),
+        _Digits(np.abs(power), power_lengths),
+    )
+
+
+def _parts(column: Coded | np.ndarray) -> Iterator[_Field]:
     if isinstance(column, Coded):
         return _coded_parts(column)
     return _float_parts(np.ascontiguousarray(column, dtype=np.float64))
@@ -176,19 +366,20 @@ def _length(column: Coded | np.ndarray) -> int:
 
 
 def _digit_count(integers: np.ndarray) -> np.ndarray:
-    """Decimal digits of each integer below 1e16 (0 has one, -1 none)."""
+    """Decimal digits of each integer below 1e17 (0 has one, -1 none)."""
     return np.searchsorted(_DIGIT_THRESHOLDS, integers, side="right")
 
 
-def _rows_bytes(parts: Sequence[_Part], literals: Sequence[bytes]) -> bytes:
+def _rows_bytes(fields: Sequence[_Field], literals: Sequence[bytes]) -> bytes:
     """The rows of one chunk: per row, ``literals[i]`` before field i and
     ``literals[-1]`` after the last field.
 
-    Each field and literal is laid out down a column of a uint8 matrix whose
-    columns are the rows, beside a mask of the bytes written; the masked
-    bytes of the transposed matrix are the rows end to end.
+    Each piece of a field and each literal is laid out down a column of a
+    uint8 matrix whose columns are the rows, beside a mask of the bytes
+    written; the masked bytes of the transposed matrix are the rows end to
+    end.
     """
-    rows = len(parts[0].codes)
+    rows = len(fields[0][0].lengths)
     blocks: list[np.ndarray] = []
     masks: list[np.ndarray] = []
 
@@ -197,25 +388,31 @@ def _rows_bytes(parts: Sequence[_Part], literals: Sequence[bytes]) -> bytes:
             blocks.append(np.frombuffer(text, np.uint8)[:, None].repeat(rows, axis=1))
             masks.append(np.ones((len(text), rows), dtype=bool))
 
-    for before, part in zip(literals, parts):
+    for before, field in zip(literals, fields):
         literal(before)
-        if part.integers is not None:
-            # Right-aligned digits, by division by a scalar, which numpy
-            # does without a hardware divide.
-            counts = _digit_count(part.integers)
-            width = int(counts.max())
+        for piece in field:
+            width = int(piece.lengths.max())
+            places = np.arange(width)[:, None]
+            if isinstance(piece, _Part):
+                blocks.append(np.take(piece.table, piece.first + places, mode="clip"))
+                masks.append(places < piece.lengths)
+                continue
+            # Right-aligned digits, nine at a time in uint32, by division by
+            # a scalar, which numpy does without a hardware divide.
             digits = np.empty((width, rows), dtype=np.uint8)
-            integers = part.integers
-            for place in range(width - 1, -1, -1):
-                quotient = integers // 10
-                digits[place] = integers - quotient * 10
-                integers = quotient
+            integers = piece.integers
+            for end in range(width, 0, -9):
+                group = integers
+                if end > 9:
+                    integers = integers // 10**9
+                    group = group - integers * 10**9
+                group = group.astype(np.uint32)
+                for place in range(end - 1, max(end - 9, 0) - 1, -1):
+                    tens = group // 10
+                    digits[place] = group - tens * 10
+                    group = tens
             blocks.append(digits + _ZERO)
-            masks.append(np.arange(width)[:, None] >= width - counts)
-        first, length = part.starts[part.codes], part.lengths[part.codes]
-        places = np.arange(length.max())[:, None]
-        blocks.append(np.take(part.table, first + places, mode="clip"))
-        masks.append(places < length)
+            masks.append(places >= width - piece.lengths)
     literal(literals[-1])
     return np.concatenate(blocks).T[np.concatenate(masks).T].tobytes()
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtelegraph import report as report_module
-from qtelegraph.cli import main, resolve_config
+from qtelegraph.cli import VERDICTS, main, resolve_config
 from qtelegraph.device import (
     coherent_distribution,
     eraser_conditionals,
@@ -459,6 +459,124 @@ class TestFloatColumn:
             # Small chunks, so keys repeat within and across chunks.
             patch.setattr(report_module, "_ROWS_PER_CHUNK", 64)
             assert float_column_csv(path, times) == expected_float_csv(times.tolist())
+
+
+def sweep_floats() -> list[float]:
+    """Every power of two and power of ten, 3 times each power of ten, and
+    their neighbours; the subnormals below 5000 times the least; the notation
+    switches; 2**53 +- 2 and the largest double; and the negatives of all."""
+    values = {2.0**53 - 2, 2.0**53 + 2, sys.float_info.max}
+    values.update(5e-324 * significand for significand in range(1, 5000))
+    values.update(y for k in range(-1074, 1024) for y in neighbours(2.0**k))
+    powers = [float(f"{m}e{k}") for m in (1, 3) for k in range(-324, 309)]
+    values.update(y for x in powers if 0 < x < math.inf for y in neighbours(x))
+    values.update(neighbours(1e-4) + neighbours(1e16))
+    values.discard(math.inf)
+    values.discard(0.0)
+    return sorted(values | {-x for x in values})
+
+
+SWEEP_FLOATS = sweep_floats()
+
+
+@pytest.fixture(params=["repr", "shortest"])
+def float_path(request, monkeypatch):
+    """Each float chunk through one side of the selection: a repr per
+    distinct key, or the shortest digits of every value."""
+    monkeypatch.setattr(report_module, "_ROWS_PER_CHUNK", 1000)
+    keys = 2**62 if request.param == "repr" else -1
+    monkeypatch.setattr(report_module, "_REPR_KEYS", keys)
+    return request.param
+
+
+def float_column_json(path, values) -> str:
+    return written_json(path, {"v": np.array(values, dtype=np.float64), "r": Records({"w": np.array(values)})})
+
+
+def expected_float_json(values) -> str:
+    return reference_json({"v": list(values), "r": [{"w": value} for value in values]}) + "\n"
+
+
+@pytest.fixture(scope="module")
+def random_patterns():
+    """2**18 random 64-bit patterns, the finite ones as floats, with their
+    CSV and JSON texts. A signalling NaN would raise on comparison under the
+    suite's RuntimeWarning filter, so the patterns stay finite."""
+    bits = np.random.default_rng(20).integers(0, 2**64, 2**18, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)[np.isfinite(bits.view(np.float64))].tolist()
+    return values, expected_float_csv(values), reference_json({"v": values}) + "\n"
+
+
+class TestShortestDigits:
+    """Floats written from their shortest digits equal ``repr``, as the
+    table of one repr per distinct key does."""
+
+    def test_the_sweep_equals_repr(self, tmp_path, float_path):
+        values = SWEEP_FLOATS + [0.0, -0.0, math.inf, -math.inf, math.nan]
+        assert float_column_csv(tmp_path / "r.csv", values) == expected_float_csv(values)
+        finite = SWEEP_FLOATS + [0.0, -0.0]
+        assert float_column_json(tmp_path / "r.json", finite) == expected_float_json(finite)
+
+    def test_random_finite_bit_patterns_equal_repr(self, tmp_path, float_path, random_patterns):
+        values, csv_text, json_text = random_patterns
+        assert float_column_csv(tmp_path / "r.csv", values) == csv_text
+        assert written_json(tmp_path / "r.json", {"v": np.array(values)}) == json_text
+
+    @FLOAT_PROPERTY
+    @given(values=st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats_equal_repr(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("floats")
+        for keys in (2**62, -1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(report_module, "_ROWS_PER_CHUNK", 7)
+                patch.setattr(report_module, "_REPR_KEYS", keys)
+                assert float_column_csv(path / "r.csv", values) == expected_float_csv(values)
+                finite = [value for value in values if math.isfinite(value)]
+                assert float_column_json(path / "r.json", finite) == expected_float_json(finite)
+
+    def test_distributions_pass_no_float_to_repr(self, tmp_path, monkeypatch):
+        """Every column of distributions.csv at 4096 bins has more distinct
+        keys than _REPR_KEYS, so no value of it is formatted by repr."""
+        formatted = []
+
+        def counting(value):
+            formatted.extend(value if isinstance(value, list) else [value])
+            return repr(value)
+
+        monkeypatch.setattr(report_module, "repr", counting, raising=False)
+        cfg = resolve_config({"bins": 4096, "relative_phase": 1.3}).device
+        write_distributions_csv(cfg, tmp_path / "distributions.csv")
+        assert formatted == []
+        # A column of few keys still goes through repr, one per key: 3.5
+        # and 2.5 share the key 2.5, the least double of [2, 4) with fraction 0.5.
+        float_column_csv(tmp_path / "r.csv", [0.5, 3.5, 0.5, 2.5])
+        assert formatted == [0.5, 2.5]
+
+    @pytest.mark.parametrize("mode", ["NaiveCollapse", "UnitaryQM"])
+    @pytest.mark.parametrize("symbols", [1, 64, 300, 4097, 9000])
+    def test_transcript_equals_json_dumps_of_its_lists(self, tmp_path, monkeypatch, mode, symbols):
+        """Short transcripts take the repr table and long ones the shortest
+        digits; either way transcript.json is json.dumps of the message."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["transmit", "--symbols", str(symbols), "--mode", mode, "--seed", "4", "--output-dir", "out"]
+        assert main(argv) == 0
+        cfg = resolve_config({"symbols": symbols, "mode": mode, "seed": 4, "output_dir": "out"})
+        bits = stream(cfg.seed, "transmit", "bits").integers(0, 2, size=symbols)
+        result = transmit_message(bits, cfg.plan, cfg.mode, cfg.device, stream(cfg.seed, "transmit"))
+        decisions = zip(result.log_lr.tolist(), result.received.tolist(), result.fringe_statistic.tolist())
+        document = {
+            "config": cfg.resolved(),
+            "sent": result.sent.tolist(),
+            "received": result.received.tolist(),
+            "symbol_times": result.symbol_times.tolist(),
+            "hit_counts": [cfg.M] * symbols,
+            "decisions": [
+                {"log_lr": llr, "decided": VERDICTS[bit], "fringe_statistic": statistic}
+                for llr, bit, statistic in decisions
+            ],
+        }
+        written = (tmp_path / "out" / "transcript.json").read_text(encoding="utf-8")
+        assert written == reference_json(document) + "\n"
 
 
 # Codes outside [0, 4), the chunk size the dense-code tests patch in.
