@@ -3,11 +3,15 @@
 A report's rows are columns of two kinds: a :class:`Coded` column, an integer
 code per row and the text of a code, and a float64 array, written as each
 float's ``repr``. A chunk of ``_ROWS_PER_CHUNK`` rows of a column is a field
-per row, made of pieces of two kinds: a text cut from a table by an explicit
-start and byte length per row, and the last n decimal digits of an integer,
-with an explicit n per row. The chunk is laid out as a ``uint8`` matrix, one
-matrix column per row, with literal text before each field and after the row,
-beside a mask of the bytes written, and the masked bytes are written at once.
+per row, made of pieces of two kinds: a text of a table, picked by a code per
+row, and the last n decimal digits of an integer, with an explicit n per row.
+The chunk is laid out as a ``uint8`` matrix, one matrix column per row, with
+literal text before each field and after the row. A table's texts are its
+columns, padded below to the longest with the byte 0xFF, and digits are
+padded on the left with it; the rows are the bytes other than 0xFF, written
+at once. Every byte laid out is UTF-8 (encoded texts, ASCII digits and
+literals), where 0xFF never occurs (RFC 3629, section 1), so no text loses a
+byte; a NUL pad would drop a text's NUL.
 
 A Coded column formats the text of a code once per column when every code
 lies in ``[0, _ROWS_PER_CHUNK)``: one table, indexed by the code itself, that
@@ -29,7 +33,7 @@ A float column is written as ``float.__repr__``, Gay's shortest round-trip
 digits (D. M. Gay, "Correctly Rounded Binary-Decimal and Decimal-Binary
 Conversions", AT&T Numerical Analysis Manuscript 90-10, 1990), in one of two
 ways, chosen per chunk by the count of distinct (fraction, binade) keys
-(below) that the chunk's ``np.unique`` returns:
+(below) in the chunk, counted in its sorted keys:
 
 * More than ``_REPR_KEYS`` (1024) keys: every value is written from its
   shortest digits, computed in numpy by :func:`_shortest_digits`. That is
@@ -105,6 +109,8 @@ _ROWS_PER_CHUNK = 1 << 12
 # in a chunk whose keys are all distinct.
 _REPR_KEYS = 1024
 _ZERO = np.uint8(ord("0"))
+# Pads texts and digits to their block's width; it is never a byte of UTF-8.
+_PAD = 0xFF
 # 0, 10, ..., 10**16: an integer below 1e17 has as many digits as it reaches.
 _DIGIT_THRESHOLDS = np.append(0, 10 ** np.arange(1, 17, dtype=np.int64))
 _POWERS = 10 ** np.arange(18, dtype=np.int64)
@@ -137,11 +143,10 @@ class Records(NamedTuple):
 
 
 class _Part(NamedTuple):
-    """Text of each row of a chunk: ``table[first[j] : first[j] + lengths[j]]``."""
+    """Text of each row of a chunk: column ``codes[j]`` of a :func:`_table`."""
 
     table: np.ndarray
-    first: np.ndarray
-    lengths: np.ndarray
+    codes: np.ndarray
 
 
 class _Digits(NamedTuple):
@@ -156,16 +161,18 @@ class _Digits(NamedTuple):
 _Field = Sequence[_Part | _Digits]
 
 
-def _table(entries: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The texts end to end, with each text's start and length."""
-    lengths = np.fromiter(map(len, entries), np.intp, len(entries))
-    return np.frombuffer(b"".join(entries), np.uint8), np.cumsum(lengths) - lengths, lengths
+def _table(entries: Sequence[bytes]) -> np.ndarray:
+    """The texts as the columns of a uint8 matrix, padded below with ``_PAD``."""
+    width = max(map(len, entries), default=0)
+    padded = b"".join(entry.ljust(width, bytes([_PAD])) for entry in entries)
+    return np.frombuffer(padded, np.uint8).reshape(len(entries), width).T.copy()
 
 
 # The text of a value's sign, or the whole text of 0.0, inf and nan.
-_SIGNS, _SIGN_STARTS, _SIGN_LENGTHS = _table([b"", b"-", b"0.0", b"-0.0", b"inf", b"-inf", b"nan"])
-# A decimal point at 0, an exponent's "e+" at 1 and "e-" at 3.
-_MARKS = np.frombuffer(b".e+e-", np.uint8)
+_SIGNS = _table([b"", b"-", b"0.0", b"-0.0", b"inf", b"-inf", b"nan"])
+# No decimal point, or one; no exponent mark, "e+" or "e-".
+_POINTS = _table([b"", b"."])
+_EXPONENTS = _table([b"", b"e+", b"e-"])
 
 
 def _coded_parts(column: Coded) -> Iterator[_Field]:
@@ -173,14 +180,12 @@ def _coded_parts(column: Coded) -> Iterator[_Field]:
     if codes.size and codes.min() >= 0 and codes.max() < _ROWS_PER_CHUNK:
         # One table for the column, indexed by the code itself: a code that
         # never occurs gets an empty entry and no text.
-        present = np.flatnonzero(np.bincount(codes.astype(np.intp, copy=False)))
-        texts = [column.text(code).encode("utf-8") for code in present.tolist()]
-        table, starts, lengths = _table(texts)
-        by_code = np.zeros((2, present[-1] + 1), np.intp)
-        by_code[:, present] = starts, lengths
+        texts = [b""] * (int(codes.max()) + 1)
+        for code in np.flatnonzero(np.bincount(codes.astype(np.intp, copy=False))).tolist():
+            texts[code] = column.text(code).encode("utf-8")
+        table = _table(texts)
         for first in range(0, len(codes), _ROWS_PER_CHUNK):
-            chunk = codes[first : first + _ROWS_PER_CHUNK]
-            yield (_Part(table, by_code[0][chunk], by_code[1][chunk]),)
+            yield (_Part(table, codes[first : first + _ROWS_PER_CHUNK]),)
         return
     formatted: dict[int, bytes] = {}
     for first in range(0, len(codes), _ROWS_PER_CHUNK):
@@ -191,8 +196,7 @@ def _coded_parts(column: Coded) -> Iterator[_Field]:
         formatted.update(
             (code, column.text(code).encode("utf-8")) for code in present if code not in formatted
         )
-        table, starts, lengths = _table([formatted[code] for code in present])
-        yield (_Part(table, starts[inverse], lengths[inverse]),)
+        yield (_Part(_table([formatted[code] for code in present]), inverse),)
 
 
 def _integer_prefix(values: np.ndarray) -> np.ndarray:
@@ -212,22 +216,22 @@ def _float_parts(column: np.ndarray) -> Iterator[_Field]:
         whole = integers >= 1
         plain = np.where(whole, values, 0.0)
         binade_floor = np.ldexp(1.0, np.frexp(plain)[1] - 1)
-        keys = np.where(whole, binade_floor + (plain - integers), values)
-        distinct, codes = np.unique(keys.view(np.int64), return_inverse=True)
-        if len(distinct) > _REPR_KEYS:
+        keys = np.where(whole, binade_floor + (plain - integers), values).view(np.int64)
+        ordered = np.sort(keys)
+        runs = np.append(True, ordered[1:] != ordered[:-1])  # a new key starts
+        if np.count_nonzero(runs) > _REPR_KEYS:
             yield _shortest_parts(values)
             continue
+        distinct = ordered[runs]
         representatives = distinct.view(np.float64)
         # A list's repr is its floats' reprs joined by ", ", and no float's
-        # repr holds a comma. Each entry starts after its integer's digits.
-        table = np.frombuffer(repr(representatives.tolist())[1:-1].encode("ascii"), np.uint8)
-        ends = np.flatnonzero(table == ord(","))
-        starts = np.append(0, ends + 2)
-        lengths = np.append(ends, len(table)) - starts
-        skip = _digit_count(_integer_prefix(representatives))
+        # repr holds a comma. Each suffix follows its integer's digits.
+        texts = repr(representatives.tolist())[1:-1].encode("ascii").split(b", ")
+        skips = _digit_count(_integer_prefix(representatives)).tolist()
+        suffixes = _table([text[skip:] for text, skip in zip(texts, skips)])
         yield (
             _Digits(integers, _digit_count(integers)),
-            _Part(table, (starts + skip)[codes], (lengths - skip)[codes]),
+            _Part(suffixes, np.searchsorted(distinct, keys)),
         )
 
 
@@ -346,11 +350,11 @@ def _shortest_parts(values: np.ndarray) -> _Field:
     sign = np.signbit(values) + np.where(finite, 0, np.where(values == 0, 2, 4))
     sign[np.isnan(values)] = 6
     return (
-        _Part(_SIGNS, _SIGN_STARTS[sign], _SIGN_LENGTHS[sign]),
+        _Part(_SIGNS, sign),
         _Digits(integer, np.maximum(point, 1) * finite),
-        _Part(_MARKS, np.zeros_like(fraction_lengths), fraction_lengths > 0),
+        _Part(_POINTS, np.minimum(fraction_lengths, 1)),
         _Digits(fraction, fraction_lengths),
-        _Part(_MARKS, 1 + 2 * (power < 0), 2 * (scientific & finite)),
+        _Part(_EXPONENTS, (1 + (power < 0)) * (scientific & finite)),
         _Digits(np.abs(power), power_lengths),
     )
 
@@ -374,31 +378,26 @@ def _rows_bytes(fields: Sequence[_Field], literals: Sequence[bytes]) -> bytes:
     """The rows of one chunk: per row, ``literals[i]`` before field i and
     ``literals[-1]`` after the last field.
 
-    Each piece of a field and each literal is laid out down a column of a
-    uint8 matrix whose columns are the rows, beside a mask of the bytes
-    written; the masked bytes of the transposed matrix are the rows end to
-    end.
+    Each piece of a field and each literal is a block of a uint8 matrix whose
+    columns are the rows: a table's column of a row's text, or its digits
+    right aligned, with ``_PAD`` above them. The transposed matrix's bytes,
+    with each ``_PAD`` deleted in one pass (no mask), are the rows end to end.
     """
-    rows = len(fields[0][0].lengths)
+    rows = len(fields[0][0][1])  # a _Part's codes, a _Digits' lengths
     blocks: list[np.ndarray] = []
-    masks: list[np.ndarray] = []
 
     def literal(text: bytes) -> None:
-        if text:
-            blocks.append(np.frombuffer(text, np.uint8)[:, None].repeat(rows, axis=1))
-            masks.append(np.ones((len(text), rows), dtype=bool))
+        blocks.append(np.frombuffer(text, np.uint8)[:, None].repeat(rows, axis=1))
 
     for before, field in zip(literals, fields):
         literal(before)
         for piece in field:
-            width = int(piece.lengths.max())
-            places = np.arange(width)[:, None]
             if isinstance(piece, _Part):
-                blocks.append(np.take(piece.table, piece.first + places, mode="clip"))
-                masks.append(places < piece.lengths)
+                blocks.append(np.take(piece.table, piece.codes, axis=1))
                 continue
             # Right-aligned digits, nine at a time in uint32, by division by
             # a scalar, which numpy does without a hardware divide.
+            width = int(piece.lengths.max())
             digits = np.empty((width, rows), dtype=np.uint8)
             integers = piece.integers
             for end in range(width, 0, -9):
@@ -411,10 +410,11 @@ def _rows_bytes(fields: Sequence[_Field], literals: Sequence[bytes]) -> bytes:
                     tens = group // 10
                     digits[place] = group - tens * 10
                     group = tens
-            blocks.append(digits + _ZERO)
-            masks.append(places >= width - piece.lengths)
+            digits += _ZERO
+            np.putmask(digits, np.arange(width)[:, None] < width - piece.lengths, _PAD)
+            blocks.append(digits)
     literal(literals[-1])
-    return np.concatenate(blocks).T[np.concatenate(masks).T].tobytes()
+    return np.concatenate(blocks).T.tobytes().translate(None, bytes([_PAD]))
 
 
 @contextlib.contextmanager

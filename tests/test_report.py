@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtelegraph import report as report_module
+from qtelegraph import cli as cli_module, report as report_module
 from qtelegraph.cli import VERDICTS, main, resolve_config
 from qtelegraph.device import (
     coherent_distribution,
@@ -378,6 +378,21 @@ class TestWriteCsv:
             write_csv(path, ["c"], ("a", "b"), (column, constant_column("z", 5)))
         assert not path.exists()
 
+    def test_the_pad_byte_drops_no_text(self, tmp_path, monkeypatch):
+        """Texts of every UTF-8 length, with the highest lead and continuation
+        bytes, NUL and DEL, cross chunk boundaries in a dense and a sparse
+        column, as CSV fields and as the JSON texts of a Records column."""
+        monkeypatch.setattr(report_module, "_ROWS_PER_CHUNK", 16)
+        texts = ["", "\x00", "\x7f", "\x80", "\u07ff", "\u0800", "\ufffd", "\U00010000", "\U0010ffff"]
+        codes = np.random.default_rng(5).permutation(np.arange(40) % len(texts))
+        dense = Coded(codes, texts.__getitem__)
+        sparse = Coded(codes - len(texts), lambda code: texts[code + len(texts)])
+        write_csv(tmp_path / "r.csv", ["pad"], ("a", "b"), (dense, sparse))
+        rows = [["a", "b"]] + [[texts[code]] * 2 for code in codes.tolist()]
+        assert (tmp_path / "r.csv").read_bytes() == reference_csv(["pad"], rows)
+        as_json = {"r": Records({"a": Coded(codes, lambda code: json.dumps(texts[code]))})}
+        assert written_json(tmp_path / "r.json", as_json) == reference_json(listed(as_json)) + "\n"
+
     @pytest.mark.parametrize("header", [("a,b", "c"), ("a", 'b"')])
     def test_header_csv_would_quote_raises(self, tmp_path, header):
         with pytest.raises(ValueError, match="comma, a double quote or a line break"):
@@ -694,22 +709,44 @@ class TestCodedColumn:
     def test_hits_csv_sorts_only_its_float_column(self, tmp_path, monkeypatch):
         """hits.csv at N = 1 has codes below the chunk size in both Coded
         columns (telegraph_id, x), so only its float column, time, is sorted
-        (np.unique), once per chunk."""
+        (np.sort), once per chunk."""
         chunk = report_module._ROWS_PER_CHUNK
         callers = []
-        unique = np.unique
+        sort = np.sort
 
         def counted(*args, **kwargs):
             caller = sys._getframe(1)
             if caller.f_globals["__name__"] == report_module.__name__:
                 callers.append(caller.f_code.co_name)
-            return unique(*args, **kwargs)
+            return sort(*args, **kwargs)
 
-        monkeypatch.setattr(np, "unique", counted)
+        monkeypatch.setattr(np, "sort", counted)
         monkeypatch.chdir(tmp_path)
         argv = ["simulate", "--N", "1", "--M", str(3 * chunk), "--detectors", "on", "--output-dir", "out"]
         assert main(argv) == 0
         assert callers == ["_float_parts"] * 3
+
+    def test_hits_csv_chunks_build_no_byte_mask(self, tmp_path, monkeypatch):
+        """Writing a 10^5-row hits.csv (N = 1) peaks under 1.15 MiB of new
+        allocations: a chunk's rows are its padded byte matrix without the
+        pad, with no mask beside it (1.34 MiB with one)."""
+        peaks = []
+
+        def measured(path, *args):
+            if path.name != "hits.csv":
+                return write_csv(path, *args)
+            tracemalloc.start()
+            try:
+                write_csv(path, *args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli_module, "write_csv", measured)
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--N", "1", "--M", "100000", "--detectors", "on", "--output-dir", "out"]
+        assert main(argv) == 0
+        assert len(peaks) == 1 and peaks[0] < 1.15 * 2**20
 
     @pytest.mark.parametrize("field", ["1,5", 'say "x"', "a\nb", "a\rb"])
     def test_text_csv_would_quote_raises(self, tmp_path, field):
