@@ -52,7 +52,7 @@ from .relativity import (
     automaton_fixed_points,
     build_paradox,
 )
-from .report import Coded, Records, comment_lines_text, write_csv, write_json
+from .report import Coded, Records, write_csv, write_json, write_text
 from .rng import stream
 
 # transmit peaks at about 160 B per symbol, its arrays (by tracemalloc at 10^5
@@ -252,7 +252,7 @@ def _write_hits_csv(path: Path, cfg: RunConfig, result: TransmissionResult) -> N
     """
     centers = cfg.device.bin_centers()
     columns = (
-        Coded(result.hit_telegraph_ids.ravel(), int.__repr__),
+        result.hit_telegraph_ids.ravel(),
         result.hit_times.ravel(),
         Coded(result.hit_bins.ravel(), lambda b: float.__repr__(float(centers[b]))),
     )
@@ -338,8 +338,7 @@ def _cmd_transmit(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_nosignal_check(cfg: RunConfig, out: Path) -> int:
     report = verify_no_signaling(cfg.device, cfg.mode)
-    provenance = comment_lines_text(_config_comment_lines(cfg))
-    (out / "nosignal.txt").write_text(provenance + report.to_text(), encoding="utf-8")
+    write_text(out / "nosignal.txt", _config_comment_lines(cfg), report.to_text())
     write_json(out / "nosignal.json", {"config": cfg.resolved(), "report": report.to_dict()})
     return 0 if report.passed() else 1
 

@@ -210,7 +210,8 @@ def decide_bit(hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> tuple[f
     xs = np.asarray(hits, dtype=float)
     if xs.size == 0:
         return 0.0, 0.0
-    if xs.min() < -cfg.half_width or xs.max() > cfg.half_width:
+    # Negated, so NaN fails too.
+    if not (xs.min() >= -cfg.half_width and xs.max() <= cfg.half_width):
         raise ValueError("hits must lie within the screen grid")
     return (
         float(log_ratio_table(cfg)[cfg.bin_index(xs)].sum()),
@@ -265,14 +266,11 @@ class ErrorLaw:
     statistic is a sum of M i.i.d. draws from the table, so each error is a
     tail of the table law's M-fold convolution power under its hypothesis
     (Cover & Thomas, *Elements of Information Theory*, ch. 11), bracketed on
-    a lattice. A planner probe (``settled``) builds one hypothesis's law at a
-    time and the other's only where the first leaves the probe open."""
+    a lattice. It holds nothing else: a planner probe (``settled``) is a
+    function of (m, alpha) alone, whatever was probed before it."""
 
     def __init__(self, cfg: DeviceConfig) -> None:
         self.cfg = cfg
-        self._settled: dict[tuple[int, float], Brackets] = {}
-        # The hypothesis a probe computes first (see ``settled``).
-        self._lead = 1
 
     @functools.cached_property
     def coherent(self) -> np.ndarray:
@@ -356,46 +354,37 @@ class ErrorLaw:
 
     def settled(self, m: int, alpha: float) -> Brackets:
         """The brackets at m at the probe's last lattice step, None for a law
-        that step did not build; computed once per (m, alpha).
+        that step did not build.
 
         The step starts at _COARSE_STEP, doubled until the lattice fits the
-        budget. Each step builds the lead hypothesis's law first and fails
-        the probe if its lower end is > alpha; only if its upper end is <=
-        alpha does it build the other law, which fails or meets the probe
-        unless it straddles alpha. The step is halved while the probe is open
-        and the finer lattice fits. The lead is the hypothesis whose lower
-        end was larger when both were last built (at first the incoherent).
+        budget. Each step builds the incoherent law first and fails the probe
+        if its lower end is > alpha; only if its upper end is <= alpha does
+        it build the coherent law, which fails or meets the probe unless it
+        straddles alpha. The step is halved while the probe is open and the
+        finer lattice fits.
 
         Each [lo, hi] bounds its exact error at every step, so a lower end >
         alpha at any step rules out a meet at every step: building both laws
         at every step reaches the same verdict. A probe that meets has no
         lower end > alpha, so it stops, as that ladder does, at the first step
-        where both upper ends are <= alpha, with the same brackets. The lead
-        sets only how many laws are built.
+        where both upper ends are <= alpha, with the same brackets. Building
+        the incoherent law first sets only how many laws are built.
         """
-        if (m, alpha) not in self._settled:
-            lead, step = self._lead, _COARSE_STEP
-            while (ends := self.bracket(m, step, lead)) is None:
-                step *= 2.0
-            while True:
-                found: list[Bracket | None] = [None, None]
-                found[lead] = ends
-                if ends[1] <= alpha:
-                    other = found[1 - lead] = self.bracket(m, step, 1 - lead)
-                    self._lead = lead if ends[0] >= other[0] else 1 - lead
-                    if other[0] > alpha or other[1] <= alpha:
-                        break
-                elif ends[0] > alpha:
+        step = _COARSE_STEP
+        while (incoherent := self.bracket(m, step, 1)) is None:
+            step *= 2.0
+        while True:
+            coherent = None
+            if incoherent[1] <= alpha:
+                coherent = self.bracket(m, step, 0)
+                if coherent[0] > alpha or coherent[1] <= alpha:
                     break
-                if (finer := self.bracket(m, step / 2.0, lead)) is None:
-                    break
-                ends, step = finer, step / 2.0
-            self._settled[m, alpha] = tuple(found)
-        return self._settled[m, alpha]
-
-    def meets(self, m: int, alpha: float) -> bool:
-        """Whether both error probabilities at m are certainly <= alpha."""
-        return all(ends is not None and ends[1] <= alpha for ends in self.settled(m, alpha))
+            elif incoherent[0] > alpha:
+                break
+            if (finer := self.bracket(m, step / 2.0, 1)) is None:
+                break
+            incoherent, step = finer, step / 2.0
+        return coherent, incoherent
 
 
 class Hypotheses:
@@ -441,9 +430,11 @@ def required_sample_size(cfg: DeviceConfig, alpha: float) -> SampleSizeResult:
     Searches by doubling, up to M_CAP, then by bisection; M is feasible only
     if both upper ends are <= alpha, so the result is always sufficient. A
     probe builds one hypothesis's law at a time (``ErrorLaw.settled``), with
-    the verdict, and at M* the brackets, that building both gives.
-    Nothing is random. When the two patterns are (numerically)
-    indistinguishable no finite M exists and an explicit failure is returned.
+    the verdict, and at M* the brackets, that building both gives. Each M is
+    probed once, and the search keeps the brackets of the smallest M met so
+    far, which end as M*'s. Nothing is random. When the two patterns are
+    (numerically) indistinguishable no finite M exists and an explicit
+    failure is returned.
     alpha >= 1/2 needs no data at all: a fair coin achieves it, so M = 0.
     alpha outside [MIN_ALPHA, 1) is refused.
     """
@@ -461,8 +452,12 @@ def required_sample_size(cfg: DeviceConfig, alpha: float) -> SampleSizeResult:
             ),
         )
 
+    def met(m: int) -> Brackets | None:
+        found = law.settled(m, alpha)
+        return found if all(ends is not None and ends[1] <= alpha for ends in found) else None
+
     hi = 1
-    while not law.meets(hi, alpha):
+    while (brackets := met(hi)) is None:
         hi *= 2
         if hi > M_CAP:
             reason = f"no sufficient M found up to cap {M_CAP}"
@@ -470,8 +465,11 @@ def required_sample_size(cfg: DeviceConfig, alpha: float) -> SampleSizeResult:
     lo = hi // 2  # hi == 1 gives lo == 0, the known-infeasible floor
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if law.meets(mid, alpha) else (mid, hi)
-    err_c, err_i = law.settled(hi, alpha)
+        if (found := met(mid)) is None:
+            lo = mid
+        else:
+            hi, brackets = mid, found
+    err_c, err_i = brackets
     return SampleSizeResult(
         m_star=hi, alpha=alpha, error_interference=err_c, error_no_interference=err_i
     )

@@ -1,10 +1,12 @@
 """Report writers: one column model, written as CSV or as indented JSON.
 
 A report's rows are columns of two kinds: a :class:`Coded` column, an integer
-code per row and the text of a code, and a float64 array, written as each
-float's ``repr``. A chunk of ``_ROWS_PER_CHUNK`` rows of a column is a field
-per row, made of pieces of two kinds: a text of a table, picked by a code per
-row, and the last n decimal digits of an integer, with an explicit n per row.
+code per row and the text of a code, and a 1-d float64 array, written as each
+float's ``repr``. Both writers take a 1-d int array as the Coded column of
+its values' ``int.__repr__``. A chunk of ``_ROWS_PER_CHUNK`` rows of a column
+is a field per row, made of pieces of two kinds: a text of a table, picked by
+a code per row, and the last n decimal digits of an integer, with an explicit
+n per row.
 The chunk is laid out as a ``uint8`` matrix, one matrix column per row, with
 literal text before each field and after the row. A table's texts are its
 columns, padded below to the longest with the byte 0xFF, and digits are
@@ -20,12 +22,13 @@ column sorts each chunk's codes and formats each code present once per
 stretch of chunks, keeping at most about a chunk's worth of texts.
 
 * :func:`write_csv` writes the bytes of ``csv.writer`` (excel dialect). A
-  field it would quote raises ValueError, so there is no quoting path.
+  field it would quote raises ValueError, so there is no quoting path, as
+  does a column of any other kind.
 * :func:`write_json` writes ``json.dumps(document, sort_keys=True, indent=2,
   allow_nan=False)``, with a top-level 1-d array or :class:`Records` written
-  as its list: an int column is coded by value, a Coded column holds JSON
-  texts, and a finite float is its ``repr``, as ``json`` writes it. Every
-  other value is ``json``'s own text.
+  as its list: a Coded column holds JSON texts, and an int or a finite
+  float is its ``repr``, as ``json`` writes it. Every other value is
+  ``json``'s own text.
 
 A writer that raises removes the file it opened: no partial report is left.
 
@@ -359,10 +362,22 @@ def _shortest_parts(values: np.ndarray) -> _Field:
     )
 
 
+def _column(column) -> Coded | np.ndarray | None:
+    """A Coded column, a 1-d float64 array, or a 1-d int array as a Coded
+    column of its values' ``int.__repr__``; None for any other value."""
+    if isinstance(column, Coded):
+        return column
+    if not isinstance(column, np.ndarray) or column.ndim != 1:
+        return None
+    if column.dtype == np.float64:
+        return column
+    return Coded(column, int.__repr__) if column.dtype.kind in "iu" else None
+
+
 def _parts(column: Coded | np.ndarray) -> Iterator[_Field]:
     if isinstance(column, Coded):
         return _coded_parts(column)
-    return _float_parts(np.ascontiguousarray(column, dtype=np.float64))
+    return _float_parts(column)
 
 
 def _length(column: Coded | np.ndarray) -> int:
@@ -430,6 +445,13 @@ def _report_file(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
+def write_text(path: str | Path, comment_lines: Iterable[str], text: str) -> None:
+    """Write a text report: '# ' comment lines, then ``text``, as UTF-8."""
+    data = (comment_lines_text(comment_lines) + text).encode("utf-8")
+    with _report_file(path) as handle:
+        handle.write(data)
+
+
 def _csv_field(text: str) -> str:
     """``text``, checked to be a field that csv.writer does not quote."""
     if any(mark in text for mark in ',"\r\n'):
@@ -446,14 +468,18 @@ def write_csv(
     """Write a CSV report: '# ' comment lines, the header, then the rows.
 
     ``columns`` holds one column per header name, all of the same length,
-    each a :class:`Coded` column of field texts or a float64 numpy array,
-    written as each float's ``repr``. The bytes equal those of ``csv.writer``
-    writing the same rows. A field that ``csv.writer`` would quote raises
-    ValueError instead, as do columns of unequal length.
+    each a :class:`Coded` column of field texts, a 1-d float64 array, written
+    as each float's ``repr``, or a 1-d int array, written as each int's. The
+    bytes equal those of ``csv.writer`` writing the same rows. A field that
+    ``csv.writer`` would quote raises ValueError instead, as do columns of
+    unequal length and any other column, before the file is opened.
     """
     if len(header) < 2 or len(columns) != len(header):
         # A lone empty field is the one unquoted case csv.writer quotes.
         raise ValueError(f"a CSV report needs one column per header name, at least two ({header})")
+    columns = list(map(_column, columns))
+    if any(column is None for column in columns):
+        raise ValueError(f"a CSV column of {header} is not Coded, 1-d float64 or 1-d int")
     if len(set(map(_length, columns))) != 1:
         raise ValueError(f"CSV columns of {header} differ in length")
     columns = [
@@ -471,17 +497,12 @@ def write_csv(
 
 
 def _json_column(column) -> Coded | np.ndarray | None:
-    """A Coded column of JSON texts, or a 1-d int or float64 array, as a
-    column to write; None for any other value."""
-    if isinstance(column, Coded):
-        return column
-    if not isinstance(column, np.ndarray) or column.ndim != 1:
-        return None
-    if column.dtype == np.float64:
-        if not np.isfinite(column).all():  # raise json's own error
-            json.dumps(column[~np.isfinite(column)].tolist(), allow_nan=False)
-        return column
-    return Coded(column, int.__repr__) if column.dtype.kind in "iu" else None
+    """``_column`` for a JSON report, whose Coded texts are JSON texts; a
+    float column with a non-finite value raises json's own error."""
+    column = _column(column)
+    if isinstance(column, np.ndarray) and not np.isfinite(column).all():
+        json.dumps(column[~np.isfinite(column)].tolist(), allow_nan=False)
+    return column
 
 
 def _json_rows(value) -> tuple[list, list[bytes]] | None:

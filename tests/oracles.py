@@ -1,5 +1,6 @@
 """Reference code that only the tests read, kept out of the package."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -45,20 +46,42 @@ class JointErrorLaw(protocol.ErrorLaw):
     def settled(self, m: int, alpha: float):
         """``brackets`` at m from step _COARSE_STEP (doubled until the lattice
         fits the budget), the step halved while a bracket straddles alpha and
-        the halved lattice fits; computed once per (m, alpha)."""
-        if (m, alpha) not in self._settled:
-            step = protocol._COARSE_STEP
-            while (found := self.brackets(m, step)) is None:
-                step *= 2.0
-            while not (
-                all(hi <= alpha for _, hi in found) or any(lo > alpha for lo, _ in found)
-            ) and (finer := self.brackets(m, step / 2.0)) is not None:
-                found, step = finer, step / 2.0
-            self._settled[m, alpha] = found
-        return self._settled[m, alpha]
+        the halved lattice fits."""
+        step = protocol._COARSE_STEP
+        while (found := self.brackets(m, step)) is None:
+            step *= 2.0
+        while not (
+            all(hi <= alpha for _, hi in found) or any(lo > alpha for lo, _ in found)
+        ) and (finer := self.brackets(m, step / 2.0)) is not None:
+            found, step = finer, step / 2.0
+        return found
 
 
 def joint_required_sample_size(cfg, alpha: float) -> protocol.SampleSizeResult:
     """``required_sample_size`` with every probe settled by ``JointErrorLaw``."""
     with mock.patch.object(protocol, "ErrorLaw", JointErrorLaw):
         return protocol.required_sample_size(cfg, alpha)
+
+
+def _log_sum(terms: list[float]) -> float:
+    top = max(terms)
+    if top == -math.inf:
+        return -math.inf
+    return top + math.log(math.fsum(math.exp(term - top) for term in terms))
+
+
+def binomial_log_tails(k: int, n: int, p: float) -> tuple[float, float]:
+    """(ln P(X <= k), ln P(X >= k)) for X ~ Binomial(n, p), summed in log
+    space from ln C(n, j) + j ln p + (n - j) ln(1 - p) (``math.lgamma``), so
+    a tail far below the smallest double still compares with a threshold."""
+    if not (0 <= k <= n and 0.0 <= p <= 1.0):
+        raise ValueError(f"need 0 <= k <= n and p in [0, 1] (got k={k}, n={n}, p={p})")
+
+    def log_pmf(j: int) -> float:
+        if (p == 0.0 and j > 0) or (p == 1.0 and j < n):
+            return -math.inf
+        ways = math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+        return ways + (j * math.log(p) if j else 0.0) + ((n - j) * math.log1p(-p) if j < n else 0.0)
+
+    terms = [log_pmf(j) for j in range(n + 1)]
+    return _log_sum(terms[: k + 1]), _log_sum(terms[k:])

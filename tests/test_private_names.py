@@ -15,8 +15,8 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qtelegraph").gl
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
 
 
-def private_definitions():
-    """(module file, name, defining node) per top-level private definition."""
+def top_level_definitions():
+    """(module file, name, defining node) per top-level definition."""
     for module, tree in TREES.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -27,17 +27,20 @@ def private_definitions():
             else:
                 continue
             for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    yield module, name, node
+                yield module, name, node
 
 
-@pytest.mark.parametrize(
-    "module, name, node",
-    [pytest.param(*case, id=f"{case[0]}:{case[1]}") for case in private_definitions()],
-)
-def test_private_name_is_loaded_outside_its_definition(module, name, node):
+def private_definitions():
+    """(module file, name, defining node) per top-level private definition."""
+    for module, name, node in top_level_definitions():
+        if name.startswith("_") and not name.startswith("__"):
+            yield module, name, node
+
+
+def loads_outside(name, node):
+    """Every load of ``name`` in src/ outside its defining node."""
     own = {id(inner) for inner in ast.walk(node)}
-    loads = [
+    return [
         inner
         for tree in TREES.values()
         for inner in ast.walk(tree)
@@ -46,7 +49,14 @@ def test_private_name_is_loaded_outside_its_definition(module, name, node):
         and inner.id == name
         and isinstance(inner.ctx, ast.Load)
     ]
-    assert loads, f"{module}: {name} is defined but never loaded in src/"
+
+
+@pytest.mark.parametrize(
+    "module, name, node",
+    [pytest.param(*case, id=f"{case[0]}:{case[1]}") for case in private_definitions()],
+)
+def test_private_name_is_loaded_outside_its_definition(module, name, node):
+    assert loads_outside(name, node), f"{module}: {name} is defined but never loaded in src/"
 
 
 def test_private_definitions_found():

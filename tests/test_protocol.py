@@ -40,7 +40,7 @@ from qtelegraph.protocol import (
 )
 from qtelegraph.rng import child_seeds, stream
 
-from oracles import divmod_emissions, joint_required_sample_size
+from oracles import binomial_log_tails, divmod_emissions, joint_required_sample_size
 
 # The planner's M* at the defaults (alpha = 0.01), certified by its error
 # brackets: at M = 26 the incoherent-data error is at least 0.0108, at 27
@@ -318,8 +318,10 @@ class TestLogLikelihoodRatio:
         assert (llr > 0).sum() >= 990
 
     def test_out_of_grid_hit_rejected(self):
-        with pytest.raises(ValueError, match="grid"):
-            decide_bit([1000.0], DeviceConfig())
+        # NaN compares false with every bound, so it must be refused too.
+        for hits in ([1000.0], [math.nan], [0.3, math.nan], [math.nan, 1000.0], [-math.inf]):
+            with pytest.raises(ValueError, match="hits must lie within the screen grid"):
+                decide_bit(hits, DeviceConfig())
 
 
 class TestDecideBit:
@@ -569,12 +571,46 @@ class TestErrorLaw:
         assert max(bracket_peaks) <= 1.1 * power_peak, (bracket_peaks, power_peak)
 
     def test_settled_brackets_are_computed_once_per_m(self, monkeypatch):
+        """Within one search each probed M's laws are built once, at one
+        lattice step each; M = 26 fails and M = 27 meets at alpha = 0.01."""
         probes = recorded_probes(monkeypatch)
+        assert required_sample_size(DeviceConfig(), 0.01).m_star == PINNED_M_STAR
+        built = [(m, step, hypothesis) for m, step, hypothesis, _ in probes]
+        assert len(built) == len(set(built))
+        assert {26, 27} <= {m for m, _, _ in built}
         law = ErrorLaw(DeviceConfig())
-        first = law.settled(26, 0.01)
-        count = len(probes)
-        assert count >= 1 and law.settled(26, 0.01) is first and len(probes) == count
-        assert not law.meets(26, 0.01) and law.meets(27, 0.01)
+        assert law.settled(26, 0.01)[1][0] > 0.01
+        assert all(hi <= 0.01 for _, hi in law.settled(27, 0.01))
+
+    # In the second geometry the coherent error is the larger near M* = 895:
+    # a probe order carried over from the search's last probes would build
+    # the coherent law first there and return other brackets.
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            DeviceConfig(),
+            DeviceConfig(kappa=0.3538232007016849, envelope_width=0.7113473787509113, x_max=6.342618037215829, bins=64, relative_phase=0.7466830947691562),
+        ],
+        ids=["defaults", "coherent-error-larger"],
+    )
+    def test_a_probe_depends_only_on_m_and_alpha(self, cfg):
+        """``settled(m, alpha)`` gives the same brackets on a fresh ErrorLaw
+        as on the one a full search used, which holds nothing but its config
+        and its cached per-config arrays."""
+        used = []
+
+        def kept(cfg):
+            used.append(ErrorLaw(cfg))
+            return used[-1]
+
+        with mock.patch.object(protocol_module, "ErrorLaw", kept):
+            m_star = required_sample_size(cfg, 0.01).m_star
+        (law,) = used
+        assert set(vars(law)) <= {"cfg", "coherent", "incoherent", "table", "total_variation"}
+        assert not hasattr(law, "meets")
+        for m in (1, m_star // 2, m_star - 1, m_star, 2 * m_star):
+            for alpha in (0.01, 1e-3):
+                assert repr(law.settled(m, alpha)) == repr(ErrorLaw(cfg).settled(m, alpha)), (m, alpha)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -634,6 +670,95 @@ class TestErrorLaw:
         else:
             transmit_message([0, 1, 1], TransmissionPlan(M=5, N=2), mode, DeviceConfig(), stream(3, "once"))
         assert sorted(built) == ["coherent_distribution", "incoherent_distribution"]
+
+
+# The false-alarm probability of each exact-law test case below, fixed before
+# any run; each of the case's tail comparisons gets an equal share of it.
+FAMILY_WISE = 1e-3
+EXACT_LAW_SEEDS = range(8)
+
+
+def plausible(count, n, p_range, comparisons):
+    """Whether ``count`` successes in n trials is a plausible Binomial(n, p)
+    draw for some p in ``p_range`` = (lo, hi): its upper tail at hi and its
+    lower tail at lo (the largest each tail takes over the range) are both
+    at least FAMILY_WISE / comparisons."""
+    lo, hi = p_range
+    floor = math.log(FAMILY_WISE / comparisons)
+    return binomial_log_tails(count, n, hi)[1] >= floor and binomial_log_tails(count, n, lo)[0] >= floor
+
+
+class TestBinomialLogTails:
+    @pytest.mark.parametrize("n", [0, 1, 7, 40])
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.3, 0.5, 1.0])
+    def test_equal_exact_sums(self, n, p):
+        pmf = [math.comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(n + 1)]
+        for k in range(n + 1):
+            below, above = binomial_log_tails(k, n, p)
+            assert math.exp(below) == pytest.approx(math.fsum(pmf[: k + 1]), rel=1e-12, abs=1e-300)
+            assert math.exp(above) == pytest.approx(math.fsum(pmf[k:]), rel=1e-12, abs=1e-300)
+
+    def test_tails_below_the_smallest_double(self):
+        below, above = binomial_log_tails(0, 10**4, 0.5)
+        assert below == pytest.approx(10**4 * math.log(0.5), rel=1e-12)
+        assert abs(above) < 1e-9  # ln 1, up to lgamma rounding over 10^4 terms
+
+
+class TestSeededFiguresMatchTheirExactLaws:
+    """Seeded runs against the exact law they are drawn from (the tolerance
+    assertions elsewhere stay beside these). Every seed of EXACT_LAW_SEEDS
+    is tested; the family-wise threshold is fixed above."""
+
+    SYMBOLS = 3000
+
+    def test_the_error_pair_at_m_star(self):
+        law = ErrorLaw(DeviceConfig())
+        (lo_c, hi_c), (lo_i, hi_i) = (law.bracket(PINNED_M_STAR, 1e-3, h) for h in (0, 1))
+        assert 0.00600 <= lo_c <= hi_c <= 0.00612
+        assert 0.00953 <= lo_i <= hi_i <= 0.00965
+
+    @pytest.mark.parametrize("mode", list(ModelMode), ids=lambda mode: mode.value)
+    def test_transmit_error_counts_per_sent_bit(self, mode):
+        """Each sent bit's error count is Binomial(n_bit, p), p within both
+        ends of ``ErrorLaw.bracket(27, 1e-3, h)``: under NaiveCollapse bit 0
+        errs with e_c and bit 1 with e_i; under UnitaryQM bit 0 (incoherent
+        data, decided "interference" only if the LLR is > 0) errs with
+        1 - e_i and bit 1 with e_i."""
+        cfg = DeviceConfig()
+        law = ErrorLaw(cfg)
+        e_c, (lo_i, hi_i) = (law.bracket(PINNED_M_STAR, 1e-3, h) for h in (0, 1))
+        if mode is ModelMode.NAIVE_COLLAPSE:
+            p_ranges = (e_c, (lo_i, hi_i))
+        else:
+            p_ranges = ((1.0 - hi_i, 1.0 - lo_i), (lo_i, hi_i))
+        comparisons = 2 * 2 * len(EXACT_LAW_SEEDS)
+        plan = TransmissionPlan(M=PINNED_M_STAR, N=1)
+        for seed in EXACT_LAW_SEEDS:
+            bits = stream(seed, "exact-law", "bits").integers(0, 2, self.SYMBOLS)
+            result = transmit_message(bits, plan, mode, cfg, stream(seed, "exact-law", mode.value))
+            for bit, p_range in enumerate(p_ranges):
+                sent = result.sent == bit
+                errors = int((result.received[sent] != bit).sum())
+                assert plausible(errors, int(sent.sum()), p_range, comparisons), (seed, bit, errors)
+
+    @pytest.mark.parametrize("mode", list(ModelMode), ids=lambda mode: mode.value)
+    @pytest.mark.parametrize("detectors", list(Detector), ids=lambda detectors: detectors.value)
+    def test_simulate_bin_counts(self, mode, detectors):
+        """``simulate``'s hits in a bin are Binomial(M, p_j), p_j the bin's
+        probability in the pattern the setting shows: at the central fringe
+        peak, its flank, the next null and the screen's left quarter."""
+        cfg = DeviceConfig()
+        pattern = Hypotheses(cfg, mode).pattern(detectors)
+        plan = TransmissionPlan(M=20_000, N=3)
+        bins = (127, 124, 121, 64)
+        comparisons = 2 * len(bins) * len(EXACT_LAW_SEEDS)
+        bit = 1 if detectors is Detector.ON else 0
+        for seed in EXACT_LAW_SEEDS:
+            result = transmit_message([bit], plan, mode, cfg, stream(seed, "simulate"), keep_hits=True)
+            counts = np.bincount(result.hit_bins.ravel(), minlength=cfg.bins)
+            for j in bins:
+                p = float(pattern[j])
+                assert plausible(int(counts[j]), plan.M, (p, p), comparisons), (seed, j, counts[j], p)
 
 
 def merged_emissions(schedule, count):

@@ -22,7 +22,7 @@ from qtelegraph.device import (
     write_distributions_csv,
 )
 from qtelegraph.protocol import EnsembleSchedule, transmit_message
-from qtelegraph.report import Coded, Records, write_csv, write_json
+from qtelegraph.report import Coded, Records, write_csv, write_json, write_text
 from qtelegraph.rng import stream
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -411,6 +411,57 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match="at least two"):
             write_csv(tmp_path / "r.csv", [], header, [texts_column(["1"])] * count)
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32, np.uint8])
+    def test_int_columns_are_written_by_value(self, tmp_path, monkeypatch, dtype):
+        """An int column is written as each int's repr, as write_json writes
+        it, up to its dtype's extremes, in the dense and the sparse path."""
+        monkeypatch.setattr(report_module, "_ROWS_PER_CHUNK", 4)
+        info = np.iinfo(dtype)
+        values = [info.min, info.max, 0, 1, 2, info.max - 1, 2, info.min + 1, 3]
+        if dtype is np.int64:
+            values += [2**60, -(2**60)]
+        column = np.array(values, dtype)
+        write_csv(tmp_path / "r.csv", ["ints"], ("a", "b"), (column, column.astype(np.float64)))
+        rows = [["a", "b"]] + [[value, float(value)] for value in values]
+        assert (tmp_path / "r.csv").read_bytes() == reference_csv(["ints"], rows)
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.array([0.1, 0.5], np.float32),
+            np.array([[1.0, 2.0]]),
+            np.array([True, False]),
+            [0.1, 0.5],
+            np.array(["1", "2"]),
+        ],
+        ids=["float32", "2-d", "bool", "list", "str"],
+    )
+    def test_other_columns_raise_before_the_file_is_opened(self, tmp_path, column):
+        path = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match="not Coded, 1-d float64 or 1-d int"):
+            write_csv(path, [], ("a", "b"), (column, np.zeros(2)))
+        assert not path.exists()
+
+
+class TestWriteText:
+    def test_equals_comment_lines_then_the_text(self, tmp_path):
+        path = tmp_path / "r.txt"
+        write_text(path, ["one", "é"], "body\nline é\n")
+        assert path.read_bytes() == "# one\n# é\nbody\nline é\n".encode("utf-8")
+
+    def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(report_module, "open", lambda path, mode: DiskFullAfter(path, mode, 0), raising=False)
+        path = tmp_path / "r.txt"
+        with pytest.raises(OSError, match="No space left"):
+            write_text(path, ["c"], "body\n")
+        assert not path.exists()
+
+    def test_nosignal_txt_is_written_through_it(self, tmp_path, monkeypatch):
+        """A full disk at nosignal.txt leaves no nosignal.txt and exits 2."""
+        monkeypatch.setattr(report_module, "open", lambda path, mode: DiskFullAfter(path, mode, 0), raising=False)
+        assert main(["nosignal-check", "--output-dir", str(tmp_path)]) == 2
+        assert not (tmp_path / "nosignal.txt").exists()
 
 
 # -- float and coded columns --------------------------------------------------
