@@ -243,16 +243,15 @@ def eraser_conditionals(cfg: DeviceConfig) -> EraserConditionals:
 
     Projecting the idler on (|1> ± |2>)/sqrt(2) leaves the unnormalized signal
     amplitude (psi_1 ± psi_2)/2; the outcome probability is its squared norm.
+    The plus outcome's pattern is the coherent one, the same array.
     """
     plus = 0.5 * superposition(cfg, 1)
     minus = 0.5 * superposition(cfg, -1)
-    w_plus = float(np.linalg.norm(plus) ** 2)
-    w_minus = float(np.linalg.norm(minus) ** 2)
     return EraserConditionals(
-        p_plus=clamp_probabilities(np.abs(plus) ** 2),
+        p_plus=coherent_distribution(cfg),
         p_minus=clamp_probabilities(np.abs(minus) ** 2),
-        prob_plus=w_plus,
-        prob_minus=w_minus,
+        prob_plus=float(np.linalg.norm(plus) ** 2),
+        prob_minus=float(np.linalg.norm(minus) ** 2),
     )
 
 
@@ -265,16 +264,6 @@ def write_distributions_csv(
     ``header_comments`` are emitted first, prefixed with '# '.
     """
     eraser = eraser_conditionals(cfg)
-    values = (
-        cfg.bin_centers(),
-        coherent_distribution(cfg),
-        incoherent_distribution(cfg),
-        eraser.p_plus,
-        eraser.p_minus,
-    )
-    write_csv(
-        path,
-        header_comments,
-        ("x", "p_coherent", "p_incoherent", "p_plus", "p_minus"),
-        values,
-    )
+    coherent, incoherent = eraser.p_plus, incoherent_distribution(cfg)
+    columns = (cfg.bin_centers(), coherent, incoherent, coherent, eraser.p_minus)
+    write_csv(path, header_comments, ("x", "p_coherent", "p_incoherent", "p_plus", "p_minus"), columns)

@@ -6,7 +6,8 @@ exact log-likelihood-ratio test of "interference" (coherent pattern) against
 "no interference" (incoherent pattern); the fringe statistic |mean e^{2i k x}|
 is kept as a secondary diagnostic. Two device models are available, and
 ``Hypotheses(cfg, mode)`` is the one place that decides what each detector
-setting shows, its screen pattern and its reduced screen state:
+setting shows, its screen pattern and its reduced screen state; it refuses
+any mode or setting that is not a ``ModelMode`` or ``Detector`` member:
 
 * NaiveCollapse: detectors off leaves the coherent pattern, detectors on the
   incoherent one, so toggling is remotely visible and the telegraph works.
@@ -117,6 +118,13 @@ class ModelMode(Enum):
     UNITARY_QM = "UnitaryQM"
 
 
+def _member(kind: type[Enum], name: str, value) -> Enum:
+    """``value`` if it is a ``kind`` member; else a ValueError naming the members."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {' or '.join(map(str, kind))} (got {value!r})")
+    return value
+
+
 @dataclass(frozen=True)
 class TransmissionPlan:
     """Pairs per symbol M, pair production period T, telegraph count N."""
@@ -202,6 +210,16 @@ def log_ratio_table(cfg: DeviceConfig) -> np.ndarray:
     return ErrorLaw(cfg).table
 
 
+def _fringe_phasors(cfg: DeviceConfig, xs: np.ndarray) -> np.ndarray:
+    """exp(2i * kappa * x) per position, from the phase 2 * (kappa * x): finite
+    where 2i * kappa is not, and refused by name where it overflows."""
+    with np.errstate(over="ignore"):
+        phases = 2.0 * (cfg.kappa * xs)
+    if not np.isfinite(phases).all():
+        raise ValueError(f"the fringe phase 2 * kappa * x overflows (kappa={cfg.kappa})")
+    return np.exp(1j * phases)
+
+
 def decide_bit(hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> tuple[float, float]:
     """(log_lr, fringe statistic) of one symbol: the sum of per-hit
     log(p_coherent / p_incoherent) at the hits' bins, which decides
@@ -215,7 +233,7 @@ def decide_bit(hits: Sequence[float] | np.ndarray, cfg: DeviceConfig) -> tuple[f
         raise ValueError("hits must lie within the screen grid")
     return (
         float(log_ratio_table(cfg)[cfg.bin_index(xs)].sum()),
-        float(np.abs(np.exp(2j * cfg.kappa * xs).mean())),
+        float(np.abs(_fringe_phasors(cfg, xs).mean())),
     )
 
 
@@ -396,18 +414,18 @@ class Hypotheses:
     trace, an independent route to (b)'s matrix. ``law`` is the ErrorLaw."""
 
     def __init__(self, cfg: DeviceConfig, mode: ModelMode) -> None:
+        self._collapse = _member(ModelMode, "mode", mode) is ModelMode.NAIVE_COLLAPSE
         self.law = ErrorLaw(cfg)
-        self._collapse = mode is ModelMode.NAIVE_COLLAPSE
 
     def pattern(self, detectors: Detector) -> np.ndarray:
         """The read-only screen pattern the setting shows."""
-        if detectors is Detector.OFF and self._collapse:
+        if _member(Detector, "detectors", detectors) is Detector.OFF and self._collapse:
             return self.law.coherent
         return self.law.incoherent
 
     def state(self, detectors: Detector) -> DensityMatrix:
         """The reduced screen state the setting leaves, on the span."""
-        if detectors is Detector.ON:
+        if _member(Detector, "detectors", detectors) is Detector.ON:
             return reduced_screen_by_measurement_mixture(self.law.cfg)
         if self._collapse:
             return coherent_screen_state(self.law.cfg)
@@ -636,6 +654,9 @@ def transmit_message(
         raise ValueError("bits must be a 1-d array of 0s and 1s")
     bits = bits.astype(np.int64)
     bits.setflags(write=False)
+    # The receiver's model is fixed by cfg: derive it once per message, each
+    # screen pattern built once for the LLR table and the samplers alike.
+    hypotheses = Hypotheses(cfg, mode)
     if not bits.size:
         empty = np.empty(0)
         empty.setflags(write=False)
@@ -643,11 +664,8 @@ def transmit_message(
 
     schedule = ensemble_schedule(plan.N, plan.T, rng)
     lanes = UniformLanes(child_seeds(rng, len(bits)), plan.M)
-    # The receiver's model is fixed by cfg: derive it once per message, each
-    # screen pattern built once for the LLR table and the samplers alike.
-    hypotheses = Hypotheses(cfg, mode)
     table = hypotheses.law.table
-    phasors = np.exp(2j * cfg.kappa * cfg.bin_centers())
+    phasors = _fringe_phasors(cfg, cfg.bin_centers())
     # One sampler per screen pattern shown.
     on, off = map(hypotheses.pattern, (Detector.ON, Detector.OFF))
     sample_on = _BinSampler(on)

@@ -95,10 +95,6 @@ class DensityMatrix:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def diagonal_probabilities(self) -> np.ndarray:
-        """Diagonal as a clamped, renormalized probability vector."""
-        return clamp_probabilities(np.real(np.diag(self.matrix)))
-
 
 def _set_unit_trace_matrix(rho: DensityMatrix, mat: np.ndarray) -> DensityMatrix:
     trace = np.trace(mat)

@@ -1,12 +1,13 @@
 """Report writers: one column model, written as CSV or as indented JSON.
 
-A report's rows are columns of two kinds: a :class:`Coded` column, an integer
-code per row and the text of a code, and a 1-d float64 array, written as each
-float's ``repr``. Both writers take a 1-d int array as the Coded column of
-its values' ``int.__repr__``. A chunk of ``_ROWS_PER_CHUNK`` rows of a column
-is a field per row, made of pieces of two kinds: a text of a table, picked by
-a code per row, and the last n decimal digits of an integer, with an explicit
-n per row.
+A report's rows are columns, and ``_column`` is the one rule of both writers
+for what a column is: a :class:`Coded` column, a 1-d int array of codes, one
+per row, and the text of a code; a 1-d float64 array, written as each float's
+``repr``; or a 1-d int array, the Coded column of its values' ``int.__repr__``.
+``_chunks`` refuses columns of unequal length and writes every table of rows,
+``_ROWS_PER_CHUNK`` rows at a time. A chunk of a column is a field per row,
+made of pieces of two kinds: a text of a table, picked by a code per row, and
+the last n decimal digits of an integer, with an explicit n per row.
 The chunk is laid out as a ``uint8`` matrix, one matrix column per row, with
 literal text before each field and after the row. A table's texts are its
 columns, padded below to the longest with the byte 0xFF, and digits are
@@ -129,10 +130,10 @@ def comment_lines_text(lines: Iterable[str]) -> str:
 
 
 class Coded(NamedTuple):
-    """A column as an integer code per row and the text of a code as it is
-    written, a CSV field or a JSON value. A code's text is formatted once per
-    column when every code is below 4096 (``_ROWS_PER_CHUNK``), and otherwise
-    once per code per stretch of chunks."""
+    """A column as a 1-d int array of codes, one per row, and the text of a
+    code as written, a CSV field or a JSON value. A code's text is formatted
+    once per column when every code is below 4096 (``_ROWS_PER_CHUNK``), and
+    otherwise once per code per stretch of chunks."""
 
     codes: np.ndarray
     text: Callable[[int], str]
@@ -363,25 +364,16 @@ def _shortest_parts(values: np.ndarray) -> _Field:
 
 
 def _column(column) -> Coded | np.ndarray | None:
-    """A Coded column, a 1-d float64 array, or a 1-d int array as a Coded
-    column of its values' ``int.__repr__``; None for any other value."""
-    if isinstance(column, Coded):
-        return column
-    if not isinstance(column, np.ndarray) or column.ndim != 1:
+    """A Coded column whose codes are a 1-d int array, a 1-d float64 array,
+    or a 1-d int array as a Coded column of its values' ``int.__repr__``;
+    None for any other value."""
+    coded = isinstance(column, Coded)
+    array = column.codes if coded else column
+    if not isinstance(array, np.ndarray) or array.ndim != 1:
         return None
-    if column.dtype == np.float64:
-        return column
-    return Coded(column, int.__repr__) if column.dtype.kind in "iu" else None
-
-
-def _parts(column: Coded | np.ndarray) -> Iterator[_Field]:
-    if isinstance(column, Coded):
-        return _coded_parts(column)
-    return _float_parts(column)
-
-
-def _length(column: Coded | np.ndarray) -> int:
-    return len(column.codes if isinstance(column, Coded) else column)
+    if array.dtype.kind in "iu":
+        return column if coded else Coded(array, int.__repr__)
+    return None if coded or array.dtype != np.float64 else array
 
 
 def _digit_count(integers: np.ndarray) -> np.ndarray:
@@ -432,6 +424,16 @@ def _rows_bytes(fields: Sequence[_Field], literals: Sequence[bytes]) -> bytes:
     return np.concatenate(blocks).T.tobytes().translate(None, bytes([_PAD]))
 
 
+def _chunks(columns: Sequence[Coded | np.ndarray], literals: Sequence[bytes]) -> Iterator[bytes]:
+    """The rows of each chunk of ``_column``'s columns, as ``_rows_bytes``
+    writes them; columns of unequal length raise ValueError at the call,
+    before any file is opened."""
+    if len({len(column.codes if isinstance(column, Coded) else column) for column in columns}) > 1:
+        raise ValueError("report columns differ in length")
+    fields = [_coded_parts(c) if isinstance(c, Coded) else _float_parts(c) for c in columns]
+    return (_rows_bytes(parts, literals) for parts in zip(*fields))
+
+
 @contextlib.contextmanager
 def _report_file(path: str | Path) -> Iterator[BinaryIO]:
     """``path`` opened for writing, and removed if writing or closing it
@@ -480,20 +482,18 @@ def write_csv(
     columns = list(map(_column, columns))
     if any(column is None for column in columns):
         raise ValueError(f"a CSV column of {header} is not Coded, 1-d float64 or 1-d int")
-    if len(set(map(_length, columns))) != 1:
-        raise ValueError(f"CSV columns of {header} differ in length")
     columns = [
         Coded(column.codes, lambda code, text=column.text: _csv_field(text(code)))
         if isinstance(column, Coded)
         else column
         for column in columns
     ]
-    literals = [b""] + [b","] * (len(columns) - 1) + [b"\r\n"]
+    chunks = _chunks(columns, [b""] + [b","] * (len(columns) - 1) + [b"\r\n"])
     with _report_file(path) as handle:
         handle.write(comment_lines_text(comment_lines).encode("utf-8"))
         handle.write((",".join(map(_csv_field, header)) + "\r\n").encode("utf-8"))
-        for parts in zip(*map(_parts, columns)):
-            handle.write(_rows_bytes(parts, literals))
+        for rows in chunks:
+            handle.write(rows)
 
 
 def _json_column(column) -> Coded | np.ndarray | None:
@@ -505,20 +505,17 @@ def _json_column(column) -> Coded | np.ndarray | None:
     return column
 
 
-def _json_rows(value) -> tuple[list, list[bytes]] | None:
-    """A top-level array or Records as its columns and the literal text
-    around each row's fields; None for any other value."""
+def _json_rows(value) -> Iterator[bytes] | None:
+    """The chunks of a top-level array's or Records' rows, each row led by a
+    comma; None for any other value."""
     if not isinstance(value, Records):
-        column = _json_column(value)
-        return None if column is None else ([column], [b",\n    ", b""])
-    keys = sorted(value.columns)
-    columns = [_json_column(value.columns[key]) for key in keys]
-    if any(column is None for column in columns):
-        return None
-    if len(set(map(_length, columns))) > 1:
-        raise ValueError("record columns differ in length")
-    texts = [("," if j else ",\n    {") + f"\n      {_quote(key)}: " for j, key in enumerate(keys)]
-    return columns, [text.encode("ascii") for text in texts + ["\n    }"]]
+        columns, literals = [_json_column(value)], [b",\n    ", b""]
+    else:
+        keys = sorted(value.columns)
+        columns = [_json_column(value.columns[key]) for key in keys]
+        texts = [("," if j else ",\n    {") + f"\n      {_quote(key)}: " for j, key in enumerate(keys)]
+        literals = [text.encode("ascii") for text in texts + ["\n    }"]]
+    return None if any(column is None for column in columns) else _chunks(columns, literals)
 
 
 def _dumps(value, newline: bytes) -> bytes:
@@ -548,8 +545,7 @@ def write_json(path: str | Path, document) -> None:
                 handle.write(piece)
                 continue
             opened = False
-            for parts in zip(*map(_parts, piece[0])):
-                rows = _rows_bytes(parts, piece[1])
+            for rows in piece:
                 # The first row has no comma before it.
                 handle.write(rows if opened else b"[" + rows[1:])
                 opened = True

@@ -615,7 +615,7 @@ class TestSubcommands:
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
-        command=st.sampled_from(["distributions", "nosignal-check", "plan"]),
+        command=st.sampled_from(["distributions", "nosignal-check", "plan", "transmit", "simulate"]),
         geometry=st.fixed_dictionaries(
             {
                 key: st.floats(allow_nan=False, allow_infinity=False)
@@ -633,16 +633,36 @@ class TestSubcommands:
         command="distributions",
         geometry={"kappa": 10.053096491487338, "envelope_width": 2.0, "x_max": 5.0, "relative_phase": math.pi},
     )
+    # 2i * kappa overflows to an infinite imaginary part, but 2 * (kappa * x)
+    # is finite on this grid: the fringe phase is formed in that order.
+    @example(
+        command="simulate",
+        geometry={
+            "kappa": 1e308,
+            "envelope_width": 7.779506386437948,
+            "x_max": 2.2173507034131803e-276,
+            "relative_phase": 0.0,
+        },
+    )
+    # Here kappa * x is finite and 2 * (kappa * x) is not: refused naming kappa.
+    @example(
+        command="transmit",
+        geometry={"kappa": 1e308, "envelope_width": 1.0, "x_max": 1.0, "relative_phase": 0.0},
+    )
     def test_any_finite_geometry_exits_cleanly(self, command, geometry):
         """Every finite device geometry gives a verdict or a named error:
-        exit 0, 1 or 2, no traceback, and no non-finite number in a report."""
+        exit 0 or 1 with no non-finite number in a report, or exit 2 with no
+        report and an error naming a config key; no traceback."""
         # A negative number in exponent form needs the '--key=value' spelling.
         argv = [command, "--bins", "64"] + [f"{flag(k)}={v!r}" for k, v in geometry.items()]
         with tempfile.TemporaryDirectory() as out:
             with contextlib.redirect_stderr(io.StringIO()) as err:
                 code = main(argv + ["--output-dir", out])
-            assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert not list(Path(out).iterdir())
+                assert re.match(rf"error: .*\b({'|'.join(CONFIG_KEYS)})\b", err.getvalue())
+            assert code in (0, 1, 2)
             for report in Path(out).iterdir():
                 text = report.read_text()
                 assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), report.name

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qtelegraph import device as device_module
 from qtelegraph.device import (
     DeviceConfig,
     build_joint_state,
@@ -16,7 +17,7 @@ from qtelegraph.device import (
 )
 from qtelegraph.nosignal import verify_no_signaling
 from qtelegraph.protocol import ModelMode, TransmissionPlan, transmit_message
-from qtelegraph.quantum import QuantumStateError, density_from_state, partial_trace
+from qtelegraph.quantum import QuantumStateError, clamp_probabilities, density_from_state, partial_trace
 
 # Grid whose bin centers land exactly on the integers and half-integers, so
 # the kappa=pi fringe nulls (x = n + 1/2) and antifringe nulls (x = n) are
@@ -31,6 +32,11 @@ ENVELOPE_COMPLETE = DeviceConfig(x_max=8.0, bins=256)
 
 def envelope_squared(cfg, xs):
     return np.exp(-(xs**2) / (2.0 * cfg.envelope_width**2))
+
+
+def diagonal_probabilities(rho):
+    """A density matrix's diagonal as a clamped, renormalized probability vector."""
+    return clamp_probabilities(np.real(np.diag(rho.matrix)))
 
 
 class TestDeviceConfig:
@@ -147,7 +153,7 @@ class TestJointState:
         rho = density_from_state(build_joint_state(cfg))
         reduced = partial_trace(rho, (2, cfg.bins), keep=1)
         p_i = incoherent_distribution(cfg)
-        assert np.abs(reduced.diagonal_probabilities() - p_i).max() < 1e-12
+        assert np.abs(diagonal_probabilities(reduced) - p_i).max() < 1e-12
 
 
 class TestCoherentDistribution:
@@ -201,7 +207,7 @@ class TestIncoherentDistribution:
         rho = density_from_state(build_joint_state(cfg))
         reduced = partial_trace(rho, (2, cfg.bins), keep=1)
         p_i = incoherent_distribution(cfg)
-        assert np.abs(p_i - reduced.diagonal_probabilities()).max() < 1e-12
+        assert np.abs(p_i - diagonal_probabilities(reduced)).max() < 1e-12
 
     def test_even_in_x(self):
         p = incoherent_distribution(DeviceConfig())
@@ -226,6 +232,29 @@ class TestEraserConditionals:
         conditionals = eraser_conditionals(cfg)
         p_c = coherent_distribution(cfg)
         assert np.abs(conditionals.p_plus - p_c).max() < 1e-12
+
+    def test_plus_branch_equals_the_clamped_half_sum_bitwise(self):
+        """The oracle is the formula p_plus had before it was taken from the
+        coherent pattern: |(psi_1 + psi_2) / 2|^2, clamped. Halving is exact,
+        so the two agree bit for bit on any grid."""
+        rng = np.random.default_rng(20261020)
+        compared = 0
+        for _ in range(300):
+            cfg = DeviceConfig(
+                kappa=float(np.exp(rng.uniform(math.log(0.05), math.log(40.0)))),
+                envelope_width=float(rng.uniform(0.1, 5.0)),
+                x_max=float(rng.uniform(0.5, 12.0)),
+                bins=int(rng.integers(2, 5000)),
+                relative_phase=float(rng.uniform(-7.0, 7.0)),
+            )
+            try:
+                p_plus = eraser_conditionals(cfg).p_plus
+            except QuantumStateError:
+                continue
+            psi1, psi2 = cfg.amplitudes
+            assert p_plus.tobytes() == clamp_probabilities(np.abs(0.5 * (psi1 + psi2)) ** 2).tobytes()
+            compared += 1
+        assert compared > 250
 
     def test_minus_branch_nulls_at_integer_bins(self):
         conditionals = eraser_conditionals(NULL_ALIGNED)
@@ -310,6 +339,18 @@ class TestDistributionProperties:
 
 
 class TestCsvExport:
+    def test_coherent_pattern_built_once(self, monkeypatch, tmp_path):
+        """Five columns from three clamped patterns: p_coherent and p_plus
+        are one array."""
+        clamped, written = [], []
+        clamp = device_module.clamp_probabilities
+        monkeypatch.setattr(device_module, "clamp_probabilities", lambda values: clamped.append(1) or clamp(values))
+        monkeypatch.setattr(device_module, "write_csv", lambda *args: written.append(args[3]))
+        write_distributions_csv(DeviceConfig(bins=32), tmp_path / "distributions.csv")
+        assert len(clamped) == 3
+        (columns,) = written
+        assert columns[1] is columns[3]
+
     def test_round_trip(self, tmp_path):
         cfg = DeviceConfig(bins=32)
         path = tmp_path / "distributions.csv"

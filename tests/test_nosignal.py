@@ -164,6 +164,12 @@ class TestVerifyNoSignaling:
             hypotheses = Hypotheses(DeviceConfig(bins=64), mode)
             assert hypotheses.pattern(Detector.OFF) is hypotheses.pattern(Detector.ON)
 
+    @pytest.mark.parametrize("mode", ["NaiveCollapse", None, 1], ids=["str", "None", "int"])
+    def test_a_mode_that_is_not_a_member_is_refused(self, mode):
+        # A string mode returned a pass with TV 0 before.
+        with pytest.raises(ValueError, match=r"mode must be ModelMode\.NAIVE_COLLAPSE or ModelMode\.UNITARY_QM"):
+            verify_no_signaling(DeviceConfig(bins=16), mode)
+
     def test_report_serialization_round_trip(self):
         report = verify_no_signaling(DeviceConfig(), ModelMode.UNITARY_QM)
         text = report.to_text()
@@ -223,7 +229,7 @@ class TestReducedStateRoutes:
         off, on = hypotheses.pattern(Detector.OFF), hypotheses.pattern(Detector.ON)
         assert np.abs(on - off).max() < 1e-15
         mixture = reduced_screen_by_measurement_mixture(cfg)
-        mixture_diagonal = DensityMatrix(lifted(cfg, mixture)).diagonal_probabilities()
+        mixture_diagonal = clamp_probabilities(np.real(np.diag(DensityMatrix(lifted(cfg, mixture)).matrix)))
         assert np.abs(off - mixture_diagonal).max() < 1e-12
 
     @pytest.mark.parametrize("mode", list(ModelMode))
@@ -330,7 +336,8 @@ class TestSpanAgainstDenseOracle:
             assert abs(report.trace_distance_reduced - expected) <= 1e-12
         for span_state, dense_state in pairs:
             diagonal = clamp_probabilities(np.real(np.diag(lifted(cfg, span_state))))
-            assert np.abs(diagonal - dense_state.diagonal_probabilities()).max() <= 1e-12
+            dense_diagonal = clamp_probabilities(np.real(np.diag(dense_state.matrix)))
+            assert np.abs(diagonal - dense_diagonal).max() <= 1e-12
 
 
 class TestMixtureIdentities:

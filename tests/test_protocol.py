@@ -38,6 +38,7 @@ from qtelegraph.protocol import (
     _sorted_prefix,
     _symbol_windows,
 )
+from qtelegraph.nosignal import plugin_mutual_information
 from qtelegraph.rng import child_seeds, stream
 
 from oracles import binomial_log_tails, divmod_emissions, joint_required_sample_size
@@ -152,6 +153,26 @@ class TestScreenMarginal:
         assert np.array_equal(off, on)
         assert np.array_equal(off, incoherent_distribution(cfg))
         assert not off.flags.writeable
+
+    @pytest.mark.parametrize("mode", ["NaiveCollapse", None, 1], ids=["str", "None", "int"])
+    def test_a_mode_that_is_not_a_member_is_refused(self, mode):
+        """A mode's value is not the mode: no model is picked for it (a string
+        ran UnitaryQM, at SER 0.5 where NaiveCollapse decodes)."""
+        cfg = DeviceConfig(bins=16)
+        members = r"mode must be ModelMode\.NAIVE_COLLAPSE or ModelMode\.UNITARY_QM"
+        with pytest.raises(ValueError, match=members):
+            Hypotheses(cfg, mode)
+        for bits in ([0, 1], []):
+            with pytest.raises(ValueError, match=members):
+                transmit_message(bits, TransmissionPlan(M=27), mode, cfg, stream(0, "mode"))
+
+    @pytest.mark.parametrize("detectors", ["off", None, 0], ids=["str", "None", "int"])
+    @pytest.mark.parametrize("mode", list(ModelMode))
+    def test_a_setting_that_is_not_a_member_is_refused(self, mode, detectors):
+        hypotheses = Hypotheses(DeviceConfig(bins=16), mode)
+        for read in (hypotheses.pattern, hypotheses.state):
+            with pytest.raises(ValueError, match=r"detectors must be Detector\.ON or Detector\.OFF"):
+                read(detectors)
 
 
 class TestSampleHits:
@@ -741,6 +762,51 @@ class TestSeededFiguresMatchTheirExactLaws:
                 errors = int((result.received[sent] != bit).sum())
                 assert plausible(errors, int(sent.sum()), p_range, comparisons), (seed, bit, errors)
 
+    @pytest.mark.parametrize("n, m", [(7, 3), (10, 27), (100, 27)])
+    def test_symbol_times(self, n, m):
+        """Each of a message's first four symbol times against its law
+        (``symbol_time_law``), at the law's 10/30/50/70/90% points: the count
+        of messages at or below a point is Binomial(messages, its CDF). One
+        message per seed, so the samples are independent. Item 12's law for
+        later symbols, whole periods + Beta(r, n - r), holds only averaged
+        over i; at n = 10, m = 27 it misreads symbol 1."""
+        messages, symbols, points = 2000, 4, (0.1, 0.3, 0.5, 0.7, 0.9)
+        comparisons = 2 * symbols * len(points)
+        cfg, plan = DeviceConfig(bins=16), TransmissionPlan(M=m, N=n)
+        times = np.array(
+            [
+                transmit_message([0] * symbols, plan, ModelMode.UNITARY_QM, cfg, stream(seed, "symbol-law")).symbol_times
+                for seed in range(messages)
+            ]
+        )
+        for s in range(symbols):
+            periods, a, b = symbol_time_law(s, n, m)
+            for q in points:
+                x = beta_quantile(q, a, b)
+                p = beta_cdf(x, a, b)
+                count = int((times[:, s] - periods <= x).sum())
+                assert plausible(count, messages, (p, p), comparisons), (s, q, count / messages, p)
+
+    def test_unitary_plugin_mutual_information_is_its_small_sample_bias(self):
+        """Under UnitaryQM the received bit is independent of the sent one,
+        so 2 n ln 2 times the plug-in MI in bits is the G statistic, about
+        chi-squared with 1 degree of freedom (Miller, 1955): its mean, 1, is
+        the estimator's bias. At M = 2 the receiver decides "interference"
+        about 38% of the time, so both received values are common. The sum of
+        G over the independent seeds is chi-squared with 2k = len(seeds)
+        degrees of freedom, whose upper tail at g is P(Poisson(g / 2) < k),
+        and both its tails are tested."""
+        cfg, plan, symbols = DeviceConfig(), TransmissionPlan(M=2), 4000
+        total = 0.0
+        for seed in EXACT_LAW_SEEDS:
+            bits = stream(seed, "plug-in MI", "bits").integers(0, 2, symbols)
+            result = transmit_message(bits, plan, ModelMode.UNITARY_QM, cfg, stream(seed, "plug-in MI"))
+            assert 0.2 < (result.received == 0).mean() < 0.8
+            total += 2 * symbols * math.log(2) * plugin_mutual_information(result.sent, result.received)
+        k = len(EXACT_LAW_SEEDS) // 2
+        upper = math.fsum(math.exp(-total / 2) * (total / 2) ** i / math.factorial(i) for i in range(k))
+        assert min(upper, 1.0 - upper) >= FAMILY_WISE / 2, (total, upper)
+
     @pytest.mark.parametrize("mode", list(ModelMode), ids=lambda mode: mode.value)
     @pytest.mark.parametrize("detectors", list(Detector), ids=lambda detectors: detectors.value)
     def test_simulate_bin_counts(self, mode, detectors):
@@ -759,6 +825,36 @@ class TestSeededFiguresMatchTheirExactLaws:
             for j in bins:
                 p = float(pattern[j])
                 assert plausible(int(counts[j]), plan.M, (p, p), comparisons), (seed, j, counts[j], p)
+
+
+def beta_cdf(x, a, b):
+    """P(Beta(a, b) <= x) for integers a, b >= 1: P(Binomial(a + b - 1, x) >= a)."""
+    return math.exp(binomial_log_tails(a, a + b - 1, x)[1])
+
+
+def beta_quantile(q, a, b):
+    """The least x in [0, 1], to within 2**-50, with P(Beta(a, b) <= x) >= q."""
+    lo, hi = 0.0, 1.0
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if beta_cdf(mid, a, b) < q else (lo, mid)
+    return hi
+
+
+def symbol_time_law(s, n, m):
+    """(whole periods, a, b): symbol s of N = n period-1 telegraphs pooling
+    m > 0 pairs takes whole periods + Beta(a, b), for m mod n > 0.
+
+    Symbol s >= 1 spans pooled emissions s*m - 1 to (s + 1)*m - 1, the
+    offsets' order statistics i + 1 and i + r + 1, i = (s*m - 1) mod n and
+    r = m mod n: r uniform spacings, Beta(r, n - r + 1), if i + r < n, and
+    otherwise one period less n - r of them, Beta(r + 1, n - r). Symbol 0
+    starts at clock 0 and ends at emission m - 1."""
+    if s == 0:
+        j = (m - 1) % n + 1
+        return (m - 1) // n, j, n - j + 1
+    i, r = (s * m - 1) % n, m % n
+    return (m // n, r, n - r + 1) if i + r < n else (m // n, r + 1, n - r)
 
 
 def merged_emissions(schedule, count):

@@ -1,16 +1,24 @@
-"""Every public top-level name in the package must be read by the package.
+"""Every public top-level name and class member in the package must be read
+by the package.
 
 The public twin of ``test_private_names``: a module-level function, class or
 constant without a leading underscore that no code in ``src/qtelegraph``
 loads, apart from its own definition, is surface that only its callers
 outside the package use. Each such name is on ``KEPT`` with the reason it
-stays; any other must be used by the pipeline or go. The sources are only
-parsed, never imported.
+stays; any other must be used by the pipeline or go. The same holds for the
+public methods, properties, fields and class constants of the classes
+defined at the top level of ``src``, read as ``<anything>.<member>``: each
+member no ``src`` code reads is on ``KEPT_MEMBERS``. An attribute read
+counts whatever object it is read from, so a member that shares its name
+with one that is read passes unread. The sources are only parsed, never
+imported.
 """
+
+import ast
 
 import pytest
 
-from test_private_names import loads_outside, top_level_definitions
+from test_private_names import TREES, loads_outside, top_level_definitions
 
 # (module file, name) -> why it stays although no code in src/ loads it.
 KEPT = {
@@ -49,3 +57,69 @@ def test_public_name_is_loaded_by_the_package_or_kept(module, name, node):
 def test_every_kept_name_is_defined():
     defined = {(module, name) for module, name, _ in public_definitions()}
     assert set(KEPT) <= defined
+
+
+# (module file, class, member) -> why it stays although no code in src/ reads it.
+KEPT_MEMBERS = {
+    ("relativity.py", "ParadoxTrace", "legs"): "ROADMAP item 18 is to read it",
+    ("device.py", "EraserConditionals", "prob_plus"): "the Born-weighted eraser identity test reads it",
+    ("device.py", "EraserConditionals", "prob_minus"): "the Born-weighted eraser identity test reads it",
+}
+
+
+def public_members():
+    """(module file, class, member, defining node) per public method,
+    property, field or class constant of a top-level class."""
+    for module, tree in TREES.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.AnnAssign):
+                    names = [node.target.id] if isinstance(node.target, ast.Name) else []
+                elif isinstance(node, ast.Assign):
+                    names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    if not name.startswith("_"):
+                        yield module, cls.name, name, node
+
+
+def attribute_reads_outside(name, node):
+    """Every read of ``<anything>.name`` in src/ outside its defining node."""
+    own = {id(inner) for inner in ast.walk(node)}
+    return [
+        inner
+        for tree in TREES.values()
+        for inner in ast.walk(tree)
+        if id(inner) not in own
+        and isinstance(inner, ast.Attribute)
+        and inner.attr == name
+        and isinstance(inner.ctx, ast.Load)
+    ]
+
+
+@pytest.mark.parametrize(
+    "module, cls, name, node",
+    [pytest.param(*case, id=f"{case[0]}:{case[1]}.{case[2]}") for case in public_members()],
+)
+def test_public_member_is_read_by_the_package_or_kept(module, cls, name, node):
+    read = bool(attribute_reads_outside(name, node))
+    if (module, cls, name) in KEPT_MEMBERS:
+        assert not read, f"{module}: {cls}.{name} is read in src/ now; drop it from KEPT_MEMBERS"
+    else:
+        assert read, f"{module}: {cls}.{name} is read by no code in src/; use it or remove it"
+
+
+def test_every_kept_member_is_defined():
+    defined = {(module, cls, name) for module, cls, name, _ in public_members()}
+    assert set(KEPT_MEMBERS) <= defined
+
+
+def test_members_found():
+    # The parse must see methods, properties and fields at all.
+    found = {(cls, name) for _, cls, name, _ in public_members()}
+    assert {("ErrorLaw", "settled"), ("DeviceConfig", "span"), ("Coded", "codes"), ("ModelMode", "UNITARY_QM")} <= found

@@ -806,6 +806,25 @@ class TestCodedColumn:
             write_csv(tmp_path / "r.csv", [], ("a", "b"), (column, np.zeros(3)))
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize(
+        "codes", [np.array([0.0, 1.0]), np.array([[0], [1]]), [0, 1]], ids=["float", "2-d", "list"]
+    )
+    def test_codes_not_a_1d_int_array_raise_before_a_file_is_opened(self, tmp_path, monkeypatch, codes):
+        """write_csv raises its ValueError and write_json json's own
+        TypeError, for a Coded column at the top level and in Records."""
+
+        def refused(*args):
+            raise AssertionError("a report file was opened")
+
+        monkeypatch.setattr(report_module, "open", refused, raising=False)
+        column = Coded(codes, str)
+        with pytest.raises(ValueError, match="not Coded, 1-d float64 or 1-d int"):
+            write_csv(tmp_path / "r.csv", [], ("a", "b"), (column, np.zeros(2)))
+        for document in ({"c": column}, {"r": Records({"c": column, "d": np.zeros(2)})}):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                write_json(tmp_path / "r.json", document)
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (4096, 4097), (0, 1)])
     def test_columns_of_unequal_length_raise(self, tmp_path, lengths):
         columns = (Coded(np.zeros(lengths[0], dtype=int), str), np.zeros(lengths[1]))
