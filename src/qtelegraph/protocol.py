@@ -26,13 +26,13 @@ period, so it is addressed by index: symbol s pools emissions s*M to
 last, whose time ends the symbol; only when its hits are kept (``simulate``)
 does it lay out all M emissions of each symbol.
 
-Screen hits are drawn by inverse CDF through a guide table built once per
-screen pattern (``_BinSampler``), which gives exactly the bins a binary
-search of the CDF would. A message has one sampler when both detector
-settings show one pattern (UnitaryQM) and two otherwise. The receiver
-decodes a block of symbols (about 2^16 hits) at a time: the bins,
-log-likelihood ratios and fringe statistics of the whole block are array
-operations, on screen patterns built once per message. Each
+Screen hits are drawn by inverse CDF through a guide table of about 16
+buckets per bin, built once per screen pattern (``_BinSampler``), which gives
+exactly the bins a clamped binary search of the CDF would. A message has one
+sampler when both detector settings show one pattern (UnitaryQM) and two
+otherwise. The receiver decodes a block of symbols (about 2^16 hits) at a
+time: the bins, log-likelihood ratios and fringe statistics of the whole
+block are array operations, on screen patterns built once per message. Each
 symbol's M uniforms are those of ``np.random.default_rng(child seed)``, and a
 block takes them from one ``rng.UniformLanes`` per message, which picks how to
 draw them from the block's size. Only the screen draws are made: the idler's
@@ -72,7 +72,12 @@ MAX_PAIRS = 10**7
 # hits, the sampler's chunks a quarter of it.
 _BLOCK_HITS = 1 << 16
 _SAMPLER_CHUNK = 1 << 14
-_BUCKETS_PER_BIN = 64
+# Guide buckets per bin, and their cap. At the default 256 bins on a 2-core
+# x86-64, 16 per bin built a guide in 0.07 ms against 0.23-0.34 ms at 64 per
+# bin, and drew 54,000 hits in 0.27 ms against 0.28 ms. 8 per bin drew as fast
+# as 16; at 4 and 2 per bin crowded buckets (up to 2% and 4% of them) slowed
+# the draws by 6-22% and 38-73%.
+_BUCKETS_PER_BIN = 16
 _MAX_BUCKETS = 1 << 16
 # The planner's lattices: the first step (nats), halved while a bracket
 # straddles alpha, and the most points one FFT may take, which bounds a
@@ -146,38 +151,43 @@ class _BinSampler:
     Trans. 6, 163 (1974)), built once per distribution.
 
     A uniform u draws bin min(searchsorted(cdf, u, 'right'), bins - 1), exactly.
-    The unit interval is cut into K buckets, K a power of two (about 64 per
+    The unit interval is cut into K buckets, K a power of two (about 16 per
     bin, at most 2^16), so u*K and the edges b/K are exact and bucket
     b = floor(u*K) bounds the search to the CDF values in (b/K, (b+1)/K]. A
     bucket holding at most one of them settles a draw with one comparison;
-    only draws in the few crowded buckets are searched.
+    only draws in the few crowded buckets are searched. The clamp to the last
+    bin is folded into the table, so only those searches are clamped.
     """
 
     def __init__(self, probabilities: np.ndarray) -> None:
         cdf = np.cumsum(probabilities)
+        last = cdf.size - 1
         buckets = min(_MAX_BUCKETS, 1 << (_BUCKETS_PER_BIN * cdf.size - 1).bit_length())
         guide = np.searchsorted(cdf, np.arange(buckets + 1) / buckets, side="right")
         self._cdf = cdf
         self._buckets = buckets
-        # Per bucket: the CDF values <= its left edge, the next CDF value, and
+        # Per bucket: the CDF values <= its left edge, capped at the last bin;
+        # the next CDF value, +inf where the cap leaves no bin to step to; and
         # whether more than one CDF value falls inside it.
-        self._below = guide[:-1]
-        self._next = cdf[np.minimum(guide[:-1], cdf.size - 1)]
+        self._below = np.minimum(guide[:-1], last)
+        self._next = cdf[self._below]
+        self._next[self._below == last] = np.inf
         self._crowded = np.diff(guide) > 1
 
     def indices(self, u: np.ndarray) -> np.ndarray:
         """Bin index per uniform in [0, 1), in the shape of ``u``."""
         flat = np.ravel(u)
         out = np.empty(flat.size, dtype=np.intp)
-        last = self._cdf.size - 1
         for start in range(0, flat.size, _SAMPLER_CHUNK):
             part = flat[start : start + _SAMPLER_CHUNK]
+            idx = out[start : start + _SAMPLER_CHUNK]
             bucket = (part * self._buckets).astype(np.intp)
-            idx = self._below[bucket] + (self._next[bucket] <= part)
+            np.take(self._below, bucket, out=idx)
+            idx += self._next[bucket] <= part
             crowded = self._crowded[bucket]
             if crowded.any():
-                idx[crowded] = np.searchsorted(self._cdf, part[crowded], side="right")
-            np.minimum(idx, last, out=out[start : start + _SAMPLER_CHUNK])
+                found = np.searchsorted(self._cdf, part[crowded], side="right")
+                idx[crowded] = np.minimum(found, self._cdf.size - 1)
         return out.reshape(np.shape(u))
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:

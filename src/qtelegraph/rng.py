@@ -121,9 +121,19 @@ def _seed_sequence_words(seeds: np.ndarray) -> list[np.ndarray]:
     return [halves[2 * k] | (halves[2 * k + 1] << np.uint64(32)) for k in range(_POOL_SIZE)]
 
 
-def _step(state: tuple[np.ndarray, np.ndarray], inc: tuple[np.ndarray, np.ndarray]):
+def _scratch(size: int) -> list[np.ndarray]:
+    """Four uint64 buffers of ``size`` lanes, for ``_step`` to work in."""
+    return [np.empty(size, dtype=np.uint64) for _ in range(4)]
+
+
+def _step(
+    state: tuple[np.ndarray, np.ndarray],
+    inc: tuple[np.ndarray, np.ndarray],
+    scratch: list[np.ndarray],
+) -> None:
     """One PCG64 step of every lane, state * multiplier + inc mod 2^128, on
-    (hi, lo) uint64 limbs; uint64 products wrap mod 2^64.
+    (hi, lo) uint64 limbs, written over ``state`` in place through the
+    ``_scratch`` buffers; uint64 products wrap mod 2^64.
 
     Mod 2^128 the product is lo*m_lo + 2^64 (hi*m_lo + lo*m_hi), so only
     lo*m_lo needs its high word, built from 32-bit halves as in Warren,
@@ -131,16 +141,36 @@ def _step(state: tuple[np.ndarray, np.ndarray], inc: tuple[np.ndarray, np.ndarra
     of two halves plus a carried word still fits 64 bits.
     """
     hi, lo = state
+    a0, a1, middle, spare = scratch
     m_hi, m_lo = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64)
     m1, m0 = np.uint64(_PCG64_MULT >> 32 & _MASK32), np.uint64(_PCG64_MULT & _MASK32)
-    a1, a0 = lo >> 32, lo & _MASK32
-    middle = a1 * m0 + ((a0 * m0) >> 32)
-    carried = a0 * m1 + (middle & _MASK32)
-    high = a1 * m1 + (middle >> 32) + (carried >> 32)
-    new_lo = lo * m_lo + inc[1]
+    np.bitwise_and(lo, _MASK32, out=a0)
+    np.right_shift(lo, 32, out=a1)
+    # middle = a1*m0 + (a0*m0 >> 32)
+    np.multiply(a0, m0, out=middle)
+    middle >>= 32
+    np.multiply(a1, m0, out=spare)
+    middle += spare
+    # carried = a0*m1 + (middle & 2^32 - 1), then the high word of lo*m_lo,
+    # a1*m1 + (middle >> 32) + (carried >> 32), in a1.
+    np.bitwise_and(middle, _MASK32, out=spare)
+    a0 *= m1
+    a0 += spare
+    a0 >>= 32
+    middle >>= 32
+    a1 *= m1
+    a1 += middle
+    a1 += a0
+    np.multiply(lo, m_hi, out=spare)
+    hi *= m_lo
+    hi += a1
+    hi += spare
+    hi += inc[0]
+    lo *= m_lo
+    lo += inc[1]
     # The low word's sum carried iff it wrapped below the addend.
-    new_hi = high + lo * m_hi + hi * m_lo + inc[0] + (new_lo < inc[1])
-    return new_hi, new_lo
+    np.less(lo, inc[1], out=spare)
+    hi += spare
 
 
 def _pcg64_seeding(seeds) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -158,7 +188,8 @@ def _pcg64_seeding(seeds) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarr
     inc = ((w2 << 1) | (w3 >> 63), (w3 << 1) | 1)
     start_lo = inc[1] + w1
     start = (inc[0] + w0 + (start_lo < w1), start_lo)
-    return _step(start, inc), inc
+    _step(start, inc, _scratch(start_lo.size))
+    return start, inc
 
 
 def _state_dict(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> dict:
@@ -173,10 +204,11 @@ def _state_dict(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> dict:
 # A take of at least this many rows per draw, 16*m rows of m uniforms, steps
 # its lanes. Each of the m draws is one vectorised step over the take's rows,
 # so the lanes' cost per row grows with m, while a generator reset per row
-# costs about the same at any m. On a 2-core x86-64 the lanes took 2-3 ms
-# against 8-14 ms for 2000 rows at m = 27, 1.3-1.5 times less at 16*m rows for
-# m from 16 to 64, and 1.4 and 3-4 times more at m = 100 and 200 (655 and 327
-# rows).
+# costs about the same at any m. On a 2-core x86-64 the lanes took 1.1-1.6 ms
+# against 5.2-5.6 ms for 2000 rows at m = 27, 1.4-2.3 times less at 16*m rows
+# for m from 16 to 64, and 1.3-2.1 and 4 times more at m = 100 and 200 (655
+# and 327 rows). They broke even at about 8*m rows for m up to 64, 12*m at
+# m = 100 and 16*m at m = 200, so 16 is kept: it never loses to the resets.
 _LANES_PER_DRAW = 16
 
 
@@ -185,13 +217,14 @@ class UniformLanes:
     seeds s, one lane per seed, taken row by row in seed order.
 
     A take of at least 16*m rows (``_LANES_PER_DRAW``) steps them as lanes:
-    column j is one PCG64 step of the take's lanes (``_step``) and its XSL-RR
-    output, the high word xor the low one rotated right by the state's top 6
-    bits, as the double (output >> 11) * 2^-53, which is what numpy's
-    ``Generator.random`` returns. A smaller take sets one numpy generator to
-    each lane's starting state and draws its row. That generator, numpy's
-    ``PCG64(seed0)``, is the only one built; it checks the derived seeding of
-    lane 0 when built, and each stepped take's first lane against its reset.
+    column j is one in-place PCG64 step of the take's lanes (``_step``) and
+    its XSL-RR output, the high word xor the low one rotated right by the
+    state's top 6 bits, as the double (output >> 11) * 2^-53, which is what
+    numpy's ``Generator.random`` returns. A smaller take sets one numpy
+    generator to each lane's starting state and draws its row. That generator,
+    numpy's ``PCG64(seed0)``, is the only one built; it checks the derived
+    seeding of lane 0 when built, and each stepped take's first lane against
+    its reset.
     """
 
     def __init__(self, seeds, m: int) -> None:
@@ -218,19 +251,34 @@ class UniformLanes:
         return rows
 
     def take(self, count: int) -> np.ndarray:
-        """The next ``count`` lanes' m uniforms, as a (count, m) array."""
+        """The next ``count`` lanes' m uniforms, as a (count, m) array.
+
+        A count below 0 or above the lanes left is refused before any draw.
+        """
+        left = self._state[0].size - self._taken
+        if not 0 <= count <= left:
+            raise ValueError(f"cannot take {count} rows of uniforms: {left} lanes left")
         lanes = slice(self._taken, self._taken + count)
         self._taken = lanes.stop
         if count < _LANES_PER_DRAW * self._m:
             return self._reset_rows(lanes)
-        state = (self._state[0][lanes], self._state[1][lanes])
+        # The lanes step in copies, so the starting states stay for the guard.
+        hi, lo = (limb[lanes].copy() for limb in self._state)
         inc = (self._inc[0][lanes], self._inc[1][lanes])
-        columns = np.empty((self._m, state[0].size))
+        scratch = _scratch(count)
+        word, turn, rotated, spare = scratch
+        columns = np.empty((self._m, count))
         for column in columns:
-            state = _step(state, inc)
-            word = state[0] ^ state[1]
-            turn = state[0] >> 58
-            np.multiply((word >> turn | word << (-turn & 63)) >> 11, 2.0**-53, out=column)
+            _step((hi, lo), inc, scratch)
+            np.bitwise_xor(hi, lo, out=word)
+            np.right_shift(hi, 58, out=turn)
+            np.right_shift(word, turn, out=rotated)
+            np.negative(turn, out=turn)
+            turn &= 63
+            np.left_shift(word, turn, out=spare)
+            rotated |= spare
+            rotated >>= 11
+            np.multiply(rotated, 2.0**-53, out=column)
         first = self._reset_rows(slice(lanes.start, lanes.start + 1))[0]
         if not np.array_equal(columns[:, 0], first):
             raise RuntimeError("PCG64 lanes disagree with numpy's generator; numpy's PCG64 has changed")

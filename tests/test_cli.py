@@ -1108,6 +1108,27 @@ class TestSubcommands:
                 "summary.json": "9d37e95c3d3fc4f1d3d1dde9839c9ea4318cd4ff00d90b5628263c79d74f73eb",
             },
         ),
+        # Draws above 256 bins, pinned while the guide had 64 buckets per bin.
+        # At 2048 bins that guide was capped at 2^16 buckets, and 16 per bin
+        # leaves it uncapped at 2^15.
+        (
+            "transmit---bins-2048-symbols-600-M-27",
+            ("transmit", "--mode", "NaiveCollapse", "--symbols", "600", "--M", "27", "--bins", "2048", "--seed", "6"),
+            {
+                "transcript.json": "d4bec6ee9df8246da7313a76d05b149a7e09e886eddac28bb94e46cb3006e026",
+                "summary.json": "0fb59c77405d97331a3519400237529b2b49ccb0c376f2b9f8f026d43571ae8b",
+            },
+        ),
+        # At 16384 bins the guide is capped at 2^16 buckets either way, with
+        # 1.3% of them crowded.
+        (
+            "simulate---bins-16384-M-20000",
+            ("simulate", "--mode", "NaiveCollapse", "--detectors", "off", "--M", "20000", "--bins", "16384", "--seed", "6"),
+            {
+                "hits.csv": "a4498d4677df94f097997b54688f8a14cabad81067e9e4453acdecd9b36f836c",
+                "decision.json": "883502f8fda389033c25e10e2439fe2f6c9a3a18a4ac3c3d9a8519b0780a0986",
+            },
+        ),
     )
 
     @pytest.mark.parametrize(

@@ -219,17 +219,24 @@ class TestSampleHits:
 class TestBinSampler:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
-        bins=st.integers(1, 4096),
+        bins=st.integers(1, 2**15),
         zero_fraction=st.sampled_from([0.0, 0.3, 0.9]),
         skew=st.floats(0.0, 60.0),
         total_error=st.sampled_from([-1e-13, 0.0, 1e-13]),
         seed=st.integers(0, 2**32 - 1),
         extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
     )
+    # The fewest bins whose guide is capped at _MAX_BUCKETS, and a guide
+    # capped at two buckets per bin, each with a total short of 1.
+    @example(bins=4097, zero_fraction=0.3, skew=8.0, total_error=-1e-13, seed=1, extra=[])
+    @example(bins=2**15, zero_fraction=0.9, skew=30.0, total_error=-1e-13, seed=2, extra=[])
     def test_matches_clipped_binary_search(self, bins, zero_fraction, skew, total_error, seed, extra):
         """Exact for any probability vector (empty bins, tiny bins, a total
         off 1 by 1e-13) and any uniform, including 0, every CDF value, every
-        bucket edge and the floats either side of each."""
+        bucket edge and the floats either side of each. Above 4096 bins the
+        guide is capped at 2^16 buckets, fewer than 16 per bin. A total short
+        of 1 (-1e-13) leaves buckets past the CDF's end, where the table's
+        folded clamp to the last bin decides the draw."""
         rng = np.random.default_rng(seed)
         weights = rng.random(bins) ** skew
         weights[rng.random(bins) < zero_fraction] = 0.0

@@ -70,6 +70,34 @@ class TestUniformLanes:
         blocks = np.concatenate([lanes.take(1), lanes.take(62), lanes.take(37)])
         assert np.array_equal(blocks, UniformLanes(seeds, 3).take(100))
 
+    def test_back_to_back_stepped_takes_equal_one_take(self):
+        # At m = 27 each take steps lanes through its own buffers; a buffer
+        # shared between takes, or stepped states written back, would change
+        # the later takes' rows.
+        seeds = child_seeds(stream(46, "lanes"), 1632)
+        lanes = UniformLanes(seeds, 27)
+        blocks = np.concatenate([lanes.take(500), lanes.take(432), lanes.take(700)])
+        assert np.array_equal(blocks, UniformLanes(seeds, 27).take(1632))
+        assert_rows_are_default_rng_draws(seeds, blocks, 27)
+
+    @pytest.mark.parametrize(
+        "size, counts",
+        [(10, [20]), (10, [-1]), (100, [60, 60])],
+        ids=["past-the-end", "negative", "second-take-past-the-end"],
+    )
+    def test_take_refuses_a_count_it_cannot_serve(self, size, counts):
+        seeds = child_seeds(stream(47, "lanes"), size)
+        lanes = UniformLanes(seeds, 2)
+        *served, refused = counts
+        for count in served:
+            lanes.take(count)
+        left = size - sum(served)
+        message = rf"cannot take {refused} rows of uniforms: {left} lanes left"
+        with pytest.raises(ValueError, match=message):
+            lanes.take(refused)
+        # The refusal took nothing: the lanes left are still served in order.
+        assert np.array_equal(lanes.take(left), UniformLanes(seeds, 2).take(size)[size - left :])
+
     def test_guard_raises_when_seeding_disagrees_with_numpy(self, monkeypatch):
         monkeypatch.setattr(rng_module, "_PCG64_MULT", rng_module._PCG64_MULT ^ 2)
         with pytest.raises(RuntimeError, match="seeding disagrees with numpy"):
