@@ -58,11 +58,11 @@ def _integer_at_least(name: str, value, minimum: int) -> int:
 class DeviceConfig:
     """Dimensionless two-pipe interference geometry.
 
-    kappa: fringe wavenumber (radians per screen-position unit), > 0.
+    kappa: fringe wavenumber (radians per screen-position unit), > 0 and finite.
     envelope_width: Gaussian envelope width w, > 0.
     x_max: half-width of the screen grid in units of w, > 0.
     bins: number of screen bins, in [2, MAX_BINS].
-    relative_phase: extra phase on pipe 2, radians.
+    relative_phase: extra phase on pipe 2, radians, finite.
     """
 
     kappa: float = math.pi
@@ -72,8 +72,10 @@ class DeviceConfig:
     relative_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be > 0 (got {self.kappa})")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be > 0 and finite (got {self.kappa})")
+        if not math.isfinite(self.relative_phase):
+            raise ValueError(f"relative_phase must be finite (got {self.relative_phase})")
         if not self.envelope_width > 0:
             raise ValueError(f"envelope_width must be > 0 (got {self.envelope_width})")
         if not self.x_max > 0:

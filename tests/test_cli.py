@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -30,10 +31,10 @@ from qtelegraph.cli import (
     resolve_config,
     run_command,
 )
-from qtelegraph.protocol import Detector, ModelMode
+from qtelegraph.device import DeviceConfig
+from qtelegraph.protocol import Detector, ModelMode, TransmissionPlan
 from qtelegraph.report import write_json
-from oracles import parse_config
-from test_report import reference_hits_csv
+from oracles import parse_config, reference_hits_csv
 
 
 # The (event, path) of each file opened, removed or renamed while a
@@ -300,6 +301,13 @@ class TestConfigKeys:
         assert exc.value.code == 0
         words = set(capsys.readouterr().out.split())
         assert {flag(key) for key in CONFIG_KEYS} | {"--config"} <= words
+
+    def test_device_and_plan_keys_default_to_their_dataclass_fields(self):
+        """A CLI run and a library run at the defaults build the same objects."""
+        defaults = {f.name: f.default for cls in (DeviceConfig, TransmissionPlan) for f in dataclasses.fields(cls)}
+        assert sorted(defaults) == sorted(["kappa", "envelope_width", "x_max", "bins", "relative_phase", "M", "T", "N"])
+        for key, default in defaults.items():
+            assert (type(CONFIG_KEYS[key].default), CONFIG_KEYS[key].default) == (type(default), default), key
 
     def test_readme_table_lists_exactly_the_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -55,6 +55,17 @@ class TestDeviceConfig:
         with pytest.raises(ValueError, match=field):
             DeviceConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field, message",
+        [("kappa", "kappa must be > 0 and finite"), ("relative_phase", "relative_phase must be finite")],
+        ids=["kappa", "relative_phase"],
+    )
+    def test_non_finite_kappa_and_phase_rejected_by_name(self, field, message, value):
+        """Refused here, not later as a cancelled or NaN pattern."""
+        with pytest.raises(ValueError, match=rf"^{message} \(got {value}\)$"):
+            DeviceConfig(**{field: value})
+
     def test_bin_centers_formula(self):
         cfg = DeviceConfig()
         width = 2.0 * cfg.x_max * cfg.envelope_width / cfg.bins

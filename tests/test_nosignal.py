@@ -48,7 +48,7 @@ from qtelegraph.quantum import (
 )
 from qtelegraph.rng import stream
 
-from test_protocol import PINNED_M_STAR
+from oracles import PINNED_M_STAR
 
 ENVELOPE_COMPLETE = DeviceConfig(x_max=8.0, bins=256)
 STATE_BUILDERS = (

@@ -36,17 +36,11 @@ from qtelegraph.protocol import (
     _BLOCK_HITS,
     _BinSampler,
     _sorted_prefix,
-    _symbol_windows,
 )
 from qtelegraph.nosignal import plugin_mutual_information
 from qtelegraph.rng import child_seeds, stream
 
-from oracles import binomial_log_tails, divmod_emissions, joint_required_sample_size
-
-# The planner's M* at the defaults (alpha = 0.01), certified by its error
-# brackets: at M = 26 the incoherent-data error is at least 0.0108, at 27
-# both are at most 0.0097.
-PINNED_M_STAR = 27
+from oracles import PINNED_M_STAR, binomial_log_tails, divmod_emissions, joint_required_sample_size
 
 NULL_ALIGNED = DeviceConfig(x_max=5.125, bins=41)
 # Patterns a total variation of 0.016 apart.
@@ -250,10 +244,14 @@ class TestBinSampler:
         assert np.array_equal(sampler.indices(u), clipped_search(probabilities, u))
 
     def test_draw_takes_one_uniform_per_hit_in_any_shape(self):
-        probabilities = coherent_distribution(DeviceConfig())
+        cfg = DeviceConfig()
+        probabilities = coherent_distribution(cfg)
         sampler = _BinSampler(probabilities)
         u = stream(3, "draw").random(50_000)
-        assert np.array_equal(sampler.draw(50_000, stream(3, "draw")), clipped_search(probabilities, u))
+        assert np.array_equal(sampler.indices(u), clipped_search(probabilities, u))
+        # sample_hits draws its hits from the same uniforms.
+        hits = sample_hits(cfg, probabilities, 50_000, stream(3, "draw"))
+        assert np.array_equal(hits, cfg.bin_centers()[clipped_search(probabilities, u)])
         block = u.reshape(500, 100)
         assert np.array_equal(sampler.indices(block), clipped_search(probabilities, block))
         assert sampler.indices(np.empty((0, 5))).shape == (0, 5)
@@ -864,6 +862,15 @@ def symbol_time_law(s, n, m):
     return (m // n, r, n - r + 1) if i + r < n else (m // n, r + 1, n - r)
 
 
+def message_on(monkeypatch, schedule, m, symbols, keep_hits=True):
+    """A ``symbols``-bit message at M = m sent through ``schedule`` in place
+    of the one ``transmit_message`` would draw."""
+    monkeypatch.setattr(protocol_module, "ensemble_schedule", lambda *_: schedule)
+    plan = TransmissionPlan(M=m, T=schedule.period, N=schedule.telegraphs)
+    bits = np.zeros(symbols, dtype=int)
+    return transmit_message(bits, plan, ModelMode.UNITARY_QM, DeviceConfig(), stream(36, "tx"), keep_hits=keep_hits)
+
+
 def merged_emissions(schedule, count):
     """The first ``count`` pooled emissions by brute force: every telegraph's
     first ceil(count/N) + 1 emissions, merged by time with ties broken by id."""
@@ -940,47 +947,53 @@ class TestEnsembleSchedule:
         for k in {1, max(1, n - 1), n}:
             assert np.array_equal(_sorted_prefix(offsets, k), full[:k])
 
-    def test_message_orders_only_the_slots_it_reads(self):
+    def test_message_orders_only_the_slots_it_reads(self, monkeypatch):
         schedule = ensemble_schedule(1000, 1.0, stream(34, "prefix"))
-        blocks = list(_symbol_windows(schedule, 3, 5, keep_hits=True))
+        result = message_on(monkeypatch, schedule, 3, 5)
         assert schedule.order.size == 15
         want_times, want_ids = merged_emissions(schedule, 2000)
-        assert np.array_equal(np.concatenate([ids.ravel() for _, ids, _ in blocks]), want_ids[:15])
+        assert np.array_equal(result.hit_telegraph_ids.ravel(), want_ids[:15])
         # A later, longer read orders the rest of the cycle.
         times, ids = schedule.emissions_after(0, 2000)
         assert schedule.order.size == 1000
         assert np.array_equal(ids, want_ids) and np.array_equal(times, want_times)
 
-    def test_tied_offsets_emit_every_telegraph(self):
+    def test_tied_offsets_emit_every_telegraph(self, monkeypatch):
         """Two telegraphs firing together both count: at M=1 the symbols
         alternate between them and the mean symbol time is T/N."""
         schedule = EnsembleSchedule(offsets=[0.5, 0.5], period=1.0)
-        windows = list(_symbol_windows(schedule, 1, 100, keep_hits=True))
-        ids = np.concatenate([w[1].ravel() for w in windows])
-        times = np.concatenate([w[0].ravel() for w in windows])
-        assert ids.tolist() == [0, 1] * 50
-        assert np.array_equal(times, 0.5 + np.arange(100) // 2)
+        result = message_on(monkeypatch, schedule, 1, 100)
+        assert result.hit_telegraph_ids.ravel().tolist() == [0, 1] * 50
+        assert np.array_equal(result.hit_times.ravel(), 0.5 + np.arange(100) // 2)
         # The mean telescopes to the last emission time over the symbol count.
-        mean_time = np.mean(np.concatenate([w[2] for w in windows]))
-        assert mean_time == pytest.approx(0.5, abs=1.0 / 100)
+        assert np.mean(result.symbol_times) == pytest.approx(0.5, abs=1.0 / 100)
 
     @pytest.mark.parametrize("m, symbols", [(1, 70_000), (28, 5000), (70_000, 3)])
-    def test_symbol_blocks_are_bounded_slices_of_one_timeline(self, m, symbols):
+    def test_symbol_blocks_are_bounded_slices_of_one_timeline(self, monkeypatch, m, symbols):
         schedule = ensemble_schedule(7, 0.3, stream(32, "blocks"))
-        blocks = list(_symbol_windows(schedule, m, symbols, keep_hits=True))
-        assert len(blocks) > 1
-        assert all(times.size <= max(m, _BLOCK_HITS) for times, _, _ in blocks)
-        times = np.concatenate([block[0] for block in blocks])
-        ids = np.concatenate([block[1] for block in blocks])
         want_times, want_ids = schedule.emissions_after(0, symbols * m)
-        assert np.array_equal(times.ravel(), want_times)
-        assert np.array_equal(ids.ravel(), want_ids)
-        symbol_times = np.concatenate([block[2] for block in blocks])
-        assert np.array_equal(symbol_times, np.diff(times[:, -1], prepend=0.0))
-        # Not kept, a block holds no hits and the same symbol times.
-        unkept = list(_symbol_windows(schedule, m, symbols))
-        assert all(times is None and ids is None for times, ids, _ in unkept)
-        assert np.array_equal(np.concatenate([block[2] for block in unkept]), symbol_times)
+        reads = []
+        original = EnsembleSchedule.emissions_after
+
+        def recorded(self, first, count, stride=1):
+            reads.append(original(self, first, count, stride))
+            return reads[-1]
+
+        monkeypatch.setattr(EnsembleSchedule, "emissions_after", recorded)
+        result = message_on(monkeypatch, schedule, m, symbols)
+        # Each block reads its symbols' last emissions, then its hits.
+        blocks = reads[1::2]
+        assert len(blocks) > 1 and len(reads) == 2 * len(blocks)
+        assert all(times.size <= max(m, _BLOCK_HITS) for times, _ in blocks)
+        assert np.array_equal(np.concatenate([times for times, _ in blocks]), want_times)
+        assert np.array_equal(np.concatenate([ids for _, ids in blocks]), want_ids)
+        assert np.array_equal(result.hit_times.ravel(), want_times)
+        assert np.array_equal(result.hit_telegraph_ids.ravel(), want_ids)
+        assert np.array_equal(result.symbol_times, np.diff(result.hit_times[:, -1], prepend=0.0))
+        # Not kept, a message reads no hits and gives the same symbol times.
+        unkept = message_on(monkeypatch, schedule, m, symbols, keep_hits=False)
+        assert unkept.hit_times is None and unkept.hit_telegraph_ids is None
+        assert np.array_equal(unkept.symbol_times, result.symbol_times)
 
     @pytest.mark.parametrize("period", [0.1, 1.0, 2.5])
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 1000])

@@ -18,7 +18,7 @@ import ast
 
 import pytest
 
-from test_private_names import TREES, loads_outside, top_level_definitions
+from oracles import loads_outside, source_trees, top_level_definitions
 
 # (module file, name) -> why it stays although no code in src/ loads it.
 KEPT = {
@@ -70,7 +70,7 @@ KEPT_MEMBERS = {
 def public_members():
     """(module file, class, member, defining node) per public method,
     property, field or class constant of a top-level class."""
-    for module, tree in TREES.items():
+    for module, tree in source_trees().items():
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -93,7 +93,7 @@ def attribute_reads_outside(name, node):
     own = {id(inner) for inner in ast.walk(node)}
     return [
         inner
-        for tree in TREES.values()
+        for tree in source_trees().values()
         for inner in ast.walk(tree)
         if id(inner) not in own
         and isinstance(inner, ast.Attribute)

@@ -1,8 +1,6 @@
 """Tests for the report writers: byte for byte against csv.writer and json.dumps."""
 
-import csv
 import errno
-import io
 import json
 import math
 import os
@@ -24,6 +22,8 @@ from qtelegraph.device import (
 from qtelegraph.protocol import EnsembleSchedule, transmit_message
 from qtelegraph.report import Coded, Records, write_csv, write_json, write_text
 from qtelegraph.rng import stream
+
+from oracles import reference_csv, reference_hits_csv
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 # The float column properties write a file per example; fewer keep them fast.
@@ -47,14 +47,6 @@ def listed(value):
         keys = list(value.columns)
         return [dict(zip(keys, row)) for row in zip(*map(listed, value.columns.values()))]
     return value
-
-
-def reference_csv(comment_lines, rows) -> bytes:
-    """What the writers wrote before: '# ' lines, then csv.writer rows."""
-    buffer = io.StringIO(newline="")
-    buffer.writelines(f"# {line}\n" for line in comment_lines)
-    csv.writer(buffer).writerows(rows)
-    return buffer.getvalue().encode("utf-8")
 
 
 # -- write_json ---------------------------------------------------------------
@@ -831,21 +823,6 @@ class TestCodedColumn:
         with pytest.raises(ValueError, match="differ in length"):
             write_csv(tmp_path / "r.csv", [], ("a", "b"), columns)
         assert not (tmp_path / "r.csv").exists()
-
-
-def reference_hits_csv(cfg) -> bytes:
-    bit = 1 if cfg.detectors.value == "on" else 0
-    result = transmit_message(
-        [bit], cfg.plan, cfg.mode, cfg.device, stream(cfg.seed, "simulate"), keep_hits=True
-    )
-    rows = [["telegraph_id", "time", "x"]] + [
-        [int(i), repr(float(t)), repr(float(x))]
-        for i, t, x in zip(
-            result.hit_telegraph_ids[0], result.hit_times[0], cfg.device.bin_centers()[result.hit_bins[0]]
-        )
-    ]
-    comments = [f"{key}: {value}" for key, value in sorted(cfg.resolved().items())]
-    return reference_csv(comments, rows)
 
 
 class TestReportsMatchCsvWriter:
