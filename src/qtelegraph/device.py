@@ -263,7 +263,8 @@ def write_distributions_csv(
     """Write the four reference screen distributions as CSV.
 
     Columns: x, p_coherent, p_incoherent, p_plus, p_minus. Lines from
-    ``header_comments`` are emitted first, prefixed with '# '.
+    ``header_comments`` are emitted first, prefixed with '# '; one holding
+    a line break is refused, as ``report.write_csv`` refuses it.
     """
     eraser = eraser_conditionals(cfg)
     coherent, incoherent = eraser.p_plus, incoherent_distribution(cfg)

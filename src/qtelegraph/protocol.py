@@ -22,19 +22,20 @@ M meeting a target error probability, so it draws nothing and needs no seed.
 The staggered N-telegraph ensemble schedule realizes the M*T/N symbol time of
 the many-telegraph construction. Its pooled emission stream repeats every
 period, so it is addressed by index: symbol s pools emissions s*M to
-(s+1)*M - 1, whatever N is. A message reads one emission per symbol, the
-last, whose time ends the symbol; only when its hits are kept (``simulate``)
-does it lay out all M emissions of each symbol.
+(s+1)*M - 1, whatever N is. A message reads its timeline once, before it
+draws anything: one emission per symbol, the last, whose time ends the
+symbol, or, only when its hits are kept (``simulate``), all M emissions of
+each symbol, whose last column gives the same ends.
 
 Screen hits are drawn by inverse CDF through a guide table of about 16
 buckets per bin, built once per screen pattern (``_BinSampler``), which gives
 exactly the bins a clamped binary search of the CDF would. A message has one
 sampler when both detector settings show one pattern (UnitaryQM) and two
-otherwise. ``transmit_message`` walks the emission timeline in one loop over
-blocks of symbols (about 2^16 hits each): a block reads its symbols' last
-emissions, sets their times, and samples and decodes its hits, the bins,
-log-likelihood ratios and fringe statistics of the whole block being array
-operations on screen patterns built once per message. Each symbol's M
+otherwise. Once its timeline is read, ``transmit_message`` loops over
+blocks of symbols (about 2^16 hits each) only to draw and decode: a block
+samples its hits, the bins, log-likelihood ratios and fringe statistics of
+the whole block being array operations on screen patterns built once per
+message, and writes its bins into the kept hits, if any. Each symbol's M
 uniforms are those of ``np.random.default_rng(child seed)``, and a block
 takes them from one ``rng.UniformLanes`` per message, which picks how to draw
 them from the block's size. Only the screen draws are made: the idler's
@@ -99,7 +100,7 @@ Brackets = tuple[Bracket | None, Bracket | None]
 
 
 def _check_period(name: str, value: float) -> None:
-    # Negated, so NaN fails too.
+    # A period, or the planner's lattice step. Negated, so NaN fails too.
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be > 0 and finite (got {value})")
 
@@ -323,8 +324,11 @@ class ErrorLaw:
         Entries below -(m-1)*max(table) are raised to it first. One such draw
         makes the sum of m draws <= 0 whatever the others are, so the raise
         changes no decision, and it keeps the floored null bins (about -690)
-        from widening the lattice.
+        from widening the lattice. An m that is not an integer >= 1, or a
+        step that is not finite and > 0, is refused.
         """
+        m = _integer_at_least("m", m, 1)
+        _check_period("step", step)
         raised = np.maximum(self.table, -(m - 1) * self.table.max())
         points = np.rint(raised / step).astype(np.int64)
         least = int(points.min())
@@ -357,8 +361,10 @@ class ErrorLaw:
         """[lo, hi] on one error probability of the m-sample LRT, with the
         table on a lattice of ``step``, from one ``power`` call: hypothesis 0
         is coherent-pattern data, whose error is deciding "no interference",
-        and 1 is incoherent-pattern data (the order of ``Brackets``). None if
-        the m-fold law on that lattice would exceed _LATTICE_BUDGET points.
+        and 1 is incoherent-pattern data (the order of ``Brackets``); any
+        other hypothesis is refused, as ``lattice`` refuses m and the step,
+        before any FFT. None if the m-fold law on that lattice would exceed
+        _LATTICE_BUDGET points.
 
         The lattice sum step*K is within m*step/2 of the true sum S, so with
         h = m // 2, S <= 0 implies K <= h and K <= -h - 1 implies S < 0:
@@ -366,6 +372,9 @@ class ErrorLaw:
         and P_i(K >= h+1) <= P_i(S > 0) <= P_i(K >= -h) on incoherent-pattern
         data. Each end is widened by the law's rounding allowance.
         """
+        m = _integer_at_least("m", m, 1)
+        if _integer_at_least("hypothesis", hypothesis, 0) > 1:
+            raise ValueError(f"hypothesis must be 0 or 1 (got {hypothesis})")
         offsets, least = self.lattice(m, step)
         if m * int(offsets.max()) + 1 > _LATTICE_BUDGET:
             return None
@@ -395,8 +404,12 @@ class ErrorLaw:
         at every step reaches the same verdict. A probe that meets has no
         lower end > alpha, so it stops, as that ladder does, at the first step
         where both upper ends are <= alpha, with the same brackets. Building
-        the incoherent law first sets only how many laws are built.
+        the incoherent law first sets only how many laws are built. An m
+        that is not an integer >= 1, or an alpha ``check_alpha`` refuses, is
+        refused before any law is built.
         """
+        m = _integer_at_least("m", m, 1)
+        check_alpha(alpha)
         step = _COARSE_STEP
         while (incoherent := self.bracket(m, step, 1)) is None:
             step *= 2.0
@@ -518,9 +531,9 @@ class EnsembleSchedule:
     The pooled stream is periodic: cycle c fires every telegraph once, in
     offset order with ties broken by id, so pooled emission k is telegraph
     ``order[k % N]`` at its offset + period*(k // N). ``order`` holds as
-    many slots as a read has needed (``pooled_order``), so a message that reads
-    fewer than N emissions orders only those, and a run of pooled emissions
-    costs O(its length), whatever N is.
+    many slots as a read has needed, so a message, which reads its timeline
+    once, before its block loop, orders only the slots of a cycle it reads,
+    and a run of pooled emissions costs O(its length), whatever N is.
     """
 
     offsets: np.ndarray
@@ -542,29 +555,33 @@ class EnsembleSchedule:
     def telegraphs(self) -> int:
         return self.offsets.size
 
-    def pooled_order(self, slots: int) -> np.ndarray:
-        """The read-only ids of the first ``slots`` (at most N) slots of a
-        cycle, in pooled order; ordered on the first read that needs them."""
-        if slots > self.order.size:
-            order = _sorted_prefix(self.offsets, slots)
-            order.setflags(write=False)
-            object.__setattr__(self, "order", order)
-        return self.order[:slots]
-
     def emissions_after(
         self, first: int, count: int, stride: int = 1
     ) -> tuple[np.ndarray, np.ndarray]:
         """Pooled emissions first, first + stride, ..., ``count`` of them, as
         (times, telegraph ids) in pooled order; at stride 1, the ``count``
-        emissions after the first ``first``."""
+        emissions after the first ``first``. The slots of a cycle that no
+        earlier read reached are ordered here. A read whose latest time
+        overflows the float range is refused."""
         first = _integer_at_least("first", first, 0)
         count = _integer_at_least("count", count, 0)
         stride = _integer_at_least("stride", stride, 1)
-        k = np.arange(first, first + stride * count, stride)
-        cycle, slot = np.divmod(k, self.telegraphs)
-        reach = first + stride * (count - 1) + 1 if count else 0
-        ids = self.pooled_order(min(reach, self.telegraphs))[slot]
-        return self.offsets[ids] + self.period * cycle, ids
+        cycle, slot = np.divmod(np.arange(first, first + stride * count, stride), self.telegraphs)
+        reach = min(first + stride * (count - 1) + 1 if count else 0, self.telegraphs)
+        if reach > self.order.size:
+            order = _sorted_prefix(self.offsets, reach)
+            order.setflags(write=False)
+            object.__setattr__(self, "order", order)
+        ids = self.order[slot]
+        with np.errstate(over="ignore"):
+            times = self.offsets[ids] + self.period * cycle
+        # The read is in pooled order, so its last time is its latest.
+        if count and not math.isfinite(times[-1]):
+            raise ValueError(
+                f"emission times overflow the float range; T ({self.period}) "
+                f"is too large for this message"
+            )
+        return times, ids
 
 
 def ensemble_schedule(n: int, period: float, rng: np.random.Generator) -> EnsembleSchedule:
@@ -618,10 +635,11 @@ def transmit_message(
     (on = 1, off = 0), hits are pooled in emission order until M are
     collected, and the LRT decides: interference -> 0, no-interference -> 1.
     The symbol time is the pooled collection time; symbols run back to back
-    on one continuous emission timeline. Each symbol reads only its last
-    emission's time unless ``keep_hits`` is set, and is sampled from the
-    pattern its setting shows: under UnitaryQM one sampler draws every
-    symbol, a block in one call.
+    on one continuous emission timeline, read once, before the block loop:
+    each symbol's last emission unless ``keep_hits`` is set, and all M of its
+    emissions if it is. The loop only draws and decodes: each symbol is
+    sampled from the pattern its setting shows, and under UnitaryQM one
+    sampler draws every symbol, a block in one call.
     """
     bits = np.asarray(bits)
     if bits.ndim != 1 or not np.isin(bits, (0, 1)).all():
@@ -646,34 +664,25 @@ def transmit_message(
     sample_on = _BinSampler(on)
     sample_off = sample_on if off is on else _BinSampler(off)
 
-    # The one emission timeline: symbol s pools emissions [s*m, (s+1)*m), and
-    # its time runs from the previous symbol's last emission (from 0 for the
-    # first), so a block of symbols (about _BLOCK_HITS hits, at least one
-    # symbol) reads one emission per symbol unless its hits are kept. The
-    # message's last emission is its latest; Python floats overflow to inf
-    # without numpy's warning. Every slot the message reads is ordered here.
-    cycle, slot = divmod(symbols * m - 1, schedule.telegraphs)
-    order = schedule.pooled_order(min(symbols * m, schedule.telegraphs))
-    last = float(schedule.offsets[order[slot]]) + schedule.period * cycle
-    if not math.isfinite(last):
-        raise ValueError(
-            f"emission times overflow the float range; T ({schedule.period}) "
-            f"is too large for this message"
-        )
+    # The one read of the emission timeline: symbol s pools emissions
+    # [s*m, (s+1)*m) and ends at the last, and its time runs from the
+    # previous symbol's end (from 0 for the first). Unless its hits are kept,
+    # a message reads only those ends.
+    hits = {}
+    if keep_hits:
+        times, ids = (column.reshape(symbols, m) for column in schedule.emissions_after(0, symbols * m))
+        ends = times[:, -1]
+        bins = np.empty((symbols, m), dtype=np.intp)
+        hits = dict(hit_telegraph_ids=ids, hit_times=times, hit_bins=bins)
+    else:
+        ends, _ = schedule.emissions_after(m - 1, symbols, stride=m)
+    symbol_times = np.diff(ends, prepend=0.0)
 
-    log_lr, fringes, symbol_times = (np.empty(symbols) for _ in range(3))
-    kept = []
-    clock = 0.0
+    # Blocks of about _BLOCK_HITS hits, at least one symbol each.
+    log_lr, fringes = np.empty(symbols), np.empty(symbols)
     per_block = max(1, _BLOCK_HITS // m)
     for start in range(0, symbols, per_block):
         stop = min(start + per_block, symbols)
-        ends, _ = schedule.emissions_after((start + 1) * m - 1, stop - start, stride=m)
-        symbol_times[start:stop] = np.diff(ends, prepend=clock)
-        clock = float(ends[-1])
-        # Hits are read before the draws: read after them, a 10^5-hit
-        # simulate took about 1,730 minor page faults per run, not 1,340.
-        if keep_hits:
-            times, ids = schedule.emissions_after(start * m, (stop - start) * m)
         u = lanes.take(stop - start)
         if sample_off is sample_on:
             idx = sample_on.indices(u)
@@ -685,10 +694,8 @@ def transmit_message(
         log_lr[start:stop] = table[idx].sum(axis=1)
         fringes[start:stop] = np.abs(phasors[idx].mean(axis=1))
         if keep_hits:
-            kept.append((ids.reshape(idx.shape), times.reshape(idx.shape), idx))
+            bins[start:stop] = idx
 
-    names = ("hit_telegraph_ids", "hit_times", "hit_bins")
-    hits = dict(zip(names, map(np.concatenate, zip(*kept))))
     for column in (log_lr, fringes, symbol_times, *hits.values()):
         column.setflags(write=False)
     return TransmissionResult(

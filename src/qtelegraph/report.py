@@ -125,7 +125,15 @@ _K_MIN, _K_MAX = -324, 292
 
 
 def comment_lines_text(lines: Iterable[str]) -> str:
-    """The provenance header of a text report: each line prefixed with '# '."""
+    """The provenance header of a text report: each line prefixed with '# '.
+
+    A line holding a line break, one that ``str.splitlines`` would change,
+    raises ValueError: the text after the break would lose its '# '.
+    """
+    lines = list(lines)
+    for line in lines:
+        if "".join(line.splitlines()) != line:
+            raise ValueError(f"a comment line holds a line break ({line!r})")
     return "".join(f"# {line}\n" for line in lines)
 
 
@@ -448,7 +456,9 @@ def _report_file(path: str | Path) -> Iterator[BinaryIO]:
 
 
 def write_text(path: str | Path, comment_lines: Iterable[str], text: str) -> None:
-    """Write a text report: '# ' comment lines, then ``text``, as UTF-8."""
+    """Write a text report: '# ' comment lines, then ``text``, as UTF-8. A
+    comment line holding a line break raises ValueError before the file is
+    opened."""
     data = (comment_lines_text(comment_lines) + text).encode("utf-8")
     with _report_file(path) as handle:
         handle.write(data)
@@ -474,7 +484,8 @@ def write_csv(
     as each float's ``repr``, or a 1-d int array, written as each int's. The
     bytes equal those of ``csv.writer`` writing the same rows. A field that
     ``csv.writer`` would quote raises ValueError instead, as do columns of
-    unequal length and any other column, before the file is opened.
+    unequal length, any other column and a comment line holding a line
+    break, before the file is opened.
     """
     if len(header) < 2 or len(columns) != len(header):
         # A lone empty field is the one unquoted case csv.writer quotes.
@@ -488,10 +499,10 @@ def write_csv(
         else column
         for column in columns
     ]
+    head = comment_lines_text(comment_lines) + ",".join(map(_csv_field, header)) + "\r\n"
     chunks = _chunks(columns, [b""] + [b","] * (len(columns) - 1) + [b"\r\n"])
     with _report_file(path) as handle:
-        handle.write(comment_lines_text(comment_lines).encode("utf-8"))
-        handle.write((",".join(map(_csv_field, header)) + "\r\n").encode("utf-8"))
+        handle.write(head.encode("utf-8"))
         for rows in chunks:
             handle.write(rows)
 

@@ -26,6 +26,8 @@ import hashlib
 
 import numpy as np
 
+from .device import _integer_at_least
+
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
@@ -75,9 +77,10 @@ def child_seeds(rng: np.random.Generator, count: int) -> np.ndarray:
 
     Drawing all seeds up front in index order makes the children independent
     of later consumption order, which keeps indexed sub-simulations (one per
-    symbol, one per trial) deterministic however they are scheduled.
+    symbol, one per trial) deterministic however they are scheduled. A count
+    that is not an integer >= 0 is refused.
     """
-    return rng.integers(0, 2**63, size=count, dtype=np.int64)
+    return rng.integers(0, 2**63, size=_integer_at_least("count", count, 0), dtype=np.int64)
 
 
 def _seed_sequence_words(seeds: np.ndarray) -> list[np.ndarray]:
@@ -224,10 +227,11 @@ class UniformLanes:
     generator to each lane's starting state and draws its row. That generator,
     numpy's ``PCG64(seed0)``, is the only one built; it checks the derived
     seeding of lane 0 when built, and each stepped take's first lane against
-    its reset.
+    its reset. An m that is not an integer >= 1 is refused.
     """
 
     def __init__(self, seeds, m: int) -> None:
+        m = _integer_at_least("m", m, 1)
         seeds = np.asarray(seeds)
         self._state, self._inc = _pcg64_seeding(seeds)
         if not seeds.size:

@@ -38,7 +38,7 @@ from qtelegraph.protocol import (
     _sorted_prefix,
 )
 from qtelegraph.nosignal import plugin_mutual_information
-from qtelegraph.rng import child_seeds, stream
+from qtelegraph.rng import UniformLanes, child_seeds, stream
 
 from oracles import PINNED_M_STAR, binomial_log_tails, divmod_emissions, joint_required_sample_size
 
@@ -569,6 +569,13 @@ class TestRequiredSampleSize:
             assert allowance < 1e-10
 
 
+def forbid_ffts(monkeypatch):
+    def no_fft(*args, **kwargs):
+        raise AssertionError("an FFT ran")
+
+    monkeypatch.setattr(np.fft, "rfft", no_fft)
+
+
 class TestErrorLaw:
     def test_arrays_are_read_only_and_the_receiver_sums_the_table(self):
         cfg = DeviceConfig()
@@ -577,6 +584,47 @@ class TestErrorLaw:
             assert not array.flags.writeable
         assert np.array_equal(log_ratio_table(cfg), law.table)
         assert law.total_variation == 0.5 * float(np.abs(law.coherent - law.incoherent).sum())
+
+    @pytest.mark.parametrize(
+        "m, step, hypothesis, named",
+        [
+            (-3, 0.01, 0, "m"),
+            (0, 0.01, 0, "m"),
+            (2.5, 0.01, 0, "m"),
+            (True, 0.01, 0, "m"),
+            (27, -0.01, 1, "step"),
+            (27, 0.0, 1, "step"),
+            (27, math.nan, 1, "step"),
+            (27, math.inf, 1, "step"),
+            (27, 0.01, -1, "hypothesis"),
+            (27, 0.01, 2, "hypothesis"),
+            (27, 0.01, 1.0, "hypothesis"),
+            (27, 0.01, True, "hypothesis"),
+        ],
+    )
+    def test_bracket_and_lattice_refuse_bad_arguments_before_any_fft(self, monkeypatch, m, step, hypothesis, named):
+        forbid_ffts(monkeypatch)
+        law = ErrorLaw(DeviceConfig())
+        with pytest.raises(ValueError, match=rf"^{named} must"):
+            law.bracket(m, step, hypothesis)
+        if named != "hypothesis":
+            with pytest.raises(ValueError, match=rf"^{named} must"):
+                law.lattice(m, step)
+
+    @pytest.mark.parametrize(
+        "m, alpha, named",
+        [(0, 0.01, "m"), (-1, 0.01, "m"), (27.0, 0.01, "m"), (27, 2.0, "alpha"), (27, math.nan, "alpha"), (27, 0.0, "alpha")],
+    )
+    def test_settled_refuses_bad_arguments_before_any_fft(self, monkeypatch, m, alpha, named):
+        forbid_ffts(monkeypatch)
+        with pytest.raises(ValueError, match=rf"^{named} must"):
+            ErrorLaw(DeviceConfig()).settled(m, alpha)
+
+    def test_numpy_integer_m_gives_the_same_brackets(self):
+        law = ErrorLaw(DeviceConfig())
+        for hypothesis in (0, 1, np.int64(0), np.int64(1)):
+            assert law.bracket(np.int64(PINNED_M_STAR), 0.01, hypothesis) == law.bracket(PINNED_M_STAR, 0.01, hypothesis)
+        assert law.settled(np.int64(PINNED_M_STAR), 0.01) == law.settled(PINNED_M_STAR, 0.01)
 
     def test_brackets_hold_one_law_at_a_time(self):
         # At M = 65536 and step 0.01 each hypothesis's law has 786433 points.
@@ -972,28 +1020,44 @@ class TestEnsembleSchedule:
     def test_symbol_blocks_are_bounded_slices_of_one_timeline(self, monkeypatch, m, symbols):
         schedule = ensemble_schedule(7, 0.3, stream(32, "blocks"))
         want_times, want_ids = schedule.emissions_after(0, symbols * m)
-        reads = []
-        original = EnsembleSchedule.emissions_after
+        events = []
+        read, take = EnsembleSchedule.emissions_after, UniformLanes.take
 
-        def recorded(self, first, count, stride=1):
-            reads.append(original(self, first, count, stride))
-            return reads[-1]
+        def recorded_read(self, first, count, stride=1):
+            events.append(("read", count))
+            return read(self, first, count, stride)
 
-        monkeypatch.setattr(EnsembleSchedule, "emissions_after", recorded)
-        result = message_on(monkeypatch, schedule, m, symbols)
-        # Each block reads its symbols' last emissions, then its hits.
-        blocks = reads[1::2]
-        assert len(blocks) > 1 and len(reads) == 2 * len(blocks)
-        assert all(times.size <= max(m, _BLOCK_HITS) for times, _ in blocks)
-        assert np.array_equal(np.concatenate([times for times, _ in blocks]), want_times)
-        assert np.array_equal(np.concatenate([ids for _, ids in blocks]), want_ids)
-        assert np.array_equal(result.hit_times.ravel(), want_times)
-        assert np.array_equal(result.hit_telegraph_ids.ravel(), want_ids)
-        assert np.array_equal(result.symbol_times, np.diff(result.hit_times[:, -1], prepend=0.0))
+        def recorded_take(self, count):
+            events.append(("take", count))
+            return take(self, count)
+
+        monkeypatch.setattr(EnsembleSchedule, "emissions_after", recorded_read)
+        monkeypatch.setattr(UniformLanes, "take", recorded_take)
+        results = {}
+        for keep_hits in (True, False):
+            events.clear()
+            results[keep_hits] = message_on(monkeypatch, schedule, m, symbols, keep_hits=keep_hits)
+            # One read of the timeline, before the first draw; then only draws.
+            assert events[0] == ("read", symbols * m if keep_hits else symbols)
+            blocks = [count for kind, count in events[1:] if kind == "take"]
+            assert len(blocks) == len(events) - 1 > 1 and sum(blocks) == symbols
+            assert all(rows * m <= max(m, _BLOCK_HITS) for rows in blocks)
+        kept, unkept = results[True], results[False]
+        assert np.array_equal(kept.hit_times.ravel(), want_times)
+        assert np.array_equal(kept.hit_telegraph_ids.ravel(), want_ids)
+        assert np.array_equal(kept.symbol_times, np.diff(kept.hit_times[:, -1], prepend=0.0))
         # Not kept, a message reads no hits and gives the same symbol times.
-        unkept = message_on(monkeypatch, schedule, m, symbols, keep_hits=False)
         assert unkept.hit_times is None and unkept.hit_telegraph_ids is None
-        assert np.array_equal(unkept.symbol_times, result.symbol_times)
+        assert np.array_equal(unkept.symbol_times, kept.symbol_times)
+
+    def test_emission_overflow_is_refused_without_a_warning(self):
+        schedule = EnsembleSchedule(offsets=[0.5], period=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"T \(1e\+308\) is too large"):
+                schedule.emissions_after(2, 1)
+            times, _ = schedule.emissions_after(0, 2)
+        assert times.tolist() == [0.5, 1e308]
 
     @pytest.mark.parametrize("period", [0.1, 1.0, 2.5])
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 1000])
@@ -1172,7 +1236,7 @@ class TestTransmitMessage:
         monkeypatch.setattr(EnsembleSchedule, "emissions_after", counted)
         plan = TransmissionPlan(M=m, T=0.3, N=7)
         bits = stream(37, "bits", m).integers(0, 2, size=symbols)
-        for keep_hits, want in ((False, symbols), (True, symbols + symbols * m)):
+        for keep_hits, want in ((False, symbols), (True, symbols * m)):
             read.clear()
             transmit_message(bits, plan, mode, DeviceConfig(), stream(37, "tx"), keep_hits=keep_hits)
             assert sum(read) == want

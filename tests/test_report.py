@@ -25,6 +25,8 @@ from qtelegraph.rng import stream
 
 from oracles import reference_csv, reference_hits_csv
 
+# Every character at which str.splitlines breaks a line.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 # The float column properties write a file per example; fewer keep them fast.
 FLOAT_PROPERTY = settings(PROPERTY, max_examples=50)
@@ -338,7 +340,7 @@ class TestWriteCsv:
     @given(
         width=st.integers(2, 4),
         rows=st.lists(st.lists(SAFE_FIELDS, min_size=4, max_size=4), max_size=12),
-        comments=st.lists(st.text(st.characters(blacklist_characters="\r\n"), max_size=5), max_size=2),
+        comments=st.lists(st.text(st.characters(blacklist_characters=LINE_BREAKS), max_size=5), max_size=2),
     )
     def test_equals_csv_writer(self, tmp_path_factory, width, rows, comments):
         header = [f"c{j}" for j in range(width)]
@@ -434,6 +436,23 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match="not Coded, 1-d float64 or 1-d int"):
             write_csv(path, [], ("a", "b"), (column, np.zeros(2)))
         assert not path.exists()
+
+
+@pytest.mark.parametrize("line", ["two\nlines", "two\r\nlines", "trailing\n", "form\x0cfeed", "para\u2029graph"])
+@pytest.mark.parametrize("writer", ["csv", "text", "distributions"])
+def test_comment_line_with_a_break_is_refused_before_the_file_is_opened(tmp_path, writer, line):
+    """Written, the text after the break would lose its '# ' and a
+    '#'-skipping reader would take it for the header."""
+    path = tmp_path / "report"
+    path.write_bytes(b"kept")
+    with pytest.raises(ValueError, match="comment line holds a line break"):
+        if writer == "csv":
+            write_csv(path, ["one", line], ("a", "b"), (np.zeros(2), np.zeros(2)))
+        elif writer == "text":
+            write_text(path, [line], "body\n")
+        else:
+            write_distributions_csv(resolve_config({}).device, path, header_comments=[line])
+    assert path.read_bytes() == b"kept"
 
 
 class TestWriteText:

@@ -115,6 +115,21 @@ class TestUniformLanes:
         with pytest.raises(ValueError, match="non-negative integers"):
             UniformLanes(seeds, 3)
 
+    @pytest.mark.parametrize("m", [-1, 0, 2.5, True])
+    def test_rejects_an_m_that_is_not_an_integer_of_at_least_1(self, m):
+        with pytest.raises(ValueError, match=r"^m must be an integer >= 1"):
+            UniformLanes(np.arange(3), m)
+
+    @pytest.mark.parametrize("count", [-1, 2.5, False])
+    def test_child_seeds_rejects_a_count_that_is_not_an_integer_of_at_least_0(self, count):
+        with pytest.raises(ValueError, match=r"^count must be an integer >= 0"):
+            child_seeds(stream(48, "count"), count)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        seeds = child_seeds(stream(48, "count"), np.int64(3))
+        assert np.array_equal(seeds, child_seeds(stream(48, "count"), 3))
+        assert np.array_equal(UniformLanes(seeds, np.int64(2)).take(3), UniformLanes(seeds, 2).take(3))
+
     def test_empty_seed_run_rejected(self):
         with pytest.raises(ValueError, match="at least one seed"):
             UniformLanes(np.zeros(0, dtype=np.int64), 3)
