@@ -37,16 +37,17 @@ samples its hits, the bins, log-likelihood ratios and fringe statistics of
 the whole block being array operations on screen patterns built once per
 message, and writes its bins into the kept hits, if any. Each symbol's M
 uniforms are those of ``np.random.default_rng(child seed)``, and a block
-takes them from one ``rng.UniformLanes`` per message, which picks how to draw
-them from the block's size. Only the screen draws are made: the idler's
-outcome is read by no report, so it is not drawn.
+reads its symbols' range of them, ``rows(start, stop)``, from the message's
+one ``rng.UniformLanes``, which picks how to draw them from the range's size.
+Only the screen draws are made: the idler's outcome is read by no report, so
+it is not drawn.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -65,8 +66,8 @@ from .quantum import DensityMatrix, total_variation
 from .rng import UniformLanes, child_seeds
 
 PROBABILITY_FLOOR = 1e-300
-# A schedule holds an offset and a slot of its pooled order per telegraph,
-# 16 bytes each, so this caps it at 160 MB.
+# A schedule holds an offset per telegraph, and a read orders up to a slot
+# per telegraph, 16 bytes each, so this caps them at 160 MB.
 MAX_TELEGRAPHS = 10**7
 # Each decoded block holds at least one whole symbol, and a hit costs about
 # 60 B of peak memory, so a symbol of this many pairs takes about 0.6 GB.
@@ -348,8 +349,10 @@ class ErrorLaw:
         included. A run of consecutive outputs weighs frequency k by at most
         1 / (2 min(k, L - k)), so the power's error moves a run's sum by at
         most 2 m g (ln L + 2); the inverse transform adds g * sum|P_k| over
-        the full spectrum, and the summation g more.
+        the full spectrum, and the summation g more. An m that is not an
+        integer >= 1 is refused before any FFT.
         """
+        m = _integer_at_least("m", m, 1)
         size = m * int(offsets.max()) + 1
         length = _fft_length(size)
         spectrum = np.fft.rfft(np.bincount(offsets, weights=pattern), length) ** m
@@ -529,16 +532,15 @@ class EnsembleSchedule:
     """N telegraphs, telegraph i firing at offsets[i] + period*j for j >= 0.
 
     The pooled stream is periodic: cycle c fires every telegraph once, in
-    offset order with ties broken by id, so pooled emission k is telegraph
-    ``order[k % N]`` at its offset + period*(k // N). ``order`` holds as
-    many slots as a read has needed, so a message, which reads its timeline
-    once, before its block loop, orders only the slots of a cycle it reads,
-    and a run of pooled emissions costs O(its length), whatever N is.
+    offset order with ties broken by id, so pooled emission k is the
+    (k % N)-th telegraph of that order, at its offset + period*(k // N).
+    Each read keeps nothing: it sorts only the slots of a cycle it reaches,
+    no more than it reads, so a message, which reads its timeline once,
+    before its block loop, sorts once and at most as many slots as it reads.
     """
 
     offsets: np.ndarray
     period: float
-    order: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         offsets = np.array(self.offsets, dtype=float)
@@ -549,7 +551,6 @@ class EnsembleSchedule:
             raise ValueError("offsets must lie in [0, period)")
         offsets.setflags(write=False)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "order", np.empty(0, dtype=np.intp))
 
     @property
     def telegraphs(self) -> int:
@@ -560,19 +561,16 @@ class EnsembleSchedule:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Pooled emissions first, first + stride, ..., ``count`` of them, as
         (times, telegraph ids) in pooled order; at stride 1, the ``count``
-        emissions after the first ``first``. The slots of a cycle that no
-        earlier read reached are ordered here. A read whose latest time
-        overflows the float range is refused."""
+        emissions after the first ``first``. Only the slots of a cycle the
+        read reaches are ordered. A read whose latest time overflows the
+        float range is refused."""
         first = _integer_at_least("first", first, 0)
         count = _integer_at_least("count", count, 0)
         stride = _integer_at_least("stride", stride, 1)
         cycle, slot = np.divmod(np.arange(first, first + stride * count, stride), self.telegraphs)
-        reach = min(first + stride * (count - 1) + 1 if count else 0, self.telegraphs)
-        if reach > self.order.size:
-            order = _sorted_prefix(self.offsets, reach)
-            order.setflags(write=False)
-            object.__setattr__(self, "order", order)
-        ids = self.order[slot]
+        # The read reaches the first ``reach`` slots; an empty read orders none.
+        reach = min(first + stride * (count - 1) + 1, self.telegraphs)
+        ids = _sorted_prefix(self.offsets, reach)[slot] if count else slot
         with np.errstate(over="ignore"):
             times = self.offsets[ids] + self.period * cycle
         # The read is in pooled order, so its last time is its latest.
@@ -683,7 +681,7 @@ def transmit_message(
     per_block = max(1, _BLOCK_HITS // m)
     for start in range(0, symbols, per_block):
         stop = min(start + per_block, symbols)
-        u = lanes.take(stop - start)
+        u = lanes.rows(start, stop)
         if sample_off is sample_on:
             idx = sample_on.indices(u)
         else:

@@ -11,13 +11,13 @@ Indexed sub-simulations (one per symbol) each draw from
 seed through a ``SeedSequence`` (tens of microseconds), so ``UniformLanes``
 derives the PCG64 starting states of a whole run of child seeds in one
 vectorised pass, held as two uint64 limbs (hi, lo) per 128-bit word, and
-serves their uniforms from those states. A large take steps every seed's lane
-at once: PCG64's output is a pure function of its state (O'Neill, "PCG: A
-Family of Simple Fast Space-Efficient Statistically Good Algorithms for Random
-Number Generation", HMC-CS-2014-0905), so each draw is one 128-bit LCG step of
-the lanes in limb arithmetic. A small take sets one generator to each lane's
-state in turn. Both reproduce numpy bit for bit, which the class checks
-against numpy's own seeding and generator.
+serves any lane range's uniforms, ``rows(start, stop)``, from those states. A
+large read steps its lanes at once: PCG64's output is a pure function of its
+state (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
+Good Algorithms for Random Number Generation", HMC-CS-2014-0905), so each draw
+is one 128-bit LCG step of the lanes in limb arithmetic. A small read sets one
+generator to each lane's state in turn. Both reproduce numpy bit for bit, which
+the class checks against numpy's own seeding and generator.
 """
 
 from __future__ import annotations
@@ -204,8 +204,8 @@ def _state_dict(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> dict:
     }
 
 
-# A take of at least this many rows per draw, 16*m rows of m uniforms, steps
-# its lanes. Each of the m draws is one vectorised step over the take's rows,
+# A read of at least this many rows per draw, 16*m rows of m uniforms, steps
+# its lanes. Each of the m draws is one vectorised step over the read's rows,
 # so the lanes' cost per row grows with m, while a generator reset per row
 # costs about the same at any m. On a 2-core x86-64 the lanes took 1.1-1.6 ms
 # against 5.2-5.6 ms for 2000 rows at m = 27, 1.4-2.3 times less at 16*m rows
@@ -217,17 +217,18 @@ _LANES_PER_DRAW = 16
 
 class UniformLanes:
     """The uniforms of ``np.random.default_rng(s).random(m)`` for a run of
-    seeds s, one lane per seed, taken row by row in seed order.
+    seeds s, one lane per seed, read by lane range with ``rows(start, stop)``.
 
-    A take of at least 16*m rows (``_LANES_PER_DRAW``) steps them as lanes:
-    column j is one in-place PCG64 step of the take's lanes (``_step``) and
+    A read of at least 16*m rows (``_LANES_PER_DRAW``) steps them as lanes:
+    column j is one in-place PCG64 step of the read's lanes (``_step``) and
     its XSL-RR output, the high word xor the low one rotated right by the
     state's top 6 bits, as the double (output >> 11) * 2^-53, which is what
-    numpy's ``Generator.random`` returns. A smaller take sets one numpy
+    numpy's ``Generator.random`` returns. A smaller read sets one numpy
     generator to each lane's starting state and draws its row. That generator,
     numpy's ``PCG64(seed0)``, is the only one built; it checks the derived
-    seeding of lane 0 when built, and each stepped take's first lane against
-    its reset. An m that is not an integer >= 1 is refused.
+    seeding of lane 0 when built, and each stepped read's first lane against
+    its reset. An m that is not an integer >= 1 is refused. A read's rows
+    depend on its range alone.
     """
 
     def __init__(self, seeds, m: int) -> None:
@@ -244,7 +245,6 @@ class UniformLanes:
                 "derived PCG64 seeding disagrees with numpy's; numpy's seeding has changed"
             )
         self._m = m
-        self._taken = 0
 
     def _reset_rows(self, lanes: slice) -> np.ndarray:
         limbs = [limb[lanes].tolist() for limb in self._state + self._inc]
@@ -254,16 +254,15 @@ class UniformLanes:
             self._generator.random(out=row)
         return rows
 
-    def take(self, count: int) -> np.ndarray:
-        """The next ``count`` lanes' m uniforms, as a (count, m) array.
-
-        A count below 0 or above the lanes left is refused before any draw.
-        """
-        left = self._state[0].size - self._taken
-        if not 0 <= count <= left:
-            raise ValueError(f"cannot take {count} rows of uniforms: {left} lanes left")
-        lanes = slice(self._taken, self._taken + count)
-        self._taken = lanes.stop
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The m uniforms of lanes [start, stop), as a (stop - start, m) array.
+        Bounds that are not integers with 0 <= start <= stop <= lanes are
+        refused by name before any draw."""
+        start = _integer_at_least("start", start, 0)
+        stop = _integer_at_least("stop", stop, start)
+        if stop > self._state[0].size:
+            raise ValueError(f"stop must be <= {self._state[0].size}, the lanes held (got {stop})")
+        lanes, count = slice(start, stop), stop - start
         if count < _LANES_PER_DRAW * self._m:
             return self._reset_rows(lanes)
         # The lanes step in copies, so the starting states stay for the guard.
@@ -283,7 +282,7 @@ class UniformLanes:
             rotated |= spare
             rotated >>= 11
             np.multiply(rotated, 2.0**-53, out=column)
-        first = self._reset_rows(slice(lanes.start, lanes.start + 1))[0]
+        first = self._reset_rows(slice(start, start + 1))[0]
         if not np.array_equal(columns[:, 0], first):
             raise RuntimeError("PCG64 lanes disagree with numpy's generator; numpy's PCG64 has changed")
         return columns.T

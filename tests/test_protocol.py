@@ -589,6 +589,7 @@ class TestErrorLaw:
         "m, step, hypothesis, named",
         [
             (-3, 0.01, 0, "m"),
+            (-1, 0.01, 0, "m"),
             (0, 0.01, 0, "m"),
             (2.5, 0.01, 0, "m"),
             (True, 0.01, 0, "m"),
@@ -610,6 +611,10 @@ class TestErrorLaw:
         if named != "hypothesis":
             with pytest.raises(ValueError, match=rf"^{named} must"):
                 law.lattice(m, step)
+        if named == "m":
+            offsets, _ = law.lattice(PINNED_M_STAR, 0.01)
+            with pytest.raises(ValueError, match=r"^m must"):
+                ErrorLaw.power(law.coherent, offsets, m)
 
     @pytest.mark.parametrize(
         "m, alpha, named",
@@ -625,6 +630,10 @@ class TestErrorLaw:
         for hypothesis in (0, 1, np.int64(0), np.int64(1)):
             assert law.bracket(np.int64(PINNED_M_STAR), 0.01, hypothesis) == law.bracket(PINNED_M_STAR, 0.01, hypothesis)
         assert law.settled(np.int64(PINNED_M_STAR), 0.01) == law.settled(PINNED_M_STAR, 0.01)
+        offsets, _ = law.lattice(PINNED_M_STAR, 0.01)
+        power, allowance = ErrorLaw.power(law.coherent, offsets, np.int64(PINNED_M_STAR))
+        want_power, want_allowance = ErrorLaw.power(law.coherent, offsets, PINNED_M_STAR)
+        assert np.array_equal(power, want_power) and allowance == want_allowance
 
     def test_brackets_hold_one_law_at_a_time(self):
         # At M = 65536 and step 0.01 each hypothesis's law has 786433 points.
@@ -997,13 +1006,16 @@ class TestEnsembleSchedule:
 
     def test_message_orders_only_the_slots_it_reads(self, monkeypatch):
         schedule = ensemble_schedule(1000, 1.0, stream(34, "prefix"))
+        ordered = []
+        original = protocol_module._sorted_prefix
+        monkeypatch.setattr(protocol_module, "_sorted_prefix", lambda offsets, k: ordered.append(k) or original(offsets, k))
         result = message_on(monkeypatch, schedule, 3, 5)
-        assert schedule.order.size == 15
+        assert ordered == [15]
         want_times, want_ids = merged_emissions(schedule, 2000)
         assert np.array_equal(result.hit_telegraph_ids.ravel(), want_ids[:15])
-        # A later, longer read orders the rest of the cycle.
+        # A later, longer read orders the whole cycle.
         times, ids = schedule.emissions_after(0, 2000)
-        assert schedule.order.size == 1000
+        assert ordered == [15, 1000]
         assert np.array_equal(ids, want_ids) and np.array_equal(times, want_times)
 
     def test_tied_offsets_emit_every_telegraph(self, monkeypatch):
@@ -1021,26 +1033,29 @@ class TestEnsembleSchedule:
         schedule = ensemble_schedule(7, 0.3, stream(32, "blocks"))
         want_times, want_ids = schedule.emissions_after(0, symbols * m)
         events = []
-        read, take = EnsembleSchedule.emissions_after, UniformLanes.take
+        read, read_rows = EnsembleSchedule.emissions_after, UniformLanes.rows
 
         def recorded_read(self, first, count, stride=1):
             events.append(("read", count))
             return read(self, first, count, stride)
 
-        def recorded_take(self, count):
-            events.append(("take", count))
-            return take(self, count)
+        def recorded_rows(self, start, stop):
+            events.append(("rows", (start, stop)))
+            return read_rows(self, start, stop)
 
         monkeypatch.setattr(EnsembleSchedule, "emissions_after", recorded_read)
-        monkeypatch.setattr(UniformLanes, "take", recorded_take)
+        monkeypatch.setattr(UniformLanes, "rows", recorded_rows)
         results = {}
         for keep_hits in (True, False):
             events.clear()
             results[keep_hits] = message_on(monkeypatch, schedule, m, symbols, keep_hits=keep_hits)
             # One read of the timeline, before the first draw; then only draws.
             assert events[0] == ("read", symbols * m if keep_hits else symbols)
-            blocks = [count for kind, count in events[1:] if kind == "take"]
+            ranges = [bounds for kind, bounds in events[1:] if kind == "rows"]
+            blocks = [stop - start for start, stop in ranges]
             assert len(blocks) == len(events) - 1 > 1 and sum(blocks) == symbols
+            # The blocks read consecutive lane ranges, from the first lane.
+            assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
             assert all(rows * m <= max(m, _BLOCK_HITS) for rows in blocks)
         kept, unkept = results[True], results[False]
         assert np.array_equal(kept.hit_times.ravel(), want_times)

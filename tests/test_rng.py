@@ -10,17 +10,17 @@ from qtelegraph.rng import UniformLanes, child_seeds, stream
 EDGE_SEEDS = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**62, 2**63 - 1, 2**63, 2**64 - 1]
 
 
-def taken_rows(seeds, m, stepped):
-    """Every seed's row of m uniforms, in takes that step the lanes (all at
-    once, at least 16*m rows) or that reset the generator per lane (takes of
+def read_rows(seeds, m, stepped):
+    """Every seed's row of m uniforms, in reads that step the lanes (all at
+    once, at least 16*m rows) or that reset the generator per lane (reads of
     fewer than 16*m rows)."""
     lanes = UniformLanes(seeds, m)
     if stepped:
         assert len(seeds) >= 16 * m
-        return lanes.take(len(seeds))
-    per_take = 16 * m - 1
-    takes = [lanes.take(min(per_take, len(seeds) - i)) for i in range(0, len(seeds), per_take)]
-    return np.concatenate(takes)
+        return lanes.rows(0, len(seeds))
+    per_read = 16 * m - 1
+    reads = [lanes.rows(i, min(i + per_read, len(seeds))) for i in range(0, len(seeds), per_read)]
+    return np.concatenate(reads)
 
 
 def assert_rows_are_default_rng_draws(seeds, rows, m):
@@ -33,70 +33,88 @@ class TestUniformLanes:
     @pytest.mark.parametrize("stepped", [True, False], ids=["stepped", "reset"])
     def test_edge_seeds_draw_what_default_rng_draws(self, stepped):
         seeds = np.array(EDGE_SEEDS * 5, dtype=np.uint64)
-        assert_rows_are_default_rng_draws(seeds, taken_rows(seeds, 3, stepped), 3)
+        assert_rows_are_default_rng_draws(seeds, read_rows(seeds, 3, stepped), 3)
 
     @pytest.mark.parametrize("stepped", [True, False], ids=["stepped", "reset"])
     def test_child_seeds_draw_what_default_rng_draws(self, stepped):
         seeds = child_seeds(stream(42, "parity"), 10_000)
-        assert_rows_are_default_rng_draws(seeds, taken_rows(seeds, 2, stepped), 2)
+        assert_rows_are_default_rng_draws(seeds, read_rows(seeds, 2, stepped), 2)
 
     @pytest.mark.parametrize("m", [1, 7, 27, 64])
     def test_lanes_draw_what_default_rng_draws(self, m):
-        # 16*m seeds, the fewest that one take steps, led by the 64-bit edges.
+        # 16*m seeds, the fewest that one read steps, led by the 64-bit edges.
         edges = np.array([0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1], dtype=np.uint64)
         children = child_seeds(stream(44, "lanes"), 16 * m - edges.size).astype(np.uint64)
         seeds = np.concatenate([edges, children])
         for stepped in (True, False):
-            assert_rows_are_default_rng_draws(seeds, taken_rows(seeds, m, stepped), m)
+            assert_rows_are_default_rng_draws(seeds, read_rows(seeds, m, stepped), m)
 
     @pytest.mark.parametrize(
         "m, count", [(27, 431), (27, 432), (100, 1599), (100, 1600), (1, 15), (1, 16), (64, 1024)]
     )
-    def test_take_steps_lanes_exactly_when_it_holds_16_rows_per_draw(self, monkeypatch, m, count):
+    def test_a_read_steps_lanes_exactly_when_it_holds_16_rows_per_draw(self, monkeypatch, m, count):
         seeds = child_seeds(stream(44, "lanes", m), count)
         lanes = UniformLanes(seeds, m)
         steps = []
         original = rng_module._step
         monkeypatch.setattr(rng_module, "_step", lambda *args: steps.append(1) or original(*args))
-        rows = lanes.take(count)
+        rows = lanes.rows(0, count)
         assert len(steps) == (m if count >= 16 * m else 0)
         assert_rows_are_default_rng_draws(seeds, rows, m)
 
-    def test_rows_taken_in_blocks_equal_rows_taken_at_once(self):
-        # At m = 3 a take of 48 rows or more steps lanes: the blocks reset,
-        # step, then reset again, and the single take steps.
+    def test_rows_read_in_blocks_equal_rows_read_at_once(self):
+        # At m = 3 a read of 48 rows or more steps lanes: the blocks reset,
+        # step, then reset again, and the single read steps.
         seeds = child_seeds(stream(45, "lanes"), 100)
         lanes = UniformLanes(seeds, 3)
-        blocks = np.concatenate([lanes.take(1), lanes.take(62), lanes.take(37)])
-        assert np.array_equal(blocks, UniformLanes(seeds, 3).take(100))
+        blocks = np.concatenate([lanes.rows(0, 1), lanes.rows(1, 63), lanes.rows(63, 100)])
+        assert np.array_equal(blocks, UniformLanes(seeds, 3).rows(0, 100))
 
-    def test_back_to_back_stepped_takes_equal_one_take(self):
-        # At m = 27 each take steps lanes through its own buffers; a buffer
-        # shared between takes, or stepped states written back, would change
-        # the later takes' rows.
+    def test_back_to_back_stepped_reads_equal_one_read(self):
+        # At m = 27 each read steps lanes through its own buffers; a buffer
+        # shared between reads, or stepped states written back, would change
+        # the later reads' rows.
         seeds = child_seeds(stream(46, "lanes"), 1632)
         lanes = UniformLanes(seeds, 27)
-        blocks = np.concatenate([lanes.take(500), lanes.take(432), lanes.take(700)])
-        assert np.array_equal(blocks, UniformLanes(seeds, 27).take(1632))
+        blocks = np.concatenate([lanes.rows(0, 500), lanes.rows(500, 932), lanes.rows(932, 1632)])
+        assert np.array_equal(blocks, UniformLanes(seeds, 27).rows(0, 1632))
         assert_rows_are_default_rng_draws(seeds, blocks, 27)
 
     @pytest.mark.parametrize(
-        "size, counts",
-        [(10, [20]), (10, [-1]), (100, [60, 60])],
-        ids=["past-the-end", "negative", "second-take-past-the-end"],
+        "size, ranges",
+        [(10, [(0, 20)]), (10, [(0, -1)]), (100, [(0, 60), (60, 120)])],
+        ids=["past-the-end", "negative", "second-read-past-the-end"],
     )
-    def test_take_refuses_a_count_it_cannot_serve(self, size, counts):
+    def test_rows_refuses_a_range_it_cannot_serve(self, size, ranges):
         seeds = child_seeds(stream(47, "lanes"), size)
         lanes = UniformLanes(seeds, 2)
-        *served, refused = counts
-        for count in served:
-            lanes.take(count)
-        left = size - sum(served)
-        message = rf"cannot take {refused} rows of uniforms: {left} lanes left"
-        with pytest.raises(ValueError, match=message):
-            lanes.take(refused)
-        # The refusal took nothing: the lanes left are still served in order.
-        assert np.array_equal(lanes.take(left), UniformLanes(seeds, 2).take(size)[size - left :])
+        *served, (start, refused) = ranges
+        for bounds in served:
+            lanes.rows(*bounds)
+        with pytest.raises(ValueError, match=rf"^stop must be .*\(got {refused}\)"):
+            lanes.rows(start, refused)
+        # The refusal read nothing: the lanes left are still served in order.
+        assert np.array_equal(lanes.rows(start, size), UniformLanes(seeds, 2).rows(0, size)[start:])
+
+    def test_a_refused_range_leaves_every_later_read_intact(self):
+        lanes = UniformLanes(np.arange(5), 2)
+        refused = [
+            ((2.5, 3), "start"),
+            ((0, 2.5), "stop"),
+            ((True, 2), "start"),
+            ((0, True), "stop"),
+            ((-1, 2), "start"),
+            ((3, 2), "stop"),
+            ((0, 6), "stop"),
+        ]
+        for (start, stop), named in refused:
+            with pytest.raises(ValueError, match=rf"^{named} must"):
+                lanes.rows(start, stop)
+        fresh = UniformLanes(np.arange(5), 2)
+        assert np.array_equal(lanes.rows(0, 2), fresh.rows(0, 2))
+        assert np.array_equal(lanes.rows(2, 5), fresh.rows(2, 5))
+        # Reads keep no cursor: a range read again gives the same rows.
+        assert np.array_equal(lanes.rows(0, 2), fresh.rows(0, 2))
 
     def test_guard_raises_when_seeding_disagrees_with_numpy(self, monkeypatch):
         monkeypatch.setattr(rng_module, "_PCG64_MULT", rng_module._PCG64_MULT ^ 2)
@@ -108,7 +126,7 @@ class TestUniformLanes:
         lanes = UniformLanes(np.arange(40), 2)
         monkeypatch.setattr(rng_module, "_PCG64_MULT", rng_module._PCG64_MULT ^ 2)
         with pytest.raises(RuntimeError, match="lanes disagree with numpy"):
-            lanes.take(40)
+            lanes.rows(0, 40)
 
     @pytest.mark.parametrize("seeds", [np.array([-1]), np.array([0.5]), np.array(["1"])])
     def test_rejects_seeds_that_are_not_non_negative_integers(self, seeds):
@@ -128,7 +146,8 @@ class TestUniformLanes:
     def test_numpy_integer_sizes_are_accepted(self):
         seeds = child_seeds(stream(48, "count"), np.int64(3))
         assert np.array_equal(seeds, child_seeds(stream(48, "count"), 3))
-        assert np.array_equal(UniformLanes(seeds, np.int64(2)).take(3), UniformLanes(seeds, 2).take(3))
+        assert np.array_equal(UniformLanes(seeds, np.int64(2)).rows(0, 3), UniformLanes(seeds, 2).rows(0, 3))
+        assert np.array_equal(UniformLanes(seeds, 2).rows(np.int64(1), np.int64(3)), UniformLanes(seeds, 2).rows(1, 3))
 
     def test_empty_seed_run_rejected(self):
         with pytest.raises(ValueError, match="at least one seed"):
