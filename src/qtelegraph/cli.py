@@ -55,10 +55,14 @@ from .relativity import (
 from .report import Coded, Records, write_csv, write_json, write_text
 from .rng import stream
 
-# transmit peaks at about 160 B per symbol, its arrays (by tracemalloc at 10^5
-# symbols; 193 MiB max RSS at 10^6), so a message of this many symbols, random
-# or given as bits, takes about 0.2 GB.
+# transmit peaks at about 100 B per symbol, its arrays (by tracemalloc at 10^5
+# symbols; 101 MiB max RSS at 10^6), so a message of this many symbols, random
+# or given as bits, takes about 0.1 GB.
 MAX_SYMBOLS = 10**6
+# A message draws and decodes 50-70 million pairs a second at M >= 10^4 (2-core
+# x86-64: 10^9 pairs in 14-20 s), so this many pairs, symbols * M, take under
+# a minute; the largest symbols and M would take days.
+MAX_MESSAGE_PAIRS = 10**9
 
 STRATEGY_STATE_DEPENDENT = "state-dependent"
 STRATEGY_PRIVILEGED = "privileged"
@@ -220,6 +224,12 @@ def resolve_config(overrides: dict) -> RunConfig:
         )
     if not 0 <= values["symbols"] <= MAX_SYMBOLS:
         raise ConfigError(f"symbols must be in [0, {MAX_SYMBOLS}] (got {values['symbols']})")
+    symbols = len(values["bits"]) or values["symbols"]
+    if symbols * plan.M > MAX_MESSAGE_PAIRS:
+        raise ConfigError(
+            f"symbols * M must be <= {MAX_MESSAGE_PAIRS} pairs per message "
+            f"(got symbols={symbols}, M={plan.M})"
+        )
     if values["strategy"] not in (STRATEGY_STATE_DEPENDENT, STRATEGY_PRIVILEGED):
         raise ConfigError(
             f"strategy must be '{STRATEGY_STATE_DEPENDENT}' or "

@@ -35,12 +35,12 @@ otherwise. Once its timeline is read, ``transmit_message`` loops over
 blocks of symbols (about 2^16 hits each) only to draw and decode: a block
 samples its hits, the bins, log-likelihood ratios and fringe statistics of
 the whole block being array operations on screen patterns built once per
-message, and writes its bins into the kept hits, if any. Each symbol's M
-uniforms are those of ``np.random.default_rng(child seed)``, and a block
-reads its symbols' range of them, ``rows(start, stop)``, from the message's
-one ``rng.UniformLanes``, which picks how to draw them from the range's size.
-Only the screen draws are made: the idler's outcome is read by no report, so
-it is not drawn.
+message, and writes its bins into the kept hits, if any. A message draws
+from one generator: the ensemble's N offsets, then its uniforms, row s the M
+of symbol s, read block by block. Each double uses one 64-bit output of the
+generator, so the blocks read what one (symbols, M) read would, and no
+result depends on the block size. Only the screen draws are made: the
+idler's outcome is read by no report, so it is not drawn.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .device import (
     reduced_screen_by_partial_trace,
 )
 from .quantum import DensityMatrix, total_variation
-from .rng import UniformLanes, child_seeds
 
 PROBABILITY_FLOOR = 1e-300
 # A schedule holds an offset per telegraph, and a read orders up to a slot
@@ -637,7 +636,9 @@ def transmit_message(
     each symbol's last emission unless ``keep_hits`` is set, and all M of its
     emissions if it is. The loop only draws and decodes: each symbol is
     sampled from the pattern its setting shows, and under UnitaryQM one
-    sampler draws every symbol, a block in one call.
+    sampler draws every symbol, a block in one call. ``rng`` gives the N
+    offsets, then symbol s's M uniforms as row s of one row-major (symbols,
+    M) stream, so the result does not depend on how the loop splits blocks.
     """
     bits = np.asarray(bits)
     if bits.ndim != 1 or not np.isin(bits, (0, 1)).all():
@@ -654,7 +655,6 @@ def transmit_message(
 
     m, symbols = plan.M, len(bits)
     schedule = ensemble_schedule(plan.N, plan.T, rng)
-    lanes = UniformLanes(child_seeds(rng, symbols), m)
     table = hypotheses.law.table
     phasors = _fringe_phasors(cfg, cfg.bin_centers())
     # One sampler per screen pattern shown.
@@ -681,7 +681,7 @@ def transmit_message(
     per_block = max(1, _BLOCK_HITS // m)
     for start in range(0, symbols, per_block):
         stop = min(start + per_block, symbols)
-        u = lanes.rows(start, stop)
+        u = rng.random((stop - start, m))
         if sample_off is sample_on:
             idx = sample_on.indices(u)
         else:

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qtelegraph
+from qtelegraph import cli as cli_module
 from qtelegraph.cli import (
     CONFIG_KEYS,
     ConfigError,
@@ -621,6 +622,41 @@ class TestSubcommands:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            # 10^13 pairs, days of draws.
+            (["transmit", "--symbols", "1000000", "--M", "10000000"], "(got symbols=1000000, M=10000000)"),
+            (["transmit", "--symbols", "101", "--M", "10000000"], "(got symbols=101, M=10000000)"),
+            (["transmit", "--bits", "1" * 1001, "--M", "1000000"], "(got symbols=1001, M=1000000)"),
+            # Every command resolves the same keys, as the symbols bound does.
+            (["simulate", "--symbols", "1000000", "--M", "1001"], "(got symbols=1000000, M=1001)"),
+        ],
+        ids=["largest-symbols-and-M", "symbols-past-the-cap", "bits-past-the-cap", "simulate"],
+    )
+    def test_a_message_of_too_many_pairs_exits_2_before_it_runs(self, tmp_path, monkeypatch, capsys, argv, named):
+        def refused(*_):
+            raise AssertionError("the message ran")
+
+        monkeypatch.setattr(cli_module, "transmit_message", refused)
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: symbols * M must be <= 1000000000 pairs per message ") and named in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"symbols": "1000000", "M": "27"},
+            {"symbols": "100", "M": "10000000"},
+            {"bits": "1" * 1000, "M": "1000000", "symbols": "1000000"},
+            {"M": "10000000"},
+        ],
+        ids=["stress-size", "at-the-cap", "bits-at-the-cap", "default-symbols-at-the-largest-M"],
+    )
+    def test_messages_up_to_the_pair_cap_are_accepted(self, overrides):
+        assert resolve_config(overrides).M == int(overrides["M"])
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         command=st.sampled_from(["distributions", "nosignal-check", "plan", "transmit", "simulate"]),
@@ -817,8 +853,11 @@ class TestSubcommands:
     # trace_distance_reduced and nothing else. The two plan digests were
     # re-pinned when the planner became an exact, seed-free bracket: the
     # error fields became [lo, hi], trials went, and M* at alpha 0.01 went
-    # from 28 to 27. A change
-    # that alters any report byte for a fixed (config, seed) fails here.
+    # from 28 to 27. Every transmit and simulate digest that draws a hit
+    # was re-pinned when a message's uniforms became one row-major
+    # (symbols, M) read of its generator, in place of one generator per
+    # symbol. A change that alters any report byte for a fixed (config,
+    # seed) fails here.
     # Each case is (test id, argv, digests); the ids of the earlier cases
     # keep the form they had when derived from the first three argv words.
     PINNED_DIGESTS = (
@@ -826,7 +865,7 @@ class TestSubcommands:
             "transmit---symbols-12",
             ("transmit", "--symbols", "12", "--M", "40", "--N", "3", "--seed", "11", "--mode", "NaiveCollapse"),
             {
-                "transcript.json": "7c119f159671e143f2fad137fe5c7cd0cbc36211be8be4fd2c517bfbb1d59018",
+                "transcript.json": "85b39c5f7202abd3018047fc343e31386e4c3c160768aeaa44af12092c604ce7",
                 "summary.json": "620608e92a573a730816024fb2d0c06d3e76abaaea8291354243ced537d11ac6",
             },
         ),
@@ -834,16 +873,16 @@ class TestSubcommands:
             "simulate---detectors-on",
             ("simulate", "--detectors", "on", "--M", "50", "--N", "3", "--seed", "5", "--mode", "NaiveCollapse"),
             {
-                "hits.csv": "e3e74c9ee15221362e73445996cb1e8a944795cef768fe1fa2b621c3c8cf24b0",
-                "decision.json": "4a890eb2b8f5b0044be6011cf7a13b56c140194f0ca1c0dde8b5e74cf251aab0",
+                "hits.csv": "b77a884507e32caf15715672bde679fe281078ee77bdb64d2bcc1010e6efcd81",
+                "decision.json": "e74cd2dc31924a15912ab94cd704ff306e7e362c54b9caf7680b622c2d22aa16",
             },
         ),
         (
             "simulate---detectors-off",
             ("simulate", "--detectors", "off", "--M", "50", "--N", "3", "--seed", "5", "--mode", "NaiveCollapse"),
             {
-                "hits.csv": "754fc27136f54a4bc8de6ead00c6d95a23691b65291d6f5f1a0b840cd5eeed09",
-                "decision.json": "9d118c77894e2f49934d8edbf2a3f4c41d4178b7e7271204e41a1b64bbe1aee4",
+                "hits.csv": "4e364f827a5f240d35bb838c0e9021f014097e43d084536e07e6beb9b2b1e1e2",
+                "decision.json": "db5a384da20a863ec43538e12ff62f54ddfcd900319cf481bf560419afbb17a1",
             },
         ),
         # N >> M: each symbol pools pairs from a small slice of the ensemble.
@@ -851,8 +890,8 @@ class TestSubcommands:
             "transmit---symbols-200",
             ("transmit", "--symbols", "200", "--M", "28", "--N", "1000", "--seed", "5"),
             {
-                "transcript.json": "fa0dccfc599f4640eec860b6bd392944195d349b303f261b735d03ba1eab3118",
-                "summary.json": "6bfc06610e39ece0510fb8c9bb478acf860b72d758b1bf4d2cb6740734818c2c",
+                "transcript.json": "019f740c641dee69db5f94dca2f3c632329de63e2f71bb4b057f791c0bc90241",
+                "summary.json": "6c5050ff4a10b555c6b6d540325a0206a8e0ae00dcaa7fa29a823a4681de43c4",
             },
         ),
         # T = 0.1 is not a binary fraction, so offset + T*cycle rounds.
@@ -860,8 +899,8 @@ class TestSubcommands:
             "transmit---symbols-300",
             ("transmit", "--symbols", "300", "--M", "17", "--N", "5", "--T", "0.1", "--seed", "21"),
             {
-                "transcript.json": "0a5443848e3256d6cfc11621c42cd92d443b2f5dfdeffb690b656dd4cda1d28b",
-                "summary.json": "23e533e3f5d0a8be812bd6bed94c7bc0b960355e40b9fbcc6512631aed05cf58",
+                "transcript.json": "fd2776a22870792981a9aa53d0b5b09f0c1d597a3495d9f327c709b3905dd1e7",
+                "summary.json": "618a61aa946eb7f6a7ab9535d51ca145b5d2d0a24d4288f49babea839008396c",
             },
         ),
         # hits.csv carries every pooled telegraph id and emission time.
@@ -869,8 +908,8 @@ class TestSubcommands:
             "simulate---M-2000",
             ("simulate", "--M", "2000", "--N", "37", "--T", "0.3", "--detectors", "on", "--seed", "8"),
             {
-                "hits.csv": "13ed63b8d284475acf3b2c82c15c5117498b748404bdafba585da4ab4bdfdca8",
-                "decision.json": "77ed6b1ca8a1449f3245f9573c49cdc97cd81273af89cf576b80efa81e80a500",
+                "hits.csv": "c24bbc5fe7d38a11fc1e7338f0a5f7b300b64680e5ad360033840047ae8d3406",
+                "decision.json": "72941a9bcbbd3db0a948b8085615e36436d39324d0ae65b5d30e02b513b86da2",
             },
         ),
         (
@@ -958,8 +997,8 @@ class TestSubcommands:
             "transmit---symbols-3000",
             ("transmit", "--symbols", "3000", "--M", "7", "--N", "3", "--T", "0.3", "--bins", "64", "--seed", "11"),
             {
-                "transcript.json": "4f47bf1c65e9b3a3cc1d76e6a209a8f00f199275d540717453b8627594c51b45",
-                "summary.json": "ffcc7aa27326e6fe7f60ce6e2558dfc7e28998b0a7ebc046641cf78fe55ddcca",
+                "transcript.json": "55ccdd68295e822e523cbb48302f9cb186839a3d1aae7ee5a2d8b060b3151248",
+                "summary.json": "426cfe1f6ca87e50aa74ef9703373fb14c6c52b6edfaefd2f1fc9b6a88bbbd88",
             },
         ),
         # The coherent pattern's near-empty tail bins crowd the sampler's
@@ -968,8 +1007,8 @@ class TestSubcommands:
             "simulate---mode-NaiveCollapse",
             ("simulate", "--mode", "NaiveCollapse", "--detectors", "off", "--M", "70000", "--x-max", "8", "--seed", "2"),
             {
-                "hits.csv": "66c0784e123f8f09bb276c6a6eb4c2bd33949bf07504fc7c51bfe92f66e284b9",
-                "decision.json": "28d124207960e26cff5996d0f0e03502fdda6f96ac2b3950994375842e997ee1",
+                "hits.csv": "385ab2074cae98bb3f485f4e61ba01dc02c7ea2d13196d1ea3243d037f023d53",
+                "decision.json": "001a6df4599f66e587037f43ebbdac3591c936d03dec5737c229fc359813efa5",
             },
         ),
         # The bulk and nosignal workloads' own commands at full size.
@@ -1020,16 +1059,16 @@ class TestSubcommands:
             "simulate---detectors-on-M-100000",
             ("simulate", "--detectors", "on", "--M", "100000", "--seed", "7"),
             {
-                "hits.csv": "b4c88f6f7168a08182c0bb26aed2cba16c668f0d322898442402c18a9743451e",
-                "decision.json": "7dfbce9f9213a3409b7dac203ea4303a24d74eb88fe911b06aeace72ef06d268",
+                "hits.csv": "5dc8bce5df6343327aa82acc609ceb7f31a771bbcb32e4709952b1df63e00be0",
+                "decision.json": "4b5c439894e19b6e51152cd9d36a31c4e035f6785f2f2afa6437999fc176bbe7",
             },
         ),
         (
             "simulate---detectors-off-M-100000",
             ("simulate", "--detectors", "off", "--M", "100000", "--seed", "7"),
             {
-                "hits.csv": "e667e71bf5f67278ac660863eab56b03d9479bac8ed7e720145e9f650e496ca0",
-                "decision.json": "f038a25d4f3e8f3aa2091194c0d4b19715b0cfce1726d3ea341a46267acbd273",
+                "hits.csv": "c09d84ce012a5d7d5e42a58e41eeb22b1e1f85241a6690fa1c66cb093900300f",
+                "decision.json": "5f0b31334575c2745a6362797a1d7d7f101c605fc2d3efad122232de8e53950d",
             },
         ),
         # Hit times cross 2**53 and end past 1e16, in exponent notation.
@@ -1037,8 +1076,8 @@ class TestSubcommands:
             "simulate---detectors-on-T-1.5e11",
             ("simulate", "--detectors", "on", "--M", "100000", "--T", "1.5e11", "--seed", "7"),
             {
-                "hits.csv": "5b9c208c0fb5372df5b38a2051182b1b0f174b288fce13ec299af60c36681206",
-                "decision.json": "fd60e2126f74d1dc5a47ce2b953a7bb6333cb4e9120d4d40263d158dcfb658d1",
+                "hits.csv": "13b8a5455570c3ad657f600ad22c969b8b6c058555d8a4c77c85c307afe09cfc",
+                "decision.json": "02944788f863971b70a87d6bde518d29c555951f94a3024c93c213206f116ba1",
             },
         ),
         # 5000 symbols of 27 pairs decode in three receiver blocks.
@@ -1046,8 +1085,8 @@ class TestSubcommands:
             "transmit---symbols-5000",
             ("transmit", "--mode", "NaiveCollapse", "--symbols", "5000", "--M", "27", "--seed", "4"),
             {
-                "transcript.json": "8f7b458c0cba1f529734d6c561bbd2d803bd7ce74b7039b9fde0e91c003f64c0",
-                "summary.json": "76025ac1b4fb802fda6822843f05f0b5f570bea9eac636c9dc6486f36a59905a",
+                "transcript.json": "1f557a182a0f07b062328d13506dbdfe482cb7f9f36565b25d25a3a813811049",
+                "summary.json": "49a40e3641a20b58a43b753427fb8f6d189553b9640fbe3d054319320cf5575c",
             },
         ),
         # The empty message.
@@ -1064,8 +1103,8 @@ class TestSubcommands:
             "transmit---bits-1-M-1",
             ("transmit", "--mode", "NaiveCollapse", "--bits", "1", "--M", "1", "--seed", "2"),
             {
-                "transcript.json": "2e28f4cd24a54bfdb97d2c0dcba31b6050bfa15622f6dafaa4cad29c24573ff1",
-                "summary.json": "881a72b5300b07ca0e0360e9340fc36983f77ca7967caf34e826ea71236a9c4c",
+                "transcript.json": "e67862f868285b6e8daaebc771fa17024a485fbf167640a7f8ee777168dc6f02",
+                "summary.json": "35a5771fa3487254e7937c745a13fe064ca119c016b5e9bc047cb4f9dd76db99",
             },
         ),
         # N >> M: the message reads 4 of 10^6 pooled slots.
@@ -1073,17 +1112,16 @@ class TestSubcommands:
             "simulate---M-4-N-1000000",
             ("simulate", "--M", "4", "--N", "1000000", "--seed", "3"),
             {
-                "hits.csv": "a08dedcc16fb322d908025b5dea1c30c4cd347956204665b079ba98607e53eb0",
-                "decision.json": "b1f7678669d108db76e3511b06d5c40f57950fbe4c1d5b49d4546b54e54cc572",
+                "hits.csv": "da76e23f58eeed0d2e033a8abf6d73befcf80c93484b1ed037b32a1bc17e9f4c",
+                "decision.json": "36a47c040e346fe19a84f1431b2ca97587968b68e2e0e4bd9a5228c08d47b1a4",
             },
         ),
-        # The telegraph workload's message size at M* under both models: its
-        # uniforms are drawn as PCG64 lanes. Pinned from per-symbol generators.
+        # The telegraph workload's message size at M* under both models.
         (
             "transmit---mode-NaiveCollapse-symbols-2000-M-27",
             ("transmit", "--mode", "NaiveCollapse", "--symbols", "2000", "--M", "27", "--seed", "9"),
             {
-                "transcript.json": "45971d4a27f2db4bdc75a381ba3c5738e43a245ab28a11f24283eb6e0555b505",
+                "transcript.json": "47e3e509e88069663eb12815ab97851027cd17e13d3adac8331cd3d0fac86f99",
                 "summary.json": "21fbdcb2d193a0f9336ee3ed241ca69824ebaee01281a733ffc1a448fb5c475c",
             },
         ),
@@ -1091,40 +1129,38 @@ class TestSubcommands:
             "transmit---mode-UnitaryQM-symbols-2000-M-27",
             ("transmit", "--mode", "UnitaryQM", "--symbols", "2000", "--M", "27", "--seed", "9"),
             {
-                "transcript.json": "c904bd11cbbc1f03a535889c44260c82deb3b059a6b4bbebf8a7a7bd6b87d5a0",
-                "summary.json": "a3294ac1748099105e22aecfcf38a69505a82b11cf94da444f76a398fee276f2",
+                "transcript.json": "5d4ad9596e3ed6d10ae84aea91803be52b853c7ed040f3d6830a4f83e8328c4e",
+                "summary.json": "1834c8c04dd2027df83176b001aafd29f399625d3acbbbbe7190993afcc88f91",
             },
         ),
-        # A full block of 2427 symbols steps PCG64 lanes, and the 73-symbol
-        # tail resets a generator per symbol. Pinned while the tail still
-        # stepped lanes with its block.
+        # A full receiver block of 2427 symbols and a 73-symbol tail.
         (
             "transmit---symbols-2500-M-27",
             ("transmit", "--symbols", "2500", "--M", "27", "--seed", "4"),
             {
-                "transcript.json": "7c41f511378b39e7692483ee147f50c8fa2c5cfd71ba9bb90abb5a1eb5f2707e",
-                "summary.json": "e43c5d9cbdca2ef94c00f956f13f61cf1911832e1765919912aee695d5597b0f",
+                "transcript.json": "459df84ed82280a5ccfed7682da19d7b8d7e218db9c98c83014aa6e9f772fe4e",
+                "summary.json": "de066127b36ec138888572bad26742b3f7b5d23e24c77090558c7718f152ab5f",
             },
         ),
         # 9000 symbols: each transcript column spans three 4096-row writer
-        # chunks. Pinned while the transcript was formatted in one string.
+        # chunks. First pinned while the transcript was formatted in one string.
         (
             "transmit---symbols-9000-M-1",
             ("transmit", "--symbols", "9000", "--M", "1", "--seed", "5"),
             {
-                "transcript.json": "4838dcb3d876929712715302de0991a4b35d504b7b677a57bc55cbc390fc866d",
-                "summary.json": "9d37e95c3d3fc4f1d3d1dde9839c9ea4318cd4ff00d90b5628263c79d74f73eb",
+                "transcript.json": "eb87177ec7d689dabfbb45199dc6583d83f1ab02128a8eaaa69f1e480bb1342a",
+                "summary.json": "bcdcf51763d58227e3065d54cd6c50fc1b093f98d6c7f45ae045cb2e3c46728d",
             },
         ),
-        # Draws above 256 bins, pinned while the guide had 64 buckets per bin.
+        # Draws above 256 bins, first pinned while the guide had 64 buckets per bin.
         # At 2048 bins that guide was capped at 2^16 buckets, and 16 per bin
         # leaves it uncapped at 2^15.
         (
             "transmit---bins-2048-symbols-600-M-27",
             ("transmit", "--mode", "NaiveCollapse", "--symbols", "600", "--M", "27", "--bins", "2048", "--seed", "6"),
             {
-                "transcript.json": "d4bec6ee9df8246da7313a76d05b149a7e09e886eddac28bb94e46cb3006e026",
-                "summary.json": "0fb59c77405d97331a3519400237529b2b49ccb0c376f2b9f8f026d43571ae8b",
+                "transcript.json": "78cd6634576177b1a8e27de4d476933976ad55db55f52a8102bafc8496023fca",
+                "summary.json": "3b76a2740e88d7632e72dd3a37794d4d1b68fef23d16eeedc446fa785ee13581",
             },
         ),
         # At 16384 bins the guide is capped at 2^16 buckets either way, with
@@ -1133,8 +1169,8 @@ class TestSubcommands:
             "simulate---bins-16384-M-20000",
             ("simulate", "--mode", "NaiveCollapse", "--detectors", "off", "--M", "20000", "--bins", "16384", "--seed", "6"),
             {
-                "hits.csv": "a4498d4677df94f097997b54688f8a14cabad81067e9e4453acdecd9b36f836c",
-                "decision.json": "883502f8fda389033c25e10e2439fe2f6c9a3a18a4ac3c3d9a8519b0780a0986",
+                "hits.csv": "cd08cb2148df422cec867976745d44ace3b47aa5ed943986253e6a1142499e18",
+                "decision.json": "f0860dea0004031e89af1c8f7e928049b99c4365fb161a41920dbc1494c5587f",
             },
         ),
     )

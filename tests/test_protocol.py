@@ -1,6 +1,7 @@
 """Tests for the telegraph protocol: receiver, planner, ensemble, throughput."""
 
 import contextlib
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -38,7 +39,7 @@ from qtelegraph.protocol import (
     _sorted_prefix,
 )
 from qtelegraph.nosignal import plugin_mutual_information
-from qtelegraph.rng import UniformLanes, child_seeds, stream
+from qtelegraph.rng import stream
 
 from oracles import PINNED_M_STAR, binomial_log_tails, divmod_emissions, joint_required_sample_size
 
@@ -919,13 +920,25 @@ def symbol_time_law(s, n, m):
     return (m // n, r, n - r + 1) if i + r < n else (m // n, r + 1, n - r)
 
 
-def message_on(monkeypatch, schedule, m, symbols, keep_hits=True):
+def message_on(monkeypatch, schedule, m, symbols, keep_hits=True, rng=None):
     """A ``symbols``-bit message at M = m sent through ``schedule`` in place
     of the one ``transmit_message`` would draw."""
     monkeypatch.setattr(protocol_module, "ensemble_schedule", lambda *_: schedule)
     plan = TransmissionPlan(M=m, T=schedule.period, N=schedule.telegraphs)
     bits = np.zeros(symbols, dtype=int)
-    return transmit_message(bits, plan, ModelMode.UNITARY_QM, DeviceConfig(), stream(36, "tx"), keep_hits=keep_hits)
+    rng = stream(36, "tx") if rng is None else rng
+    return transmit_message(bits, plan, ModelMode.UNITARY_QM, DeviceConfig(), rng, keep_hits=keep_hits)
+
+
+class RecordedDraws:
+    """A generator's ``random`` that appends each draw's size to ``events``."""
+
+    def __init__(self, rng, events):
+        self._rng, self._events = rng, events
+
+    def random(self, size):
+        self._events.append(("draw", size))
+        return self._rng.random(size)
 
 
 def merged_emissions(schedule, count):
@@ -1033,29 +1046,24 @@ class TestEnsembleSchedule:
         schedule = ensemble_schedule(7, 0.3, stream(32, "blocks"))
         want_times, want_ids = schedule.emissions_after(0, symbols * m)
         events = []
-        read, read_rows = EnsembleSchedule.emissions_after, UniformLanes.rows
+        read = EnsembleSchedule.emissions_after
 
         def recorded_read(self, first, count, stride=1):
             events.append(("read", count))
             return read(self, first, count, stride)
 
-        def recorded_rows(self, start, stop):
-            events.append(("rows", (start, stop)))
-            return read_rows(self, start, stop)
-
         monkeypatch.setattr(EnsembleSchedule, "emissions_after", recorded_read)
-        monkeypatch.setattr(UniformLanes, "rows", recorded_rows)
         results = {}
         for keep_hits in (True, False):
             events.clear()
-            results[keep_hits] = message_on(monkeypatch, schedule, m, symbols, keep_hits=keep_hits)
+            rng = RecordedDraws(stream(36, "tx"), events)
+            results[keep_hits] = message_on(monkeypatch, schedule, m, symbols, keep_hits, rng)
             # One read of the timeline, before the first draw; then only draws.
             assert events[0] == ("read", symbols * m if keep_hits else symbols)
-            ranges = [bounds for kind, bounds in events[1:] if kind == "rows"]
-            blocks = [stop - start for start, stop in ranges]
+            shapes = [size for kind, size in events[1:] if kind == "draw"]
+            blocks = [rows for rows, _ in shapes]
             assert len(blocks) == len(events) - 1 > 1 and sum(blocks) == symbols
-            # The blocks read consecutive lane ranges, from the first lane.
-            assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+            assert all(columns == m for _, columns in shapes)
             assert all(rows * m <= max(m, _BLOCK_HITS) for rows in blocks)
         kept, unkept = results[True], results[False]
         assert np.array_equal(kept.hit_times.ravel(), want_times)
@@ -1216,7 +1224,11 @@ class TestTransmitMessage:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
-    def test_generators_seeded_once_per_message(self, monkeypatch):
+    @pytest.mark.parametrize("mode", list(ModelMode))
+    def test_a_message_draws_its_offsets_then_its_uniforms_from_its_one_generator(self, monkeypatch, mode):
+        """The seeding contract: the message's generator ends as a fresh one
+        of the same stream that has drawn N offsets and symbols * M uniforms,
+        and no other generator is built."""
         calls = []
         for name in ("default_rng", "SeedSequence", "PCG64"):
             original = getattr(np.random, name)
@@ -1227,15 +1239,34 @@ class TestTransmitMessage:
 
             monkeypatch.setattr(np.random, name, counted)
         plan = TransmissionPlan(M=28, T=1.0, N=3)
-        counts = []
         for symbols in (2, 2000):
-            rng = stream(5, "tx")
+            rng, fresh = stream(5, "tx"), stream(5, "tx")
             calls.clear()
             bits = [0, 1] * (symbols // 2)
-            result = transmit_message(bits, plan, ModelMode.NAIVE_COLLAPSE, DeviceConfig(), rng, keep_hits=True)
+            result = transmit_message(bits, plan, mode, DeviceConfig(), rng, keep_hits=True)
             assert result.hit_bins.shape == (symbols, plan.M)
-            counts.append(sorted(calls))
-        assert counts[0] == counts[1] == ["PCG64"]
+            assert calls == []
+            fresh.random(plan.N + symbols * plan.M)
+            assert rng.bit_generator.state == fresh.bit_generator.state
+
+    @pytest.mark.parametrize("mode", list(ModelMode))
+    def test_block_size_changes_no_result(self, monkeypatch, mode):
+        """Blocks of one symbol, of 7 and one block of the whole message give
+        the same arrays, kept hits included: NaiveCollapse draws a block
+        through two samplers by mask, UnitaryQM through one."""
+        plan = TransmissionPlan(M=27, T=0.3, N=5)
+        bits = stream(61, "bits").integers(0, 2, size=300)
+        results = {True: [], False: []}
+        for block_hits in (1, 200, 1 << 16):
+            monkeypatch.setattr(protocol_module, "_BLOCK_HITS", block_hits)
+            for keep_hits, kept in results.items():
+                kept.append(transmit_message(bits, plan, mode, DeviceConfig(), stream(61, "tx"), keep_hits))
+        for keep_hits, (first, *others) in results.items():
+            assert (first.hit_bins is not None) == keep_hits
+            for other in others:
+                for field in dataclasses.fields(TransmissionResult):
+                    want, got = getattr(first, field.name), getattr(other, field.name)
+                    assert (want is None and got is None) or np.array_equal(want, got), field.name
 
     @pytest.mark.parametrize("mode", list(ModelMode))
     @pytest.mark.parametrize("m, symbols", [(28, 5000), (1, 70_000), (70_000, 3)])
@@ -1257,28 +1288,28 @@ class TestTransmitMessage:
             assert sum(read) == want
 
     @pytest.mark.parametrize("mode", list(ModelMode))
-    # 200 symbols of 28 pairs reset a generator per symbol and 2000 of 27 step
-    # PCG64 lanes (a block of at least 16*M symbols); 2500 of 27 step a full
-    # block of 2427 and reset for the 73-symbol tail.
+    # 200 symbols of 28 pairs and 2000 of 27 are one block each; 2500 of 27
+    # are a full block of 2427 and a 73-symbol tail, and 150 of 1000 are
+    # three blocks of 65, 65 and 20.
     @pytest.mark.parametrize("symbols, m", [(200, 28), (2000, 27), (2500, 27), (150, 1000)])
     def test_block_decoder_matches_symbol_by_symbol_reference(self, mode, symbols, m):
         """In one block and across several, every symbol equals the
-        one-symbol-at-a-time decode: its own generator's uniforms through a
-        binary search of its marginal's CDF, and decide_bit on its hits, bit
-        for bit."""
+        one-symbol-at-a-time decode: its row of the message's (symbols, M)
+        uniforms, drawn after the ensemble's offsets, through a binary search
+        of its marginal's CDF, and decide_bit on its hits, bit for bit."""
         cfg = DeviceConfig()
         plan = TransmissionPlan(M=m, T=0.3, N=3)
         bits = [int(b) for b in stream(60, "bits", m).integers(0, 2, size=symbols)]
         result = transmit_message(bits, plan, mode, cfg, stream(60, "tx"), keep_hits=True)
         rng = stream(60, "tx")
         ensemble_schedule(plan.N, plan.T, rng)
-        seeds = child_seeds(rng, symbols)
+        rows = rng.random((symbols, m))
         centers = cfg.bin_centers()
         clock = 0.0
         hypotheses = Hypotheses(cfg, mode)
-        for bit, seed, bins, times, log_lr, fringe, symbol_time in zip(
+        for bit, uniforms, bins, times, log_lr, fringe, symbol_time in zip(
             bits,
-            seeds,
+            rows,
             result.hit_bins,
             result.hit_times,
             result.log_lr,
@@ -1288,7 +1319,6 @@ class TestTransmitMessage:
         ):
             detectors = Detector.ON if bit == 1 else Detector.OFF
             probabilities = hypotheses.pattern(detectors)
-            uniforms = np.random.default_rng(int(seed)).random(m)
             assert np.array_equal(centers[bins], centers[clipped_search(probabilities, uniforms)])
             assert (log_lr, fringe) == decide_bit(centers[bins], cfg)
             assert symbol_time == float(times[-1]) - clock
