@@ -11,6 +11,7 @@ offsets, then its symbols' uniforms as one row-major (symbols, M) read.
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
 
@@ -18,6 +19,9 @@ _MASK64 = (1 << 64) - 1
 
 
 def _uint64(what: str, value: int) -> int:
+    # int() would make 0.5, "0" and False seed 0's stream.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what} must be int, got {type(value).__name__}")
     # Masking to 64 bits would make -1 and 2**64 - 1 one stream.
     if not 0 <= int(value) <= _MASK64:
         raise ValueError(f"{what} must be in [0, 2**64) (got {value})")
@@ -25,7 +29,7 @@ def _uint64(what: str, value: int) -> int:
 
 
 def _stream_word(part: int | str) -> int:
-    if isinstance(part, (int, np.integer)):
+    if isinstance(part, numbers.Integral) and not isinstance(part, bool):
         return _uint64("stream path integers", part)
     if isinstance(part, str):
         digest = hashlib.sha256(part.encode("utf-8")).digest()
@@ -38,7 +42,7 @@ def stream(seed: int, *path: int | str) -> np.random.Generator:
 
     The same (seed, path) pair always yields the same stream, and distinct
     paths yield statistically independent streams. ``seed`` and integer path
-    parts must lie in [0, 2^64).
+    parts must be ints (numpy's too, but not bools) in [0, 2^64).
     """
     words = tuple(_stream_word(p) for p in path)
     seq = np.random.SeedSequence(_uint64("seed", seed), spawn_key=words)

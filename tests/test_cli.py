@@ -117,6 +117,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="bits"):
             parse_config("bits: 01x")
 
+    @pytest.mark.parametrize(
+        "document, named",
+        [
+            # 10^9 + 1 = 19019 * 52579: one pair past the cap.
+            ("symbols: 19019\nM: 52579", "(got symbols=19019, M=52579)"),
+            # The bits' length, not the symbols key, is the message's length.
+            ("symbols: 1\nbits: " + "01" * 9509 + "0\nM: 52579", "(got symbols=19019, M=52579)"),
+        ],
+        ids=["symbols", "bits"],
+    )
+    def test_a_config_files_message_is_held_to_the_pair_cap(self, document, named):
+        with pytest.raises(ConfigError, match=r"^symbols \* M must be <= 1000000000 pairs per message ") as raised:
+            parse_config(document)
+        assert str(raised.value).endswith(named)
+
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="key: value"):
             parse_config("just some words")
@@ -631,8 +646,10 @@ class TestSubcommands:
             (["transmit", "--bits", "1" * 1001, "--M", "1000000"], "(got symbols=1001, M=1000000)"),
             # Every command resolves the same keys, as the symbols bound does.
             (["simulate", "--symbols", "1000000", "--M", "1001"], "(got symbols=1000000, M=1001)"),
+            # 10^9 + 1 = 19019 * 52579.
+            (["transmit", "--symbols", "19019", "--M", "52579"], "(got symbols=19019, M=52579)"),
         ],
-        ids=["largest-symbols-and-M", "symbols-past-the-cap", "bits-past-the-cap", "simulate"],
+        ids=["largest-symbols-and-M", "symbols-past-the-cap", "bits-past-the-cap", "simulate", "one-pair-past-the-cap"],
     )
     def test_a_message_of_too_many_pairs_exits_2_before_it_runs(self, tmp_path, monkeypatch, capsys, argv, named):
         def refused(*_):
@@ -651,8 +668,9 @@ class TestSubcommands:
             {"symbols": "100", "M": "10000000"},
             {"bits": "1" * 1000, "M": "1000000", "symbols": "1000000"},
             {"M": "10000000"},
+            {"symbols": "1000000", "M": "1000"},
         ],
-        ids=["stress-size", "at-the-cap", "bits-at-the-cap", "default-symbols-at-the-largest-M"],
+        ids=["stress-size", "at-the-cap", "bits-at-the-cap", "default-symbols-at-the-largest-M", "largest-symbols-at-the-cap"],
     )
     def test_messages_up_to_the_pair_cap_are_accepted(self, overrides):
         assert resolve_config(overrides).M == int(overrides["M"])

@@ -1269,6 +1269,39 @@ class TestTransmitMessage:
                     assert (want is None and got is None) or np.array_equal(want, got), field.name
 
     @pytest.mark.parametrize("mode", list(ModelMode))
+    @pytest.mark.parametrize("k", [1, 150, 299])
+    def test_the_first_k_bits_send_the_first_k_symbols_of_the_message(self, mode, k):
+        """Symbol s reads row s of the message's uniforms whatever the
+        message's length, so a message cut to its first k bits is the first
+        k symbols of the whole, kept hits included."""
+        plan = TransmissionPlan(M=27, T=0.3, N=5)
+        bits = stream(62, "bits").integers(0, 2, size=300)
+        whole = transmit_message(bits, plan, mode, DeviceConfig(), stream(62, "tx"), keep_hits=True)
+        cut = transmit_message(bits[:k], plan, mode, DeviceConfig(), stream(62, "tx"), keep_hits=True)
+        for field in dataclasses.fields(TransmissionResult):
+            assert np.array_equal(getattr(cut, field.name), getattr(whole, field.name)[:k]), field.name
+
+    @pytest.mark.parametrize("mode", list(ModelMode))
+    @pytest.mark.parametrize("s", [0, 150, 299])
+    def test_flipping_one_bit_moves_only_its_own_symbol(self, mode, s):
+        """Both messages read the same uniforms. Under NaiveCollapse symbol
+        s is drawn from the other pattern and no other symbol moves; under
+        UnitaryQM both settings show one pattern, so only ``sent`` moves."""
+        plan = TransmissionPlan(M=27, T=0.3, N=5)
+        bits = stream(63, "bits").integers(0, 2, size=300)
+        flipped = bits.copy()
+        flipped[s] ^= 1
+        results = [
+            transmit_message(b, plan, mode, DeviceConfig(), stream(63, "tx"), keep_hits=True) for b in (bits, flipped)
+        ]
+        moved = {"sent"} | ({"hit_bins", "log_lr", "fringe_statistic"} if mode is ModelMode.NAIVE_COLLAPSE else set())
+        others = np.arange(len(bits)) != s
+        for field in dataclasses.fields(TransmissionResult):
+            want, got = (getattr(r, field.name) for r in results)
+            assert np.array_equal(want[others], got[others]), field.name
+            assert np.array_equal(want[s], got[s]) == (field.name not in moved), field.name
+
+    @pytest.mark.parametrize("mode", list(ModelMode))
     @pytest.mark.parametrize("m, symbols", [(28, 5000), (1, 70_000), (70_000, 3)])
     def test_reads_one_emission_per_symbol_unless_hits_are_kept(self, monkeypatch, mode, m, symbols):
         read = []
